@@ -29,7 +29,7 @@ from .instancegen import parse_dimacs, random_instance, sat_reduction
 from .matroid import has_two_disjoint_spanning_trees
 from .connectivity import is_k_root_connected
 from .oracles import OracleBudget, run_oracle, validate_witness
-from .solver_arb import SolveOptions
+from .fptcommon import SolveOptions
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -95,7 +95,6 @@ def _build_parser() -> _CliParser:
     solve.add_argument("--k", type=int)
     solve.add_argument("--p", type=int, default=2)
     solve.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=True)
-    solve.add_argument("--workers", type=int, default=1)
     solve.add_argument("--budget", type=int)
 
     validate = sub.add_parser("validate")
@@ -137,19 +136,24 @@ def _load_instance(path: str, kind: Optional[str], k: Optional[int]) -> ProblemI
     return parse_instance(text, kind=kind, k=k)
 
 
+def _budget(args, inst: ProblemInstance) -> Optional[OracleBudget]:
+    """The oracle budget that `--budget` asks for, or None without it."""
+    if args.budget is None:
+        return None
+    if args.budget < 1:
+        raise _UsageError("--budget must be >= 1")
+    return OracleBudget(
+        max_vertices=inst.graph.n,
+        max_arcs=getattr(inst.graph, "arc_count", getattr(inst.graph, "edge_count", 0)),
+        max_candidates=args.budget,
+    )
+
+
 def _cmd_solve(args) -> int:
     if args.p != 2:
         raise _UsageError(f"--p {args.p} not implemented; only p = 2 is supported")
-    if args.workers < 1:
-        raise _UsageError("--workers must be >= 1")
     inst = _load_instance(args.input, args.problem, args.k)
-    opts = SolveOptions(deterministic=args.deterministic, workers=args.workers)
-    if args.budget:
-        opts.oracle_budget = OracleBudget(
-            max_vertices=inst.graph.n,
-            max_arcs=getattr(inst.graph, "arc_count", getattr(inst.graph, "edge_count", 0)),
-            max_candidates=args.budget,
-        )
+    opts = SolveOptions(deterministic=args.deterministic, oracle_budget=_budget(args, inst))
     from . import solve_instance
 
     report = solve_instance(inst, opts)
@@ -175,13 +179,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst = _load_instance(args.input, args.problem, args.k)
-    budget = OracleBudget()
-    if args.budget:
-        budget = OracleBudget(max_vertices=inst.graph.n,
-                              max_arcs=getattr(inst.graph, "arc_count",
-                                               getattr(inst.graph, "edge_count", 0)),
-                              max_candidates=args.budget)
-    answer = run_oracle(inst, budget)
+    answer = run_oracle(inst, _budget(args, inst) or OracleBudget())
     obj = {
         "problem": inst.kind,
         "k": inst.k,

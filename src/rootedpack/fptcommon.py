@@ -1,8 +1,9 @@
 """Machinery shared by the three FPT solvers.
 
-Largeness views, depth-bounded candidate pools, the directed growth loop
-(compact -> classic), and the greedy directed completion.  The undirected
-solver reuses the views and pools; its completion is exact via matroid union.
+The solve pipeline all three run (`run_pipeline`), largeness views,
+depth-bounded candidate pools, the directed growth loop (compact ->
+classic), and the greedy directed completion.  The undirected solver reuses
+the pipeline, views and pools; its completion is exact via matroid union.
 
 A structure "shape" is a parallel-class-level description; reachability after
 removing a shape's arcs depends only on per-class counts, so extendability is
@@ -11,21 +12,15 @@ precomputed per shape and pair search reduces to copy-assignability.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InternalError
-from .graphs import RootedDigraph, RootedGraph
-
-# Imaginary leaves attach from large non-root vertices only; the root is
-# never an attachment source (or a pruning site).  The validators and growth
-# loops all key off this one switch; the root-inclusive variant would need
-# its own attachment arithmetic and is not implemented.
-ATTACHMENT_INCLUDES_ROOT = False
-
-if ATTACHMENT_INCLUDES_ROOT:
-    raise NotImplementedError(
-        "root-inclusive attachment sources are not implemented")
+from .graphs import ProblemInstance, RootedDigraph, RootedGraph
+from .oracles import OracleAnswer, OracleBudget
+from .reports import SolveReport
 
 
 @dataclass(frozen=True)
@@ -90,6 +85,8 @@ def lex_smallest_attachment(
     so feasibility is per-branch slack arithmetic: every branch must stay
     within `limit` vertices and the anchored branches' total slack must cover
     the residual leaf count.  Returns the positive entries of the witness.
+    Anchors are large non-root vertices only: the root is never an
+    attachment source.
     """
     if residual < 0:
         return None
@@ -285,9 +282,9 @@ def complete_directed_pair(
 class PairSearch:
     """Deterministic lexicographic scan over candidate shape pairs.
 
-    Workers only change how index ranges are evaluated; the reported result
-    is always the canonically smallest successful pair, and the pairsTested
-    counter is that pair's 1-based rank (or the total pair count on NO).
+    The reported result is the canonically smallest successful pair, and the
+    pairsTested counter is that pair's 1-based rank (or the total pair count
+    on NO).
     """
 
     count: int
@@ -305,28 +302,126 @@ class PairSearch:
         i, j = pair
         return i * self.count - i * (i - 1) // 2 + (j - i) + 1
 
-    def find_first(self, workers: int = 1) -> tuple[Optional[tuple[int, int]], int]:
-        """(first successful pair or None, pairsTested).
-
-        Row-major scan; with workers each row (i, i..count-1) is an
-        independent task and the first hit in row order is returned, which
-        is the lexicographically first hit overall.
-        """
-        if workers <= 1:
-            for pair in self.pairs():
-                if self.test(*pair):
-                    return pair, self.rank(pair)
-            return None, self.total()
-        from concurrent.futures import ThreadPoolExecutor
-
-        def scan_row(i: int) -> Optional[tuple[int, int]]:
-            for j in range(i, self.count):
-                if self.test(i, j):
-                    return (i, j)
-            return None
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for hit in pool.map(scan_row, range(self.count)):
-                if hit is not None:
-                    return hit, self.rank(hit)
+    def find_first(self) -> tuple[Optional[tuple[int, int]], int]:
+        """(first successful pair in row-major order or None, pairsTested)."""
+        for pair in self.pairs():
+            if self.test(*pair):
+                return pair, self.rank(pair)
         return None, self.total()
+
+
+@dataclass
+class SolveOptions:
+    deterministic: bool = True
+    oracle_budget: Optional[OracleBudget] = None
+
+
+# A shape as the pipeline sees it: per-class copy counts plus the attachment
+# witness.  Vertex sets and Compact* objects are built for the hit pair only.
+Shape = tuple[dict[tuple[int, int], int], Mapping[int, int]]
+
+
+@dataclass
+class Stages:
+    """The per-problem hooks of `run_pipeline`, built inside each solve call.
+
+    `size` is the vertex count of a compact structure; instances with fewer
+    non-root vertices go to the brute-force `oracle`.  `gate` returns None
+    when it passes, else the failing stage and its cut witness (or None).
+    `finish` grows and completes the crystallised pair, given as the copy
+    ids and shape of each side, and returns the witness.  Without
+    `completable` (the directed kinds) shapes whose arcs' removal breaks
+    root-connectivity are dropped before the pair search; with it, the pair
+    test also asks it about the crystallised copies.  `validate` is passed
+    in rather than imported here so that the call goes through the solver
+    module's own name, which `perfbench/tracer.py` wraps.
+    """
+
+    started: float  # perf_counter() at the start of the solve
+    size: int
+    oracle: Callable[[OracleBudget], OracleAnswer]
+    gate: Callable[[], Optional[tuple[str, Optional[dict]]]]
+    shape_counter: str  # "kernels", "cores" or "certificates"
+    shapes: Callable[[], list[Shape]]
+    finish: Callable[[tuple[tuple[set[int], Shape], ...], dict], dict]
+    validate: Callable[[ProblemInstance, dict], object]
+    completable: Optional[Callable[[frozenset[int], frozenset[int]], bool]] = None
+    oracle_witness: Callable[[tuple], dict] = (
+        lambda w: {"tree1": list(w[0]), "tree2": list(w[1])})
+
+
+def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> SolveReport:
+    """Small-case oracle, gate, shape enumeration, extendability probe, pair
+    search, copy crystallisation, then the problem's grow-and-complete."""
+    g = inst.graph
+    counters = {stages.shape_counter: 0, "pairsTested": 0, "growSteps": 0}
+    timings: dict[str, float] = {}
+
+    def report(decision, stage, witness=None, cut=None):
+        validation = None
+        if witness is not None:
+            verdict = stages.validate(inst, witness)
+            if not verdict.ok:
+                raise InternalError("solver produced an invalid witness",
+                                    {"failures": verdict.failures()})
+            validation = verdict.to_json_dict()
+        timings["total"] = time.perf_counter() - stages.started
+        return SolveReport(
+            problem=inst.kind, k=inst.k, decision=decision, stage=stage,
+            witness=witness, cut_witness=cut, counters=counters,
+            validation=validation, timings=timings,
+            deterministic=opts.deterministic,
+        )
+
+    if g.n - 1 < stages.size:
+        arcs = g.arc_count if isinstance(g, RootedDigraph) else g.edge_count
+        budget = opts.oracle_budget or OracleBudget(
+            max_vertices=g.n, max_arcs=arcs, max_candidates=10_000_000)
+        ans = stages.oracle(budget)
+        counters["pairsTested"] = ans.candidates
+        witness = stages.oracle_witness(ans.witness) if ans.decision else None
+        return report(ans.decision, "oracle-smallcase", witness)
+
+    failed = stages.gate()
+    if failed is not None:
+        return report(False, failed[0], cut=failed[1])
+
+    class_ids = g.class_ids
+    shapes = stages.shapes()
+    expanded = 0
+    for counts, _ in shapes:
+        combos = 1
+        for c, m in counts.items():
+            combos *= comb(len(class_ids(*c)), m)
+        expanded += combos
+    counters[stages.shape_counter] = expanded
+
+    completable = stages.completable
+    if completable is None:
+        shapes = [
+            shape for shape in shapes
+            if g.is_root_connected_without(
+                [aid for c, m in shape[0].items() for aid in class_ids(*c)[:m]])
+        ]
+    counts = [shape[0] for shape in shapes]
+
+    def test(i: int, j: int) -> bool:
+        if not pair_shares_ok(counts[i], counts[j], class_ids):
+            return False
+        if completable is None:
+            return True
+        assigned = crystallize_pair(counts[i], counts[j], class_ids)
+        return assigned is not None and completable(
+            frozenset(assigned[0]), frozenset(assigned[1]))
+
+    hit, tested = PairSearch(count=len(shapes), test=test).find_first()
+    counters["pairsTested"] = tested
+    if hit is None:
+        return report(False, "pair-search")
+
+    i, j = hit
+    assigned = crystallize_pair(counts[i], counts[j], class_ids)
+    if assigned is None:
+        raise InternalError("copy assignment failed for a tested pair", {"pair": [i, j]})
+    witness = stages.finish(((assigned[0], shapes[i]), (assigned[1], shapes[j])), counters)
+    return report(True, "completed", witness)

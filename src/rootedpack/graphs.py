@@ -10,6 +10,7 @@ what makes the solvers' per-candidate connectivity checks cheap.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -176,13 +177,6 @@ class RootedDigraph:
 
     def selection(self, ids: Iterable[int]) -> "ArcSelection":
         return ArcSelection(self, frozenset(ids))
-
-    def restrict_ids(self, keep: Iterable[int]) -> "RootedDigraph":
-        keep = set(keep)
-        return RootedDigraph(
-            self.n, self.root,
-            [(u, v, aid) for aid, (u, v) in sorted(self._arc.items()) if aid in keep],
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -561,25 +555,23 @@ def cap_parallel(instance: ProblemInstance) -> ProblemInstance:
     return ProblemInstance(kind=instance.kind, graph=capped, k=instance.k)
 
 
-def subtree_sizes(arborescence: ArcSelection) -> dict[int, int]:
-    """Size of the subarborescence rooted at each non-root vertex.
+def parse_arborescence(dig: RootedDigraph, ids: Iterable[int]) -> dict[int, int]:
+    """Parent map of the r-arborescence formed by the arcs `ids`.
 
-    The size counts the vertex itself plus all its descendants.  Raises
-    StructureError if the selection is not an r-arborescence.
+    Raises StructureError if the arcs do not form an r-arborescence.
     """
-    g = arborescence.graph
     parent: dict[int, int] = {}
-    for aid in arborescence.sorted_ids():
-        u, v = g.arc(aid)
+    for aid in sorted(ids):
+        u, v = dig.arc(aid)
         if v in parent:
             raise StructureError(f"vertex {v} has in-degree > 1 in selection")
         parent[v] = u
-    verts = set(parent) | {g.root}
+    verts = set(parent) | {dig.root}
     for v, u in parent.items():
         if u not in verts:
             raise StructureError(f"arc tail {u} not connected to the root")
     # climb to the root from every vertex, detecting cycles
-    state: dict[int, int] = {g.root: 1}  # 1 = reaches root
+    state: dict[int, int] = {dig.root: 1}  # 1 = reaches root
     for v in parent:
         path = []
         w = v
@@ -591,6 +583,17 @@ def subtree_sizes(arborescence: ArcSelection) -> dict[int, int]:
                 raise StructureError("selection contains a cycle")
         for p in path:
             state[p] = 1
+    return parent
+
+
+def subtree_sizes(arborescence: ArcSelection) -> dict[int, int]:
+    """Size of the subarborescence rooted at each non-root vertex.
+
+    The size counts the vertex itself plus all its descendants.  Raises
+    StructureError if the selection is not an r-arborescence.
+    """
+    g = arborescence.graph
+    parent = parse_arborescence(g, arborescence.ids)
     # accumulate sizes bottom-up along parent chains
     depth: dict[int, int] = {g.root: 0}
     for v in parent:
@@ -609,41 +612,49 @@ def subtree_sizes(arborescence: ArcSelection) -> dict[int, int]:
     return {v: sizes[v] for v in sorted(parent)}
 
 
+def parse_rooted_tree(g: RootedGraph, ids: Iterable[int]) -> dict[int, int]:
+    """Parent map, in BFS order from the root, of the tree formed by the
+    edges `ids` together with the root.
+
+    Raises StructureError if the edges do not form such a tree.
+    """
+    ids = set(ids)
+    adj: dict[int, list[int]] = {}
+    verts = {g.root}
+    for eid in ids:
+        u, v = g.edge(eid)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+        verts.add(u)
+        verts.add(v)
+    if len(ids) != len(verts) - 1:
+        raise StructureError("selection is not a tree (edge count mismatch)")
+    parent: dict[int, int] = {g.root: -1}
+    queue = deque([g.root])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(adj.get(u, ())):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    if set(parent) != verts:
+        raise StructureError("selection is not connected to the root")
+    del parent[g.root]
+    return parent
+
+
 def hanging_component_sizes(tree: EdgeSelection) -> dict[int, int]:
     """|C_T^v| for each non-root vertex of a tree containing the root.
 
     C_T^v is what remains of T - v after deleting the component holding the
     root, i.e. the strict descendants of v when T is rooted at r.
     """
-    g = tree.graph
-    adj: dict[int, list[tuple[int, int]]] = {}
-    verts = {g.root}
-    for eid in tree.sorted_ids():
-        u, v = g.edge(eid)
-        adj.setdefault(u, []).append((v, eid))
-        adj.setdefault(v, []).append((u, eid))
-        verts.add(u)
-        verts.add(v)
-    if len(tree.ids) != len(verts) - 1:
-        raise StructureError("selection is not a tree (edge count mismatch)")
-    parent: dict[int, int] = {g.root: -1}
-    order = [g.root]
-    queue = [g.root]
-    while queue:
-        u = queue.pop(0)
-        for w, _ in sorted(adj.get(u, ())):
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-                queue.append(w)
-    if set(parent) != verts:
-        raise StructureError("selection is not connected to the root")
-    sizes = {v: 0 for v in verts if v != g.root}
-    for v in reversed(order):
-        if v == g.root:
-            continue
+    root = tree.graph.root
+    parent = parse_rooted_tree(tree.graph, tree.ids)
+    sizes = {v: 0 for v in parent}
+    for v in reversed(parent):
         p = parent[v]
-        if p != g.root:
+        if p != root:
             sizes[p] += sizes[v] + 1
     return sizes
 

@@ -15,22 +15,22 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
-from .connectivity import is_k_root_connected
-from .errors import ContractError, InternalError
+from .connectivity import is_extendable_pair, is_k_root_connected
+from .errors import ContractError, InternalError, StructureError
 from .fptcommon import (
     DirectedState,
     branch_structure,
     LargenessView,
-    PairSearch,
+    SolveOptions,
+    Stages,
     classify_directed,
     complete_directed_pair,
-    crystallize_pair,
     depth_bounded_pool,
     grow_directed_pair,
     lex_smallest_attachment,
-    pair_shares_ok,
+    run_pipeline,
 )
-from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel
+from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel, parse_arborescence
 from .oracles import OracleBudget, oracle_arb, validate_witness
 from .reports import SolveReport
 
@@ -42,13 +42,6 @@ class CompactKernel:
     vertices: frozenset[int]
     arcs: ArcSelection
     attachment: Mapping[int, int]
-
-
-@dataclass
-class SolveOptions:
-    deterministic: bool = True
-    workers: int = 1
-    oracle_budget: Optional[OracleBudget] = None
 
 
 def classify_vertices(dig: RootedDigraph, k: int) -> LargenessView:
@@ -64,35 +57,6 @@ def candidate_pool(dig: RootedDigraph, k: int) -> frozenset[int]:
     return depth_bounded_pool(dig.out_neighbors, dig.root, k - 1, view.large)
 
 
-def _parse_arborescence(dig: RootedDigraph, ids) -> Optional[dict[int, int]]:
-    """Parent map of an r-arborescence selection, None if malformed."""
-    parent: dict[int, int] = {}
-    for aid in sorted(ids):
-        u, v = dig.arc(aid)
-        if v in parent:
-            return None
-        parent[v] = u
-    verts = set(parent) | {dig.root}
-    for v, u in parent.items():
-        if u not in verts:
-            return None
-    state: dict[int, bool] = {dig.root: True}
-    for v in parent:
-        path = []
-        w = v
-        while w not in state:
-            state[w] = False
-            path.append(w)
-            w = parent[w]
-            if state.get(w) is False:
-                return None
-        if not state[w]:
-            return None
-        for p in path:
-            state[p] = True
-    return parent
-
-
 def validate_compact_kernel(
     dig: RootedDigraph, k: int, x: ArcSelection
 ) -> Optional[dict[int, int]]:
@@ -102,8 +66,9 @@ def validate_compact_kernel(
     then decides attachment feasibility by per-branch slack arithmetic and
     returns the lexicographically smallest witness.
     """
-    parent = _parse_arborescence(dig, x.ids)
-    if parent is None:
+    try:
+        parent = parse_arborescence(dig, x.ids)
+    except StructureError:
         return None
     verts = frozenset(parent)
     if len(verts) > 2 * k - 2:
@@ -196,24 +161,27 @@ def enumerate_compact_kernels(dig: RootedDigraph, k: int) -> Iterator[CompactKer
 
 
 def grow_to_classic(
-    dig: RootedDigraph, k: int, pair: tuple[CompactKernel, CompactKernel]
+    dig: RootedDigraph, k: int, pair: tuple[CompactKernel, CompactKernel],
+    counters: Optional[dict] = None,
 ) -> tuple[ArcSelection, ArcSelection]:
     """Grow an extendable arc-disjoint compact pair into classic kernels."""
     k1, k2 = pair
     if k1.arcs.ids & k2.arcs.ids:
         raise ContractError("compact kernels must be arc-disjoint")
-    if not (dig.is_root_connected_without(k1.arcs.ids)
-            and dig.is_root_connected_without(k2.arcs.ids)):
+    if not is_extendable_pair(dig, k1.arcs, k2.arcs):
         raise ContractError("compact kernel pair is not extendable")
     states = (
         DirectedState(ids=set(k1.arcs.ids), covered={dig.root} | set(k1.vertices)),
         DirectedState(ids=set(k2.arcs.ids), covered={dig.root} | set(k2.vertices)),
     )
-    grow_directed_pair(dig, states, (dict(k1.attachment), dict(k2.attachment)))
+    grow_directed_pair(dig, states, (dict(k1.attachment), dict(k2.attachment)), counters)
     out = []
     for state in states:
         sel = dig.selection(state.ids)
-        parent = _parse_arborescence(dig, sel.ids)
+        try:
+            parent = parse_arborescence(dig, sel.ids)
+        except StructureError:
+            parent = None
         if parent is None or len(parent) != 2 * k - 2:
             raise InternalError("growth did not produce a classic kernel",
                                 {"size": len(state.ids)})
@@ -222,6 +190,13 @@ def grow_to_classic(
             raise InternalError("grown kernel is not k-safe", {"sizes": sizes})
         out.append(sel)
     return out[0], out[1]
+
+
+def _is_spanning_arborescence(dig: RootedDigraph, ids) -> bool:
+    try:
+        return len(parse_arborescence(dig, ids)) == dig.n - 1
+    except StructureError:
+        return False
 
 
 def _exhaustive_complete(
@@ -254,8 +229,7 @@ def _exhaustive_complete(
             return None
     for combo1 in itertools.product(*list1):
         ids1 = set(combo1) | forced1
-        parent = _parse_arborescence(dig, ids1)
-        if parent is None or len(parent) != dig.n - 1:
+        if not _is_spanning_arborescence(dig, ids1):
             continue
         avoid = frozenset(ids1)
         list2 = []
@@ -279,15 +253,15 @@ def _exhaustive_complete(
             ids2 = set(combo2) | forced2
             if ids2 & ids1:
                 continue
-            parent2 = _parse_arborescence(dig, ids2)
-            if parent2 is None or len(parent2) != dig.n - 1:
+            if not _is_spanning_arborescence(dig, ids2):
                 continue
             return ids1, ids2
     return None
 
 
 def complete_to_spanning(
-    dig: RootedDigraph, k: int, pair: tuple[ArcSelection, ArcSelection]
+    dig: RootedDigraph, k: int, pair: tuple[ArcSelection, ArcSelection],
+    counters: Optional[dict] = None,
 ) -> tuple[ArcSelection, ArcSelection]:
     """Extend an extendable arc-disjoint classic kernel pair to spanning
     arborescences.  Greedy with the extendability invariant; an exhaustive
@@ -297,7 +271,7 @@ def complete_to_spanning(
         DirectedState(ids=set(s1.ids), covered=set(s1.covered_vertices(with_root=True))),
         DirectedState(ids=set(s2.ids), covered=set(s2.covered_vertices(with_root=True))),
     )
-    if not complete_directed_pair(dig, states):
+    if not complete_directed_pair(dig, states, counters):
         fallback = _exhaustive_complete(dig, k, frozenset(s1.ids), frozenset(s2.ids))
         if fallback is None:
             raise InternalError(
@@ -311,95 +285,27 @@ def complete_to_spanning(
 
 def solve_arb(dig: RootedDigraph, k: int, options: Optional[SolveOptions] = None) -> SolveReport:
     """Decide and construct two arc-disjoint k-safe spanning r-arborescences."""
-    opts = options or SolveOptions()
     t0 = time.perf_counter()
-    counters = {"kernels": 0, "pairsTested": 0, "growSteps": 0}
     inst = cap_parallel(ProblemInstance(kind="arb", graph=dig, k=k))
     d: RootedDigraph = inst.graph
-    timings: dict[str, float] = {}
 
-    def report(decision, stage, witness=None, cut=None):
-        validation = None
-        if witness is not None:
-            verdict = validate_witness(inst, witness)
-            if not verdict.ok:
-                raise InternalError("solver produced an invalid witness",
-                                    {"failures": verdict.failures()})
-            validation = verdict.to_json_dict()
-        timings["total"] = time.perf_counter() - t0
-        return SolveReport(
-            problem="arb", k=k, decision=decision, stage=stage,
-            witness=witness, cut_witness=cut, counters=counters,
-            validation=validation, timings=timings,
-            deterministic=opts.deterministic,
-        )
+    def gate():
+        ok2, cut = is_k_root_connected(d, 2)
+        return None if ok2 else ("connectivity-gate", cut.to_json_dict())
 
-    if d.n - 1 < 2 * k - 2:
-        budget = opts.oracle_budget or OracleBudget(
-            max_vertices=d.n, max_arcs=d.arc_count, max_candidates=10_000_000)
-        ans = oracle_arb(d, k, budget)
-        counters["pairsTested"] = ans.candidates
-        witness = None
-        if ans.decision:
-            witness = {"tree1": list(ans.witness[0]), "tree2": list(ans.witness[1])}
-        return report(ans.decision, "oracle-smallcase", witness)
+    def shapes():
+        return [(dict.fromkeys(classes, 1), attachment) for classes, attachment
+                in _kernel_shapes(d, k, candidate_pool(d, k), classify_vertices(d, k))]
 
-    ok2, cut = is_k_root_connected(d, 2)
-    if not ok2:
-        return report(False, "connectivity-gate", cut=cut.to_json_dict())
+    def finish(sides, counters):
+        pair = tuple(
+            CompactKernel(frozenset(v for _, v in counts), d.selection(ids), dict(attachment))
+            for ids, (counts, attachment) in sides)
+        kernels = grow_to_classic(d, k, pair, counters)
+        tree1, tree2 = complete_to_spanning(d, k, kernels, counters)
+        return {"tree1": sorted(tree1.ids), "tree2": sorted(tree2.ids)}
 
-    view = classify_vertices(d, k)
-    pool = candidate_pool(d, k)
-    shapes = _kernel_shapes(d, k, pool, view)
-    expanded = 0
-    for classes, _ in shapes:
-        combos = 1
-        for c in classes:
-            combos *= len(d.class_ids(*c))
-        expanded += combos
-    counters["kernels"] = expanded
-
-    ok_shapes = []
-    for classes, attachment in shapes:
-        probe = [d.class_ids(*c)[0] for c in classes]
-        if d.is_root_connected_without(probe):
-            ok_shapes.append((classes, attachment))
-
-    class_counts = [dict.fromkeys(classes, 1) for classes, _ in ok_shapes]
-    search = PairSearch(
-        count=len(ok_shapes),
-        test=lambda i, j: pair_shares_ok(class_counts[i], class_counts[j], d.class_ids),
-    )
-    hit, tested = search.find_first(opts.workers)
-    counters["pairsTested"] = tested
-    if hit is None:
-        return report(False, "pair-search")
-
-    i, j = hit
-    assigned = crystallize_pair(class_counts[i], class_counts[j], d.class_ids)
-    if assigned is None:
-        raise InternalError("copy assignment failed for a tested pair", {"pair": [i, j]})
-    ids1, ids2 = assigned
-    pair = (
-        CompactKernel(frozenset(v for _, v in ok_shapes[i][0]), d.selection(ids1),
-                      dict(ok_shapes[i][1])),
-        CompactKernel(frozenset(v for _, v in ok_shapes[j][0]), d.selection(ids2),
-                      dict(ok_shapes[j][1])),
-    )
-    states = (
-        DirectedState(ids=set(ids1), covered={d.root} | set(pair[0].vertices)),
-        DirectedState(ids=set(ids2), covered={d.root} | set(pair[1].vertices)),
-    )
-    grow_directed_pair(d, states, (dict(pair[0].attachment), dict(pair[1].attachment)),
-                       counters)
-    if not complete_directed_pair(d, states, counters):
-        fallback = _exhaustive_complete(d, k, frozenset(states[0].ids), frozenset(states[1].ids))
-        if fallback is None:
-            raise InternalError("completion stalled beyond fallback scale",
-                                {"pair": [i, j]})
-        states[0].ids, states[1].ids = set(fallback[0]), set(fallback[1])
-    witness = {
-        "tree1": sorted(states[0].ids),
-        "tree2": sorted(states[1].ids),
-    }
-    return report(True, "completed", witness)
+    return run_pipeline(inst, options or SolveOptions(), Stages(
+        started=t0, size=2 * k - 2, oracle=lambda budget: oracle_arb(d, k, budget),
+        gate=gate, shape_counter="kernels", shapes=shapes, finish=finish,
+        validate=validate_witness))

@@ -14,24 +14,23 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
-from .connectivity import FlowNetwork, is_k_root_connected, max_flow
+from .connectivity import FlowNetwork, is_extendable_pair, is_k_root_connected, max_flow
 from .errors import ContractError, InternalError
 from .flows import BranchingFlow, branching_flow_feasible, decompose_flow, validate_branching_flow
 from .fptcommon import (
     DirectedState,
     LargenessView,
-    PairSearch,
+    SolveOptions,
+    Stages,
     classify_directed,
     complete_directed_pair,
-    crystallize_pair,
     depth_bounded_pool,
     grow_directed_pair,
-    pair_shares_ok,
+    run_pipeline,
 )
 from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel
-from .oracles import OracleBudget, oracle_flow, validate_witness
+from .oracles import oracle_flow, validate_witness
 from .reports import SolveReport
-from .solver_arb import SolveOptions
 
 
 @dataclass(frozen=True)
@@ -191,21 +190,21 @@ def enumerate_compact_cores(dig: RootedDigraph, k: int) -> Iterator[CompactCore]
 
 
 def grow_to_classic_core(
-    dig: RootedDigraph, k: int, pair: tuple[CompactCore, CompactCore]
+    dig: RootedDigraph, k: int, pair: tuple[CompactCore, CompactCore],
+    counters: Optional[dict] = None,
 ) -> tuple[ArcSelection, ArcSelection]:
     """Grow an extendable arc-disjoint (triple-free) compact core pair into
     classic cores: (r,k)-flow branchings on exactly 2k-1 non-root vertices."""
     c1, c2 = pair
     if c1.arcs.ids & c2.arcs.ids:
         raise ContractError("compact cores must be arc-disjoint")
-    if not (dig.is_root_connected_without(c1.arcs.ids)
-            and dig.is_root_connected_without(c2.arcs.ids)):
+    if not is_extendable_pair(dig, c1.arcs, c2.arcs):
         raise ContractError("compact core pair is not extendable")
     states = (
         DirectedState(ids=set(c1.arcs.ids), covered={dig.root} | set(c1.vertices)),
         DirectedState(ids=set(c2.arcs.ids), covered={dig.root} | set(c2.vertices)),
     )
-    grow_directed_pair(dig, states, (dict(c1.attachment), dict(c2.attachment)))
+    grow_directed_pair(dig, states, (dict(c1.attachment), dict(c2.attachment)), counters)
     out = []
     for state in states:
         sel = dig.selection(state.ids)
@@ -341,90 +340,34 @@ def _exhaustive_complete_flow(
 
 def solve_flow(dig: RootedDigraph, k: int, options: Optional[SolveOptions] = None) -> SolveReport:
     """Decide and construct two arc-disjoint spanning (r,k)-flow branchings."""
-    opts = options or SolveOptions()
     t0 = time.perf_counter()
-    counters = {"cores": 0, "pairsTested": 0, "growSteps": 0}
     inst = cap_parallel(ProblemInstance(kind="flow", graph=dig, k=k))
     d: RootedDigraph = inst.graph
-    timings: dict[str, float] = {}
 
-    def report(decision, stage, witness=None, cut=None):
-        validation = None
-        if witness is not None:
-            verdict = validate_witness(inst, witness)
-            if not verdict.ok:
-                raise InternalError("solver produced an invalid witness",
-                                    {"failures": verdict.failures()})
-            validation = verdict.to_json_dict()
-        timings["total"] = time.perf_counter() - t0
-        return SolveReport(
-            problem="flow", k=k, decision=decision, stage=stage,
-            witness=witness, cut_witness=cut, counters=counters,
-            validation=validation, timings=timings,
-            deterministic=opts.deterministic,
-        )
+    def gate():
+        ok2, cut = is_k_root_connected(d, 2)
+        return None if ok2 else ("connectivity-gate", cut.to_json_dict())
 
-    if d.n - 1 < 2 * k - 1:
-        budget = opts.oracle_budget or OracleBudget(
-            max_vertices=d.n, max_arcs=d.arc_count, max_candidates=10_000_000)
-        ans = oracle_flow(d, k, budget)
-        counters["pairsTested"] = ans.candidates
-        witness = None
-        if ans.decision:
-            witness = _flow_witness(d, k, ans.witness[0], ans.witness[1])
-        return report(ans.decision, "oracle-smallcase", witness)
+    def shapes():
+        return [(dict(counts), attachment) for _, counts, attachment
+                in _core_shapes(d, k, candidate_pool_flow(d, k), classify_vertices_flow(d, k))]
 
-    ok2, cut = is_k_root_connected(d, 2)
-    if not ok2:
-        return report(False, "connectivity-gate", cut=cut.to_json_dict())
+    def finish(sides, counters):
+        # every vertex of a core has an in-arc inside it, so V' is the head set
+        pair = tuple(
+            CompactCore(frozenset(v for _, v in counts), d.selection(ids), dict(attachment))
+            for ids, (counts, attachment) in sides)
+        cores = grow_to_classic_core(d, k, pair, counters)
+        # no counters: flow reports have never carried completionSteps
+        (sel1, flow1), (sel2, flow2) = complete_to_spanning_flow(d, k, cores)
+        return {"tree1": sorted(sel1.ids), "tree2": sorted(sel2.ids),
+                "flow1": flow1.to_json(), "flow2": flow2.to_json()}
 
-    view = classify_vertices_flow(d, k)
-    pool = candidate_pool_flow(d, k)
-    shapes = _core_shapes(d, k, pool, view)
-    expanded = 0
-    for _, counts, _ in shapes:
-        combos = 1
-        for (u, v), m in counts:
-            ids = d.class_ids(u, v)
-            combos *= _choose(len(ids), m)
-        expanded += combos
-    counters["cores"] = expanded
-
-    ok_shapes = []
-    for verts, counts, attachment in shapes:
-        probe = [aid for (u, v), m in counts for aid in d.class_ids(u, v)[:m]]
-        if d.is_root_connected_without(probe):
-            ok_shapes.append((verts, dict(counts), attachment))
-
-    search = PairSearch(
-        count=len(ok_shapes),
-        test=lambda i, j: pair_shares_ok(ok_shapes[i][1], ok_shapes[j][1], d.class_ids),
-    )
-    hit, tested = search.find_first(opts.workers)
-    counters["pairsTested"] = tested
-    if hit is None:
-        return report(False, "pair-search")
-
-    i, j = hit
-    assigned = crystallize_pair(ok_shapes[i][1], ok_shapes[j][1], d.class_ids)
-    if assigned is None:
-        raise InternalError("copy assignment failed for a tested pair", {"pair": [i, j]})
-    ids1, ids2 = assigned
-    states = (
-        DirectedState(ids=set(ids1), covered={d.root} | set(ok_shapes[i][0])),
-        DirectedState(ids=set(ids2), covered={d.root} | set(ok_shapes[j][0])),
-    )
-    grow_directed_pair(d, states, (dict(ok_shapes[i][2]), dict(ok_shapes[j][2])), counters)
-    core1 = d.selection(states[0].ids)
-    core2 = d.selection(states[1].ids)
-    (sel1, flow1), (sel2, flow2) = complete_to_spanning_flow(d, k, (core1, core2))
-    witness = {
-        "tree1": sorted(sel1.ids),
-        "tree2": sorted(sel2.ids),
-        "flow1": flow1.to_json(),
-        "flow2": flow2.to_json(),
-    }
-    return report(True, "completed", witness)
+    return run_pipeline(inst, options or SolveOptions(), Stages(
+        started=t0, size=2 * k - 1, oracle=lambda budget: oracle_flow(d, k, budget),
+        gate=gate, shape_counter="cores", shapes=shapes, finish=finish,
+        validate=validate_witness,
+        oracle_witness=lambda w: _flow_witness(d, k, w[0], w[1])))
 
 
 def _flow_witness(d: RootedDigraph, k: int, ids1, ids2) -> dict:
@@ -437,7 +380,3 @@ def _flow_witness(d: RootedDigraph, k: int, ids1, ids2) -> dict:
         out[tag] = flow.to_json()
     return out
 
-
-def _choose(n: int, r: int) -> int:
-    import math
-    return math.comb(n, r)

