@@ -8,6 +8,9 @@ Example:
 import argparse
 import random
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rootedpack.graphs import RootedDigraph, RootedGraph
 from rootedpack.oracles import oracle_arb, oracle_flow, oracle_tree

@@ -3,6 +3,14 @@
 The cut condition d^-(X) >= k for all non-empty X avoiding the root is
 decided through Menger's theorem: k arc-disjoint root-to-v paths for every v,
 computed as integral max-flows with one unit of capacity per parallel copy.
+
+Single arc removals go through one rule, kept by `ResidualReach`: while D - S
+is root-connected, fix any BFS r-arborescence T of it at parallel-class
+level.  Removing one more copy can disconnect D - S only when that copy is
+the last survivor of its class and the class is an arc of T; every other
+copy is admitted without a search, and T is rebuilt only after such a T-arc
+is removed.  `critical_arcs`, the k=2 gate and the directed growth and
+completion in `fptcommon` all run on it.
 """
 
 from __future__ import annotations
@@ -178,11 +186,12 @@ def is_k_root_connected(dig: RootedDigraph, k: int) -> tuple[bool, Optional[CutW
     if k == 1:
         return True, None
     if k == 2:
-        # only the last surviving copy of a class can be a cut arc
-        for (u, v), ids in sorted(dig.parallel_classes().items()):
-            if len(ids) == 1 and not dig.is_root_connected_without((ids[0],)):
-                bad = dig.unreachable_set((ids[0],))
-                return False, CutWitness(bad, dig.in_degree_of_set(bad))
+        critical = critical_arcs(dig)
+        if critical:
+            # the first failing class in sorted class order gives the cut
+            first = min(critical, key=dig.arc)
+            bad = dig.unreachable_set((first,))
+            return False, CutWitness(bad, dig.in_degree_of_set(bad))
         return True, None
     for v in range(dig.n):
         if v == dig.root:
@@ -193,6 +202,46 @@ def is_k_root_connected(dig: RootedDigraph, k: int) -> tuple[bool, Optional[CutW
     return True, None
 
 
+class ResidualReach:
+    """D minus a growing arc set S, with a BFS r-arborescence T of D - S.
+
+    `keeps_root_connected(aid)` answers whether D - S - aid is still
+    root-connected: with one search when aid is the last surviving copy of a
+    class on T, without one otherwise.  `remove(aid)` adds aid to S and
+    rebuilds T only when it removed such a T-arc.
+    """
+
+    def __init__(self, dig: RootedDigraph, removed: Iterable[int] = ()):
+        self.dig = dig
+        self.removed = set(removed)
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        self.parent = self.dig.bfs_parents(self.removed)
+        self.spanning = len(self.parent) == self.dig.n - 1
+
+    def _last_on_tree(self, aid: int) -> bool:
+        """True iff aid is the only surviving copy of a class that T uses."""
+        u, v = self.dig.arc(aid)
+        if self.parent.get(v) != u:
+            return False
+        removed = self.removed
+        return all(other == aid or other in removed for other in self.dig.class_ids(u, v))
+
+    def keeps_root_connected(self, aid: int) -> bool:
+        if not self.spanning:
+            return False
+        if not self._last_on_tree(aid):
+            return True
+        return self.dig.is_root_connected_without(self.removed | {aid})
+
+    def remove(self, aid: int) -> None:
+        rebuild = self.spanning and self._last_on_tree(aid)
+        self.removed.add(aid)
+        if rebuild:
+            self._rebuild()
+
+
 def critical_arcs(
     dig: RootedDigraph,
     removed: Iterable[int] = (),
@@ -200,23 +249,21 @@ def critical_arcs(
 ) -> frozenset[int]:
     """Arcs whose additional removal disconnects some vertex from the root.
 
-    Computed by per-arc recheck.  An arc whose parallel class still has
-    another surviving copy can never be critical.
+    Only the last surviving copy of a class on a BFS r-arborescence of
+    D - removed can be critical, so only those (at most n-1) are rechecked.
+    This is the engine of the k=2 gate.
     """
-    removed = frozenset(removed)
-    if not dig.is_root_connected_without(removed):
+    reach = ResidualReach(dig, removed)
+    if not reach.spanning:
         raise ContractError("digraph minus removed arcs is not root-connected")
     tail_filter = None if tails is None else set(tails)
     result = set()
-    for (u, v), ids in sorted(dig.parallel_classes().items()):
+    for v, u in reach.parent.items():
         if tail_filter is not None and u not in tail_filter:
             continue
-        present = [aid for aid in ids if aid not in removed]
-        if len(present) != 1:
-            continue
-        aid = present[0]
-        if not dig.is_root_connected_without(removed | {aid}):
-            result.add(aid)
+        survivor = next(aid for aid in dig.class_ids(u, v) if aid not in reach.removed)
+        if not reach.keeps_root_connected(survivor):
+            result.add(survivor)
     return frozenset(result)
 
 

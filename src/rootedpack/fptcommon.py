@@ -12,11 +12,13 @@ precomputed per shape and pair search reduces to copy-assignability.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from .connectivity import ResidualReach
 from .errors import InternalError
 from .graphs import ProblemInstance, RootedDigraph, RootedGraph
 from .oracles import OracleAnswer, OracleBudget
@@ -183,6 +185,33 @@ def pair_shares_ok(
     return True
 
 
+def _admissible_copy(
+    state: DirectedState, reach: ResidualReach, other: DirectedState,
+    head: int, ids: tuple[int, ...],
+) -> Optional[int]:
+    """The copy of a class into `head` that `state` may take next, or None.
+
+    It must reach a vertex new to the structure, be unused by the other
+    structure and keep D minus the structure's arcs root-connected.  As both
+    structures grow, every rejection is permanent: a covered head stays
+    covered, a copy the other side took stays taken, and an arc critical for
+    S stays critical for every superset of S (no copy of a class into an
+    uncovered head is in S, so the class has no other copy to try).
+    """
+    if head in state.covered:
+        return None
+    copy = next((aid for aid in ids if aid not in other.ids), None)
+    if copy is None or not reach.keeps_root_connected(copy):
+        return None
+    return copy
+
+
+def _take(state: DirectedState, reach: ResidualReach, head: int, copy: int) -> None:
+    state.ids.add(copy)
+    state.covered.add(head)
+    reach.remove(copy)
+
+
 def grow_directed_pair(
     dig: RootedDigraph,
     states: tuple[DirectedState, DirectedState],
@@ -196,6 +225,7 @@ def grow_directed_pair(
     arc are never retried.  Anchors have enough out-neighbors to outlast every
     possible rejection, so a stall is an internal invariant violation.
     """
+    reaches = [ResidualReach(dig, state.ids) for state in states]
     deficits = [dict(t) for t in targets]
     while True:
         side = next((i for i in (0, 1) if deficits[i]), None)
@@ -205,24 +235,17 @@ def grow_directed_pair(
         anchor = min(deficits[side])
         chosen = None
         for head, ids in dig.out_classes(anchor):
-            if head in state.covered:
-                continue
-            copy = next((aid for aid in ids if aid not in other.ids), None)
-            if copy is None:
-                continue  # every copy used by the other structure
-            if not dig.is_root_connected_without(state.ids | {copy}):
-                continue  # critical arc: parallel copies fail alike
-            chosen = (head, copy)
-            break
+            copy = _admissible_copy(state, reaches[side], other, head, ids)
+            if copy is not None:
+                chosen = (head, copy)
+                break
         if chosen is None:
             raise InternalError(
                 "growth stalled despite pending attachment targets",
                 {"anchor": anchor, "side": side,
                  "deficits": {str(k): v for k, v in deficits[side].items()}},
             )
-        head, copy = chosen
-        state.ids.add(copy)
-        state.covered.add(head)
+        _take(state, reaches[side], *chosen)
         if counters is not None:
             counters["growSteps"] = counters.get("growSteps", 0) + 1
         deficits[side][anchor] -= 1
@@ -241,38 +264,46 @@ def complete_directed_pair(
     covered, head uncovered, copy unused by the other structure, removal set
     still extendable).  Returns False on a stall; the caller decides whether
     to fall back to exhaustive completion.
+
+    Rejections are permanent (see `_admissible_copy`), so each side keeps a
+    min-heap of its covered tails and, per tail, a cursor to the first class
+    of `out_classes(tail)` not yet rejected; a tail with none left leaves
+    the heap for good.
     """
-    full = set(range(dig.n))
+    reaches = [ResidualReach(dig, state.ids) for state in states]
+    heaps = [sorted(state.covered) for state in states]
+    cursors: list[dict[int, int]] = [{}, {}]
+
+    def first_admissible(side: int) -> Optional[tuple[int, int]]:
+        state, other, reach = states[side], states[1 - side], reaches[side]
+        heap, cursor = heaps[side], cursors[side]
+        while heap:
+            tail = heap[0]
+            classes = dig.out_classes(tail)
+            for i in range(cursor.get(tail, 0), len(classes)):
+                head, ids = classes[i]
+                copy = _admissible_copy(state, reach, other, head, ids)
+                if copy is not None:
+                    cursor[tail] = i
+                    return head, copy
+            heapq.heappop(heap)
+        return None
+
     blocked = [False, False]
     while True:
-        pending = [i for i in (0, 1) if states[i].covered != full]
+        pending = [i for i in (0, 1) if len(states[i].covered) < dig.n]
         if not pending:
             return True
         candidates = [i for i in pending if not blocked[i]]
         if not candidates:
             return False
         side = min(candidates, key=lambda i: (len(states[i].covered), i))
-        state, other = states[side], states[1 - side]
-        chosen = None
-        for tail in sorted(state.covered):
-            for head, ids in dig.out_classes(tail):
-                if head in state.covered:
-                    continue
-                copy = next((aid for aid in ids if aid not in other.ids), None)
-                if copy is None:
-                    continue
-                if not dig.is_root_connected_without(state.ids | {copy}):
-                    continue
-                chosen = (head, copy)
-                break
-            if chosen:
-                break
+        chosen = first_admissible(side)
         if chosen is None:
             blocked[side] = True
             continue
-        head, copy = chosen
-        state.ids.add(copy)
-        state.covered.add(head)
+        _take(states[side], reaches[side], *chosen)
+        heapq.heappush(heaps[side], chosen[0])
         blocked = [False, False]
         if counters is not None:
             counters["completionSteps"] = counters.get("completionSteps", 0) + 1

@@ -2,9 +2,11 @@
 
 Rooted digraphs and rooted graphs keep one id per parallel copy; ids survive
 sub-selection and arc-capping, so witnesses always refer to the original
-instance.  Reachability questions that only depend on how many copies of each
-parallel class survive are answered through cached bitmask adjacency, which is
-what makes the solvers' per-candidate connectivity checks cheap.
+instance.  Reachability only depends on which parallel classes keep a
+surviving copy, so it is answered at class level through cached bitmask
+adjacency: `reach_mask` for one search, `bfs_parents` for the BFS
+r-arborescence that `connectivity.ResidualReach` keeps so that most arc
+removals need no search at all.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ KINDS = ("arb", "flow", "tree")
 
 # Parallel-copy caps preserving the decision for each problem.
 PARALLEL_CAP = {"arb": 2, "flow": 4, "tree": 2}
+
+# Most arc or edge copies a parsed instance may declare in total.  The parser
+# builds one id per copy, about 230 bytes each, so this bounds parse-time
+# memory at about 230 MB.
+MAX_COPIES = 1_000_000
 
 
 class RootedDigraph:
@@ -133,8 +140,8 @@ class RootedDigraph:
 
     # -- reachability ----------------------------------------------------
 
-    def reach_mask(self, removed: Iterable[int] = ()) -> int:
-        """Bitmask of vertices reachable from the root after removing arcs.
+    def _residual_masks(self, removed: Iterable[int]) -> list[int]:
+        """Out-neighbour masks of D minus removed.
 
         Reachability only depends on how many copies of each class survive,
         so masks are adjusted per affected tail.
@@ -153,6 +160,11 @@ class RootedDigraph:
                 masks = list(masks)
                 for u, m in adjust.items():
                     masks[u] = m
+        return masks
+
+    def reach_mask(self, removed: Iterable[int] = ()) -> int:
+        """Bitmask of vertices reachable from the root after removing arcs."""
+        masks = self._residual_masks(removed)
         seen = 1 << self.root
         frontier = seen
         while frontier:
@@ -172,6 +184,29 @@ class RootedDigraph:
     def unreachable_set(self, removed: Iterable[int] = ()) -> frozenset[int]:
         mask = self.reach_mask(removed)
         return frozenset(v for v in range(self.n) if not (mask >> v) & 1)
+
+    def bfs_parents(self, removed: Iterable[int] = ()) -> dict[int, int]:
+        """Parent map of a BFS r-arborescence of D minus removed.
+
+        Built at parallel-class level: each vertex reachable from the root,
+        other than the root, maps to the tail of the class that first reaches
+        it.  Vertices are expanded in BFS order, each one's new heads
+        ascending.
+        """
+        masks = self._residual_masks(removed)
+        parent: dict[int, int] = {}
+        seen = 1 << self.root
+        order = [self.root]
+        for u in order:
+            fresh = masks[u] & ~seen
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                v = low.bit_length() - 1
+                parent[v] = u
+                order.append(v)
+                fresh ^= low
+        return parent
 
     # -- construction helpers ---------------------------------------------
 
@@ -428,6 +463,7 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
         return _parse_json_instance(stripped, kind=kind, k=k)
     header = None
     entries: list[tuple[int, int, int, int]] = []
+    total = 0
     meta: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -458,6 +494,9 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
             raise ParseError("arc fields must be integers", lineno) from None
         if count < 1:
             raise ParseError(f"count must be >= 1, got {count}", lineno)
+        total += count
+        if total > MAX_COPIES:
+            raise ParseError(f"more than {MAX_COPIES} arc copies in total", lineno)
         entries.append((lineno, u, v, count))
     if header is None:
         raise ParseError("empty document: missing header")
@@ -508,8 +547,7 @@ def _parse_json_instance(text: str, *, kind: str | None, k: int | None) -> Probl
     try:
         k = k if k is not None else int(obj["k"])
         n, root = int(obj["n"]), int(obj["root"])
-        triples = []
-        next_id = 0
+        entries = []
         for entry in obj["arcs"]:
             if len(entry) == 2:
                 u, v, count = int(entry[0]), int(entry[1]), 1
@@ -517,9 +555,13 @@ def _parse_json_instance(text: str, *, kind: str | None, k: int | None) -> Probl
                 u, v, count = int(entry[0]), int(entry[1]), int(entry[2])
             if count < 1:
                 raise ParseError(f"count must be >= 1, got {count}")
+            entries.append((u, v, count))
+        if sum(count for _, _, count in entries) > MAX_COPIES:
+            raise ParseError(f"more than {MAX_COPIES} arc copies in total")
+        triples = []
+        for u, v, count in entries:
             for _ in range(count):
-                triples.append((u, v, next_id))
-                next_id += 1
+                triples.append((u, v, len(triples)))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad JSON instance field: {exc}") from None
     if kind == "tree":

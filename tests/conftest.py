@@ -55,6 +55,23 @@ def random_digraph(rng: random.Random, max_n=6, max_m=None, max_mult=2) -> Roote
     return RootedDigraph(n, 0, arcs)
 
 
+def spanning_digraph(rng: random.Random, n: int, extra: int, max_mult: int = 2) -> RootedDigraph:
+    """Random spanning r-arborescence plus `extra` random arcs, each class
+    drawn with 1..max_mult copies; always root-connected."""
+    order = list(range(1, n))
+    rng.shuffle(order)
+    placed = [0]
+    arcs = []
+    for v in order:
+        arcs.append((rng.choice(placed), v))
+        placed.append(v)
+    for _ in range(extra):
+        u, v = rng.randrange(n), rng.randrange(1, n)
+        if u != v:
+            arcs.extend([(u, v)] * rng.randint(1, max_mult))
+    return RootedDigraph(n, 0, arcs)
+
+
 def random_graph(rng: random.Random, max_n=6, max_m=None, max_mult=2) -> RootedGraph:
     n = rng.randint(1, max_n)
     m = rng.randint(0, max_m if max_m is not None else 3 * n)

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import rootedpack
 from rootedpack.cli import run
 
 
@@ -96,6 +98,14 @@ def test_unknown_flag_rejected(yes_instance):
 def test_usage_error_on_missing_command():
     code, out = cli()
     assert code == 2
+
+
+def test_solve_rejects_too_many_copies(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("D 2 0\n0 1 1000001\n")
+    code, out = cli("solve", "arb", "--k", "1", "--input", str(path))
+    assert code == 2
+    assert "more than 1000000 arc copies" in json.loads(out)["error"]
 
 
 def test_oracle_command(yes_instance):
@@ -220,10 +230,13 @@ def test_gen_text_format_round_trips(tmp_path):
 
 
 def test_console_entry_point(yes_instance):
+    # the child process finds the package where this one does
+    src = str(Path(rootedpack.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "rootedpack.cli", "solve", "arb", "--k", "2",
          "--input", yes_instance],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["decision"] is True
 

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from rootedpack.errors import ContractError, ParseError, StructureError
 from rootedpack.graphs import (
+    MAX_COPIES,
     ProblemInstance,
     RootedDigraph,
     RootedGraph,
@@ -55,6 +56,15 @@ def test_parse_errors_name_line():
         parse_instance("D 3 0\n0 1\n0 0\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_instance("D 3 0\n0 9\n")
+
+
+def test_parse_rejects_more_copies_than_the_limit():
+    # one copy over the limit; the check runs before any id is built
+    assert MAX_COPIES == 1_000_000
+    with pytest.raises(ParseError, match="more than 1000000 arc copies"):
+        parse_instance("D 2 0\n0 1 1000001\n")
+    with pytest.raises(ParseError, match="more than 1000000 arc copies"):
+        parse_instance('{"kind": "arb", "n": 2, "root": 0, "arcs": [[0, 1, 1000001]], "k": 1}')
 
 
 def test_parse_comments_and_meta():

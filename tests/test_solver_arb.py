@@ -19,7 +19,7 @@ from rootedpack.solver_arb import (
     validate_compact_kernel,
 )
 
-from conftest import digraphs, random_digraph
+from conftest import digraphs, random_digraph, spanning_digraph
 
 
 def fan_digraph(base_arcs, n_base, fan_tails, fan_width, mult=1):
@@ -259,6 +259,20 @@ def test_solve_k1_equals_double_root_connectivity(rng):
     for _ in range(120):
         d = random_digraph(rng)
         assert solve_arb(d, 1).decision == is_k_root_connected(d, 2)[0]
+
+
+def test_solve_k1_equals_double_root_connectivity_at_scale():
+    # Edmonds' branching theorem: two arc-disjoint spanning r-arborescences
+    # exist iff D is 2-root-connected
+    rng = random.Random(41)
+    decisions = []
+    for _ in range(16):
+        n = rng.randint(20, 200)
+        d = spanning_digraph(rng, n, extra=rng.randint(n, 5 * n))
+        decision = solve_arb(d, 1).decision
+        assert decision == is_k_root_connected(d, 2)[0]
+        decisions.append(decision)
+    assert set(decisions) == {True, False}
 
 
 def test_solve_matches_oracle_randomized(rng):
