@@ -234,6 +234,9 @@ def minimize_flow_branching(x: Union[RootedDigraph, ArcSelection], k: int) -> Ar
     Arcs are dropped in ascending id order when feasibility survives; by
     monotonicity a single pass reaches an inclusion-minimal set.  When the
     vertex set has at least 2k-1 non-root vertices the result is triple-free.
+
+    Library API for the triple-free reduction behind the flow results: no
+    solve stage calls it, and the acceptance property suites test it.
     """
     graph, ids, vset = _resolve(x)
     caps = max(len(vset) - k, 0)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .connectivity import ResidualReach
 from .errors import InternalError
-from .graphs import ProblemInstance, RootedDigraph, RootedGraph
+from .graphs import ProblemInstance, RootedDigraph
 from .oracles import OracleAnswer, OracleBudget
 from .reports import SolveReport
 
@@ -35,17 +35,14 @@ class LargenessView:
     small: frozenset[int]
 
 
-def classify_directed(dig: RootedDigraph, k: int, threshold: int) -> LargenessView:
-    large = frozenset(
-        v for v in range(dig.n) if len(dig.out_neighbors(v)) >= threshold)
-    small = frozenset(v for v in range(dig.n) if v not in large)
-    return LargenessView(k=k, threshold=threshold, large=large, small=small)
-
-
-def classify_undirected(g: RootedGraph, k: int, threshold: int) -> LargenessView:
-    large = frozenset(v for v in range(g.n) if len(g.neighbors(v)) >= threshold)
-    small = frozenset(v for v in range(g.n) if v not in large)
-    return LargenessView(k=k, threshold=threshold, large=large, small=small)
+def classify(
+    n: int, neighbors: Callable[[int], Sequence[int]], k: int, threshold: int
+) -> LargenessView:
+    """Large iff at least `threshold` distinct neighbours (out-neighbours in
+    a digraph)."""
+    large = frozenset(v for v in range(n) if len(neighbors(v)) >= threshold)
+    return LargenessView(k=k, threshold=threshold, large=large,
+                         small=frozenset(range(n)) - large)
 
 
 def depth_bounded_pool(
@@ -138,6 +135,88 @@ def branch_structure(parent: Mapping[int, int], root: int) -> tuple[dict[int, in
         top = climb(v)
         sizes[top] = sizes.get(top, 0) + 1
     return branch_of, sizes
+
+
+def compact_attachment(
+    parent: Mapping[int, int], root: int, large: frozenset[int], k: int
+) -> Optional[dict[int, int]]:
+    """Attachment witness of a compact kernel or certificate, else None.
+
+    `parent` maps each non-root vertex of a tree grown from `root` to its
+    parent.  The structure has at most 2k-2 non-root vertices, its large
+    non-root vertices have no children (sinks of a kernel, leaves of a
+    certificate), and its imaginary leaves fit by per-branch slack.
+    """
+    if len(parent) > 2 * k - 2:
+        return None
+    if any(u != root and u in large for u in parent.values()):
+        return None
+    branch_of, sizes = branch_structure(parent, root)
+    return lex_smallest_attachment(
+        anchors=sorted(v for v in parent if v in large),
+        branch_of=branch_of,
+        branch_sizes=sizes,
+        limit=k - 1,
+        residual=(2 * k - 2) - len(parent),
+    )
+
+
+def tree_shapes(
+    root: int,
+    k: int,
+    pool: frozenset[int],
+    large: frozenset[int],
+    classes_of: Callable[[int], Iterable[tuple[int, object]]],
+    key: Callable[[int, int], tuple[int, int]],
+) -> list[tuple[tuple[tuple[int, int], ...], dict[int, int]]]:
+    """Every compact tree shape (sorted class tuple) with its attachment.
+
+    Shapes are trees on at most 2k-2 non-root vertices of `pool`, described
+    at parallel-class level and grown from `root` one class at a time:
+    `classes_of(tail)` gives the (head, ids) pairs leaving `tail` and
+    `key(tail, head)` names the class.  Large vertices other than the root
+    get no children and every root branch keeps at most k-1 vertices, which
+    every valid kernel or certificate satisfies anyway.  Each search state
+    carries its branch map and branch sizes, so checking an extension is one
+    lookup.  A class set fixes the whole state, so the depth-first order
+    (kept for its small frontier) does not show in the result, which is
+    sorted by (size, classes).
+    """
+    limit = 2 * k - 2
+    empty: frozenset[tuple[int, int]] = frozenset()
+    seen = {empty}
+    stack: list[tuple[frozenset, dict[int, int], dict[int, int]]] = [(empty, {}, {})]
+    result = []
+    while stack:
+        classes, branch_of, sizes = stack.pop()
+        attachment = lex_smallest_attachment(
+            anchors=sorted(v for v in branch_of if v in large),
+            branch_of=branch_of,
+            branch_sizes=sizes,
+            limit=k - 1,
+            residual=limit - len(branch_of),
+        )
+        if attachment is not None:
+            result.append((tuple(sorted(classes)), attachment))
+        if len(classes) == limit:
+            continue
+        for tail in (root, *branch_of):
+            if tail != root and tail in large:
+                continue
+            for head, _ids in classes_of(tail):
+                if head == root or head in branch_of or head not in pool:
+                    continue
+                nxt = classes | {key(tail, head)}
+                if nxt in seen:
+                    continue
+                top = head if tail == root else branch_of[tail]
+                size = sizes.get(top, 0)
+                if size >= k - 1:
+                    continue
+                seen.add(nxt)
+                stack.append((nxt, {**branch_of, head: top}, {**sizes, top: size + 1}))
+    result.sort(key=lambda shape: (len(shape[0]), shape[0]))
+    return result
 
 
 @dataclass

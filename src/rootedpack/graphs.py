@@ -29,6 +29,23 @@ PARALLEL_CAP = {"arb": 2, "flow": 4, "tree": 2}
 MAX_COPIES = 1_000_000
 
 
+def _reach(masks: list[int], root: int) -> int:
+    """Bitmask of the vertices reachable from `root`, given each vertex's
+    neighbour mask."""
+    seen = 1 << root
+    frontier = seen
+    while frontier:
+        nxt = 0
+        v = frontier
+        while v:
+            low = v & -v
+            nxt |= masks[low.bit_length() - 1]
+            v ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
+
+
 class RootedDigraph:
     """Loopless multidigraph with a root of in-degree 0.
 
@@ -165,18 +182,7 @@ class RootedDigraph:
     def reach_mask(self, removed: Iterable[int] = ()) -> int:
         """Bitmask of vertices reachable from the root after removing arcs."""
         masks = self._residual_masks(removed)
-        seen = 1 << self.root
-        frontier = seen
-        while frontier:
-            nxt = 0
-            v = frontier
-            while v:
-                low = v & -v
-                nxt |= masks[low.bit_length() - 1]
-                v ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen
+        return _reach(masks, self.root)
 
     def is_root_connected_without(self, removed: Iterable[int] = ()) -> bool:
         return self.reach_mask(removed) == self._full_mask
@@ -321,18 +327,7 @@ class RootedGraph:
                 for (u, v) in dead:
                     masks[u] &= ~(1 << v)
                     masks[v] &= ~(1 << u)
-        seen = 1 << self.root
-        frontier = seen
-        while frontier:
-            nxt = 0
-            v = frontier
-            while v:
-                low = v & -v
-                nxt |= masks[low.bit_length() - 1]
-                v ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen
+        return _reach(masks, self.root)
 
     def is_connected(self) -> bool:
         return self.reach_mask() == self._full_mask

@@ -349,6 +349,9 @@ def tree_mapping(g: RootedGraph, t1: EdgeSelection, t2: EdgeSelection) -> TreeMa
     canonically first admissible partner for any leftover edge, so sigma is
     injective whenever the exchange graph allows it (it does not always:
     two T1 edges can share their only admissible partner).
+
+    Library API for the tree-exchange argument behind the tree results: no
+    solve stage calls it, and the acceptance property suites test it.
     """
     _spanning_tree_or_raise(g, t1, "T1")
     _spanning_tree_or_raise(g, t2, "T2")

@@ -10,8 +10,8 @@ the connectivity invariant matters during completion.
 
 from __future__ import annotations
 
+import itertools
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -23,15 +23,16 @@ from .fptcommon import (
     LargenessView,
     SolveOptions,
     Stages,
-    classify_directed,
+    classify,
+    compact_attachment,
     complete_directed_pair,
     depth_bounded_pool,
     grow_directed_pair,
-    lex_smallest_attachment,
     run_pipeline,
+    tree_shapes,
 )
 from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel, parse_arborescence
-from .oracles import OracleBudget, oracle_arb, validate_witness
+from .oracles import oracle_arb, validate_witness
 from .reports import SolveReport
 
 
@@ -48,7 +49,7 @@ def classify_vertices(dig: RootedDigraph, k: int) -> LargenessView:
     """Large iff at least 6k-5 distinct out-neighbors."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    return classify_directed(dig, k, 6 * k - 5)
+    return classify(dig.n, dig.out_neighbors, k, 6 * k - 5)
 
 
 def candidate_pool(dig: RootedDigraph, k: int) -> frozenset[int]:
@@ -70,87 +71,18 @@ def validate_compact_kernel(
         parent = parse_arborescence(dig, x.ids)
     except StructureError:
         return None
-    verts = frozenset(parent)
-    if len(verts) > 2 * k - 2:
-        return None
-    view = classify_vertices(dig, k)
-    large_in = verts & view.large
-    for v in large_in:
-        if any(parent.get(w) == v for w in parent):
-            return None  # large vertex is not a sink
-    branch_of, sizes = branch_structure(parent, dig.root)
-    residual = (2 * k - 2) - len(verts)
-    return lex_smallest_attachment(
-        anchors=sorted(large_in),
-        branch_of=branch_of,
-        branch_sizes=sizes,
-        limit=k - 1,
-        residual=residual,
-    )
+    return compact_attachment(parent, dig.root, classify_vertices(dig, k).large, k)
 
 
-def _kernel_shapes(
-    dig: RootedDigraph, k: int, pool: frozenset[int], view: LargenessView
-) -> list[tuple[tuple[tuple[int, int], ...], dict[int, int]]]:
-    """All valid kernel shapes (class tuples) with their attachment witnesses.
-
-    Shapes are arborescences described at parallel-class level; they are
-    grown arc by arc inside the pool, so disconnected vertex sets are never
-    visited.  Branch sizes stay at most k-1 and large vertices never gain
-    children, which every valid kernel satisfies anyway.
-    """
-    root = dig.root
-    limit = 2 * k - 2
-    empty: frozenset[tuple[int, int]] = frozenset()
-    seen = {empty}
-    queue = deque([(empty, {})])
-    shapes: list[frozenset[tuple[int, int]]] = [empty]
-    while queue:
-        classes, parent = queue.popleft()
-        if len(classes) == limit:
-            continue
-        verts = {root} | set(parent)
-        for tail in sorted(verts):
-            if tail != root and tail in view.large:
-                continue
-            for head, _ids in dig.out_classes(tail):
-                if head in verts or head not in pool:
-                    continue
-                nxt = classes | {(tail, head)}
-                if nxt in seen:
-                    continue
-                nparent = dict(parent)
-                nparent[head] = tail
-                _, sizes = branch_structure(nparent, root)
-                if any(s > k - 1 for s in sizes.values()):
-                    continue
-                seen.add(nxt)
-                shapes.append(nxt)
-                queue.append((nxt, nparent))
-    result = []
-    for classes in sorted(shapes, key=lambda c: (len(c), tuple(sorted(c)))):
-        parent = {v: u for u, v in classes}
-        verts = frozenset(parent)
-        branch_of, sizes = branch_structure(parent, root)
-        attachment = lex_smallest_attachment(
-            anchors=sorted(verts & view.large),
-            branch_of=branch_of,
-            branch_sizes=sizes,
-            limit=k - 1,
-            residual=(2 * k - 2) - len(verts),
-        )
-        if attachment is not None:
-            result.append((tuple(sorted(classes)), attachment))
-    return result
+def _arc_class(tail: int, head: int) -> tuple[int, int]:
+    return (tail, head)
 
 
 def enumerate_compact_kernels(dig: RootedDigraph, k: int) -> Iterator[CompactKernel]:
     """Every valid compact kernel, canonical order, one per arc-copy choice."""
-    import itertools
-
-    view = classify_vertices(dig, k)
-    pool = candidate_pool(dig, k)
-    for classes, attachment in _kernel_shapes(dig, k, pool, view):
+    for classes, attachment in tree_shapes(
+            dig.root, k, candidate_pool(dig, k), classify_vertices(dig, k).large,
+            dig.out_classes, _arc_class):
         id_choices = [dig.class_ids(u, v) for u, v in classes]
         for combo in itertools.product(*id_choices):
             yield CompactKernel(
@@ -200,11 +132,13 @@ def _is_spanning_arborescence(dig: RootedDigraph, ids) -> bool:
 
 
 def _exhaustive_complete(
-    dig: RootedDigraph, k: int, forced1: frozenset[int], forced2: frozenset[int]
+    dig: RootedDigraph, forced1: frozenset[int], forced2: frozenset[int]
 ) -> Optional[tuple[set[int], set[int]]]:
-    """Desk-scale fallback: exhaustive completion honoring forced arc sets."""
-    budget = OracleBudget(max_vertices=dig.n, max_arcs=dig.arc_count,
-                          max_candidates=2_000_000)
+    """Desk-scale fallback: exhaustive completion honoring forced arc sets.
+
+    Each side picks, per non-root vertex, its forced in-arc or the first copy
+    of some in-class left free by the other side.
+    """
     verts = [v for v in range(dig.n) if v != dig.root]
     forced_parent1 = {dig.arc(a)[1]: a for a in forced1}
     forced_parent2 = {dig.arc(a)[1]: a for a in forced2}
@@ -219,36 +153,18 @@ def _exhaustive_complete(
                 opts.append(free[0])
         return opts
 
-    import itertools
-
     list1 = [choices(v, forced_parent1, forced2) for v in verts]
     count = 1
     for c in list1:
         count *= max(len(c), 1)
-        if count > budget.max_candidates:
+        if count > 2_000_000:
             return None
     for combo1 in itertools.product(*list1):
         ids1 = set(combo1) | forced1
         if not _is_spanning_arborescence(dig, ids1):
             continue
         avoid = frozenset(ids1)
-        list2 = []
-        dead = False
-        for v in verts:
-            opts = []
-            if v in forced_parent2:
-                opts = [forced_parent2[v]]
-            else:
-                for _, ids in dig.in_classes(v):
-                    free = [a for a in ids if a not in avoid]
-                    if free:
-                        opts.append(free[0])
-            if not opts:
-                dead = True
-                break
-            list2.append(opts)
-        if dead:
-            continue
+        list2 = [choices(v, forced_parent2, avoid) for v in verts]
         for combo2 in itertools.product(*list2):
             ids2 = set(combo2) | forced2
             if ids2 & ids1:
@@ -272,7 +188,7 @@ def complete_to_spanning(
         DirectedState(ids=set(s2.ids), covered=set(s2.covered_vertices(with_root=True))),
     )
     if not complete_directed_pair(dig, states, counters):
-        fallback = _exhaustive_complete(dig, k, frozenset(s1.ids), frozenset(s2.ids))
+        fallback = _exhaustive_complete(dig, frozenset(s1.ids), frozenset(s2.ids))
         if fallback is None:
             raise InternalError(
                 "completion stalled and exhaustive fallback failed",
@@ -295,7 +211,8 @@ def solve_arb(dig: RootedDigraph, k: int, options: Optional[SolveOptions] = None
 
     def shapes():
         return [(dict.fromkeys(classes, 1), attachment) for classes, attachment
-                in _kernel_shapes(d, k, candidate_pool(d, k), classify_vertices(d, k))]
+                in tree_shapes(d.root, k, candidate_pool(d, k), classify_vertices(d, k).large,
+                               d.out_classes, _arc_class)]
 
     def finish(sides, counters):
         pair = tuple(

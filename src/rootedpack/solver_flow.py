@@ -22,7 +22,7 @@ from .fptcommon import (
     LargenessView,
     SolveOptions,
     Stages,
-    classify_directed,
+    classify,
     complete_directed_pair,
     depth_bounded_pool,
     grow_directed_pair,
@@ -46,7 +46,7 @@ def classify_vertices_flow(dig: RootedDigraph, k: int) -> LargenessView:
     """Large iff at least 20k^2+1 distinct out-neighbors."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    return classify_directed(dig, k, 20 * k * k + 1)
+    return classify(dig.n, dig.out_neighbors, k, 20 * k * k + 1)
 
 
 def candidate_pool_flow(dig: RootedDigraph, k: int) -> frozenset[int]:
@@ -279,15 +279,7 @@ def complete_to_spanning_flow(
         fallback = _exhaustive_complete_flow(dig, k, frozenset(s1.ids), frozenset(s2.ids))
         if fallback is None:
             raise InternalError("flow completion stalled beyond fallback scale", {})
-        out = []
-        for ids, forced in zip(fallback, (s1.ids, s2.ids)):
-            sel = dig.selection(ids)
-            flow = branching_flow_feasible(sel, dig.n - k,
-                                           vertex_set=frozenset(range(dig.n)))
-            if flow is None:
-                raise InternalError("fallback completion infeasible", {})
-            out.append((sel, flow))
-        return out[0], out[1]
+        return fallback
     results = []
     for state, core in zip(states, (s1, s2)):
         flow = _routed_completion_flow(dig, k, frozenset(core.ids), frozenset(state.ids))
@@ -300,41 +292,33 @@ def complete_to_spanning_flow(
 
 def _exhaustive_complete_flow(
     dig: RootedDigraph, k: int, forced1: frozenset[int], forced2: frozenset[int]
-) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+) -> Optional[tuple[tuple[ArcSelection, BranchingFlow], tuple[ArcSelection, BranchingFlow]]]:
     """Desk-scale fallback: per-class splits of free copies, side 2 taking
-    everything side 1 leaves."""
+    everything side 1 leaves; each side with its witness flow under the
+    uniform capacity n-k."""
     caps = dig.n - k
-    classes = sorted(dig.parallel_classes())
+    everything = frozenset(range(dig.n))
     mult = dig.parallel_classes()
-    f1 = {c: 0 for c in classes}
-    f2 = {c: 0 for c in classes}
-    for aid in forced1:
-        f1[dig.arc(aid)] += 1
-    for aid in forced2:
-        f2[dig.arc(aid)] += 1
-    free = {c: len(mult[c]) - f1[c] - f2[c] for c in classes}
+    forced = forced1 | forced2
+    free = [[aid for aid in mult[c] if aid not in forced] for c in sorted(mult)]
     combos = 1
-    for c in classes:
-        combos *= free[c] + 1
+    for ids in free:
+        combos *= len(ids) + 1
     if combos > 2_000_000:
         return None
-    from .oracles import _flow_feasible_counts
-
-    for extras in itertools.product(*[range(free[c] + 1) for c in classes]):
-        side1 = {c: f1[c] + e for c, e in zip(classes, extras)}
-        side2 = {c: len(mult[c]) - side1[c] for c in classes}
-        if not _flow_feasible_counts(dig, side1, caps):
+    for extras in itertools.product(*[range(len(ids) + 1) for ids in free]):
+        ids1, ids2 = set(forced1), set(forced2)
+        for ids, want1 in zip(free, extras):
+            ids1.update(ids[:want1])
+            ids2.update(ids[want1:])
+        sel1, sel2 = dig.selection(ids1), dig.selection(ids2)
+        flow1 = branching_flow_feasible(sel1, caps, vertex_set=everything)
+        if flow1 is None:
             continue
-        if not _flow_feasible_counts(dig, side2, caps):
+        flow2 = branching_flow_feasible(sel2, caps, vertex_set=everything)
+        if flow2 is None:
             continue
-        ids1 = set(forced1)
-        ids2 = set(forced2)
-        for c in classes:
-            pool = [aid for aid in mult[c] if aid not in forced1 and aid not in forced2]
-            want1 = side1[c] - f1[c]
-            ids1.update(pool[:want1])
-            ids2.update(pool[want1:])
-        return frozenset(ids1), frozenset(ids2)
+        return (sel1, flow1), (sel2, flow2)
     return None
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -20,10 +19,11 @@ from .fptcommon import (
     branch_structure,
     SolveOptions,
     Stages,
-    classify_undirected,
+    classify,
+    compact_attachment,
     depth_bounded_pool,
-    lex_smallest_attachment,
     run_pipeline,
+    tree_shapes,
 )
 from .graphs import EdgeSelection, ProblemInstance, RootedGraph, cap_parallel, parse_rooted_tree
 from .matroid import max_forest_pair
@@ -44,7 +44,7 @@ def classify_vertices_tree(g: RootedGraph, k: int) -> LargenessView:
     """Large iff at least 8k-7 distinct neighbors."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    return classify_undirected(g, k, 8 * k - 7)
+    return classify(g.n, g.neighbors, k, 8 * k - 7)
 
 
 def candidate_pool_tree(g: RootedGraph, k: int) -> frozenset[int]:
@@ -65,96 +65,18 @@ def validate_compact_certificate(
         parent = parse_rooted_tree(g, x.ids)
     except StructureError:
         return None
-    verts = frozenset(parent)
-    if len(verts) > 2 * k - 2:
-        return None
-    view = classify_vertices_tree(g, k)
-    degree: dict[int, int] = {}
-    for eid in x.ids:
-        u, v = g.edge(eid)
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    for v in verts & view.large:
-        if degree.get(v, 0) != 1:
-            return None  # large vertices must be leaves
-    branch_of, sizes = branch_structure(parent, g.root)
-    return lex_smallest_attachment(
-        anchors=sorted(verts & view.large),
-        branch_of=branch_of,
-        branch_sizes=sizes,
-        limit=k - 1,
-        residual=(2 * k - 2) - len(verts),
-    )
+    return compact_attachment(parent, g.root, classify_vertices_tree(g, k).large, k)
 
 
-def _certificate_shapes(
-    g: RootedGraph, k: int, pool: frozenset[int], view: LargenessView
-) -> list[tuple[tuple[tuple[int, int], ...], dict[int, int]]]:
-    """All valid certificate shapes (edge-class tuples) with witnesses."""
-    root = g.root
-    limit = 2 * k - 2
-    empty: frozenset[tuple[int, int]] = frozenset()
-    seen = {empty}
-    queue = deque([(empty, {})])
-    shapes = [empty]
-    while queue:
-        classes, parent = queue.popleft()
-        if len(classes) == limit:
-            continue
-        verts = {root} | set(parent)
-        for tail in sorted(verts):
-            if tail != root and tail in view.large:
-                continue  # large vertices stay leaves
-            for head, _ids in g.incident_classes(tail):
-                if head in verts or head not in pool:
-                    continue
-                key = (min(tail, head), max(tail, head))
-                nxt = classes | {key}
-                if nxt in seen:
-                    continue
-                nparent = dict(parent)
-                nparent[head] = tail
-                _, sizes = branch_structure(nparent, root)
-                if any(s > k - 1 for s in sizes.values()):
-                    continue
-                seen.add(nxt)
-                shapes.append(nxt)
-                queue.append((nxt, nparent))
-    result = []
-    for classes in sorted(shapes, key=lambda c: (len(c), tuple(sorted(c)))):
-        adj: dict[int, list[int]] = {}
-        for u, v in classes:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        parent = {}
-        order = deque([root])
-        placed = {root}
-        while order:
-            u = order.popleft()
-            for w in sorted(adj.get(u, ())):
-                if w not in placed:
-                    parent[w] = u
-                    placed.add(w)
-                    order.append(w)
-        verts = frozenset(parent)
-        branch_of, sizes = branch_structure(parent, root)
-        attachment = lex_smallest_attachment(
-            anchors=sorted(verts & view.large),
-            branch_of=branch_of,
-            branch_sizes=sizes,
-            limit=k - 1,
-            residual=(2 * k - 2) - len(verts),
-        )
-        if attachment is not None:
-            result.append((tuple(sorted(classes)), attachment))
-    return result
+def _edge_class(u: int, v: int) -> tuple[int, int]:
+    return (min(u, v), max(u, v))
 
 
 def enumerate_compact_certificates(g: RootedGraph, k: int) -> Iterator[CompactCertificate]:
     """Every valid compact certificate (copy-distinct), canonical order."""
-    view = classify_vertices_tree(g, k)
-    pool = candidate_pool_tree(g, k)
-    for classes, attachment in _certificate_shapes(g, k, pool, view):
+    for classes, attachment in tree_shapes(
+            g.root, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large,
+            g.incident_classes, _edge_class):
         id_choices = [g.class_ids(u, v) for u, v in classes]
         for combo in itertools.product(*id_choices):
             verts = frozenset(v for c in classes for v in c if v != g.root)
@@ -276,8 +198,9 @@ def solve_tree(g: RootedGraph, k: int, options: Optional[SolveOptions] = None) -
 
     def shapes():
         return [(dict.fromkeys(classes, 1), attachment) for classes, attachment
-                in _certificate_shapes(gg, k, candidate_pool_tree(gg, k),
-                                       classify_vertices_tree(gg, k))]
+                in tree_shapes(gg.root, k, candidate_pool_tree(gg, k),
+                               classify_vertices_tree(gg, k).large, gg.incident_classes,
+                               _edge_class)]
 
     def finish(sides, counters):
         pair = tuple(

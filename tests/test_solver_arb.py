@@ -10,6 +10,7 @@ from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel, pars
 from rootedpack.oracles import oracle_arb, validate_witness
 from rootedpack.solver_arb import (
     CompactKernel,
+    _exhaustive_complete,
     candidate_pool,
     classify_vertices,
     complete_to_spanning,
@@ -80,6 +81,10 @@ def test_validate_compact_kernel_attachment():
     d3 = fan_digraph([(0, 1), (0, 2), (0, 3)], 4, [3], 13)
     att = validate_compact_kernel(d3, 3, d3.selection([0, 1, 2]))
     assert att == {3: 1}
+    # k=3: {r->a, r->b, a->c} with a and b large; b's branch could take the
+    # one imaginary leaf, but large a has a child
+    d4 = fan_digraph([(0, 1), (0, 2), (1, 3)], 4, [1, 2], 13)
+    assert validate_compact_kernel(d4, 3, d4.selection([0, 1, 2])) is None
 
 
 def test_validate_compact_kernel_against_attachment_enumeration(rng):
@@ -237,6 +242,34 @@ def test_complete_k1_from_empty_matches_edmonds(rng):
         verdict = validate_witness(
             inst, {"tree1": sorted(t1.ids), "tree2": sorted(t2.ids)})
         assert verdict.ok, verdict.failures()
+
+
+def forced_subsets(rng, witness):
+    """Random subsets of the two sides of an oracle witness (empty first)."""
+    yield frozenset(), frozenset()
+    for _ in range(3):
+        yield tuple(frozenset(aid for aid in side if rng.random() < 0.5) for side in witness)
+
+
+def test_exhaustive_complete_keeps_forced_arcs_and_agrees_with_oracle(rng):
+    # the greedy completion never stalls on the workloads, so the fallback
+    # is called directly; any subsets of an oracle pair can be completed
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 25:
+        d = random_digraph(rng, max_n=6, max_m=16)
+        ans = oracle_arb(d, 1)
+        seen[ans.decision] += 1
+        sides = ans.witness if ans.decision else (d.arc_ids, ())
+        for forced1, forced2 in forced_subsets(rng, sides):
+            got = _exhaustive_complete(d, forced1, forced2)
+            assert (got is not None) == ans.decision
+            if got is None:
+                continue
+            ids1, ids2 = got
+            assert forced1 <= ids1 and forced2 <= ids2 and not ids1 & ids2
+            verdict = validate_witness(ProblemInstance(kind="arb", graph=d, k=1),
+                                       {"tree1": sorted(ids1), "tree2": sorted(ids2)})
+            assert verdict.ok, verdict.failures()
 
 
 def test_solve_gate_produces_cut_witness():

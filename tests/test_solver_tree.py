@@ -70,6 +70,10 @@ def test_validate_certificate_leaf_condition():
     # large vertex with degree 2 in the certificate is not a leaf
     g = fan_graph([(0, 1), (1, 2)], 3, [1], 9)
     assert validate_compact_certificate(g, 3, g.selection([0, 1])) is None
+    # k=3: {r-a, r-b, a-c} with a and b large; b's branch could take the one
+    # imaginary leaf, but large a is not a leaf
+    g2 = fan_graph([(0, 1), (0, 2), (1, 3)], 4, [1, 2], 16)
+    assert validate_compact_certificate(g2, 3, g2.selection([0, 1, 2])) is None
 
 
 def test_validate_certificate_against_attachment_enumeration(rng):
