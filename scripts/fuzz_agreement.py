@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Fuzz the FPT solvers against the brute-force oracles on random instances.
 
+Ends with a per-kind tally of the (stage, decision) of every solve, so a run
+shows which solver stages it exercised.  Exits 1 on any mismatch.
+
 Example:
     python3 scripts/fuzz_agreement.py --count 2000 --seed 1 --kinds arb flow tree
 """
@@ -8,6 +11,7 @@ Example:
 import argparse
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -59,11 +63,15 @@ def main() -> int:
     args = parser.parse_args()
     rng = random.Random(args.seed)
     mismatches = 0
+    # (stage, decision) of every solve, per kind: shows which stages a run reached
+    tally = {kind: Counter() for kind in args.kinds}
     for i in range(args.count):
         if "arb" in args.kinds:
             d = rand_digraph(rng, 6, 18, 2)
             for k in (1, 2, 3):
-                got = solve_arb(d, k).decision
+                report = solve_arb(d, k)
+                tally["arb"][(report.stage, report.decision)] += 1
+                got = report.decision
                 want = oracle_arb(d, k).decision
                 if got != want:
                     mismatches += 1
@@ -72,7 +80,9 @@ def main() -> int:
         if "flow" in args.kinds:
             d = rand_digraph(rng, 5, 12, 4)
             for k in (1, 2):
-                got = solve_flow(d, k).decision
+                report = solve_flow(d, k)
+                tally["flow"][(report.stage, report.decision)] += 1
+                got = report.decision
                 want = oracle_flow(d, k).decision
                 if got != want:
                     mismatches += 1
@@ -81,7 +91,9 @@ def main() -> int:
         if "tree" in args.kinds:
             g = rand_graph(rng, 6, 18, 2)
             for k in (1, 2, 3):
-                got = solve_tree(g, k).decision
+                report = solve_tree(g, k)
+                tally["tree"][(report.stage, report.decision)] += 1
+                got = report.decision
                 want = oracle_tree(g, k).decision
                 if got != want:
                     mismatches += 1
@@ -89,6 +101,10 @@ def main() -> int:
                           f"edges={[(u, v) for u, v, _ in g.edges()]}")
         if i and i % 200 == 0:
             print(f"...{i} instances, {mismatches} mismatches", flush=True)
+    for kind, stages in tally.items():
+        counts = ", ".join(f"{stage} {'YES' if decision else 'NO'} {n}"
+                           for (stage, decision), n in sorted(stages.items()))
+        print(f"{kind}: {counts}")
     print(f"done: {args.count} instances per kind, {mismatches} mismatches")
     return 1 if mismatches else 0
 

@@ -7,7 +7,10 @@ the pipeline, views and pools; its completion is exact via matroid union.
 
 A structure "shape" is a parallel-class-level description; reachability after
 removing a shape's arcs depends only on per-class counts, so extendability is
-precomputed per shape and pair search reduces to copy-assignability.
+precomputed per shape.  Whether two shapes can take disjoint copies also
+depends only on their counts, so each shape gets two copy bit masks
+(`copy_masks`) and the pair search tests a whole row of partners with a few
+big-integer operations (`PairSearch`).
 """
 
 from __future__ import annotations
@@ -253,17 +256,6 @@ def crystallize_pair(
     return ids1, ids2
 
 
-def pair_shares_ok(
-    classes1: Mapping[tuple[int, int], int],
-    classes2: Mapping[tuple[int, int], int],
-    class_ids: Callable[[int, int], tuple[int, ...]],
-) -> bool:
-    for c, cnt in classes1.items():
-        if cnt + classes2.get(c, 0) > len(class_ids(*c)):
-            return False
-    return True
-
-
 def _admissible_copy(
     state: DirectedState, reach: ResidualReach, other: DirectedState,
     head: int, ids: tuple[int, ...],
@@ -388,36 +380,109 @@ def complete_directed_pair(
             counters["completionSteps"] = counters.get("completionSteps", 0) + 1
 
 
+def copy_masks(
+    shapes: Sequence[Shape], class_ids: Callable[[int, int], tuple[int, ...]]
+) -> tuple[int, list[int], list[int]]:
+    """(expanded shape count, `uses` masks, `limits` masks) of `shapes`.
+
+    The expanded count sums, over the shapes, the ways to pick each shape's
+    copies: the product of comb(L, m) over its classes, where the shape takes
+    m of the L copies of a class.  Bit (c, t) of a mask means "takes at least
+    t copies of class c", for t in {1, 2}: arb and tree shapes take one copy
+    per class and flow cores at most min(2, L).  `uses[j]` holds (c, 1..m)
+    for each class c of shape j, and `limits[i]` holds (c, L - m + 1) when
+    that t is at most 2.  So `limits[i] & uses[j]` is zero exactly when no
+    class has m_i + m_j > L, that is when the two shapes can take disjoint
+    copies; the test is symmetric.  A class with L >= 4 can never run out
+    and gets no bits.  A shape taking more copies of a class than min(L, 2)
+    raises InternalError.
+    """
+    table: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
+    width = 0
+    expanded = 0
+    uses: list[int] = []
+    limits: list[int] = []
+    for counts, _ in shapes:
+        combos, use, limit = 1, 0, 0
+        for c, m in counts.items():
+            row = table.get(c)
+            if row is None:
+                copies = len(class_ids(*c))
+                one = two = 0
+                if copies < 4:
+                    one, two = 1 << width, 2 << width
+                    width += 2
+                at_least = {1: one, 2: two}
+                # (comb(L, m), use bits, limit bit) for m = 0, 1, 2
+                row = table[c] = (
+                    (1, 0, 0),
+                    (copies, one, at_least.get(copies, 0)),
+                    (comb(copies, 2), one | two, at_least.get(copies - 1, 0)),
+                )[:min(copies, 2) + 1]
+            if not 0 <= m < len(row):
+                raise InternalError(
+                    "shape takes more copies of a class than the pair masks allow",
+                    {"class": list(c), "count": m, "copies": len(class_ids(*c))})
+            ways, use_bits, limit_bit = row[m]
+            combos *= ways
+            use |= use_bits
+            limit |= limit_bit
+        expanded += combos
+        uses.append(use)
+        limits.append(limit)
+    return expanded, uses, limits
+
+
 @dataclass
 class PairSearch:
-    """Deterministic lexicographic scan over candidate shape pairs.
+    """Lexicographic search for the first shape pair (i, j), i <= j, whose
+    `limits[i] & uses[j]` is zero (see `copy_masks`) and that `accept`, when
+    given, accepts.
 
-    The reported result is the canonically smallest successful pair, and the
-    pairsTested counter is that pair's 1-based rank (or the total pair count
-    on NO).
+    `find_first` builds one column per mask bit, the set of shapes whose
+    `uses` has that bit, and scans row i at once: OR-ing the columns that
+    `limits[i]` names gives every conflicting partner.  The free partners
+    j >= i are then walked lowest first, and `accept` sees exactly the pairs
+    a row-major scan of the pairs would pass to it, in the same order.  The
+    pairsTested counter is the hit's 1-based row-major rank (or the total
+    pair count on NO).
     """
 
-    count: int
-    test: Callable[[int, int], bool]
+    uses: Sequence[int]
+    limits: Sequence[int]
+    accept: Optional[Callable[[int, int], bool]] = None
 
-    def pairs(self) -> Iterable[tuple[int, int]]:
-        for i in range(self.count):
-            for j in range(i, self.count):
-                yield (i, j)
-
-    def total(self) -> int:
-        return self.count * (self.count + 1) // 2
-
-    def rank(self, pair: tuple[int, int]) -> int:
-        i, j = pair
-        return i * self.count - i * (i - 1) // 2 + (j - i) + 1
+    def _columns(self) -> list[int]:
+        width = max((mask.bit_length() for mask in (*self.uses, *self.limits)), default=0)
+        cells = [bytearray((len(self.uses) + 7) // 8) for _ in range(width)]
+        for j, use in enumerate(self.uses):
+            byte, bit = j >> 3, 1 << (j & 7)
+            while use:
+                low = use & -use
+                cells[low.bit_length() - 1][byte] |= bit
+                use ^= low
+        return [int.from_bytes(cell, "little") for cell in cells]
 
     def find_first(self) -> tuple[Optional[tuple[int, int]], int]:
         """(first successful pair in row-major order or None, pairsTested)."""
-        for pair in self.pairs():
-            if self.test(*pair):
-                return pair, self.rank(pair)
-        return None, self.total()
+        count = len(self.uses)
+        columns = self._columns()
+        full = (1 << count) - 1
+        accept = self.accept
+        for i, limit in enumerate(self.limits):
+            blocked = 0
+            while limit:
+                low = limit & -limit
+                blocked |= columns[low.bit_length() - 1]
+                limit ^= low
+            free = (full ^ blocked) >> i
+            while free:
+                low = free & -free
+                j = i + low.bit_length() - 1
+                if accept is None or accept(i, j):
+                    return (i, j), i * count - i * (i - 1) // 2 + (j - i) + 1
+                free ^= low
+        return None, count * (count + 1) // 2
 
 
 @dataclass
@@ -441,10 +506,12 @@ class Stages:
     `finish` grows and completes the crystallised pair, given as the copy
     ids and shape of each side, and returns the witness.  Without
     `completable` (the directed kinds) shapes whose arcs' removal breaks
-    root-connectivity are dropped before the pair search; with it, the pair
-    test also asks it about the crystallised copies.  `validate` is passed
-    in rather than imported here so that the call goes through the solver
-    module's own name, which `perfbench/tracer.py` wraps.
+    root-connectivity are dropped before the pair search, and the first pair
+    whose copy masks do not conflict is the hit; with it (tree), the masks
+    only pre-filter and each mask-free pair is crystallised and handed to
+    `completable` until one passes.  `validate` is passed in rather than
+    imported here so that the call goes through the solver module's own
+    name, which `perfbench/tracer.py` wraps.
     """
 
     started: float  # perf_counter() at the start of the solve
@@ -498,33 +565,28 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
 
     class_ids = g.class_ids
     shapes = stages.shapes()
-    expanded = 0
-    for counts, _ in shapes:
-        combos = 1
-        for c, m in counts.items():
-            combos *= comb(len(class_ids(*c)), m)
-        expanded += combos
+    expanded, uses, limits = copy_masks(shapes, class_ids)
     counters[stages.shape_counter] = expanded
 
     completable = stages.completable
+    accept = None
     if completable is None:
-        shapes = [
-            shape for shape in shapes
+        keep = [
+            i for i, (counts, _) in enumerate(shapes)
             if g.is_root_connected_without(
-                [aid for c, m in shape[0].items() for aid in class_ids(*c)[:m]])
+                [aid for c, m in counts.items() for aid in class_ids(*c)[:m]])
         ]
+        shapes = [shapes[i] for i in keep]
+        uses = [uses[i] for i in keep]
+        limits = [limits[i] for i in keep]
+    else:
+        def accept(i: int, j: int) -> bool:
+            assigned = crystallize_pair(counts[i], counts[j], class_ids)
+            return assigned is not None and completable(
+                frozenset(assigned[0]), frozenset(assigned[1]))
     counts = [shape[0] for shape in shapes]
 
-    def test(i: int, j: int) -> bool:
-        if not pair_shares_ok(counts[i], counts[j], class_ids):
-            return False
-        if completable is None:
-            return True
-        assigned = crystallize_pair(counts[i], counts[j], class_ids)
-        return assigned is not None and completable(
-            frozenset(assigned[0]), frozenset(assigned[1]))
-
-    hit, tested = PairSearch(count=len(shapes), test=test).find_first()
+    hit, tested = PairSearch(uses, limits, accept).find_first()
     counters["pairsTested"] = tested
     if hit is None:
         return report(False, "pair-search")

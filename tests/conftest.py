@@ -72,6 +72,43 @@ def spanning_digraph(rng: random.Random, n: int, extra: int, max_mult: int = 2) 
     return RootedDigraph(n, 0, arcs)
 
 
+def root_degree_three(rng: random.Random, n: int, noise: int, undirected: bool = False):
+    """Two arc-disjoint spanning 0-arborescences, one with a single root child
+    and one with two, plus `noise` random arcs between non-root vertices.
+
+    The instance is 2-root-connected (undirected: has two edge-disjoint
+    spanning trees), so the solvers pass their gates, and the root has
+    (out-)degree exactly 3.  For k >= 2 the answer is NO for arb and tree:
+    with a single root arc (0, c), c's subtree (the component hanging at c)
+    holds all n - 1 non-root vertices, more than k-safety allows, so each
+    structure needs two root arcs, and two disjoint ones would need four.
+    """
+    arcs = []
+    for children in (1, 2):
+        order = list(range(1, n))
+        rng.shuffle(order)
+        for idx, v in enumerate(order):
+            arcs.append((0 if idx < children else rng.choice(order[:idx]), v))
+    while len(arcs) < 2 * (n - 1) + noise:
+        u, v = rng.randrange(1, n), rng.randrange(1, n)
+        if u != v:
+            arcs.append((u, v))
+    rng.shuffle(arcs)
+    return RootedGraph(n, 0, arcs) if undirected else RootedDigraph(n, 0, arcs)
+
+
+def relabel(g, rng: random.Random):
+    """A copy of `g` with its non-root vertices renamed at random and its
+    arcs (edges) listed, and so numbered, in a random order."""
+    if g.root != 0:
+        raise ValueError("relabel expects the root at vertex 0")
+    names = [0, *rng.sample(range(1, g.n), g.n - 1)]
+    pairs = g.edges() if isinstance(g, RootedGraph) else g.arcs()
+    arcs = [(names[u], names[v]) for u, v, _ in pairs]
+    rng.shuffle(arcs)
+    return type(g)(g.n, 0, arcs)
+
+
 def random_graph(rng: random.Random, max_n=6, max_m=None, max_mult=2) -> RootedGraph:
     n = rng.randint(1, max_n)
     m = rng.randint(0, max_m if max_m is not None else 3 * n)
