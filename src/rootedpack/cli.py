@@ -24,7 +24,7 @@ from .errors import (
     PackError,
     ParseError,
 )
-from .graphs import ProblemInstance, RootedDigraph, parse_instance
+from .graphs import ProblemInstance, RootedDigraph, json_int, parse_instance
 from .instancegen import parse_dimacs, random_instance, sat_reduction
 from .matroid import has_two_disjoint_spanning_trees
 from .connectivity import is_k_root_connected
@@ -131,9 +131,35 @@ def _build_parser() -> _CliParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    """The file's UTF-8 text; ParseError when it cannot be read as such."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def _load_instance(path: str, kind: Optional[str], k: Optional[int]) -> ProblemInstance:
-    text = Path(path).read_text()
-    return parse_instance(text, kind=kind, k=k)
+    return parse_instance(_read_text(path), kind=kind, k=k)
+
+
+def _load_witness(path: str) -> tuple[dict, dict]:
+    """(metadata, witness) of a solve report or a bare witness object, whose
+    arc ids and [id, value] flow pairs must be JSON integers (ParseError)."""
+    meta = json.loads(_read_text(path))
+    if not isinstance(meta, dict):
+        raise ParseError("witness file must hold a JSON object")
+    witness = meta["witness"] if isinstance(meta.get("witness"), dict) else meta
+    json_int(meta.get("k", 0), "witness file field 'k'")
+    for tag in ("tree1", "tree2", "flow1", "flow2"):
+        items, pairs = witness.get(tag, []), tag.startswith("flow")
+        if not isinstance(items, list) or pairs and not all(
+                isinstance(p, list) and len(p) == 2 for p in items):
+            raise ParseError(f"witness {tag!r} must be a list of "
+                             + ("[arc id, value] pairs" if pairs else "arc ids"))
+        for x in [x for p in items for x in p] if pairs else items:
+            json_int(x, f"witness {tag!r} entry")
+    return meta, witness
 
 
 def _budget(args, inst: ProblemInstance) -> Optional[OracleBudget]:
@@ -162,16 +188,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    witness_obj = json.loads(Path(args.witness).read_text())
-    if "witness" in witness_obj and isinstance(witness_obj["witness"], dict):
-        meta = witness_obj
-        witness = witness_obj["witness"]
-    else:
-        meta = witness_obj
-        witness = witness_obj
-    kind = meta.get("problem")
+    meta, witness = _load_witness(args.witness)
     k = args.k if args.k is not None else meta.get("k")
-    inst = _load_instance(args.input, kind, k)
+    inst = _load_instance(args.input, meta.get("problem"), k)
     verdict = validate_witness(inst, witness)
     _emit(verdict.to_json_dict(), args.format, args.output)
     return EXIT_YES if verdict.ok else EXIT_NO
@@ -195,7 +214,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.generator == "sat":
-        formula = parse_dimacs(Path(args.cnf).read_text())
+        formula = parse_dimacs(_read_text(args.cnf))
         out = sat_reduction(formula, q=args.q)
         inst = ProblemInstance(kind="tree", graph=out.graph, k=out.k)
         text = inst.to_json() if args.format == "json" else inst.to_text()
@@ -268,7 +287,7 @@ def run(argv: Sequence[str]) -> int:
         sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
         return EXIT_USAGE
     except (ParseError, ContractError, GenerationError, BudgetExceededError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
         return EXIT_USAGE
     except InternalError as exc:

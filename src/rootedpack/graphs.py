@@ -530,6 +530,13 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
     return ProblemInstance(kind=kind, graph=graph, k=k)
 
 
+def json_int(value: object, what: str) -> int:
+    """`value` when it is a JSON integer; ParseError for bools, floats and strings."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise ParseError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _parse_json_instance(text: str, *, kind: str | None, k: int | None) -> ProblemInstance:
     try:
         obj = json.loads(text)
@@ -539,26 +546,23 @@ def _parse_json_instance(text: str, *, kind: str | None, k: int | None) -> Probl
         if field not in obj:
             raise ParseError(f"JSON instance missing field {field!r}")
     kind = kind or obj["kind"]
-    try:
-        k = k if k is not None else int(obj["k"])
-        n, root = int(obj["n"]), int(obj["root"])
-        entries = []
-        for entry in obj["arcs"]:
-            if len(entry) == 2:
-                u, v, count = int(entry[0]), int(entry[1]), 1
-            else:
-                u, v, count = int(entry[0]), int(entry[1]), int(entry[2])
-            if count < 1:
-                raise ParseError(f"count must be >= 1, got {count}")
-            entries.append((u, v, count))
-        if sum(count for _, _, count in entries) > MAX_COPIES:
-            raise ParseError(f"more than {MAX_COPIES} arc copies in total")
-        triples = []
-        for u, v, count in entries:
-            for _ in range(count):
-                triples.append((u, v, len(triples)))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad JSON instance field: {exc}") from None
+    k = k if k is not None else json_int(obj["k"], "JSON instance field 'k'")
+    n, root = (json_int(obj[f], f"JSON instance field {f!r}") for f in ("n", "root"))
+    arcs = obj["arcs"]
+    if not isinstance(arcs, list) or not all(isinstance(e, list) and len(e) in (2, 3) for e in arcs):
+        raise ParseError("JSON instance field 'arcs' must be a list of [u, v] or [u, v, count]")
+    entries = []
+    for entry in arcs:
+        u, v, count = [json_int(x, "JSON instance field 'arcs'") for x in entry] + [1] * (3 - len(entry))
+        if count < 1:
+            raise ParseError(f"count must be >= 1, got {count}")
+        entries.append((u, v, count))
+    if sum(count for _, _, count in entries) > MAX_COPIES:
+        raise ParseError(f"more than {MAX_COPIES} arc copies in total")
+    triples = []
+    for u, v, count in entries:
+        for _ in range(count):
+            triples.append((u, v, len(triples)))
     if kind == "tree":
         graph: RootedDigraph | RootedGraph = RootedGraph(n, root, triples)
     else:

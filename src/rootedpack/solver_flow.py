@@ -59,17 +59,18 @@ def _aggregated_feasibility(
     dig: RootedDigraph,
     class_counts: Mapping[tuple[int, int], int],
     verts: frozenset[int],
-    anchors: tuple[int, ...],
-    residual: int,
+    large: frozenset[int],
     k: int,
 ) -> Optional[dict[int, int]]:
     """Attachment witness by one max-flow, or None.
 
     Arcs are capped at k (the capacity inside the 2k-vertex structure Y),
-    every vertex of V' demands one unit, and an aggregated demand of
-    `residual` units may leave only through the anchors; the per-anchor
-    split is read off the integral flow.
+    every vertex of V' demands one unit, and an aggregated demand of the
+    residual 2k-1-|V'| units may leave only through the anchors, the large
+    vertices of V'; the per-anchor split is read off the integral flow.
     """
+    anchors = sorted(verts & large)
+    residual = 2 * k - 1 - len(verts)
     if residual > 0 and not anchors:
         return None
     sink = dig.n
@@ -105,9 +106,7 @@ def validate_compact_core(
         if u != dig.root and u in view.large:
             return None  # large vertices must be sinks
         counts[(u, v)] = counts.get((u, v), 0) + 1
-    residual = (2 * k - 1) - len(verts)
-    anchors = tuple(sorted(verts & view.large))
-    return _aggregated_feasibility(dig, counts, frozenset(verts), anchors, residual, k)
+    return _aggregated_feasibility(dig, counts, frozenset(verts), view.large, k)
 
 
 def _core_shapes(
@@ -115,63 +114,39 @@ def _core_shapes(
 ) -> list[tuple[frozenset[int], tuple[tuple[tuple[int, int], int], ...], dict[int, int]]]:
     """All valid core shapes: (V', per-class counts, attachment witness).
 
-    Cores are arbitrary subdigraphs, so arcs are enumerated as per-class
-    count vectors over the classes inside V'+r (at most two copies each, the
-    triple-free reduction), pruned by the sink condition, per-vertex
-    in-degree, root-connectivity, and finally the aggregated feasibility.
+    One depth-first search grows per-class count vectors from the empty one.
+    A step adds one copy, up to min(2, L) of L (the triple-free reduction), of
+    a class (u, v): u is the root or a small vertex of V' (large vertices are
+    sinks), v a non-root pool vertex, and a new v joins V' only while
+    |V'| < 2k-1.  So the states are exactly the root-connected vectors (add a
+    vector's arcs in breadth-first order), V' is a state's head set, and a
+    seen set keeps each once.  Each state with V' non-empty gets its own
+    aggregated max-flow, which gives its attachment.
     """
-    root = dig.root
-    nonroot_pool = sorted(pool - {root})
+    root, max_size = dig.root, 2 * k - 1
+    classes = {u: [((u, v), min(2, len(ids))) for v, ids in dig.out_classes(u) if v != root and v in pool]
+               for u in pool if u == root or u not in view.large}
     shapes = []
-    max_size = 2 * k - 1
-    for size in range(1, min(max_size, len(nonroot_pool)) + 1):
-        for vset in itertools.combinations(nonroot_pool, size):
-            verts = frozenset(vset)
-            classes = []
-            for u in sorted(verts | {root}):
-                if u != root and u in view.large:
-                    continue  # sink condition bars out-arcs of large vertices
-                for v, ids in dig.out_classes(u):
-                    if v in verts:
-                        classes.append(((u, v), min(2, len(ids))))
-            if not classes:
-                continue
-            ranges = [range(0, cap + 1) for _, cap in classes]
-            for combo in itertools.product(*ranges):
-                counts = {c: m for (c, _), m in zip(classes, combo) if m > 0}
-                if not counts:
-                    continue
-                indeg = {v: 0 for v in verts}
-                for (u, v), m in counts.items():
-                    indeg[v] += m
-                if any(d == 0 for d in indeg.values()):
-                    continue
-                if not _shape_root_connected(root, verts, counts):
-                    continue
-                anchors = tuple(sorted(verts & view.large))
-                residual = max_size - len(verts)
-                attachment = _aggregated_feasibility(
-                    dig, counts, verts, anchors, residual, k)
-                if attachment is not None:
-                    shapes.append((verts, tuple(sorted(counts.items())), attachment))
+    seen: set[tuple[tuple[tuple[int, int], int], ...]] = {()}
+    stack = [((), frozenset())]
+    while stack:
+        pairs, verts = stack.pop()
+        counts = dict(pairs)
+        if verts:
+            attachment = _aggregated_feasibility(dig, counts, verts, view.large, k)
+            if attachment is not None:
+                shapes.append((verts, pairs, attachment))
+        for u in (root, *verts):
+            for cls, cap in classes.get(u, ()):
+                m, head = counts.get(cls, 0), cls[1]
+                if m < cap and (head in verts or len(verts) < max_size):
+                    # the child shares its parent's pairs; only (cls, m + 1) is new
+                    child = tuple(sorted([p for p in pairs if p[0] != cls] + [(cls, m + 1)]))
+                    if child not in seen:
+                        seen.add(child)
+                        stack.append((child, verts if head in verts else verts | {head}))
     shapes.sort(key=lambda s: (len(s[0]), tuple(sorted(s[0])), s[1]))
     return shapes
-
-
-def _shape_root_connected(root: int, verts: frozenset[int], counts: Mapping[tuple[int, int], int]) -> bool:
-    adj: dict[int, list[int]] = {}
-    for (u, v), m in counts.items():
-        if m > 0:
-            adj.setdefault(u, []).append(v)
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return verts <= seen
 
 
 def enumerate_compact_cores(dig: RootedDigraph, k: int) -> Iterator[CompactCore]:
@@ -179,10 +154,11 @@ def enumerate_compact_cores(dig: RootedDigraph, k: int) -> Iterator[CompactCore]
     view = classify_vertices_flow(dig, k)
     pool = candidate_pool_flow(dig, k)
     for verts, counts, attachment in _core_shapes(dig, k, pool, view):
-        per_class = [
-            itertools.combinations(dig.class_ids(u, v), m)
-            for (u, v), m in counts
-        ]
+        per_class = []
+        for (u, v), m in counts:  # m <= 2: the m-subsets of the copies, lexicographic
+            ids = dig.class_ids(u, v)
+            per_class.append([(a,) for a in ids] if m == 1 else
+                             [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]])
         for combos in itertools.product(*per_class):
             ids = frozenset(aid for chunk in combos for aid in chunk)
             yield CompactCore(

@@ -78,10 +78,14 @@ def root_degree_three(rng: random.Random, n: int, noise: int, undirected: bool =
 
     The instance is 2-root-connected (undirected: has two edge-disjoint
     spanning trees), so the solvers pass their gates, and the root has
-    (out-)degree exactly 3.  For k >= 2 the answer is NO for arb and tree:
-    with a single root arc (0, c), c's subtree (the component hanging at c)
-    holds all n - 1 non-root vertices, more than k-safety allows, so each
-    structure needs two root arcs, and two disjoint ones would need four.
+    (out-)degree exactly 3.  For k >= 2 the answer is NO for arb, flow and
+    tree, because each structure needs two root arcs and two disjoint ones
+    would need four:
+    - arb and tree: with a single root arc (0, c), c's subtree (the
+      component hanging at c) holds all n - 1 non-root vertices, more than
+      k-safety allows;
+    - flow: the root sends n - 1 units through arcs of capacity n - k, less
+      than n - 1.
     """
     arcs = []
     for children in (1, 2):

@@ -254,3 +254,54 @@ def test_solve_has_no_workers_option(yes_instance):
                     "--workers", "2")
     assert code == 2
     assert "--workers" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("arcs", ["[[0, 1, 1.5], [0, 2]]", "[[0, 1, true], [0, 2]]",
+                                  '[["0", 1], [0, 2]]'])
+def test_json_instance_with_non_integers_exits_two(tmp_path, arcs):
+    path = tmp_path / "d.json"
+    path.write_text(f'{{"kind": "arb", "n": 3, "root": 0, "arcs": {arcs}, "k": 1}}')
+    code, out = cli("solve", "arb", "--input", str(path))
+    assert code == 2
+    assert "must be an integer" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("witness", [
+    "[0, 1]",
+    '{"tree1": "x", "tree2": []}',
+    '{"tree1": [0, 2.0], "tree2": [1, 3]}',
+    '{"witness": {"tree1": [0, 2], "tree2": [1, 3], "flow1": [[0, "a"]]}}',
+    '{"tree1": [0, 2], "tree2": [1, 3], "flow2": [[0]]}',
+    '{"problem": "arb", "k": "2", "tree1": [0, 2], "tree2": [1, 3]}',
+])
+def test_validate_malformed_witness_exits_two(yes_instance, tmp_path, witness):
+    path = tmp_path / "w.json"
+    path.write_text(witness)
+    code, out = cli("validate", "--k", "2", "--input", yes_instance, "--witness", str(path))
+    assert code == 2
+    assert "witness" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("bad", ["directory", "latin-1"])
+def test_unreadable_input_or_witness_exits_two(yes_instance, tmp_path, bad):
+    if bad == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "d.txt"
+        path.write_bytes("D 3 0\n0 1 2\n0 2 2\n# café\n".encode("latin-1"))
+    code, out = cli("solve", "arb", "--k", "2", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"].startswith(f"cannot read {path}")
+    code, out = cli("validate", "--k", "2", "--input", yes_instance, "--witness", str(path))
+    assert code == 2
+    assert json.loads(out)["error"].startswith(f"cannot read {path}")
+
+
+def test_permission_denied_input_exits_two(yes_instance, monkeypatch):
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    code, out = cli("solve", "arb", "--k", "2", "--input", yes_instance)
+    assert code == 2
+    assert "Permission denied" in json.loads(out)["error"]

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +67,25 @@ def test_parse_rejects_more_copies_than_the_limit():
         parse_instance("D 2 0\n0 1 1000001\n")
     with pytest.raises(ParseError, match="more than 1000000 arc copies"):
         parse_instance('{"kind": "arb", "n": 2, "root": 0, "arcs": [[0, 1, 1000001]], "k": 1}')
+
+
+@pytest.mark.parametrize("field,value", [
+    ("arcs", [[0, 1, 1.5]]), ("arcs", [[0, 1, True]]), ("arcs", [[0, "1"]]),
+    ("arcs", [[0.0, 1]]), ("n", "3"), ("n", 3.0), ("root", False), ("k", "2"), ("k", 2.5),
+])
+def test_json_parse_takes_integers_only(field, value):
+    obj = {"kind": "arb", "n": 3, "root": 0, "arcs": [[0, 1], [0, 2, 2]], "k": 1}
+    assert parse_instance(json.dumps(obj)).graph.arc_count == 3
+    obj[field] = value
+    with pytest.raises(ParseError, match=f"field '{field}' must be an integer"):
+        parse_instance(json.dumps(obj))
+
+
+@pytest.mark.parametrize("arcs", [[[0]], [[0, 1, 1, 1]], [5], 5])
+def test_json_parse_rejects_malformed_arcs(arcs):
+    obj = {"kind": "arb", "n": 3, "root": 0, "arcs": arcs, "k": 1}
+    with pytest.raises(ParseError, match="arc"):
+        parse_instance(json.dumps(obj))
 
 
 def test_parse_comments_and_meta():

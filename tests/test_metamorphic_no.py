@@ -12,18 +12,22 @@ import random
 import pytest
 
 from rootedpack.solver_arb import solve_arb
+from rootedpack.solver_flow import solve_flow
 from rootedpack.solver_tree import solve_tree
 
 from conftest import relabel, root_degree_three
 
-SHAPE_COUNTER = {"arb": "kernels", "tree": "certificates"}
+SOLVE = {"arb": solve_arb, "flow": solve_flow, "tree": solve_tree}
+SHAPE_COUNTER = {"arb": "kernels", "flow": "cores", "tree": "certificates"}
+K_VALUES = {"arb": (3, 4), "flow": (2, 3), "tree": (3, 4)}
 
 
-@pytest.mark.parametrize("kind", ["arb", "tree"])
-@pytest.mark.parametrize("n,k", [(20, 3), (20, 4), (30, 3), (30, 4), (40, 3), (40, 4)])
+@pytest.mark.parametrize("n,k,kind", [
+    (n, k, kind) for n in (20, 30, 40) for k in (2, 3, 4) for kind in ("arb", "flow", "tree")
+    if k in K_VALUES[kind]])
 def test_root_degree_three_is_no_under_relabelling(kind, n, k):
     rng = random.Random(n * 10 + k)
-    solve = solve_arb if kind == "arb" else solve_tree
+    solve = SOLVE[kind]
     g = root_degree_three(rng, n, noise=n // 4, undirected=kind == "tree")
     report = solve(g, k)
     assert (report.decision, report.stage) == (False, "pair-search")

@@ -1,20 +1,33 @@
-"""Differential tests for `fptcommon.tree_shapes`, the one compact-tree shape
-search behind the arb kernels and the tree certificates.
+"""Differential tests for the shape searches: `fptcommon.tree_shapes`, the
+one compact-tree shape search behind the arb kernels and the tree
+certificates, and `solver_flow._core_shapes`, the root-grown search over
+per-class count vectors behind the flow cores.
 
-The references are the two breadth-first enumerators it replaced, kept here
-in behaviour: each copies the parent map and recomputes the branch sizes of
-every extension, and the certificate one rebuilds parents from the class set
-before computing the attachment.  Both must give the same shape list (class
-tuples, order and attachments) on seeded random instances.
+The references are the enumerators they replaced, kept here in behaviour.
+The two breadth-first tree enumerators copy the parent map and recompute
+the branch sizes of every extension, and the certificate one rebuilds
+parents from the class set before computing the attachment.  The flow one
+draws every vertex subset of the pool and every {0, 1, 2} product over its
+classes, then filters by in-degree and root-connectivity.  Each must give
+the same shape list (classes or count vectors, order and attachments) on
+seeded random instances.
 """
 
+import itertools
 from collections import deque
 
 import pytest
 
 from rootedpack.fptcommon import branch_structure, lex_smallest_attachment, tree_shapes
+from rootedpack.graphs import RootedDigraph, cap_parallel, ProblemInstance
 from rootedpack.instancegen import random_instance
 from rootedpack.solver_arb import candidate_pool, classify_vertices
+from rootedpack.solver_flow import (
+    _aggregated_feasibility,
+    _core_shapes,
+    candidate_pool_flow,
+    classify_vertices_flow,
+)
 from rootedpack.solver_tree import candidate_pool_tree, classify_vertices_tree
 
 
@@ -152,3 +165,97 @@ def test_tree_shapes_match_the_replaced_enumerators(kind):
         anchored += sum(1 for _, attachment in got if attachment)
     # many shapes, and some with imaginary leaves to place
     assert total > 10_000 and anchored > 50
+
+
+def core_shapes_reference(dig, k, pool, view):
+    root = dig.root
+    nonroot_pool = sorted(pool - {root})
+    shapes = []
+    max_size = 2 * k - 1
+    for size in range(1, min(max_size, len(nonroot_pool)) + 1):
+        for vset in itertools.combinations(nonroot_pool, size):
+            verts = frozenset(vset)
+            classes = []
+            for u in sorted(verts | {root}):
+                if u != root and u in view.large:
+                    continue
+                for v, ids in dig.out_classes(u):
+                    if v in verts:
+                        classes.append(((u, v), min(2, len(ids))))
+            if not classes:
+                continue
+            for combo in itertools.product(*[range(cap + 1) for _, cap in classes]):
+                counts = {c: m for (c, _), m in zip(classes, combo) if m > 0}
+                if not counts:
+                    continue
+                indeg = {v: 0 for v in verts}
+                for (u, v), m in counts.items():
+                    indeg[v] += m
+                if any(d == 0 for d in indeg.values()):
+                    continue
+                adj = {}
+                for u, v in counts:
+                    adj.setdefault(u, []).append(v)
+                seen, stack = {root}, [root]
+                while stack:
+                    for v in adj.get(stack.pop(), ()):
+                        if v not in seen:
+                            seen.add(v)
+                            stack.append(v)
+                if not verts <= seen:
+                    continue
+                attachment = _aggregated_feasibility(dig, counts, verts, view.large, k)
+                if attachment is not None:
+                    shapes.append((verts, tuple(sorted(counts.items())), attachment))
+    shapes.sort(key=lambda s: (len(s[0]), tuple(sorted(s[0])), s[1]))
+    return shapes
+
+
+def with_hub(inst, n):
+    """`inst` widened to n vertices, with an arc from the root's first
+    out-neighbour, the hub, to every other non-root vertex: the hub is large
+    once n - 2 >= 20k^2 + 1, and the new vertices hang only below it."""
+    g = inst.graph
+    hub = g.out_neighbors(g.root)[0]
+    arcs = [(u, v) for u, v, _ in g.arcs()]
+    arcs += [(hub, v) for v in range(1, n) if v != hub]
+    return ProblemInstance("flow", RootedDigraph(n, g.root, arcs), inst.k)
+
+
+# (n, arcs per vertex, seed) at k = 3: the reference draws 3^classes
+# count vectors per vertex set, so only the smallest instances
+K3_FIXTURES = [(6, 2, 0), (6, 2, 1), (6, 3, 0)]
+
+
+def flow_instances():
+    """Seeded `random_instance` flow fixtures at k = 1..3, and hub fixtures
+    at k = 1 (a large anchor with 21 out-neighbours) and k = 2 (81, so an
+    anchor that takes the leftover demand)."""
+    for n in (6, 9, 12, 20):
+        for k in (1, 2):
+            for per_vertex in (2, 3):
+                for seed in (0, 1):
+                    yield random_instance("flow", n, per_vertex * n, seed=seed,
+                                          ensure="2-root-connected", k=k)
+    for n, per_vertex, seed in K3_FIXTURES:
+        yield random_instance("flow", n, per_vertex * n, seed=seed,
+                              ensure="2-root-connected", k=3)
+    for seed in (0, 1):
+        for k, n in ((1, 23), (2, 83)):
+            yield with_hub(random_instance("flow", 9, 27, seed=seed,
+                                           ensure="2-root-connected", k=k), n)
+
+
+def test_core_shapes_match_the_replaced_enumerator():
+    total = doubled = anchored = attached = 0
+    for inst in flow_instances():
+        g, k = cap_parallel(inst).graph, inst.k
+        pool, view = candidate_pool_flow(g, k), classify_vertices_flow(g, k)
+        got = _core_shapes(g, k, pool, view)
+        assert got == core_shapes_reference(g, k, pool, view)
+        total += len(got)
+        doubled += sum(1 for _, counts, _ in got if any(m == 2 for _, m in counts))
+        anchored += sum(1 for verts, _, _ in got if verts & view.large)
+        attached += sum(1 for _, _, attachment in got if attachment)
+    # 2-copy classes, large anchors and imaginary vertices to place
+    assert total > 10_000 and doubled > 5_000 and anchored > 100 and attached > 5
