@@ -22,7 +22,8 @@ class ForcedForestContext:
 
     Independence of S means S together with the forced forest is acyclic.
     Connectivity queries run on a union-find that stays valid across inserts
-    and is rebuilt lazily after removals.
+    and is rebuilt lazily after removals.  Path queries run on a rooted copy
+    of the forest that every edit drops and the next query rebuilds.
     """
 
     def __init__(self, graph: RootedGraph, forced: Iterable[int]):
@@ -32,6 +33,7 @@ class ForcedForestContext:
         self.adj: dict[int, list[tuple[int, int]]] = {}
         self._uf: list[int] = list(range(graph.n))
         self._uf_ok = True
+        self._rooted: Optional[tuple[list[int], list[int], list[int], list[int]]] = None
         for eid in sorted(self.forced):
             u, v = graph.edge(eid)
             if self._connected_now(u, v):
@@ -71,6 +73,7 @@ class ForcedForestContext:
     def _adj_add(self, u: int, v: int, eid: int) -> None:
         self.adj.setdefault(u, []).append((v, eid))
         self.adj.setdefault(v, []).append((u, eid))
+        self._rooted = None
 
     def connected(self, u: int, v: int) -> bool:
         self._ensure_uf()
@@ -89,34 +92,60 @@ class ForcedForestContext:
         self.adj[u].remove((v, eid))
         self.adj[v].remove((u, eid))
         self._uf_ok = False
+        self._rooted = None
 
     def size(self) -> int:
         return len(self.forced) + len(self.members)
 
+    def _rooted_forest(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """(parent, parent edge, depth, component root) of every vertex."""
+        if self._rooted is None:
+            n = self.graph.n
+            parent, pedge, depth, comp = [-1] * n, [-1] * n, [0] * n, [-1] * n
+            adj = self.adj
+            for r in range(n):
+                if comp[r] >= 0:
+                    continue
+                comp[r] = r
+                stack = [r]
+                while stack:
+                    x = stack.pop()
+                    d = depth[x] + 1
+                    for w, eid in adj.get(x, ()):
+                        if comp[w] < 0:
+                            comp[w], parent[w], pedge[w], depth[w] = r, x, eid, d
+                            stack.append(w)
+            self._rooted = (parent, pedge, depth, comp)
+        return self._rooted
+
     def path_edges(self, u: int, v: int) -> Optional[list[int]]:
-        """Edge ids along the forest path from u to v, None if disconnected."""
+        """Edge ids along the forest path between u and v, None if disconnected.
+
+        The ids run from v's end of the path back to u's.  Queries walk both
+        ends up a rooted copy of the forest to their common ancestor; the copy
+        is built on the first query after an edit, so the queries of one
+        augmenting search share it.
+        """
         if u == v:
             return []
-        prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for w, eid in sorted(self.adj.get(x, ())):
-                if w not in prev:
-                    prev[w] = (x, eid)
-                    if w == v:
-                        queue.clear()
-                        break
-                    queue.append(w)
-        if v not in prev:
+        parent, pedge, depth, comp = self._rooted_forest()
+        if comp[u] != comp[v]:
             return None
-        out = []
-        w = v
-        while w != u:
-            x, eid = prev[w]
-            out.append(eid)
-            w = x
-        return out
+        from_v: list[int] = []
+        from_u: list[int] = []
+        while depth[v] > depth[u]:
+            from_v.append(pedge[v])
+            v = parent[v]
+        while depth[u] > depth[v]:
+            from_u.append(pedge[u])
+            u = parent[u]
+        while u != v:
+            from_v.append(pedge[v])
+            v = parent[v]
+            from_u.append(pedge[u])
+            u = parent[u]
+        from_u.reverse()
+        return from_v + from_u
 
     def assert_forest(self) -> None:
         uf = list(range(self.graph.n))
@@ -206,23 +235,23 @@ class _UnionRun:
             side.assert_forest()
 
     def run(self, seeds: Sequence[tuple[int, int]] = ()) -> None:
-        """Process every non-forced element once; seeds are tried first with
-        a preferred side.  Stops early once both sides are spanning."""
+        """Offer each non-forced element at most once; seeds come first, with
+        a preferred side.
+
+        A direct pass inserts every element that fits a side as it stands and
+        stops as soon as both sides span.  The elements it could not insert
+        then get an augmenting search each, until both sides span.
+        """
         blocked = self.sides[0].forced | self.sides[1].forced
-        seeded = [eid for eid, _ in seeds]
-        seen = set(seeded) | blocked
-        rest = [eid for eid in self.graph.edge_ids if eid not in seen]
+        seen = {eid for eid, _ in seeds} | blocked
+        offers = [(eid, (pref, 1 - pref)) for eid, pref in seeds if eid not in blocked]
+        offers += [(eid, (0, 1)) for eid in self.graph.edge_ids if eid not in seen]
         pending: list[int] = []
-        for eid, pref in seeds:
-            if eid in blocked:
-                continue
-            if not self._try_direct(eid, (pref, 1 - pref)):
+        for eid, order in offers:
+            if not self._try_direct(eid, order):
                 pending.append(eid)
-        for eid in rest:
-            if not self._try_direct(eid, (0, 1)):
-                pending.append(eid)
-        if self.full():
-            return
+            elif self.full():
+                return
         failed: set[int] = set()
         for eid in pending:
             if self.full():

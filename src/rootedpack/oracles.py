@@ -541,7 +541,7 @@ def _stated_flow_ok(dig: RootedDigraph, values: dict[int, int], ids: set[int], k
     caps = dig.n - k
     net = {v: 0 for v in range(dig.n)}
     for aid, val in values.items():
-        if aid not in ids or val < 0 or val > caps:
+        if aid not in ids or not dig.has_arc(aid) or val < 0 or val > caps:
             return False
         u, v = dig.arc(aid)
         net[u] -= val

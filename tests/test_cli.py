@@ -82,6 +82,17 @@ def test_validate_corrupted_witness_names_failure(yes_instance, tmp_path):
     assert any(c["check"] == "disjoint" and not c["ok"] for c in verdict["checks"])
 
 
+def test_validate_stated_flow_with_unknown_arc_exits_one(yes_instance, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text('{"problem": "flow", "k": 2, "tree1": [999], "tree2": [],'
+                    ' "flow1": [[999, 1]]}')
+    code, out = cli("validate", "--input", yes_instance, "--witness", str(path))
+    assert code == 1
+    verdict = json.loads(out)
+    assert {"check": "tree1:stated-flow", "ok": False,
+            "detail": "stated flow invalid"} in verdict["checks"]
+
+
 def test_reserved_p_flag(tree_instance):
     code, out = cli("solve", "tree", "--p", "3", "--k", "1", "--input", tree_instance)
     assert code == 2

@@ -1,7 +1,7 @@
 import pytest
 
 from rootedpack.errors import BudgetExceededError
-from rootedpack.graphs import ProblemInstance, RootedDigraph, RootedGraph
+from rootedpack.graphs import ProblemInstance, RootedDigraph, RootedGraph, parse_instance
 from rootedpack.oracles import (
     OracleBudget,
     oracle_arb,
@@ -129,3 +129,11 @@ def test_validate_witness_stated_flow_crosscheck():
         "tree1": [0, 2], "tree2": [1, 3],
         "flow1": [[0, 9], [2, 1]], "flow2": [[1, 2], [3, 1]]})
     assert not bad.ok
+
+
+def test_validate_witness_stated_flow_unknown_arc_is_itemised():
+    # 999 is listed in the tree too, so only the arc lookup can reject it
+    inst = parse_instance("D 3 0\n0 1 2\n0 2 2\n", kind="flow", k=2)
+    verdict = validate_witness(inst, {"tree1": [999], "tree2": [], "flow1": [[999, 1]]})
+    assert not verdict.ok
+    assert ("tree1:stated-flow", "stated flow invalid") in verdict.failures()
