@@ -2,9 +2,11 @@
 
 Mirrors the arborescence pipeline with flow-specific pieces: largeness
 threshold 20k^2+1, candidate pool depth 2k-1, cores as arbitrary subdigraphs
-validated by one aggregated max-flow, and a completion that routes every new
-vertex's unit along its anchor's path flow from the core decomposition, which
-keeps core arcs within the uniform capacity n-k.
+validated by the aggregated network's min-cut condition (root reaches when
+|V'| = 2k-1, one aggregated max-flow when large anchors take the leftover
+demand), and a completion that routes every new vertex's unit along its
+anchor's path flow from the core decomposition, which keeps core arcs within
+the uniform capacity n-k.
 """
 
 from __future__ import annotations
@@ -55,6 +57,48 @@ def candidate_pool_flow(dig: RootedDigraph, k: int) -> frozenset[int]:
     return depth_bounded_pool(dig.out_neighbors, dig.root, 2 * k - 1, view.large)
 
 
+def _cut_condition(
+    root: int, class_counts: Mapping[tuple[int, int], int], verts: frozenset[int], k: int
+) -> bool:
+    """Whether k * in(X) >= |X & V'| for every vertex set X without the root,
+    in(X) counting the copies that enter X; needs |V'| <= 2k-1.
+
+    Then |X & V'| <= 2k-1 asks for one entering copy when it is at most k and
+    for two when it is larger.  X without an entering copy lies in the part
+    of the support the root does not reach; X with exactly one lies in what
+    the root does not reach once that copy's class, a single-copy one, is
+    removed.  Only a class on a breadth-first tree T of the support can cut
+    anything off, and only T's subtree below it, so just the single-copy
+    tree classes above more than k vertices need a second reach.  The
+    support need not be root-connected.
+    """
+    out: dict[int, list[int]] = {}
+    for (u, v), m in class_counts.items():
+        if m > 0:
+            out.setdefault(u, []).append(v)
+
+    def reach(skip: Optional[tuple[int, int]]) -> dict[int, int]:
+        parent = {root: root}
+        order = [root]
+        for u in order:
+            for v in out.get(u, ()):
+                if v not in parent and (u, v) != skip:
+                    parent[v] = u
+                    order.append(v)
+        return parent
+
+    parent = reach(None)  # in breadth-first order
+    if not verts <= parent.keys():
+        return False
+    below = dict.fromkeys(parent, 1)
+    for v, u in reversed(parent.items()):
+        if v != root:
+            below[u] += below[v]
+    return not any(
+        below[v] > k and class_counts[(u, v)] == 1 and len(verts - reach((u, v)).keys()) > k
+        for v, u in parent.items() if v != root)
+
+
 def _aggregated_feasibility(
     dig: RootedDigraph,
     class_counts: Mapping[tuple[int, int], int],
@@ -62,15 +106,22 @@ def _aggregated_feasibility(
     large: frozenset[int],
     k: int,
 ) -> Optional[dict[int, int]]:
-    """Attachment witness by one max-flow, or None.
+    """Attachment witness of the aggregated network, or None.
 
-    Arcs are capped at k (the capacity inside the 2k-vertex structure Y),
-    every vertex of V' demands one unit, and an aggregated demand of the
-    residual 2k-1-|V'| units may leave only through the anchors, the large
-    vertices of V'; the per-anchor split is read off the integral flow.
+    The network: arcs are capped at k (the capacity inside the 2k-vertex
+    structure Y), every vertex of V' demands one unit, and an aggregated
+    demand of the residual 2k-1-|V'| units may leave only through the
+    anchors, the large vertices of V'.  With a positive residual and no
+    anchor it is infeasible.  With residual 0 there is nothing to attach, so
+    the attachment is empty and its min cut decides: feasible iff
+    k * in(X) >= |X| for every non-empty X within V' (`_cut_condition`), no
+    max-flow needed.  Otherwise one max-flow decides, and the per-anchor split
+    is read off the integral flow.
     """
-    anchors = sorted(verts & large)
     residual = 2 * k - 1 - len(verts)
+    if residual == 0:
+        return {} if _cut_condition(dig.root, class_counts, verts, k) else None
+    anchors = sorted(verts & large)
     if residual > 0 and not anchors:
         return None
     sink = dig.n
@@ -120,8 +171,10 @@ def _core_shapes(
     sinks), v a non-root pool vertex, and a new v joins V' only while
     |V'| < 2k-1.  So the states are exactly the root-connected vectors (add a
     vector's arcs in breadth-first order), V' is a state's head set, and a
-    seen set keeps each once.  Each state with V' non-empty gets its own
-    aggregated max-flow, which gives its attachment.
+    seen set keeps each once.  Each state with V' non-empty is checked by
+    `_aggregated_feasibility`: the full-size ones (|V'| = 2k-1) by their
+    min-cut condition, two kinds of root reaches, and only the smaller ones
+    with a large anchor by a max-flow, which gives their attachment.
     """
     root, max_size = dig.root, 2 * k - 1
     classes = {u: [((u, v), min(2, len(ids))) for v, ids in dig.out_classes(u) if v != root and v in pool]

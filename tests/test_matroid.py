@@ -148,8 +148,10 @@ def test_find_disjoint_bases_positive_example():
 
 
 def test_find_disjoint_bases_properties(rng):
+    # about 70 draws give the 40 completable graphs; the cap turns a solver
+    # that never completes into a failure instead of an endless loop
     found = 0
-    while found < 40:
+    for _ in range(400):
         g = connected_graph(rng, max_n=6, extra=8)
         res = find_disjoint_bases(g, g.selection([]), g.selection([]))
         if res is None:
@@ -160,6 +162,9 @@ def test_find_disjoint_bases_properties(rng):
         assert not (t1.ids & t2.ids)
         assert is_spanning_tree(g, t1.ids)
         assert is_spanning_tree(g, t2.ids)
+        if found == 40:
+            break
+    assert found == 40
 
 
 def test_find_disjoint_bases_k4():
@@ -170,8 +175,9 @@ def test_find_disjoint_bases_k4():
 
 
 def test_containment_respected(rng):
+    # about 80 draws give the 40 graphs with two disjoint spanning trees
     done = 0
-    while done < 40:
+    for _ in range(400):
         g = connected_graph(rng, max_n=6, extra=10)
         if g.edge_count == 0 or not has_two_disjoint_spanning_trees(g):
             continue
@@ -184,6 +190,9 @@ def test_containment_respected(rng):
         if res:
             assert e in res[0].ids
         done += 1
+        if done == 40:
+            break
+    assert done == 40
 
 
 def test_two_disjoint_trees_examples():

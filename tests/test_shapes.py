@@ -8,7 +8,8 @@ The two breadth-first tree enumerators copy the parent map and recompute
 the branch sizes of every extension, and the certificate one rebuilds
 parents from the class set before computing the attachment.  The flow one
 draws every vertex subset of the pool and every {0, 1, 2} product over its
-classes, then filters by in-degree and root-connectivity.  Each must give
+classes, filters by in-degree and root-connectivity, and solves each
+survivor's aggregated network by max-flow.  Each must give
 the same shape list (classes or count vectors, order and attachments) on
 seeded random instances.
 """
@@ -18,16 +19,12 @@ from collections import deque
 
 import pytest
 
+from rootedpack.connectivity import FlowNetwork, max_flow
 from rootedpack.fptcommon import branch_structure, lex_smallest_attachment, tree_shapes
 from rootedpack.graphs import RootedDigraph, cap_parallel, ProblemInstance
 from rootedpack.instancegen import random_instance
 from rootedpack.solver_arb import candidate_pool, classify_vertices
-from rootedpack.solver_flow import (
-    _aggregated_feasibility,
-    _core_shapes,
-    candidate_pool_flow,
-    classify_vertices_flow,
-)
+from rootedpack.solver_flow import _core_shapes, candidate_pool_flow, classify_vertices_flow
 from rootedpack.solver_tree import candidate_pool_tree, classify_vertices_tree
 
 
@@ -167,6 +164,33 @@ def test_tree_shapes_match_the_replaced_enumerators(kind):
     assert total > 10_000 and anchored > 50
 
 
+def aggregated_feasibility_reference(dig, class_counts, verts, large, k):
+    """The aggregated network solved by max-flow for every state: arcs capped
+    at k * count, one unit from each vertex of V' to the sink, and the
+    residual 2k-1-|V'| units to the sink through the large vertices of V'.
+    Returns the per-anchor split of the residual, or None."""
+    anchors = sorted(verts & large)
+    residual = 2 * k - 1 - len(verts)
+    if residual > 0 and not anchors:
+        return None
+    sink, agg = dig.n, dig.n + 1
+    net = FlowNetwork(n_nodes=dig.n + 2, source=dig.root, sink=sink)
+    for (u, v), count in sorted(class_counts.items()):
+        if count > 0:
+            net.add_arc(u, v, count * k)
+    for v in sorted(verts):
+        net.add_arc(v, sink, 1)
+    anchor_arcs = {}
+    if residual > 0:
+        for v in anchors:
+            anchor_arcs[v] = net.add_arc(v, agg, residual)
+        net.add_arc(agg, sink, residual)
+    value, flows = max_flow(net)
+    if value != len(verts) + residual:
+        return None
+    return {v: flows[idx] for v, idx in sorted(anchor_arcs.items()) if flows[idx] > 0}
+
+
 def core_shapes_reference(dig, k, pool, view):
     root = dig.root
     nonroot_pool = sorted(pool - {root})
@@ -204,7 +228,7 @@ def core_shapes_reference(dig, k, pool, view):
                             stack.append(v)
                 if not verts <= seen:
                     continue
-                attachment = _aggregated_feasibility(dig, counts, verts, view.large, k)
+                attachment = aggregated_feasibility_reference(dig, counts, verts, view.large, k)
                 if attachment is not None:
                     shapes.append((verts, tuple(sorted(counts.items())), attachment))
     shapes.sort(key=lambda s: (len(s[0]), tuple(sorted(s[0])), s[1]))

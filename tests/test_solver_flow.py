@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel
 from rootedpack.oracles import oracle_flow, validate_witness
 from rootedpack.solver_flow import (
     CompactCore,
+    _aggregated_feasibility,
     _exhaustive_complete_flow,
     candidate_pool_flow,
     classify_vertices_flow,
@@ -20,6 +22,7 @@ from rootedpack.solver_flow import (
 )
 
 from conftest import random_digraph
+from test_shapes import aggregated_feasibility_reference
 from test_solver_arb import fan_digraph, forced_subsets
 
 
@@ -113,6 +116,50 @@ def test_validate_compact_core_against_attachment_enumeration(rng):
         want = brute(d, k, sel)
         assert got == want, (list(d.arcs()), sorted(sel.ids), k)
         checked += 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_full_size_cores_decided_by_cut_condition_match_max_flow(k):
+    """At |V'| = 2k-1 the residual is 0, so `_aggregated_feasibility` decides
+    by the min-cut condition without a max-flow; it must agree with the
+    aggregated network solved by max-flow.  A drawn count vector is a random
+    tree over the root and V' with each tree class dropped at rate 0.1 (so
+    some supports are not root-connected), plus up to 2k-1 random classes;
+    every class has 1 or 2 copies.  The large vertices are drawn too: with
+    nothing left to attach they change nothing."""
+    rng = random.Random(8000 + k)
+    size = 2 * k - 1
+    tally = {"feasible": 0, "tight": 0, "unreached": 0, "single-copy cut": 0}
+    for _ in range(1000):
+        n = size + 1 + rng.randint(0, 3)
+        order = rng.sample(range(1, n), size)
+        verts = frozenset(order)
+        counts = {}
+        for i, v in enumerate(order):
+            if rng.random() < 0.9:
+                counts[(rng.choice([0, *order[:i]]), v)] = rng.choice((1, 1, 2))
+        for _ in range(rng.randint(0, size)):
+            u, v = rng.choice([0, *order]), rng.choice(order)
+            if u != v:
+                counts[(u, v)] = rng.choice((1, 1, 2))
+        arcs = [cls for cls, m in counts.items() for _ in range(m)]
+        dig = RootedDigraph(n, 0, arcs)
+        large = frozenset(v for v in verts if rng.random() < 0.2)
+        want = aggregated_feasibility_reference(dig, counts, verts, large, k)
+        assert _aggregated_feasibility(dig, counts, verts, large, k) == want, (k, counts)
+        if want is not None:
+            tally["feasible"] += 1
+            # some single copy cuts off exactly k vertices: the bound is tight
+            cut_off = [sum(1 for v in verts if not dig.reach_mask([aid]) >> v & 1)
+                       for aid, cls in enumerate(arcs) if counts[cls] == 1]
+            tally["tight"] += k in cut_off
+        elif any(not dig.reach_mask() >> v & 1 for v in verts):
+            tally["unreached"] += 1
+        else:
+            tally["single-copy cut"] += 1
+    assert tally["feasible"] > 300 and tally["unreached"] > 50, tally
+    if k > 1:
+        assert tally["tight"] > 50 and tally["single-copy cut"] > 100, tally
 
 
 def test_enumerate_cores_k1_per_copy():
