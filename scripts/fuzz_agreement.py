@@ -2,7 +2,9 @@
 """Fuzz the FPT solvers against the brute-force oracles on random instances.
 
 Ends with a per-kind tally of the (stage, decision) of every solve, so a run
-shows which solver stages it exercised.  Exits 1 on any mismatch.
+shows which solver stages it exercised.  A solve that raises counts as a
+failure: its kind, k and instance are printed and the run goes on.  Exits 1
+on any mismatch or failure.
 
 Example:
     python3 scripts/fuzz_agreement.py --count 2000 --seed 1 --kinds arb flow tree
@@ -16,6 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from rootedpack.errors import PackError
 from rootedpack.graphs import RootedDigraph, RootedGraph
 from rootedpack.oracles import oracle_arb, oracle_flow, oracle_tree
 from rootedpack.solver_arb import solve_arb
@@ -54,59 +57,52 @@ def rand_graph(rng, max_n, max_m, max_mult):
     return RootedGraph(n, 0, edges)
 
 
+# kind -> (instance generator, k values, solver, oracle)
+KINDS = {
+    "arb": (lambda rng: rand_digraph(rng, 6, 18, 2), (1, 2, 3), solve_arb, oracle_arb),
+    "flow": (lambda rng: rand_digraph(rng, 5, 12, 4), (1, 2), solve_flow, oracle_flow),
+    "tree": (lambda rng: rand_graph(rng, 6, 18, 2), (1, 2, 3), solve_tree, oracle_tree),
+}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--kinds", nargs="+", default=["arb", "flow", "tree"],
-                        choices=["arb", "flow", "tree"])
+    parser.add_argument("--kinds", nargs="+", default=list(KINDS), choices=list(KINDS))
     args = parser.parse_args()
     rng = random.Random(args.seed)
-    mismatches = 0
+    mismatches = failures = 0
     # (stage, decision) of every solve, per kind: shows which stages a run reached
     tally = {kind: Counter() for kind in args.kinds}
     for i in range(args.count):
-        if "arb" in args.kinds:
-            d = rand_digraph(rng, 6, 18, 2)
-            for k in (1, 2, 3):
-                report = solve_arb(d, k)
-                tally["arb"][(report.stage, report.decision)] += 1
-                got = report.decision
-                want = oracle_arb(d, k).decision
-                if got != want:
+        for kind, (generate, ks, solve, oracle) in KINDS.items():
+            if kind not in args.kinds:
+                continue
+            g = generate(rng)
+            name, pairs = ("edges", g.edges()) if kind == "tree" else ("arcs", g.arcs())
+            where = f"seed={args.seed} i={i} n={g.n} {name}={[(u, v) for u, v, _ in pairs]}"
+            for k in ks:
+                try:
+                    report = solve(g, k)
+                except PackError as exc:
+                    failures += 1
+                    print(f"{kind.upper()} FAILED k={k} {where}: "
+                          f"{type(exc).__name__}: {exc}", flush=True)
+                    continue
+                tally[kind][(report.stage, report.decision)] += 1
+                if report.decision != oracle(g, k).decision:
                     mismatches += 1
-                    print(f"ARB MISMATCH seed={args.seed} i={i} k={k} "
-                          f"arcs={[(u, v) for u, v, _ in d.arcs()]}")
-        if "flow" in args.kinds:
-            d = rand_digraph(rng, 5, 12, 4)
-            for k in (1, 2):
-                report = solve_flow(d, k)
-                tally["flow"][(report.stage, report.decision)] += 1
-                got = report.decision
-                want = oracle_flow(d, k).decision
-                if got != want:
-                    mismatches += 1
-                    print(f"FLOW MISMATCH seed={args.seed} i={i} k={k} "
-                          f"arcs={[(u, v) for u, v, _ in d.arcs()]}")
-        if "tree" in args.kinds:
-            g = rand_graph(rng, 6, 18, 2)
-            for k in (1, 2, 3):
-                report = solve_tree(g, k)
-                tally["tree"][(report.stage, report.decision)] += 1
-                got = report.decision
-                want = oracle_tree(g, k).decision
-                if got != want:
-                    mismatches += 1
-                    print(f"TREE MISMATCH seed={args.seed} i={i} k={k} "
-                          f"edges={[(u, v) for u, v, _ in g.edges()]}")
+                    print(f"{kind.upper()} MISMATCH k={k} {where}", flush=True)
         if i and i % 200 == 0:
-            print(f"...{i} instances, {mismatches} mismatches", flush=True)
+            print(f"...{i} instances, {mismatches} mismatches, {failures} failures", flush=True)
     for kind, stages in tally.items():
         counts = ", ".join(f"{stage} {'YES' if decision else 'NO'} {n}"
                            for (stage, decision), n in sorted(stages.items()))
         print(f"{kind}: {counts}")
-    print(f"done: {args.count} instances per kind, {mismatches} mismatches")
-    return 1 if mismatches else 0
+    print(f"done: {args.count} instances per kind, {mismatches} mismatches, "
+          f"{failures} failures")
+    return 1 if mismatches or failures else 0
 
 
 if __name__ == "__main__":

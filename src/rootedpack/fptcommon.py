@@ -333,8 +333,24 @@ def complete_directed_pair(
 
     Each step adds the canonically first admissible covering arc (tail
     covered, head uncovered, copy unused by the other structure, removal set
-    still extendable).  Returns False on a stall; the caller decides whether
-    to fall back to exhaustive completion.
+    still extendable).  Returns False on a stall, which the preconditions
+    below rule out; callers raise `completion_stall` on it.
+
+    Preconditions, kept by every step: D is 2-root-connected; A(S1), A(S2)
+    are disjoint; Si reaches from r all of V(Si), which holds every head of
+    Si; D - A(Si) is root-connected.  Then the greedy cannot stall, by
+    Edmonds' branching theorem with root sets (Edmonds 1973, "Edge-disjoint
+    branchings"; Lovász 1976, "On two minimax theorems in graph").  In
+    H = D - A(S1) - A(S2) take a non-empty X in V - r.  If X misses both
+    V(Si), no arc of either structure enters X, so rho_H(X) = rho_D(X) >= 2.
+    If X misses only V(Sj), no arc of Sj enters X and one of the
+    root-connected D - A(Si) does, so rho_H(X) >= 1.  So H has arc-disjoint
+    branchings B1, B2 spanning V with root sets V(S1), V(S2).  While
+    V(Si) != V, Bi has an arc (u, v) leaving V(Si).  The copy of (u, v) that
+    `_admissible_copy` tries, the first not in Sj, is in H as v is not in
+    V(Si); give it to Bi, swapping parallel copies with Bj if needed.  D - A(Si) minus that copy
+    keeps Sj and Bj, whose union is root-connected, so the copy is
+    admissible.  Nothing here needs trees: flow cores qualify too.
 
     Rejections are permanent (see `_admissible_copy`), so each side keeps a
     min-heap of its covered tails and, per tail, a cursor to the first class
@@ -378,6 +394,14 @@ def complete_directed_pair(
         blocked = [False, False]
         if counters is not None:
             counters["completionSteps"] = counters.get("completionSteps", 0) + 1
+
+
+def completion_stall(dig: RootedDigraph, states: tuple[DirectedState, ...]) -> InternalError:
+    """The error for a stalled `complete_directed_pair`, with the instance."""
+    return InternalError("directed completion stalled", {
+        "stalled": [i + 1 for i, state in enumerate(states) if len(state.covered) < dig.n],
+        "covered1": sorted(states[0].covered), "covered2": sorted(states[1].covered),
+        "n": dig.n, "root": dig.root, "arcs": [list(arc) for arc in dig.arcs()]})
 
 
 def copy_masks(

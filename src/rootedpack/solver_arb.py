@@ -26,6 +26,7 @@ from .fptcommon import (
     classify,
     compact_attachment,
     complete_directed_pair,
+    completion_stall,
     depth_bounded_pool,
     grow_directed_pair,
     run_pipeline,
@@ -124,78 +125,21 @@ def grow_to_classic(
     return out[0], out[1]
 
 
-def _is_spanning_arborescence(dig: RootedDigraph, ids) -> bool:
-    try:
-        return len(parse_arborescence(dig, ids)) == dig.n - 1
-    except StructureError:
-        return False
-
-
-def _exhaustive_complete(
-    dig: RootedDigraph, forced1: frozenset[int], forced2: frozenset[int]
-) -> Optional[tuple[set[int], set[int]]]:
-    """Desk-scale fallback: exhaustive completion honoring forced arc sets.
-
-    Each side picks, per non-root vertex, its forced in-arc or the first copy
-    of some in-class left free by the other side.
-    """
-    verts = [v for v in range(dig.n) if v != dig.root]
-    forced_parent1 = {dig.arc(a)[1]: a for a in forced1}
-    forced_parent2 = {dig.arc(a)[1]: a for a in forced2}
-
-    def choices(v: int, forced_parent: dict[int, int], other: frozenset[int]):
-        if v in forced_parent:
-            return [forced_parent[v]]
-        opts = []
-        for _, ids in dig.in_classes(v):
-            free = [a for a in ids if a not in other]
-            if free:
-                opts.append(free[0])
-        return opts
-
-    list1 = [choices(v, forced_parent1, forced2) for v in verts]
-    count = 1
-    for c in list1:
-        count *= max(len(c), 1)
-        if count > 2_000_000:
-            return None
-    for combo1 in itertools.product(*list1):
-        ids1 = set(combo1) | forced1
-        if not _is_spanning_arborescence(dig, ids1):
-            continue
-        avoid = frozenset(ids1)
-        list2 = [choices(v, forced_parent2, avoid) for v in verts]
-        for combo2 in itertools.product(*list2):
-            ids2 = set(combo2) | forced2
-            if ids2 & ids1:
-                continue
-            if not _is_spanning_arborescence(dig, ids2):
-                continue
-            return ids1, ids2
-    return None
-
-
 def complete_to_spanning(
     dig: RootedDigraph, k: int, pair: tuple[ArcSelection, ArcSelection],
     counters: Optional[dict] = None,
 ) -> tuple[ArcSelection, ArcSelection]:
     """Extend an extendable arc-disjoint classic kernel pair to spanning
-    arborescences.  Greedy with the extendability invariant; an exhaustive
-    fallback covers desk-scale stalls."""
+    arborescences by the greedy `complete_directed_pair`, which is exact
+    after the 2-root-connectivity gate (see its docstring): each new vertex
+    gets one in-arc below the kernel."""
     s1, s2 = pair
     states = (
         DirectedState(ids=set(s1.ids), covered=set(s1.covered_vertices(with_root=True))),
         DirectedState(ids=set(s2.ids), covered=set(s2.covered_vertices(with_root=True))),
     )
     if not complete_directed_pair(dig, states, counters):
-        fallback = _exhaustive_complete(dig, frozenset(s1.ids), frozenset(s2.ids))
-        if fallback is None:
-            raise InternalError(
-                "completion stalled and exhaustive fallback failed",
-                {"covered1": sorted(states[0].covered),
-                 "covered2": sorted(states[1].covered)},
-            )
-        return dig.selection(fallback[0]), dig.selection(fallback[1])
+        raise completion_stall(dig, states)
     return dig.selection(states[0].ids), dig.selection(states[1].ids)
 
 

@@ -26,6 +26,7 @@ from .fptcommon import (
     Stages,
     classify,
     complete_directed_pair,
+    completion_stall,
     depth_bounded_pool,
     grow_directed_pair,
     run_pipeline,
@@ -296,19 +297,22 @@ def _routed_completion_flow(
 def complete_to_spanning_flow(
     dig: RootedDigraph, k: int, pair: tuple[ArcSelection, ArcSelection]
 ) -> tuple[tuple[ArcSelection, BranchingFlow], tuple[ArcSelection, BranchingFlow]]:
-    """Attach every uncovered vertex below the classic cores, greedily under
-    the extendability invariant, and return both branchings with routed
-    witness flows."""
+    """Attach every uncovered vertex below the classic cores by the greedy
+    `complete_directed_pair`, exact after the 2-root-connectivity gate (see
+    its docstring), and return both branchings with routed witness flows.
+
+    One in-arc per new vertex below a classic core gives a flow branching:
+    the core flow puts at most k units on an arc, and each of the n-2k new
+    vertices routes one more unit along its attachment chain and its
+    anchor's core path, so every arc stays within the uniform capacity n-k
+    (`_routed_completion_flow` asserts it)."""
     s1, s2 = pair
     states = (
         DirectedState(ids=set(s1.ids), covered=set(s1.covered_vertices(with_root=True))),
         DirectedState(ids=set(s2.ids), covered=set(s2.covered_vertices(with_root=True))),
     )
     if not complete_directed_pair(dig, states):
-        fallback = _exhaustive_complete_flow(dig, k, frozenset(s1.ids), frozenset(s2.ids))
-        if fallback is None:
-            raise InternalError("flow completion stalled beyond fallback scale", {})
-        return fallback
+        raise completion_stall(dig, states)
     results = []
     for state, core in zip(states, (s1, s2)):
         flow = _routed_completion_flow(dig, k, frozenset(core.ids), frozenset(state.ids))
@@ -317,38 +321,6 @@ def complete_to_spanning_flow(
             raise InternalError("routed completion flow is not a branching flow", {})
         results.append((sel, flow))
     return results[0], results[1]
-
-
-def _exhaustive_complete_flow(
-    dig: RootedDigraph, k: int, forced1: frozenset[int], forced2: frozenset[int]
-) -> Optional[tuple[tuple[ArcSelection, BranchingFlow], tuple[ArcSelection, BranchingFlow]]]:
-    """Desk-scale fallback: per-class splits of free copies, side 2 taking
-    everything side 1 leaves; each side with its witness flow under the
-    uniform capacity n-k."""
-    caps = dig.n - k
-    everything = frozenset(range(dig.n))
-    mult = dig.parallel_classes()
-    forced = forced1 | forced2
-    free = [[aid for aid in mult[c] if aid not in forced] for c in sorted(mult)]
-    combos = 1
-    for ids in free:
-        combos *= len(ids) + 1
-    if combos > 2_000_000:
-        return None
-    for extras in itertools.product(*[range(len(ids) + 1) for ids in free]):
-        ids1, ids2 = set(forced1), set(forced2)
-        for ids, want1 in zip(free, extras):
-            ids1.update(ids[:want1])
-            ids2.update(ids[want1:])
-        sel1, sel2 = dig.selection(ids1), dig.selection(ids2)
-        flow1 = branching_flow_feasible(sel1, caps, vertex_set=everything)
-        if flow1 is None:
-            continue
-        flow2 = branching_flow_feasible(sel2, caps, vertex_set=everything)
-        if flow2 is None:
-            continue
-        return (sel1, flow1), (sel2, flow2)
-    return None
 
 
 def solve_flow(dig: RootedDigraph, k: int, options: Optional[SolveOptions] = None) -> SolveReport:

@@ -1,7 +1,6 @@
 """End-to-end pipeline exercises that tiny oracle-scale instances miss:
 genuine large vertices forcing attachment growth, and tight minimum-density
-instances stressing the greedy completions at sizes the exhaustive fallback
-could not rescue."""
+instances stressing the greedy completions at sizes no brute force reaches."""
 
 import random
 

@@ -180,5 +180,8 @@ def test_completion_matches_rescanning_loop_at_scale():
         assert got == want
         assert got_states == want_states
         assert got_counters == want_counters
+        # past the k=2 gate these start states keep the per-side invariant
+        # here, and then the completion cannot stall (Edmonds' theorem)
+        assert got or not is_k_root_connected(d, 2)[0]
         results.add(got)
     assert results == {True, False}

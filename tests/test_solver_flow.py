@@ -7,11 +7,10 @@ from rootedpack.connectivity import is_extendable_pair, is_k_root_connected
 from rootedpack.errors import ContractError
 from rootedpack.flows import branching_flow_feasible
 from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel
-from rootedpack.oracles import oracle_flow, validate_witness
+from rootedpack.oracles import oracle_flow
 from rootedpack.solver_flow import (
     CompactCore,
     _aggregated_feasibility,
-    _exhaustive_complete_flow,
     candidate_pool_flow,
     classify_vertices_flow,
     complete_to_spanning_flow,
@@ -23,7 +22,7 @@ from rootedpack.solver_flow import (
 
 from conftest import random_digraph
 from test_shapes import aggregated_feasibility_reference
-from test_solver_arb import fan_digraph, forced_subsets
+from test_solver_arb import fan_digraph
 
 
 def test_classify_flow_thresholds():
@@ -262,32 +261,6 @@ def test_complete_flow_caps_respected(rng):
         caps = d.n - 2
         for tag in ("flow1", "flow2"):
             assert all(val <= caps for _, val in report.witness[tag])
-
-
-def test_exhaustive_complete_flow_keeps_forced_arcs_and_agrees_with_oracle(rng):
-    # the greedy completion never stalls on the workloads, so the fallback
-    # is called directly; any subsets of an oracle pair can be completed
-    seen = {True: 0, False: 0}
-    while min(seen.values()) < 25:
-        d = random_digraph(rng, max_n=5, max_m=10)
-        k = rng.choice((1, 2))
-        if d.n <= k:
-            continue
-        ans = oracle_flow(d, k)
-        seen[ans.decision] += 1
-        sides = ans.witness if ans.decision else (d.arc_ids, ())
-        for forced1, forced2 in forced_subsets(rng, sides):
-            got = _exhaustive_complete_flow(d, k, forced1, forced2)
-            assert (got is not None) == ans.decision
-            if got is None:
-                continue
-            (sel1, flow1), (sel2, flow2) = got
-            assert forced1 <= sel1.ids and forced2 <= sel2.ids
-            assert not sel1.ids & sel2.ids
-            witness = {"tree1": sorted(sel1.ids), "tree2": sorted(sel2.ids),
-                       "flow1": flow1.to_json(), "flow2": flow2.to_json()}
-            verdict = validate_witness(ProblemInstance(kind="flow", graph=d, k=k), witness)
-            assert verdict.ok, verdict.failures()
 
 
 def test_solve_flow_gate():
