@@ -10,22 +10,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .connectivity import FlowNetwork, max_flow
 from .errors import ContractError
 from .graphs import ArcSelection, RootedDigraph
-
-CapsLike = Union[int, Mapping[int, int], Callable[[int], int]]
-
-
-def _cap_fn(caps: CapsLike) -> Callable[[int], int]:
-    if callable(caps):
-        return caps
-    if isinstance(caps, int):
-        return lambda _aid: caps
-    return lambda aid: caps[aid]
-
 
 @dataclass(frozen=True)
 class BranchingFlow:
@@ -33,20 +22,6 @@ class BranchingFlow:
 
     values: Mapping[int, int]
     caps: Mapping[int, int]
-
-    def value_out_of(self, graph: RootedDigraph, v: int) -> int:
-        return sum(
-            self.values.get(aid, 0)
-            for _, ids in graph.out_classes(v)
-            for aid in ids
-        )
-
-    def value_into(self, graph: RootedDigraph, v: int) -> int:
-        return sum(
-            self.values.get(aid, 0)
-            for _, ids in graph.in_classes(v)
-            for aid in ids
-        )
 
     def to_json(self) -> list[list[int]]:
         return [[aid, val] for aid, val in sorted(self.values.items()) if val > 0]
@@ -84,18 +59,18 @@ def _resolve(x: Union[RootedDigraph, ArcSelection]) -> tuple[RootedDigraph, tupl
 
 def branching_flow_feasible(
     x: Union[RootedDigraph, ArcSelection],
-    caps: CapsLike,
+    caps: int,
     vertex_set: Optional[frozenset[int]] = None,
 ) -> Optional[BranchingFlow]:
     """Witness flow delivering one unit to every vertex of the set, or None.
 
-    The network routes root -> arcs -> per-vertex unit demands -> super-sink;
-    feasible iff the max-flow value is |vertex_set| - 1.
+    Every arc has capacity `caps`.  The network routes root -> arcs ->
+    per-vertex unit demands -> super-sink; feasible iff the max-flow value is
+    |vertex_set| - 1.
     """
     graph, ids, vset = _resolve(x)
     if vertex_set is not None:
         vset = vertex_set
-    cap_of = _cap_fn(caps)
     root = graph.root
     if root not in vset:
         raise ContractError("vertex set must contain the root")
@@ -106,10 +81,9 @@ def branching_flow_feasible(
         u, v = graph.arc(aid)
         if u not in vset or v not in vset:
             return None
-        c = cap_of(aid)
-        if c < 0:
+        if caps < 0:
             raise ContractError(f"negative capacity for arc {aid}")
-        tagged.append((aid, net.add_arc(u, v, c)))
+        tagged.append((aid, net.add_arc(u, v, caps)))
     demand = 0
     for v in sorted(vset):
         if v != root:
@@ -119,7 +93,7 @@ def branching_flow_feasible(
     if value != demand:
         return None
     values = {aid: flows[idx] for aid, idx in tagged}
-    return BranchingFlow(values=values, caps={aid: cap_of(aid) for aid in ids})
+    return BranchingFlow(values=values, caps=dict.fromkeys(ids, caps))
 
 
 def is_spanning_rk_flow_branching(dig: RootedDigraph, selection: ArcSelection, k: int) -> bool:

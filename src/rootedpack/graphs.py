@@ -1,12 +1,14 @@
 """Multigraph data model with stable arc/edge identity.
 
-Rooted digraphs and rooted graphs keep one id per parallel copy; ids survive
-sub-selection and arc-capping, so witnesses always refer to the original
-instance.  Reachability only depends on which parallel classes keep a
-surviving copy, so it is answered at class level through cached bitmask
-adjacency: `reach_mask` for one search, `bfs_parents` for the BFS
-r-arborescence that `connectivity.ResidualReach` keeps so that most arc
-removals need no search at all.
+Rooted digraphs and rooted graphs are one rooted multigraph core: one id per
+parallel copy, ids surviving sub-selection and arc-capping, so witnesses
+always refer to the original instance.  The two kinds differ only in their
+adjacency index and in whether a class (u, v) is ordered.  Reachability only
+depends on which parallel classes keep a surviving copy, so it is answered
+at class level through cached bitmask adjacency: `reach_mask` for one
+search, `bfs_parents` for the BFS r-arborescence that
+`connectivity.ResidualReach` keeps so that most arc removals need no search
+at all.
 """
 
 from __future__ import annotations
@@ -28,6 +30,21 @@ PARALLEL_CAP = {"arb": 2, "flow": 4, "tree": 2}
 # memory at about 230 MB.
 MAX_COPIES = 1_000_000
 
+# Most vertices an instance may have.  A root-connected instance has at least
+# n - 1 copies, so no instance with more vertices can be root-connected.  The
+# per-vertex tables take at most 24 bytes a vertex, about 24 MB at the limit.
+MAX_VERTICES = MAX_COPIES + 1
+
+
+def _check_vertices(n: int, root: int, line: int | None = None) -> None:
+    """ParseError unless 1 <= n <= MAX_VERTICES and the root is a vertex."""
+    if n < 1:
+        raise ParseError(f"vertex count must be >= 1, got {n}", line)
+    if n > MAX_VERTICES:
+        raise ParseError(f"more than {MAX_VERTICES} vertices", line)
+    if not (0 <= root < n):
+        raise ParseError(f"root {root} out of range for n={n}", line)
+
 
 def _reach(masks: list[int], root: int) -> int:
     """Bitmask of the vertices reachable from `root`, given each vertex's
@@ -46,85 +63,203 @@ def _reach(masks: list[int], root: int) -> int:
     return seen
 
 
-class RootedDigraph:
-    """Loopless multidigraph with a root of in-degree 0.
+def _table(n: int, entries: Iterable[tuple[int, object]]) -> list[tuple]:
+    """Per-vertex tuples of the `(vertex, entry)` pairs, entries in input order.
 
-    Arcs are (tail, head, arc_id) triples; ids are arbitrary distinct
-    non-negative integers (dense when built by the parser).
+    Vertices without entries share the empty tuple, so an isolated vertex
+    costs one list slot.
+    """
+    lists: dict[int, list] = {}
+    for v, entry in entries:
+        lists.setdefault(v, []).append(entry)
+    table: list[tuple] = [()] * n
+    for v, group in lists.items():
+        table[v] = tuple(group)
+    return table
+
+
+@dataclass(frozen=True)
+class _Selection:
+    """Identity-based reference to a sub-multigraph of a parent graph."""
+
+    graph: _RootedMultigraph
+    ids: frozenset[int]
+
+    def __post_init__(self):
+        for cid in self.ids:
+            if not self.graph._has(cid):
+                raise ContractError(f"selection references unknown {self.graph._noun} id {cid}")
+
+    def sorted_ids(self) -> tuple[int, ...]:
+        return tuple(sorted(self.ids))
+
+    def _copies(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple((*self.graph._copy(cid), cid) for cid in self.sorted_ids())
+
+    def covered_vertices(self, with_root: bool = False) -> frozenset[int]:
+        verts = set()
+        for cid in self.ids:
+            verts.update(self.graph._copy(cid))
+        if with_root:
+            verts.add(self.graph.root)
+        return frozenset(verts)
+
+
+class ArcSelection(_Selection):
+    """Identity-based reference to a sub-digraph of a parent graph."""
+
+    graph: RootedDigraph
+    arcs = _Selection._copies
+
+
+class EdgeSelection(_Selection):
+    """Identity-based reference to a subgraph of a parent graph."""
+
+    graph: RootedGraph
+    edges = _Selection._copies
+
+
+class _RootedMultigraph:
+    """Loopless multigraph with a root; what both kinds share.
+
+    Copies are (u, v, id) triples, or (u, v) pairs that take the next free
+    id; ids are arbitrary distinct non-negative integers (dense when built by
+    the parser).  A subclass sets `_directed`, `_noun` and `_selection`,
+    and builds `_masks` and its adjacency index in `_index(classes)`.
     """
 
-    def __init__(self, n: int, root: int, arcs: Iterable[tuple[int, ...]]):
-        if n < 1:
-            raise ParseError(f"vertex count must be >= 1, got {n}")
-        if not (0 <= root < n):
-            raise ParseError(f"root {root} out of range for n={n}")
+    _directed: bool
+    _noun: str
+    _selection: type[_Selection]
+
+    def __init__(self, n: int, root: int, copies: Iterable[tuple[int, ...]]):
+        _check_vertices(n, root)
         self.n = n
         self.root = root
-        self._arc: dict[int, tuple[int, int]] = {}
+        noun, ordered = self._noun, self._directed
+        # only a digraph forbids copies into the root
+        entering = root if ordered else -1
+        ends: dict[int, tuple[int, int]] = {}
         next_id = 0
-        for triple in arcs:
+        for triple in copies:
             if len(triple) == 2:
                 u, v = triple
-                aid = next_id
+                cid = next_id
             else:
-                u, v, aid = triple
-            next_id = max(next_id, aid + 1)
+                u, v, cid = triple
+            next_id = max(next_id, cid + 1)
             if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"arc ({u},{v}) out of range for n={n}")
+                raise ParseError(f"{noun} ({u},{v}) out of range for n={n}")
             if u == v:
-                raise ParseError(f"loop arc at vertex {u}")
-            if v == root:
-                raise ParseError(f"arc ({u},{v}) enters the root")
-            if aid in self._arc:
-                raise ParseError(f"duplicate arc id {aid}")
-            self._arc[aid] = (u, v)
-        self._build_indexes()
-
-    def _build_indexes(self) -> None:
+                raise ParseError(f"loop {noun} at vertex {u}")
+            if v == entering:
+                raise ParseError(f"{noun} ({u},{v}) enters the root")
+            if cid in ends:
+                raise ParseError(f"duplicate {noun} id {cid}")
+            ends[cid] = (u, v) if ordered or u < v else (v, u)
+        self._ends = ends
         by_class: dict[tuple[int, int], list[int]] = {}
-        for aid in sorted(self._arc):
-            by_class.setdefault(self._arc[aid], []).append(aid)
+        for cid in sorted(ends):
+            by_class.setdefault(ends[cid], []).append(cid)
         self._by_class = {c: tuple(ids) for c, ids in by_class.items()}
-        out_c: dict[int, list[tuple[int, tuple[int, ...]]]] = {v: [] for v in range(self.n)}
-        in_c: dict[int, list[tuple[int, tuple[int, ...]]]] = {v: [] for v in range(self.n)}
-        for (u, v), ids in sorted(self._by_class.items()):
-            out_c[u].append((v, ids))
-            in_c[v].append((u, ids))
-        self._out_classes = {v: tuple(cs) for v, cs in out_c.items()}
-        self._in_classes = {v: tuple(cs) for v, cs in in_c.items()}
-        masks = [0] * self.n
-        for (u, v) in self._by_class:
-            masks[u] |= 1 << v
-        self._out_masks = masks
-        self._full_mask = (1 << self.n) - 1
+        self._full_mask = (1 << n) - 1
+        self._index(sorted(self._by_class.items()))
 
-    # -- basic accessors -------------------------------------------------
+    # -- copy accessors, bound to arc_* or edge_* names by each kind -------
 
     @property
-    def arc_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._arc))
+    def _ids(self) -> tuple[int, ...]:
+        return tuple(sorted(self._ends))
 
     @property
-    def arc_count(self) -> int:
-        return len(self._arc)
+    def _count(self) -> int:
+        return len(self._ends)
 
-    def arc(self, aid: int) -> tuple[int, int]:
+    def _copy(self, cid: int) -> tuple[int, int]:
         try:
-            return self._arc[aid]
+            return self._ends[cid]
         except KeyError:
-            raise ContractError(f"unknown arc id {aid}") from None
+            raise ContractError(f"unknown {self._noun} id {cid}") from None
 
-    def has_arc(self, aid: int) -> bool:
-        return aid in self._arc
+    def _has(self, cid: int) -> bool:
+        return cid in self._ends
 
-    def arcs(self) -> Iterator[tuple[int, int, int]]:
-        """Arcs in canonical (tail, head, id) order."""
+    def _copies(self) -> Iterator[tuple[int, int, int]]:
+        """Copies in canonical (u, v, id) order."""
         for (u, v), ids in sorted(self._by_class.items()):
-            for aid in ids:
-                yield (u, v, aid)
+            for cid in ids:
+                yield (u, v, cid)
 
     def parallel_classes(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
         return self._by_class
+
+    # -- reachability ----------------------------------------------------
+
+    def _residual_masks(self, removed: Iterable[int]) -> list[int]:
+        """Neighbour masks without the removed copies.
+
+        Reachability only depends on how many copies of each class survive,
+        so only the classes that lose every copy are cleared.
+        """
+        removed = set(removed)
+        masks = self._masks
+        if removed:
+            ends = self._ends
+            gone: dict[tuple[int, int], int] = {}
+            for cid in removed:
+                gone[ends[cid]] = gone.get(ends[cid], 0) + 1
+            dead = [c for c, cnt in gone.items() if cnt >= len(self._by_class[c])]
+            if dead:
+                masks = list(masks)
+                for (u, v) in dead:
+                    masks[u] &= ~(1 << v)
+                    if not self._directed:
+                        masks[v] &= ~(1 << u)
+        return masks
+
+    def reach_mask(self, removed: Iterable[int] = ()) -> int:
+        """Bitmask of vertices reachable from the root after removing copies."""
+        return _reach(self._residual_masks(removed), self.root)
+
+    def _spans_without(self, removed: Iterable[int] = ()) -> bool:
+        return self.reach_mask(removed) == self._full_mask
+
+    # -- construction helpers ---------------------------------------------
+
+    def selection(self, ids: Iterable[int]) -> _Selection:
+        return self._selection(self, frozenset(ids))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and (
+            (self.n, self.root, self._ends) == (other.n, other.root, other._ends))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, root={self.root}, m={len(self._ends)})"
+
+
+class RootedDigraph(_RootedMultigraph):
+    """Loopless multidigraph with a root of in-degree 0."""
+
+    _directed = True
+    _noun = "arc"
+    _selection = ArcSelection
+
+    arc_ids = _RootedMultigraph._ids
+    arc_count = _RootedMultigraph._count
+    arc = _RootedMultigraph._copy
+    has_arc = _RootedMultigraph._has
+    arcs = _RootedMultigraph._copies
+    # bound here too, so that each kind's reach_mask can be wrapped on its own
+    reach_mask = _RootedMultigraph.reach_mask
+    is_root_connected_without = _RootedMultigraph._spans_without
+
+    def _index(self, classes):
+        masks = [0] * self.n
+        for (u, v), _ in classes:
+            masks[u] |= 1 << v
+        self._masks = masks
+        self._out_classes = _table(self.n, ((u, (v, ids)) for (u, v), ids in classes))
+        self._in_classes = _table(self.n, ((v, (u, ids)) for (u, v), ids in classes))
 
     def class_ids(self, u: int, v: int) -> tuple[int, ...]:
         return self._by_class.get((u, v), ())
@@ -139,12 +274,6 @@ class RootedDigraph:
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(w for w, _ in self._out_classes[v])
 
-    def in_degree(self, v: int) -> int:
-        return sum(len(ids) for _, ids in self._in_classes[v])
-
-    def out_degree(self, v: int) -> int:
-        return sum(len(ids) for _, ids in self._out_classes[v])
-
     def in_degree_of_set(self, vertices: Iterable[int]) -> int:
         """Number of arcs entering the set from outside."""
         inside = set(vertices)
@@ -154,38 +283,6 @@ class RootedDigraph:
             for u, ids in self._in_classes[v]
             if u not in inside
         )
-
-    # -- reachability ----------------------------------------------------
-
-    def _residual_masks(self, removed: Iterable[int]) -> list[int]:
-        """Out-neighbour masks of D minus removed.
-
-        Reachability only depends on how many copies of each class survive,
-        so masks are adjusted per affected tail.
-        """
-        removed = set(removed)
-        masks = self._out_masks
-        if removed:
-            gone: dict[tuple[int, int], int] = {}
-            for aid in removed:
-                gone[self._arc[aid]] = gone.get(self._arc[aid], 0) + 1
-            adjust: dict[int, int] = {}
-            for (u, v), cnt in gone.items():
-                if cnt >= len(self._by_class[(u, v)]):
-                    adjust[u] = adjust.get(u, masks[u]) & ~(1 << v)
-            if adjust:
-                masks = list(masks)
-                for u, m in adjust.items():
-                    masks[u] = m
-        return masks
-
-    def reach_mask(self, removed: Iterable[int] = ()) -> int:
-        """Bitmask of vertices reachable from the root after removing arcs."""
-        masks = self._residual_masks(removed)
-        return _reach(masks, self.root)
-
-    def is_root_connected_without(self, removed: Iterable[int] = ()) -> bool:
-        return self.reach_mask(removed) == self._full_mask
 
     def unreachable_set(self, removed: Iterable[int] = ()) -> frozenset[int]:
         mask = self.reach_mask(removed)
@@ -214,92 +311,32 @@ class RootedDigraph:
                 fresh ^= low
         return parent
 
-    # -- construction helpers ---------------------------------------------
 
-    def selection(self, ids: Iterable[int]) -> "ArcSelection":
-        return ArcSelection(self, frozenset(ids))
+class RootedGraph(_RootedMultigraph):
+    """Loopless undirected multigraph with a distinguished root; each edge is
+    stored as (min, max)."""
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RootedDigraph)
-            and self.n == other.n
-            and self.root == other.root
-            and self._arc == other._arc
-        )
+    _directed = False
+    _noun = "edge"
+    _selection = EdgeSelection
 
-    def __repr__(self) -> str:
-        return f"RootedDigraph(n={self.n}, root={self.root}, m={len(self._arc)})"
+    edge_ids = _RootedMultigraph._ids
+    edge_count = _RootedMultigraph._count
+    edge = _RootedMultigraph._copy
+    has_edge = _RootedMultigraph._has
+    edges = _RootedMultigraph._copies
+    reach_mask = _RootedMultigraph.reach_mask
 
-
-class RootedGraph:
-    """Loopless undirected multigraph with a distinguished root."""
-
-    def __init__(self, n: int, root: int, edges: Iterable[tuple[int, ...]]):
-        if n < 1:
-            raise ParseError(f"vertex count must be >= 1, got {n}")
-        if not (0 <= root < n):
-            raise ParseError(f"root {root} out of range for n={n}")
-        self.n = n
-        self.root = root
-        self._edge: dict[int, tuple[int, int]] = {}
-        next_id = 0
-        for triple in edges:
-            if len(triple) == 2:
-                u, v = triple
-                eid = next_id
-            else:
-                u, v, eid = triple
-            next_id = max(next_id, eid + 1)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ParseError(f"loop edge at vertex {u}")
-            if eid in self._edge:
-                raise ParseError(f"duplicate edge id {eid}")
-            self._edge[eid] = (min(u, v), max(u, v))
-        self._build_indexes()
-
-    def _build_indexes(self) -> None:
-        by_class: dict[tuple[int, int], list[int]] = {}
-        for eid in sorted(self._edge):
-            by_class.setdefault(self._edge[eid], []).append(eid)
-        self._by_class = {c: tuple(ids) for c, ids in by_class.items()}
-        inc: dict[int, list[tuple[int, tuple[int, ...]]]] = {v: [] for v in range(self.n)}
-        for (u, v), ids in sorted(self._by_class.items()):
-            inc[u].append((v, ids))
-            inc[v].append((u, ids))
-        self._incident_classes = {v: tuple(sorted(cs)) for v, cs in inc.items()}
+    def _index(self, classes):
         masks = [0] * self.n
-        for (u, v) in self._by_class:
+        for (u, v), _ in classes:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self._adj_masks = masks
-        self._full_mask = (1 << self.n) - 1
-
-    @property
-    def edge_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._edge))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._edge)
-
-    def edge(self, eid: int) -> tuple[int, int]:
-        try:
-            return self._edge[eid]
-        except KeyError:
-            raise ContractError(f"unknown edge id {eid}") from None
-
-    def has_edge(self, eid: int) -> bool:
-        return eid in self._edge
-
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        for (u, v), ids in sorted(self._by_class.items()):
-            for eid in ids:
-                yield (u, v, eid)
-
-    def parallel_classes(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
-        return self._by_class
+        self._masks = masks
+        # in sorted class order each vertex meets its smaller neighbours
+        # first, so every incidence tuple comes out ascending
+        self._incident_classes = _table(self.n, (
+            entry for (u, v), ids in classes for entry in ((u, (v, ids)), (v, (u, ids)))))
 
     def class_ids(self, u: int, v: int) -> tuple[int, ...]:
         return self._by_class.get((min(u, v), max(u, v)), ())
@@ -314,95 +351,8 @@ class RootedGraph:
     def degree(self, v: int) -> int:
         return sum(len(ids) for _, ids in self._incident_classes[v])
 
-    def reach_mask(self, removed: Iterable[int] = ()) -> int:
-        removed = set(removed)
-        masks = self._adj_masks
-        if removed:
-            gone: dict[tuple[int, int], int] = {}
-            for eid in removed:
-                gone[self._edge[eid]] = gone.get(self._edge[eid], 0) + 1
-            dead = [c for c, cnt in gone.items() if cnt >= len(self._by_class[c])]
-            if dead:
-                masks = list(masks)
-                for (u, v) in dead:
-                    masks[u] &= ~(1 << v)
-                    masks[v] &= ~(1 << u)
-        return _reach(masks, self.root)
-
     def is_connected(self) -> bool:
-        return self.reach_mask() == self._full_mask
-
-    def selection(self, ids: Iterable[int]) -> "EdgeSelection":
-        return EdgeSelection(self, frozenset(ids))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RootedGraph)
-            and self.n == other.n
-            and self.root == other.root
-            and self._edge == other._edge
-        )
-
-    def __repr__(self) -> str:
-        return f"RootedGraph(n={self.n}, root={self.root}, m={len(self._edge)})"
-
-
-@dataclass(frozen=True)
-class ArcSelection:
-    """Identity-based reference to a sub-digraph of a parent graph."""
-
-    graph: RootedDigraph
-    ids: frozenset[int]
-
-    def __post_init__(self):
-        for aid in self.ids:
-            if not self.graph.has_arc(aid):
-                raise ContractError(f"selection references unknown arc id {aid}")
-
-    def sorted_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.ids))
-
-    def arcs(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple((*self.graph.arc(aid), aid) for aid in self.sorted_ids())
-
-    def covered_vertices(self, with_root: bool = False) -> frozenset[int]:
-        verts = set()
-        for aid in self.ids:
-            u, v = self.graph.arc(aid)
-            verts.add(u)
-            verts.add(v)
-        if with_root:
-            verts.add(self.graph.root)
-        return frozenset(verts)
-
-
-@dataclass(frozen=True)
-class EdgeSelection:
-    """Identity-based reference to a subgraph of a parent graph."""
-
-    graph: RootedGraph
-    ids: frozenset[int]
-
-    def __post_init__(self):
-        for eid in self.ids:
-            if not self.graph.has_edge(eid):
-                raise ContractError(f"selection references unknown edge id {eid}")
-
-    def sorted_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.ids))
-
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple((*self.graph.edge(eid), eid) for eid in self.sorted_ids())
-
-    def covered_vertices(self, with_root: bool = False) -> frozenset[int]:
-        verts = set()
-        for eid in self.ids:
-            u, v = self.graph.edge(eid)
-            verts.add(u)
-            verts.add(v)
-        if with_root:
-            verts.add(self.graph.root)
-        return frozenset(verts)
+        return self._spans_without()
 
 
 @dataclass(frozen=True)
@@ -426,7 +376,7 @@ class ProblemInstance:
 
     def to_text(self) -> str:
         g = self.graph
-        tag = "D" if isinstance(g, RootedDigraph) else "U"
+        tag = "D" if g._directed else "U"
         lines = [f"# kind = {self.kind}", f"# k = {self.k}", f"{tag} {g.n} {g.root}"]
         for (u, v), ids in sorted(g.parallel_classes().items()):
             lines.append(f"{u} {v} {len(ids)}")
@@ -479,6 +429,7 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
                 header = (tokens[0], int(tokens[1]), int(tokens[2]))
             except ValueError:
                 raise ParseError("header fields must be integers", lineno) from None
+            _check_vertices(header[1], header[2], lineno)
             continue
         if len(tokens) not in (2, 3):
             raise ParseError("expected 'u v [count]'", lineno)
@@ -496,10 +447,6 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
     if header is None:
         raise ParseError("empty document: missing header")
     tag, n, root = header
-    if n < 1:
-        raise ParseError(f"vertex count must be >= 1, got {n}", 1)
-    if not (0 <= root < n):
-        raise ParseError(f"root {root} out of range for n={n}", 1)
     triples = []
     next_id = 0
     for lineno, u, v, count in entries:
@@ -512,11 +459,7 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
         for _ in range(count):
             triples.append((u, v, next_id))
             next_id += 1
-    graph: RootedDigraph | RootedGraph
-    if tag == "D":
-        graph = RootedDigraph(n, root, triples)
-    else:
-        graph = RootedGraph(n, root, triples)
+    graph = (RootedDigraph if tag == "D" else RootedGraph)(n, root, triples)
     if kind is None:
         kind = meta.get("kind") or ("arb" if tag == "D" else "tree")
     if k is None:
@@ -548,6 +491,7 @@ def _parse_json_instance(text: str, *, kind: str | None, k: int | None) -> Probl
     kind = kind or obj["kind"]
     k = k if k is not None else json_int(obj["k"], "JSON instance field 'k'")
     n, root = (json_int(obj[f], f"JSON instance field {f!r}") for f in ("n", "root"))
+    _check_vertices(n, root)
     arcs = obj["arcs"]
     if not isinstance(arcs, list) or not all(isinstance(e, list) and len(e) in (2, 3) for e in arcs):
         raise ParseError("JSON instance field 'arcs' must be a list of [u, v] or [u, v, count]")
@@ -563,10 +507,7 @@ def _parse_json_instance(text: str, *, kind: str | None, k: int | None) -> Probl
     for u, v, count in entries:
         for _ in range(count):
             triples.append((u, v, len(triples)))
-    if kind == "tree":
-        graph: RootedDigraph | RootedGraph = RootedGraph(n, root, triples)
-    else:
-        graph = RootedDigraph(n, root, triples)
+    graph = (RootedGraph if kind == "tree" else RootedDigraph)(n, root, triples)
     return ProblemInstance(kind=kind, graph=graph, k=k)
 
 
@@ -585,91 +526,36 @@ def cap_parallel(instance: ProblemInstance) -> ProblemInstance:
     g = instance.graph
     keep: list[tuple[int, int, int]] = []
     for (u, v), ids in sorted(g.parallel_classes().items()):
-        for aid in ids[:cap]:
-            keep.append((u, v, aid))
-    if len(keep) == (g.arc_count if isinstance(g, RootedDigraph) else g.edge_count):
+        for cid in ids[:cap]:
+            keep.append((u, v, cid))
+    if len(keep) == g._count:
         return instance
-    if isinstance(g, RootedDigraph):
-        capped: RootedDigraph | RootedGraph = RootedDigraph(g.n, g.root, keep)
-    else:
-        capped = RootedGraph(g.n, g.root, keep)
-    return ProblemInstance(kind=instance.kind, graph=capped, k=instance.k)
+    return ProblemInstance(kind=instance.kind, graph=type(g)(g.n, g.root, keep), k=instance.k)
 
 
-def parse_arborescence(dig: RootedDigraph, ids: Iterable[int]) -> dict[int, int]:
-    """Parent map of the r-arborescence formed by the arcs `ids`.
+def parse_rooted_tree(g: RootedDigraph | RootedGraph, ids: Iterable[int]) -> dict[int, int]:
+    """Parent map, in BFS order from the root, of the tree that the copies
+    `ids` form together with the root.
 
-    Raises StructureError if the arcs do not form an r-arborescence.
-    """
-    parent: dict[int, int] = {}
-    for aid in sorted(ids):
-        u, v = dig.arc(aid)
-        if v in parent:
-            raise StructureError(f"vertex {v} has in-degree > 1 in selection")
-        parent[v] = u
-    verts = set(parent) | {dig.root}
-    for v, u in parent.items():
-        if u not in verts:
-            raise StructureError(f"arc tail {u} not connected to the root")
-    # climb to the root from every vertex, detecting cycles
-    state: dict[int, int] = {dig.root: 1}  # 1 = reaches root
-    for v in parent:
-        path = []
-        w = v
-        while w not in state:
-            state[w] = 0
-            path.append(w)
-            w = parent[w]
-            if state.get(w) == 0:
-                raise StructureError("selection contains a cycle")
-        for p in path:
-            state[p] = 1
-    return parent
-
-
-def subtree_sizes(arborescence: ArcSelection) -> dict[int, int]:
-    """Size of the subarborescence rooted at each non-root vertex.
-
-    The size counts the vertex itself plus all its descendants.  Raises
-    StructureError if the selection is not an r-arborescence.
-    """
-    g = arborescence.graph
-    parent = parse_arborescence(g, arborescence.ids)
-    # accumulate sizes bottom-up along parent chains
-    depth: dict[int, int] = {g.root: 0}
-    for v in parent:
-        chain = []
-        w = v
-        while w not in depth:
-            chain.append(w)
-            w = parent[w]
-        base = depth[w]
-        for offset, node in enumerate(reversed(chain), start=1):
-            depth[node] = base + offset
-    sizes = {v: 1 for v in parent}
-    for v in sorted(parent, key=lambda x: -depth[x]):
-        if parent[v] != g.root:
-            sizes[parent[v]] += sizes[v]
-    return {v: sizes[v] for v in sorted(parent)}
-
-
-def parse_rooted_tree(g: RootedGraph, ids: Iterable[int]) -> dict[int, int]:
-    """Parent map, in BFS order from the root, of the tree formed by the
-    edges `ids` together with the root.
-
-    Raises StructureError if the edges do not form such a tree.
+    A BFS from the root follows the selected copies (arcs forward only,
+    each vertex's new neighbours ascending).  The copies form a tree when
+    the BFS reaches every vertex they touch and they number one less than
+    the touched vertices plus the root.  No arc enters the root, so for a
+    digraph that is exactly an r-arborescence.  Raises StructureError
+    otherwise.
     """
     ids = set(ids)
     adj: dict[int, list[int]] = {}
     verts = {g.root}
-    for eid in ids:
-        u, v = g.edge(eid)
+    for cid in ids:
+        u, v = g._copy(cid)
         adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+        if not g._directed:
+            adj.setdefault(v, []).append(u)
         verts.add(u)
         verts.add(v)
     if len(ids) != len(verts) - 1:
-        raise StructureError("selection is not a tree (edge count mismatch)")
+        raise StructureError(f"selection is not a tree ({g._noun} count mismatch)")
     parent: dict[int, int] = {g.root: -1}
     queue = deque([g.root])
     while queue:
@@ -678,10 +564,32 @@ def parse_rooted_tree(g: RootedGraph, ids: Iterable[int]) -> dict[int, int]:
             if w not in parent:
                 parent[w] = u
                 queue.append(w)
-    if set(parent) != verts:
+    if len(parent) != len(verts):
         raise StructureError("selection is not connected to the root")
     del parent[g.root]
     return parent
+
+
+def _descendant_counts(sel: _Selection) -> dict[int, int]:
+    """Strict descendants of each non-root vertex of the tree `sel`, read off
+    its BFS order from the root."""
+    root = sel.graph.root
+    parent = parse_rooted_tree(sel.graph, sel.ids)
+    below = dict.fromkeys(parent, 0)
+    for v in reversed(parent):
+        if parent[v] != root:
+            below[parent[v]] += below[v] + 1
+    return below
+
+
+def subtree_sizes(arborescence: ArcSelection) -> dict[int, int]:
+    """Size of the subarborescence rooted at each non-root vertex.
+
+    The size counts the vertex itself plus all its descendants.  Raises
+    StructureError if the selection is not an r-arborescence.
+    """
+    below = _descendant_counts(arborescence)
+    return {v: below[v] + 1 for v in sorted(below)}
 
 
 def hanging_component_sizes(tree: EdgeSelection) -> dict[int, int]:
@@ -690,14 +598,7 @@ def hanging_component_sizes(tree: EdgeSelection) -> dict[int, int]:
     C_T^v is what remains of T - v after deleting the component holding the
     root, i.e. the strict descendants of v when T is rooted at r.
     """
-    root = tree.graph.root
-    parent = parse_rooted_tree(tree.graph, tree.ids)
-    sizes = {v: 0 for v in parent}
-    for v in reversed(parent):
-        p = parent[v]
-        if p != root:
-            sizes[p] += sizes[v] + 1
-    return sizes
+    return _descendant_counts(tree)
 
 
 def duplicate_edges(g: RootedGraph, p: int) -> RootedGraph:

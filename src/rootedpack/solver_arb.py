@@ -32,7 +32,7 @@ from .fptcommon import (
     run_pipeline,
     tree_shapes,
 )
-from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel, parse_arborescence
+from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel, parse_rooted_tree
 from .oracles import oracle_arb, validate_witness
 from .reports import SolveReport
 
@@ -69,7 +69,7 @@ def validate_compact_kernel(
     returns the lexicographically smallest witness.
     """
     try:
-        parent = parse_arborescence(dig, x.ids)
+        parent = parse_rooted_tree(dig, x.ids)
     except StructureError:
         return None
     return compact_attachment(parent, dig.root, classify_vertices(dig, k).large, k)
@@ -112,7 +112,7 @@ def grow_to_classic(
     for state in states:
         sel = dig.selection(state.ids)
         try:
-            parent = parse_arborescence(dig, sel.ids)
+            parent = parse_rooted_tree(dig, sel.ids)
         except StructureError:
             parent = None
         if parent is None or len(parent) != 2 * k - 2:

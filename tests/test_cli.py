@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 import rootedpack
 from rootedpack.cli import run
+from rootedpack.graphs import MAX_VERTICES
 
 
 def cli(*argv):
@@ -117,6 +119,22 @@ def test_solve_rejects_too_many_copies(tmp_path):
     code, out = cli("solve", "arb", "--k", "1", "--input", str(path))
     assert code == 2
     assert "more than 1000000 arc copies" in json.loads(out)["error"]
+
+
+def test_solve_rejects_too_many_vertices(tmp_path):
+    # a 16-byte input naming one vertex over the limit exits 2 without
+    # building any per-vertex table
+    path = tmp_path / "wide.txt"
+    path.write_text(f"D {MAX_VERTICES + 1} 0\n")
+    tracemalloc.start()
+    try:
+        code, out = cli("solve", "arb", "--k", "1", "--input", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"more than {MAX_VERTICES} vertices" in json.loads(out)["error"]
+    assert peak < 1_000_000
 
 
 def test_oracle_command(yes_instance):

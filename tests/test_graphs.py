@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from rootedpack.errors import ContractError, ParseError, StructureError
 from rootedpack.graphs import (
     MAX_COPIES,
+    MAX_VERTICES,
     ProblemInstance,
     RootedDigraph,
     RootedGraph,
@@ -19,6 +20,7 @@ from rootedpack.graphs import (
 
 from conftest import digraphs, graphs, random_digraph, random_graph
 import random
+import tracemalloc
 
 
 def test_parse_digraph_with_multiplicity():
@@ -67,6 +69,34 @@ def test_parse_rejects_more_copies_than_the_limit():
         parse_instance("D 2 0\n0 1 1000001\n")
     with pytest.raises(ParseError, match="more than 1000000 arc copies"):
         parse_instance('{"kind": "arb", "n": 2, "root": 0, "arcs": [[0, 1, 1000001]], "k": 1}')
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes that Python allocates while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: parse_instance(f"D {n} 0\n"),
+    lambda n: parse_instance(f"U {n} 0\n0 1\n"),
+    lambda n: parse_instance(json.dumps({"kind": "arb", "n": n, "root": 0, "arcs": [], "k": 1})),
+    lambda n: RootedDigraph(n, 0, []),
+    lambda n: RootedGraph(n, 0, [(0, 1)]),
+])
+def test_more_vertices_than_the_limit_rejected_before_any_table(build):
+    # one vertex over the limit; a per-vertex table alone would take 8 MB
+    assert MAX_VERTICES == MAX_COPIES + 1
+
+    def reject():
+        with pytest.raises(ParseError, match=f"more than {MAX_VERTICES} vertices"):
+            build(MAX_VERTICES + 1)
+
+    assert peak_bytes(reject) < 100_000
 
 
 @pytest.mark.parametrize("field,value", [

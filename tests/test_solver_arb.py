@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from rootedpack.connectivity import is_extendable_pair, is_k_root_connected
 from rootedpack.errors import ContractError, StructureError
-from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel, parse_arborescence
+from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel, parse_rooted_tree
 from rootedpack.oracles import oracle_arb, validate_witness
 from rootedpack.solver_arb import (
     CompactKernel,
@@ -91,7 +91,7 @@ def test_validate_compact_kernel_against_attachment_enumeration(rng):
     def brute_attachment(d, k, sel):
         from rootedpack.fptcommon import branch_structure as _branch_structure
         try:
-            parent = parse_arborescence(d, sel.ids)
+            parent = parse_rooted_tree(d, sel.ids)
         except StructureError:
             return None
         if len(parent) > 2 * k - 2:
@@ -316,7 +316,7 @@ def test_pruning_soundness(rng):
         classics = []
         for combo in itertools.combinations(ids, 2 * k - 2):
             try:
-                parent = parse_arborescence(d, set(combo))
+                parent = parse_rooted_tree(d, set(combo))
             except StructureError:
                 continue
             if len(parent) != 2 * k - 2:
