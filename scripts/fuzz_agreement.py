@@ -6,9 +6,11 @@ shows which solver stages it exercised.  A solve that raises counts as a
 failure: its kind, k and instance are printed and the run goes on.  Exits 1
 on any mismatch or failure.
 
-With --planted, arb and flow instead solve planted instances at n = 8..30,
+With --planted, every kind instead solves planted instances at n = 8..30,
 beyond the oracles' reach, where YES is certain by construction: a NO
-answer counts as a failure too.
+answer counts as a failure too.  Arb and tree run at k = 1..3 with a vertex
+large enough to make growth run, flow at k = 1..2.  The tally then also
+shows how many solves grew.
 
 Examples:
     python3 scripts/fuzz_agreement.py --count 2000 --seed 1 --kinds arb flow tree
@@ -62,26 +64,39 @@ def rand_graph(rng, max_n, max_m, max_mult):
     return RootedGraph(n, 0, edges)
 
 
-def planted_digraph(rng):
-    """Two random spanning 0-arborescences plus up to n/4 noise arcs.
+def planted(rng, kind, k):
+    """Two random spanning 0-arborescences plus up to n/4 noise copies, as a
+    digraph, or as a graph for tree; for arb and tree also an out-fan of
+    6k-5 or 8k-7 distinct heads at one vertex, which makes that vertex large
+    so that growth can run.
 
-    YES for arb and flow at k = 1: the two arborescences are arc-disjoint,
-    every spanning arborescence is 1-safe, and routing one unit per vertex
-    along it puts at most n - 1 units on an arc, within the capacity n - 1.
+    YES by construction.  Each arborescence gives the root c children, c = k
+    (c = k + 1 for tree), so every root branch, and with it every subtree,
+    holds at most n - c vertices:
+    - arb: n - |subtree(v)| >= k, so each arborescence is k-safe, and the
+      two are arc-disjoint;
+    - flow: routing one unit per vertex along it puts |subtree(v)| <= n - k
+      units on the arc into v, within the capacity n - k;
+    - tree: the component hanging at v lies in v's root branch, with at
+      most n - 1 - k vertices, so each tree is (r,k)-safe.
+    Extra copies, noise and fan alike, never destroy a packing.
     """
-    n = rng.randint(8, 30)
-    arcs = []
+    fan = {"arb": 6 * k - 5, "tree": 8 * k - 7}.get(kind, 0)
+    children = k + 1 if kind == "tree" else k
+    n = rng.randint(max(8, fan + 2), 30)
+    copies = []
     for _ in range(2):
-        placed = [0]
-        for v in rng.sample(range(1, n), n - 1):
-            arcs.append((rng.choice(placed), v))
-            placed.append(v)
+        order = rng.sample(range(1, n), n - 1)
+        for i, v in enumerate(order):
+            copies.append((0 if i < children else rng.choice(order[:i]), v))
+    hub = rng.randrange(1, n)
+    copies += [(hub, v) for v in rng.sample([v for v in range(1, n) if v != hub], fan)]
     for _ in range(rng.randint(0, n // 4)):
         u, v = rng.randrange(n), rng.randrange(1, n)
         if u != v:
-            arcs.append((u, v))
-    rng.shuffle(arcs)
-    return RootedDigraph(n, 0, arcs)
+            copies.append((u, v))
+    rng.shuffle(copies)
+    return (RootedGraph if kind == "tree" else RootedDigraph)(n, 0, copies)
 
 
 # kind -> (instance generator, k values, solver, oracle)
@@ -90,11 +105,10 @@ KINDS = {
     "flow": (lambda rng: rand_digraph(rng, 5, 12, 4), (1, 2), solve_flow, oracle_flow),
     "tree": (lambda rng: rand_graph(rng, 6, 18, 2), (1, 2, 3), solve_tree, oracle_tree),
 }
-# the same for --planted, where every answer must be YES
-PLANTED = {
-    "arb": (planted_digraph, (1,), solve_arb, None),
-    "flow": (planted_digraph, (1,), solve_flow, None),
-}
+# kind -> (k values, solver) for --planted, where every answer must be YES;
+# flow stops at k = 2, as flow at k = 3 takes seconds per instance
+PLANTED = {"arb": ((1, 2, 3), solve_arb), "flow": ((1, 2), solve_flow),
+           "tree": ((1, 2, 3), solve_tree)}
 
 
 def main() -> int:
@@ -103,23 +117,27 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--kinds", nargs="+", default=list(KINDS), choices=list(KINDS))
     parser.add_argument("--planted", action="store_true",
-                        help="solve planted YES instances of arb and flow instead")
+                        help="solve planted YES instances at n = 8..30 instead")
     args = parser.parse_args()
-    table = PLANTED if args.planted else KINDS
     rng = random.Random(args.seed)
     mismatches = failures = 0
-    # (stage, decision) of every solve, per kind: shows which stages a run reached
-    tally = {kind: Counter() for kind in args.kinds if kind in table}
-    if not tally:
-        parser.error("--planted solves arb and flow only")
+    # (stage, decision) of every solve, per kind: shows which stages a run
+    # reached; `grew` counts the solves that took a growth step
+    tally = {kind: Counter() for kind in KINDS if kind in args.kinds}
+    grew = Counter()
     for i in range(args.count):
-        for kind, (generate, ks, solve, oracle) in table.items():
-            if kind not in tally:
-                continue
-            g = generate(rng)
-            name, pairs = ("edges", g.edges()) if kind == "tree" else ("arcs", g.arcs())
-            where = f"seed={args.seed} i={i} n={g.n} {name}={[(u, v) for u, v, _ in pairs]}"
-            for k in ks:
+        for kind in tally:
+            if args.planted:
+                ks, solve = PLANTED[kind]
+                instances = [(k, planted(rng, kind, k)) for k in ks]
+                oracle = None
+            else:
+                generate, ks, solve, oracle = KINDS[kind]
+                g = generate(rng)
+                instances = [(k, g) for k in ks]
+            for k, g in instances:
+                name, pairs = ("edges", g.edges()) if kind == "tree" else ("arcs", g.arcs())
+                where = f"seed={args.seed} i={i} n={g.n} {name}={[(u, v) for u, v, _ in pairs]}"
                 try:
                     report = solve(g, k)
                 except PackError as exc:
@@ -128,6 +146,7 @@ def main() -> int:
                           f"{type(exc).__name__}: {exc}", flush=True)
                     continue
                 tally[kind][(report.stage, report.decision)] += 1
+                grew[kind] += report.counters.get("growSteps", 0) > 0
                 if oracle is None and not report.decision:
                     failures += 1
                     print(f"{kind.upper()} PLANTED NO k={k} {where}", flush=True)
@@ -139,7 +158,7 @@ def main() -> int:
     for kind, stages in tally.items():
         counts = ", ".join(f"{stage} {'YES' if decision else 'NO'} {n}"
                            for (stage, decision), n in sorted(stages.items()))
-        print(f"{kind}: {counts}")
+        print(f"{kind}: {counts}; grew {grew[kind]}")
     print(f"done: {args.count} instances per kind, {mismatches} mismatches, "
           f"{failures} failures")
     return 1 if mismatches or failures else 0

@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 = YES/valid, 1 = NO/invalid, 2 = usage error, 3 = internal
-invariant violation (a diagnostics bundle path is printed).  Reports are
+invariant violation or any other unexpected error, MemoryError included (a
+diagnostics bundle path is printed when one can be written).  Reports are
 always machine-readable JSON; --format text renders the same JSON for
 humans.  Deterministic mode (default) omits timings so identical inputs
 produce byte-identical reports.
@@ -13,17 +14,11 @@ import argparse
 import json
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import (
-    BudgetExceededError,
-    ContractError,
-    GenerationError,
-    InternalError,
-    PackError,
-    ParseError,
-)
+from .errors import InternalError, PackError, ParseError
 from .graphs import ProblemInstance, RootedDigraph, json_int, parse_instance
 from .instancegen import parse_dimacs, random_instance, sat_reduction
 from .matroid import has_two_disjoint_spanning_trees
@@ -283,25 +278,34 @@ def run(argv: Sequence[str]) -> int:
         if args.command == "stats":
             return _cmd_stats(args)
         raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
-        return EXIT_USAGE
-    except (ParseError, ContractError, GenerationError, BudgetExceededError,
-            OSError, json.JSONDecodeError) as exc:
-        sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
-        return EXIT_USAGE
     except InternalError as exc:
-        handle = tempfile.NamedTemporaryFile(
-            mode="w", prefix="rootedpack-diag-", suffix=".json", delete=False)
-        with handle as fh:
-            json.dump({"error": str(exc), "diagnostics": exc.diagnostics},
-                      fh, sort_keys=True, default=str)
-        sys.stdout.write(json.dumps(
-            {"error": str(exc), "diagnostics": handle.name}, sort_keys=True) + "\n")
-        return EXIT_INTERNAL
-    except PackError as exc:
+        return _internal(exc)
+    except (_UsageError, PackError, OSError, json.JSONDecodeError) as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
         return EXIT_USAGE
+    except Exception as exc:  # a crash must not exit 1, which reads as NO
+        return _internal(exc)
+
+
+def _internal(exc: Exception) -> int:
+    """Exit 3 for an InternalError or any unexpected exception, with the path
+    of a diagnostics bundle when one can be written (it may not be after a
+    MemoryError, say), else with the message only."""
+    internal = isinstance(exc, InternalError)
+    message = str(exc) if internal else f"{type(exc).__name__}: {exc}"
+    out = {"error": message}
+    try:
+        diagnostics = exc.diagnostics if internal else {
+            "traceback": traceback.format_exception(type(exc), exc, exc.__traceback__)}
+        with tempfile.NamedTemporaryFile(
+                mode="w", prefix="rootedpack-diag-", suffix=".json", delete=False) as fh:
+            json.dump({"error": message, "diagnostics": diagnostics},
+                      fh, sort_keys=True, default=str)
+        out["diagnostics"] = fh.name
+    except Exception:
+        pass
+    sys.stdout.write(json.dumps(out, sort_keys=True) + "\n")
+    return EXIT_INTERNAL
 
 
 def main() -> None:

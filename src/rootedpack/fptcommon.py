@@ -1,9 +1,9 @@
 """Machinery shared by the three FPT solvers.
 
 The solve pipeline all three run (`run_pipeline`), largeness views,
-depth-bounded candidate pools, the directed growth loop (compact ->
-classic), and the greedy directed completion.  The undirected solver reuses
-the pipeline, views and pools; its completion is exact via matroid union.
+depth-bounded candidate pools, the growth loop (compact -> classic) with
+each kind's admissibility test, and the greedy directed completion.  The
+undirected solver's completion is exact via matroid union instead.
 
 A structure "shape" is a parallel-class-level description; reachability after
 removing a shape's arcs depends only on per-class counts, so extendability is
@@ -22,8 +22,8 @@ from math import comb
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .connectivity import ResidualReach
-from .errors import InternalError
-from .graphs import ProblemInstance, RootedDigraph
+from .errors import InternalError, StructureError
+from .graphs import ProblemInstance, RootedDigraph, RootedGraph, parse_rooted_tree
 from .oracles import OracleAnswer, OracleBudget
 from .reports import SolveReport
 
@@ -141,20 +141,24 @@ def branch_structure(parent: Mapping[int, int], root: int) -> tuple[dict[int, in
 
 
 def compact_attachment(
-    parent: Mapping[int, int], root: int, large: frozenset[int], k: int
+    g: RootedDigraph | RootedGraph, ids: Iterable[int], large: frozenset[int], k: int
 ) -> Optional[dict[int, int]]:
     """Attachment witness of a compact kernel or certificate, else None.
 
-    `parent` maps each non-root vertex of a tree grown from `root` to its
-    parent.  The structure has at most 2k-2 non-root vertices, its large
-    non-root vertices have no children (sinks of a kernel, leaves of a
-    certificate), and its imaginary leaves fit by per-branch slack.
+    The copies `ids` must form a tree grown from the root (an
+    r-arborescence for arcs) on at most 2k-2 non-root vertices, its large
+    non-root vertices must have no children (sinks of a kernel, leaves of a
+    certificate), and its imaginary leaves must fit by per-branch slack.
     """
+    try:
+        parent = parse_rooted_tree(g, ids)
+    except StructureError:
+        return None
     if len(parent) > 2 * k - 2:
         return None
-    if any(u != root and u in large for u in parent.values()):
+    if any(u != g.root and u in large for u in parent.values()):
         return None
-    branch_of, sizes = branch_structure(parent, root)
+    branch_of, sizes = branch_structure(parent, g.root)
     return lex_smallest_attachment(
         anchors=sorted(v for v in parent if v in large),
         branch_of=branch_of,
@@ -224,10 +228,19 @@ def tree_shapes(
 
 @dataclass
 class DirectedState:
-    """A growing sub-digraph: chosen arc ids plus its covered vertex set."""
+    """A growing structure of either kind: its chosen copy ids (arcs or
+    edges) plus the vertices it covers, the root included."""
 
     ids: set[int]
     covered: set[int]
+
+
+def pair_states(
+    root: int, sides: Iterable[tuple[Iterable[int], Iterable[int]]]
+) -> tuple[DirectedState, DirectedState]:
+    """The two states of a structure pair, each given as (copy ids, vertices)."""
+    first, second = (DirectedState(ids=set(ids), covered={root, *verts}) for ids, verts in sides)
+    return first, second
 
 
 def crystallize_pair(
@@ -257,13 +270,14 @@ def crystallize_pair(
 
 
 def _admissible_copy(
-    state: DirectedState, reach: ResidualReach, other: DirectedState,
-    head: int, ids: tuple[int, ...],
+    state: DirectedState, other: DirectedState, head: int, ids: tuple[int, ...],
+    admits: Callable[[int], bool],
 ) -> Optional[int]:
     """The copy of a class into `head` that `state` may take next, or None.
 
     It must reach a vertex new to the structure, be unused by the other
-    structure and keep D minus the structure's arcs root-connected.  As both
+    structure and pass the kind's test `admits`: for the directed kinds,
+    that D minus the structure's arcs stays root-connected.  As both
     structures grow, every rejection is permanent: a covered head stays
     covered, a copy the other side took stays taken, and an arc critical for
     S stays critical for every superset of S (no copy of a class into an
@@ -272,31 +286,33 @@ def _admissible_copy(
     if head in state.covered:
         return None
     copy = next((aid for aid in ids if aid not in other.ids), None)
-    if copy is None or not reach.keeps_root_connected(copy):
+    if copy is None or not admits(copy):
         return None
     return copy
 
 
-def _take(state: DirectedState, reach: ResidualReach, head: int, copy: int) -> None:
+def _take(state: DirectedState, head: int, copy: int) -> None:
     state.ids.add(copy)
     state.covered.add(head)
-    reach.remove(copy)
 
 
-def grow_directed_pair(
-    dig: RootedDigraph,
+def grow_pair(
     states: tuple[DirectedState, DirectedState],
-    targets: tuple[dict[int, int], dict[int, int]],
+    targets: tuple[Mapping[int, int], Mapping[int, int]],
+    classes_from: Callable[[int], Sequence[tuple[int, tuple[int, ...]]]],
+    admits: Callable[[int, int], bool],
     counters: Optional[dict] = None,
 ) -> None:
     """Grow both structures until per-anchor leaf targets are met.
 
-    Each step adds one arc from an anchor to a vertex new to that structure,
-    keeping arc-disjointness and extendability.  Parallel copies of a failed
-    arc are never retried.  Anchors have enough out-neighbors to outlast every
-    possible rejection, so a stall is an internal invariant violation.
+    Side 1 first, each side's least pending anchor first: a step gives it
+    the first class of `classes_from(anchor)` (the classes leaving the
+    anchor, as (head, copy ids)) whose `_admissible_copy` passes
+    `admits(side, copy)`, the kind's test, asked before the copy is taken.
+    Parallel copies of a failed class are never retried.  Anchors have
+    enough neighbours to outlast every possible rejection, so a stall is an
+    internal invariant violation.
     """
-    reaches = [ResidualReach(dig, state.ids) for state in states]
     deficits = [dict(t) for t in targets]
     while True:
         side = next((i for i in (0, 1) if deficits[i]), None)
@@ -305,8 +321,8 @@ def grow_directed_pair(
         state, other = states[side], states[1 - side]
         anchor = min(deficits[side])
         chosen = None
-        for head, ids in dig.out_classes(anchor):
-            copy = _admissible_copy(state, reaches[side], other, head, ids)
+        for head, ids in classes_from(anchor):
+            copy = _admissible_copy(state, other, head, ids, lambda c: admits(side, c))
             if copy is not None:
                 chosen = (head, copy)
                 break
@@ -316,12 +332,31 @@ def grow_directed_pair(
                 {"anchor": anchor, "side": side,
                  "deficits": {str(k): v for k, v in deficits[side].items()}},
             )
-        _take(state, reaches[side], *chosen)
+        _take(state, *chosen)
         if counters is not None:
             counters["growSteps"] = counters.get("growSteps", 0) + 1
         deficits[side][anchor] -= 1
         if deficits[side][anchor] == 0:
             del deficits[side][anchor]
+
+
+def grow_directed_pair(
+    dig: RootedDigraph,
+    states: tuple[DirectedState, DirectedState],
+    targets: tuple[Mapping[int, int], Mapping[int, int]],
+    counters: Optional[dict] = None,
+) -> None:
+    """`grow_pair` along out-arcs, keeping D minus each structure's arcs
+    root-connected, so the pair stays extendable."""
+    reaches = [ResidualReach(dig, state.ids) for state in states]
+
+    def keeps_root_connected(side: int, copy: int) -> bool:
+        reach = reaches[side]
+        for taken in states[side].ids - reach.removed:  # the side's last step
+            reach.remove(taken)
+        return reach.keeps_root_connected(copy)
+
+    grow_pair(states, targets, dig.out_classes, keeps_root_connected, counters)
 
 
 def complete_directed_pair(
@@ -355,7 +390,7 @@ def complete_directed_pair(
     Rejections are permanent (see `_admissible_copy`), so each side keeps a
     min-heap of its covered tails and, per tail, a cursor to the first class
     of `out_classes(tail)` not yet rejected; a tail with none left leaves
-    the heap for good.
+    the heap for good, and a side whose heap is empty is blocked for good.
     """
     reaches = [ResidualReach(dig, state.ids) for state in states]
     heaps = [sorted(state.covered) for state in states]
@@ -369,29 +404,27 @@ def complete_directed_pair(
             classes = dig.out_classes(tail)
             for i in range(cursor.get(tail, 0), len(classes)):
                 head, ids = classes[i]
-                copy = _admissible_copy(state, reach, other, head, ids)
+                copy = _admissible_copy(state, other, head, ids, reach.keeps_root_connected)
                 if copy is not None:
                     cursor[tail] = i
                     return head, copy
             heapq.heappop(heap)
         return None
 
-    blocked = [False, False]
     while True:
         pending = [i for i in (0, 1) if len(states[i].covered) < dig.n]
         if not pending:
             return True
-        candidates = [i for i in pending if not blocked[i]]
+        candidates = [i for i in pending if heaps[i]]
         if not candidates:
             return False
         side = min(candidates, key=lambda i: (len(states[i].covered), i))
         chosen = first_admissible(side)
         if chosen is None:
-            blocked[side] = True
             continue
-        _take(states[side], reaches[side], *chosen)
+        _take(states[side], *chosen)
+        reaches[side].remove(chosen[1])
         heapq.heappush(heaps[side], chosen[0])
-        blocked = [False, False]
         if counters is not None:
             counters["completionSteps"] = counters.get("completionSteps", 0) + 1
 

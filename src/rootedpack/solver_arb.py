@@ -18,7 +18,6 @@ from typing import Iterator, Mapping, Optional
 from .connectivity import is_extendable_pair, is_k_root_connected
 from .errors import ContractError, InternalError, StructureError
 from .fptcommon import (
-    DirectedState,
     branch_structure,
     LargenessView,
     SolveOptions,
@@ -29,6 +28,7 @@ from .fptcommon import (
     completion_stall,
     depth_bounded_pool,
     grow_directed_pair,
+    pair_states,
     run_pipeline,
     tree_shapes,
 )
@@ -68,11 +68,7 @@ def validate_compact_kernel(
     then decides attachment feasibility by per-branch slack arithmetic and
     returns the lexicographically smallest witness.
     """
-    try:
-        parent = parse_rooted_tree(dig, x.ids)
-    except StructureError:
-        return None
-    return compact_attachment(parent, dig.root, classify_vertices(dig, k).large, k)
+    return compact_attachment(dig, x.ids, classify_vertices(dig, k).large, k)
 
 
 def _arc_class(tail: int, head: int) -> tuple[int, int]:
@@ -103,11 +99,8 @@ def grow_to_classic(
         raise ContractError("compact kernels must be arc-disjoint")
     if not is_extendable_pair(dig, k1.arcs, k2.arcs):
         raise ContractError("compact kernel pair is not extendable")
-    states = (
-        DirectedState(ids=set(k1.arcs.ids), covered={dig.root} | set(k1.vertices)),
-        DirectedState(ids=set(k2.arcs.ids), covered={dig.root} | set(k2.vertices)),
-    )
-    grow_directed_pair(dig, states, (dict(k1.attachment), dict(k2.attachment)), counters)
+    states = pair_states(dig.root, ((c.arcs.ids, c.vertices) for c in pair))
+    grow_directed_pair(dig, states, (k1.attachment, k2.attachment), counters)
     out = []
     for state in states:
         sel = dig.selection(state.ids)
@@ -133,11 +126,7 @@ def complete_to_spanning(
     arborescences by the greedy `complete_directed_pair`, which is exact
     after the 2-root-connectivity gate (see its docstring): each new vertex
     gets one in-arc below the kernel."""
-    s1, s2 = pair
-    states = (
-        DirectedState(ids=set(s1.ids), covered=set(s1.covered_vertices(with_root=True))),
-        DirectedState(ids=set(s2.ids), covered=set(s2.covered_vertices(with_root=True))),
-    )
+    states = pair_states(dig.root, ((s.ids, s.covered_vertices()) for s in pair))
     if not complete_directed_pair(dig, states, counters):
         raise completion_stall(dig, states)
     return dig.selection(states[0].ids), dig.selection(states[1].ids)

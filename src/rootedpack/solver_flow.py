@@ -20,7 +20,6 @@ from .connectivity import FlowNetwork, is_extendable_pair, is_k_root_connected, 
 from .errors import ContractError, InternalError
 from .flows import BranchingFlow, branching_flow_feasible, decompose_flow, validate_branching_flow
 from .fptcommon import (
-    DirectedState,
     LargenessView,
     SolveOptions,
     Stages,
@@ -29,6 +28,7 @@ from .fptcommon import (
     completion_stall,
     depth_bounded_pool,
     grow_directed_pair,
+    pair_states,
     run_pipeline,
 )
 from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel
@@ -230,11 +230,8 @@ def grow_to_classic_core(
         raise ContractError("compact cores must be arc-disjoint")
     if not is_extendable_pair(dig, c1.arcs, c2.arcs):
         raise ContractError("compact core pair is not extendable")
-    states = (
-        DirectedState(ids=set(c1.arcs.ids), covered={dig.root} | set(c1.vertices)),
-        DirectedState(ids=set(c2.arcs.ids), covered={dig.root} | set(c2.vertices)),
-    )
-    grow_directed_pair(dig, states, (dict(c1.attachment), dict(c2.attachment)), counters)
+    states = pair_states(dig.root, ((c.arcs.ids, c.vertices) for c in pair))
+    grow_directed_pair(dig, states, (c1.attachment, c2.attachment), counters)
     out = []
     for state in states:
         sel = dig.selection(state.ids)
@@ -307,10 +304,7 @@ def complete_to_spanning_flow(
     anchor's core path, so every arc stays within the uniform capacity n-k
     (`_routed_completion_flow` asserts it)."""
     s1, s2 = pair
-    states = (
-        DirectedState(ids=set(s1.ids), covered=set(s1.covered_vertices(with_root=True))),
-        DirectedState(ids=set(s2.ids), covered=set(s2.covered_vertices(with_root=True))),
-    )
+    states = pair_states(dig.root, ((s.ids, s.covered_vertices()) for s in pair))
     if not complete_directed_pair(dig, states):
         raise completion_stall(dig, states)
     results = []

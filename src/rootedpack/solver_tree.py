@@ -11,10 +11,11 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .errors import ContractError, InternalError, StructureError
 from .fptcommon import (
+    DirectedState,
     LargenessView,
     branch_structure,
     SolveOptions,
@@ -22,6 +23,8 @@ from .fptcommon import (
     classify,
     compact_attachment,
     depth_bounded_pool,
+    grow_pair,
+    pair_states,
     run_pipeline,
     tree_shapes,
 )
@@ -61,11 +64,7 @@ def validate_compact_certificate(
     Tree shape, size at most 2k-2, large vertices as leaves, then the same
     per-branch slack arithmetic as the kernel validator.
     """
-    try:
-        parent = parse_rooted_tree(g, x.ids)
-    except StructureError:
-        return None
-    return compact_attachment(parent, g.root, classify_vertices_tree(g, k).large, k)
+    return compact_attachment(g, x.ids, classify_vertices_tree(g, k).large, k)
 
 
 def _edge_class(u: int, v: int) -> tuple[int, int]:
@@ -94,10 +93,13 @@ class _CompletabilityOracle:
         self.seeds = [(eid, 0) for eid in sorted(t1)] + [(eid, 1) for eid in sorted(t2)]
 
     def completable(self, ids1: frozenset[int], ids2: frozenset[int]) -> bool:
-        if ids1 & ids2:
-            return False
-        t1, t2 = max_forest_pair(self.g, ids1, ids2, self.seeds)
-        return len(t1) == self.g.n - 1 and len(t2) == self.g.n - 1
+        return not ids1 & ids2 and self.complete(ids1, ids2) is not None
+
+    def admits(self, states: tuple[DirectedState, DirectedState]) -> Callable[[int, int], bool]:
+        """`grow_pair`'s test: a side with the copy added stays completable
+        beside the other side."""
+        return lambda side, copy: self.completable(
+            frozenset(states[side].ids | {copy}), frozenset(states[1 - side].ids))
 
     def complete(self, ids1: frozenset[int], ids2: frozenset[int]):
         t1, t2 = max_forest_pair(self.g, ids1, ids2, self.seeds)
@@ -113,9 +115,8 @@ def grow_to_classic_certificate(
 ) -> tuple[EdgeSelection, EdgeSelection]:
     """Grow a completable edge-disjoint compact pair into classic certificates.
 
-    Candidate edges run from a deficient anchor to vertices new to the
-    structure; each addition is accepted only if the pair stays completable.
-    Parallel copies of a rejected edge are never retried.
+    `grow_pair` along incident edges, accepting an edge only if the pair
+    stays completable.
     """
     c1, c2 = pair
     if c1.edges.ids & c2.edges.ids:
@@ -123,47 +124,19 @@ def grow_to_classic_certificate(
     oracle = oracle or _CompletabilityOracle(g)
     if not oracle.completable(c1.edges.ids, c2.edges.ids):
         raise ContractError("compact certificate pair is not completable")
-    ids = [set(c1.edges.ids), set(c2.edges.ids)]
-    covered = [{g.root} | set(c1.vertices), {g.root} | set(c2.vertices)]
-    deficits = [dict(c1.attachment), dict(c2.attachment)]
-    while True:
-        side = next((i for i in (0, 1) if deficits[i]), None)
-        if side is None:
-            break
-        anchor = min(deficits[side])
-        other = ids[1 - side]
-        chosen = None
-        for head, class_ids in g.incident_classes(anchor):
-            if head == g.root or head in covered[side]:
-                continue
-            copy = next((eid for eid in class_ids if eid not in other), None)
-            if copy is None:
-                continue
-            if not oracle.completable(frozenset(ids[side] | {copy}), frozenset(other)):
-                continue  # parallel copies fail alike
-            chosen = (head, copy)
-            break
-        if chosen is None:
-            raise InternalError("certificate growth stalled",
-                                {"anchor": anchor, "side": side})
-        head, copy = chosen
-        ids[side].add(copy)
-        covered[side].add(head)
-        if counters is not None:
-            counters["growSteps"] = counters.get("growSteps", 0) + 1
-        deficits[side][anchor] -= 1
-        if deficits[side][anchor] == 0:
-            del deficits[side][anchor]
+    states = pair_states(g.root, ((c.edges.ids, c.vertices) for c in pair))
+    grow_pair(states, (c1.attachment, c2.attachment), g.incident_classes,
+              oracle.admits(states), counters)
     out = []
-    for side in (0, 1):
-        sel = g.selection(ids[side])
+    for state in states:
+        sel = g.selection(state.ids)
         try:
             parent = parse_rooted_tree(g, sel.ids)
         except StructureError:
             parent = None
         if parent is None or len(parent) != 2 * k - 2:
             raise InternalError("growth did not produce a classic certificate",
-                                {"size": len(ids[side])})
+                                {"size": len(state.ids)})
         _, sizes = branch_structure(parent, g.root)
         if any(s > k - 1 for s in sizes.values()):
             raise InternalError("grown certificate is not (r,k)-safe", {"sizes": sizes})

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import rootedpack
 from rootedpack.cli import run
+from rootedpack.errors import InternalError
 from rootedpack.graphs import MAX_VERTICES
 
 
@@ -201,19 +203,47 @@ def test_output_file(yes_instance, tmp_path):
     assert target.read_text() == out
 
 
-def test_internal_error_exit_three(yes_instance, monkeypatch):
-    import rootedpack
-    from rootedpack.errors import InternalError
-
+@pytest.mark.parametrize("error", [
+    InternalError("invariant violated", {"hint": "test"}),
+    MemoryError(), RecursionError("maximum recursion depth exceeded"),
+    SystemError("error return without exception set"),
+], ids=lambda error: type(error).__name__)
+def test_internal_error_exit_three(yes_instance, monkeypatch, tmp_path, error):
+    # exit 1 would read as NO: every unexpected error exits 3 instead
     def boom(*args, **kwargs):
-        raise InternalError("invariant violated", {"hint": "test"})
+        raise error
 
     monkeypatch.setattr(rootedpack, "solve_instance", boom)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where the bundle goes
     code, out = cli("solve", "arb", "--k", "2", "--input", yes_instance)
     assert code == 3
     payload = json.loads(out)
-    assert "diagnostics" in payload
-    assert Path(payload["diagnostics"]).exists()
+    assert payload["error"] == (str(error) if isinstance(error, InternalError)
+                                else f"{type(error).__name__}: {error}")
+    assert Path(payload["diagnostics"]).parent == tmp_path
+    bundle = json.loads(Path(payload["diagnostics"]).read_text())["diagnostics"]
+    if isinstance(error, InternalError):
+        assert bundle == error.diagnostics
+    else:
+        assert bundle["traceback"][-1].startswith(type(error).__name__)
+
+    # a bundle that cannot be written leaves the message only
+    def no_bundle(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(tempfile, "NamedTemporaryFile", no_bundle)
+    code, out = cli("solve", "arb", "--k", "2", "--input", yes_instance)
+    assert code == 3
+    assert json.loads(out) == {"error": payload["error"]}
+
+
+def test_keyboard_interrupt_propagates(yes_instance, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(rootedpack, "solve_instance", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli("solve", "arb", "--k", "2", "--input", yes_instance)
 
 
 def test_solve_smallcase_budget_refusal(tmp_path):
