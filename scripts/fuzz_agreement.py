@@ -8,9 +8,13 @@ on any mismatch or failure.
 
 With --planted, every kind instead solves planted instances at n = 8..30,
 beyond the oracles' reach, where YES is certain by construction: a NO
-answer counts as a failure too.  Arb and tree run at k = 1..3 with a vertex
-large enough to make growth run, flow at k = 1..2.  The tally then also
-shows how many solves grew.
+answer counts as a failure too.  Arb and tree run at k = 1..4 with a vertex
+large enough to make growth run, flow at k = 1..2.  At k = 4 that vertex
+has 19 out-neighbours for arb and 25 neighbours for tree, so n = 21..30 and
+27..30, and every solve enumerates tens of thousands of shapes (arb also
+probes each for extendability).  The tally then also shows how many solves
+grew.  `--planted --count 200` takes about 6 minutes on a 2-core x86-64
+host, most of it tree at k = 4.
 
 Examples:
     python3 scripts/fuzz_agreement.py --count 2000 --seed 1 --kinds arb flow tree
@@ -107,8 +111,8 @@ KINDS = {
 }
 # kind -> (k values, solver) for --planted, where every answer must be YES;
 # flow stops at k = 2, as flow at k = 3 takes seconds per instance
-PLANTED = {"arb": ((1, 2, 3), solve_arb), "flow": ((1, 2), solve_flow),
-           "tree": ((1, 2, 3), solve_tree)}
+PLANTED = {"arb": ((1, 2, 3, 4), solve_arb), "flow": ((1, 2), solve_flow),
+           "tree": ((1, 2, 3, 4), solve_tree)}
 
 
 def main() -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from bisect import insort
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -183,45 +184,82 @@ def tree_shapes(
     `classes_of(tail)` gives the (head, ids) pairs leaving `tail` and
     `key(tail, head)` names the class.  Large vertices other than the root
     get no children and every root branch keeps at most k-1 vertices, which
-    every valid kernel or certificate satisfies anyway.  Each search state
-    carries its branch map and branch sizes, so checking an extension is one
-    lookup.  A class set fixes the whole state, so the depth-first order
-    (kept for its small frontier) does not show in the result, which is
-    sorted by (size, classes).
+    every valid kernel or certificate satisfies anyway.
+
+    Each tree is built exactly once, so no seen set is needed: a state keeps
+    an ordered list of candidates, the (tail, head) pairs leaving the tree
+    for a pool vertex outside it.  Taking candidate i passes on only the
+    candidates after i, minus those into the new head, plus the pairs
+    leaving the new head (none for a large one).  A tree is then reached
+    only through the first of its classes in each list, as every skipped
+    candidate stays out of the whole subtree of the search.  The search is
+    depth-first with an explicit stack, since trees can be k-1 classes
+    deep, and the branch map, branch sizes, class list and anchors are
+    changed in place and undone on the way back.  `key` is called once per
+    non-empty tree.  A full-size tree has nothing to attach, so its
+    attachment is empty; a smaller one needs an anchor to have one, so
+    only those call `lex_smallest_attachment`.  The result is sorted by
+    (size, classes).
     """
     limit = 2 * k - 2
-    empty: frozenset[tuple[int, int]] = frozenset()
-    seen = {empty}
-    stack: list[tuple[frozenset, dict[int, int], dict[int, int]]] = [(empty, {}, {})]
+    branch_of: dict[int, int] = {}
+    sizes: dict[int, int] = {}
+    classes: list[tuple[int, int]] = []
+    anchors: list[int] = []  # the large vertices of branch_of, ascending
     result = []
+
+    def visit() -> None:
+        if len(classes) == limit:  # nothing to attach, every branch within k-1
+            result.append((tuple(sorted(classes)), {}))
+        elif anchors:
+            attachment = lex_smallest_attachment(
+                anchors=anchors, branch_of=branch_of, branch_sizes=sizes,
+                limit=k - 1, residual=limit - len(classes))
+            if attachment is not None:
+                result.append((tuple(sorted(classes)), attachment))
+
+    def leaving(tail: int) -> list[tuple[int, int]]:
+        return [(tail, head) for head, _ids in classes_of(tail)
+                if head != root and head not in branch_of and head in pool]
+
+    visit()
+    # frames of (candidates, index of the next one to try, head taken to
+    # enter the frame); the root frame took none, and a full-size tree gets
+    # no candidates
+    stack: list[list] = [[leaving(root) if limit else [], 0, None]]
     while stack:
-        classes, branch_of, sizes = stack.pop()
-        attachment = lex_smallest_attachment(
-            anchors=sorted(v for v in branch_of if v in large),
-            branch_of=branch_of,
-            branch_sizes=sizes,
-            limit=k - 1,
-            residual=limit - len(branch_of),
-        )
-        if attachment is not None:
-            result.append((tuple(sorted(classes)), attachment))
-        if len(classes) == limit:
+        frame = stack[-1]
+        candidates = frame[0]
+        for i in range(frame[1], len(candidates)):
+            tail, head = candidates[i]
+            top = head if tail == root else branch_of[tail]
+            if sizes.get(top, 0) < k - 1:
+                break
+        else:
+            stack.pop()
+            head = frame[2]
+            if head is not None:
+                top = branch_of.pop(head)
+                sizes[top] -= 1
+                if not sizes[top]:
+                    del sizes[top]
+                classes.pop()
+                if head in large:
+                    anchors.remove(head)
             continue
-        for tail in (root, *branch_of):
-            if tail != root and tail in large:
-                continue
-            for head, _ids in classes_of(tail):
-                if head == root or head in branch_of or head not in pool:
-                    continue
-                nxt = classes | {key(tail, head)}
-                if nxt in seen:
-                    continue
-                top = head if tail == root else branch_of[tail]
-                size = sizes.get(top, 0)
-                if size >= k - 1:
-                    continue
-                seen.add(nxt)
-                stack.append((nxt, {**branch_of, head: top}, {**sizes, top: size + 1}))
+        frame[1] = i + 1
+        branch_of[head] = top
+        sizes[top] = sizes.get(top, 0) + 1
+        classes.append(key(tail, head))
+        if head in large:
+            insort(anchors, head)
+        visit()
+        following = []
+        if len(classes) < limit:
+            following = [c for c in candidates[i + 1:] if c[1] != head]
+            if head not in large:
+                following += leaving(head)
+        stack.append([following, 0, head])
     result.sort(key=lambda shape: (len(shape[0]), shape[0]))
     return result
 
@@ -562,11 +600,11 @@ class Stages:
     when it passes, else the failing stage and its cut witness (or None).
     `finish` grows and completes the crystallised pair, given as the copy
     ids and shape of each side, and returns the witness.  Without
-    `completable` (the directed kinds) shapes whose arcs' removal breaks
-    root-connectivity are dropped before the pair search, and the first pair
-    whose copy masks do not conflict is the hit; with it (tree), the masks
-    only pre-filter and each mask-free pair is crystallised and handed to
-    `completable` until one passes.  `validate` is passed in rather than
+    `completable` (the directed kinds) the extendability probe drops the
+    shapes whose arcs' removal breaks root-connectivity before the pair
+    search, and the first pair whose copy masks do not conflict is the hit;
+    with it (tree), the masks only pre-filter and each mask-free pair is
+    crystallised and handed to `completable` until one passes.  `validate` is passed in rather than
     imported here so that the call goes through the solver module's own
     name, which `perfbench/tracer.py` wraps.
     """
@@ -586,7 +624,13 @@ class Stages:
 
 def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> SolveReport:
     """Small-case oracle, gate, shape enumeration, extendability probe, pair
-    search, copy crystallisation, then the problem's grow-and-complete."""
+    search, copy crystallisation, then the problem's grow-and-complete.
+
+    The probe asks `is_root_connected_without` of each shape's lowest
+    copies.  A shape that empties no class keeps D root-connected with no
+    search, and any other needs a search only until the heads of the
+    classes it empties are seen (see `graphs._RootedMultigraph._spans_without`).
+    """
     g = inst.graph
     counters = {stages.shape_counter: 0, "pairsTested": 0, "growSteps": 0}
     timings: dict[str, float] = {}

@@ -6,9 +6,10 @@ always refer to the original instance.  The two kinds differ only in their
 adjacency index and in whether a class (u, v) is ordered.  Reachability only
 depends on which parallel classes keep a surviving copy, so it is answered
 at class level through cached bitmask adjacency: `reach_mask` for one
-search, `bfs_parents` for the BFS r-arborescence that
-`connectivity.ResidualReach` keeps so that most arc removals need no search
-at all.
+search, `is_root_connected_without` for a search that stops at the heads of
+the classes a removal empties, and `bfs_parents` for the BFS
+r-arborescence that `connectivity.ResidualReach` keeps so that most arc
+removals need no search at all.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ def _check_vertices(n: int, root: int, line: int | None = None) -> None:
         raise ParseError(f"root {root} out of range for n={n}", line)
 
 
-def _reach(masks: list[int], root: int) -> int:
+def _reach(masks: list[int], root: int, until: int) -> int:
     """Bitmask of the vertices reachable from `root`, given each vertex's
-    neighbour mask."""
+    neighbour mask, or of part of them: the search stops once it has seen
+    every vertex of `until`, so the result holds all of `until` that is
+    reachable and is exact when `until` holds every vertex."""
     seen = 1 << root
     frontier = seen
-    while frontier:
+    while frontier and until & ~seen:
         nxt = 0
         v = frontier
         while v:
@@ -163,6 +166,7 @@ class _RootedMultigraph:
             by_class.setdefault(ends[cid], []).append(cid)
         self._by_class = {c: tuple(ids) for c, ids in by_class.items()}
         self._full_mask = (1 << n) - 1
+        self._root_connected: bool | None = None  # decided on first use
         self._index(sorted(self._by_class.items()))
 
     # -- copy accessors, bound to arc_* or edge_* names by each kind -------
@@ -195,34 +199,64 @@ class _RootedMultigraph:
 
     # -- reachability ----------------------------------------------------
 
-    def _residual_masks(self, removed: Iterable[int]) -> list[int]:
-        """Neighbour masks without the removed copies.
+    def _residual_masks(self, removed: Iterable[int]) -> tuple[list[int], int]:
+        """Neighbour masks without the removed copies, and the mask of the
+        heads of the classes that lose every copy (both ends for an edge).
 
         Reachability only depends on how many copies of each class survive,
         so only the classes that lose every copy are cleared.
         """
         removed = set(removed)
         masks = self._masks
+        heads = 0
         if removed:
             ends = self._ends
             gone: dict[tuple[int, int], int] = {}
             for cid in removed:
-                gone[ends[cid]] = gone.get(ends[cid], 0) + 1
+                c = ends[cid]
+                gone[c] = gone.get(c, 0) + 1
             dead = [c for c, cnt in gone.items() if cnt >= len(self._by_class[c])]
             if dead:
                 masks = list(masks)
                 for (u, v) in dead:
                     masks[u] &= ~(1 << v)
+                    heads |= 1 << v
                     if not self._directed:
                         masks[v] &= ~(1 << u)
-        return masks
+                        heads |= 1 << u
+        return masks, heads
 
-    def reach_mask(self, removed: Iterable[int] = ()) -> int:
-        """Bitmask of vertices reachable from the root after removing copies."""
-        return _reach(self._residual_masks(removed), self.root)
+    def reach_mask(self, removed: Iterable[int] = (), until_emptied: bool = False) -> int:
+        """Bitmask of vertices reachable from the root after removing copies.
+
+        `until_emptied` is for `_spans_without` only: the search then stops
+        once it has seen every head of a class that `removed` empties, and
+        the result is the set of those heads it has not seen.  A removal
+        that empties no class needs no search.
+        """
+        masks, heads = self._residual_masks(removed)
+        if until_emptied:
+            return heads & ~_reach(masks, self.root, heads)
+        return _reach(masks, self.root, self._full_mask)
 
     def _spans_without(self, removed: Iterable[int] = ()) -> bool:
-        return self.reach_mask(removed) == self._full_mask
+        """Whether every vertex stays reachable from the root after removing
+        the copies `removed`.
+
+        Lemma: if the whole multigraph D is root-connected, then D - X is
+        root-connected iff every head of a class that X empties is reachable
+        in D - X (both ends of an edge class).  Proof: take a root path of D
+        to any vertex w as a sequence of classes.  Every class after the
+        last one that X empties keeps a copy, so that stretch of the path
+        runs inside D - X, from a head of an emptied class to w.  If D is
+        not root-connected, no D - X is.  So D's own reach, made on first
+        use rather than when the graph is built, and kept, plus a search
+        that stops once those heads are seen decide every removal; a
+        removal that empties no class needs no search.
+        """
+        if self._root_connected is None:
+            self._root_connected = self.reach_mask() == self._full_mask
+        return self._root_connected and not self.reach_mask(removed, until_emptied=True)
 
     # -- construction helpers ---------------------------------------------
 
@@ -296,7 +330,7 @@ class RootedDigraph(_RootedMultigraph):
         it.  Vertices are expanded in BFS order, each one's new heads
         ascending.
         """
-        masks = self._residual_masks(removed)
+        masks, _ = self._residual_masks(removed)
         parent: dict[int, int] = {}
         seen = 1 << self.root
         order = [self.root]

@@ -171,34 +171,39 @@ def _core_shapes(
     a class (u, v): u is the root or a small vertex of V' (large vertices are
     sinks), v a non-root pool vertex, and a new v joins V' only while
     |V'| < 2k-1.  So the states are exactly the root-connected vectors (add a
-    vector's arcs in breadth-first order), V' is a state's head set, and a
-    seen set keeps each once.  Each state with V' non-empty is checked by
-    `_aggregated_feasibility`: the full-size ones (|V'| = 2k-1) by their
-    min-cut condition, two kinds of root reaches, and only the smaller ones
-    with a large anchor by a max-flow, which gives their attachment.
+    vector's arcs in breadth-first order), and V' is a state's head set.
+    A vector is keyed by one integer with two bits per class holding its
+    count, so a child's key is its parent's plus the class's unit, and a
+    seen set of keys keeps each vector once; the sorted (class, count) tuple
+    is built only for a vector not seen before.  Each state with V'
+    non-empty is checked by `_aggregated_feasibility`: the full-size ones
+    (|V'| = 2k-1) by their min-cut condition, two kinds of root reaches, and
+    only the smaller ones with a large anchor by a max-flow, which gives
+    their attachment.
     """
     root, max_size = dig.root, 2 * k - 1
-    classes = {u: [((u, v), min(2, len(ids))) for v, ids in dig.out_classes(u) if v != root and v in pool]
+    bits = itertools.count(0, 2)  # each class's count takes two bits of a key
+    classes = {u: [((u, v), min(2, len(ids)), next(bits))
+                   for v, ids in dig.out_classes(u) if v != root and v in pool]
                for u in pool if u == root or u not in view.large}
     shapes = []
-    seen: set[tuple[tuple[tuple[int, int], int], ...]] = {()}
-    stack = [((), frozenset())]
+    seen = {0}
+    stack = [(0, (), frozenset())]
     while stack:
-        pairs, verts = stack.pop()
-        counts = dict(pairs)
+        code, pairs, verts = stack.pop()
         if verts:
-            attachment = _aggregated_feasibility(dig, counts, verts, view.large, k)
+            attachment = _aggregated_feasibility(dig, dict(pairs), verts, view.large, k)
             if attachment is not None:
                 shapes.append((verts, pairs, attachment))
         for u in (root, *verts):
-            for cls, cap in classes.get(u, ()):
-                m, head = counts.get(cls, 0), cls[1]
+            for cls, cap, shift in classes.get(u, ()):
+                m, head = code >> shift & 3, cls[1]
                 if m < cap and (head in verts or len(verts) < max_size):
-                    # the child shares its parent's pairs; only (cls, m + 1) is new
-                    child = tuple(sorted([p for p in pairs if p[0] != cls] + [(cls, m + 1)]))
+                    child = code + (1 << shift)
                     if child not in seen:
                         seen.add(child)
-                        stack.append((child, verts if head in verts else verts | {head}))
+                        pairs_child = tuple(sorted([p for p in pairs if p[0] != cls] + [(cls, m + 1)]))
+                        stack.append((child, pairs_child, verts if head in verts else verts | {head}))
     shapes.sort(key=lambda s: (len(s[0]), tuple(sorted(s[0])), s[1]))
     return shapes
 

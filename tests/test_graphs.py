@@ -17,8 +17,12 @@ from rootedpack.graphs import (
     serialize_instance,
     subtree_sizes,
 )
+from rootedpack.fptcommon import tree_shapes
+from rootedpack.solver_arb import candidate_pool, classify_vertices
+from rootedpack.solver_flow import _core_shapes, candidate_pool_flow, classify_vertices_flow
 
 from conftest import digraphs, graphs, random_digraph, random_graph
+from test_shapes import arc_key, flow_instances, instances
 import random
 import tracemalloc
 
@@ -190,6 +194,76 @@ def test_reach_mask_matches_reference_bfs(d):
                 stack.append(w)
     mask = d.reach_mask(removed)
     assert {v for v in range(d.n) if (mask >> v) & 1} == seen
+
+
+def plain_reach(g, removed) -> set[int]:
+    """The vertices a plain search from the root reaches over the copies
+    not in `removed`, edges both ways."""
+    step = g.out_classes if isinstance(g, RootedDigraph) else g.incident_classes
+    seen = {g.root}
+    stack = [g.root]
+    while stack:
+        for w, ids in step(stack.pop()):
+            if w not in seen and any(cid not in removed for cid in ids):
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def spans_agree(g, removed) -> bool:
+    """The early-stopping check, and the full reach mask, against
+    `plain_reach`; returns the verdict."""
+    want = len(plain_reach(g, set(removed))) == g.n
+    check = g.is_root_connected_without if isinstance(g, RootedDigraph) else g._spans_without
+    assert check(removed) == want, (g, sorted(removed))
+    assert (g.reach_mask(removed) == (1 << g.n) - 1) == want
+    return want
+
+
+def probe_removals():
+    """(digraph, copies) for every kernel and core of the
+    `tests/test_shapes.py` fixtures, as the extendability probe builds
+    them: the lowest copies of each class of the shape."""
+    for inst, k in instances("arb"):
+        g = cap_parallel(inst).graph
+        for classes, _ in tree_shapes(g.root, k, candidate_pool(g, k),
+                                      classify_vertices(g, k).large, g.out_classes, arc_key):
+            yield g, [g.class_ids(*c)[0] for c in classes]
+    for inst in flow_instances():
+        g, k = cap_parallel(inst).graph, inst.k
+        for _, counts, _ in _core_shapes(g, k, candidate_pool_flow(g, k),
+                                         classify_vertices_flow(g, k)):
+            yield g, [aid for c, m in counts for aid in g.class_ids(*c)[:m]]
+
+
+def test_spans_without_matches_a_plain_search_on_probe_removals():
+    verdicts = {True: 0, False: 0}
+    for g, removed in probe_removals():
+        verdicts[spans_agree(g, removed)] += 1
+    assert verdicts[True] > 10_000 and verdicts[False] > 1_000
+
+
+def test_spans_without_matches_a_plain_search_on_random_removals(rng):
+    """Random digraphs and graphs with classes of up to three copies, many
+    of them not root-connected; removals of nothing, of one copy of each
+    multi-copy class, and of random copies."""
+    verdicts = {True: 0, False: 0}
+    disconnected = partial = 0
+    for _ in range(400):
+        for g in (random_digraph(rng, max_n=9, max_mult=3),
+                  random_graph(rng, max_n=9, max_mult=3)):
+            classes = list(g.parallel_classes().values())
+            ids = sorted(cid for copies in classes for cid in copies)
+            one_of_each = [copies[0] for copies in classes if len(copies) > 1]
+            removals = [[], one_of_each] + [
+                rng.sample(ids, rng.randint(1, len(ids))) for _ in range(4) if ids]
+            for removed in removals:
+                verdicts[spans_agree(g, removed)] += 1
+            disconnected += not spans_agree(g, [])
+            partial += bool(one_of_each) and spans_agree(g, one_of_each)
+            if isinstance(g, RootedGraph):
+                assert g.is_connected() == (len(plain_reach(g, set())) == g.n)
+    assert min(verdicts.values()) > 500 and disconnected > 100 and partial > 100
 
 
 def test_cap_parallel_idempotent(rng):

@@ -15,21 +15,34 @@ seeded random instances.
 """
 
 import itertools
+import time
 from collections import deque
 
 import pytest
 
 from rootedpack.connectivity import FlowNetwork, max_flow
 from rootedpack.fptcommon import branch_structure, lex_smallest_attachment, tree_shapes
-from rootedpack.graphs import RootedDigraph, cap_parallel, ProblemInstance
+from rootedpack.graphs import RootedDigraph, RootedGraph, cap_parallel, ProblemInstance
 from rootedpack.instancegen import random_instance
-from rootedpack.solver_arb import candidate_pool, classify_vertices
+from rootedpack.solver_arb import candidate_pool, classify_vertices, solve_arb
 from rootedpack.solver_flow import _core_shapes, candidate_pool_flow, classify_vertices_flow
-from rootedpack.solver_tree import candidate_pool_tree, classify_vertices_tree
+from rootedpack.solver_tree import candidate_pool_tree, classify_vertices_tree, solve_tree
 
 
-def kernel_shapes_reference(dig, k, pool, view):
-    root = dig.root
+def arc_key(u, v):
+    return (u, v)
+
+
+def edge_key(u, v):
+    return (min(u, v), max(u, v))
+
+
+def class_sets_reference(g, k, pool, view, classes_of, key):
+    """Every class set the replaced enumerators visited, the empty one
+    included: trees grown breadth-first from the root, each extension's
+    parent map copied and its branch sizes recomputed, a seen set keeping
+    each class set once."""
+    root = g.root
     limit = 2 * k - 2
     empty = frozenset()
     seen = {empty}
@@ -43,10 +56,10 @@ def kernel_shapes_reference(dig, k, pool, view):
         for tail in sorted(verts):
             if tail != root and tail in view.large:
                 continue
-            for head, _ids in dig.out_classes(tail):
+            for head, _ids in classes_of(tail):
                 if head in verts or head not in pool:
                     continue
-                nxt = classes | {(tail, head)}
+                nxt = classes | {key(tail, head)}
                 if nxt in seen:
                     continue
                 nparent = dict(parent)
@@ -57,6 +70,12 @@ def kernel_shapes_reference(dig, k, pool, view):
                 seen.add(nxt)
                 shapes.append(nxt)
                 queue.append((nxt, nparent))
+    return shapes
+
+
+def kernel_shapes_reference(dig, k, pool, view):
+    root = dig.root
+    shapes = class_sets_reference(dig, k, pool, view, dig.out_classes, arc_key)
     result = []
     for classes in sorted(shapes, key=lambda c: (len(c), tuple(sorted(c)))):
         parent = {v: u for u, v in classes}
@@ -72,33 +91,7 @@ def kernel_shapes_reference(dig, k, pool, view):
 
 def certificate_shapes_reference(g, k, pool, view):
     root = g.root
-    limit = 2 * k - 2
-    empty = frozenset()
-    seen = {empty}
-    queue = deque([(empty, {})])
-    shapes = [empty]
-    while queue:
-        classes, parent = queue.popleft()
-        if len(classes) == limit:
-            continue
-        verts = {root} | set(parent)
-        for tail in sorted(verts):
-            if tail != root and tail in view.large:
-                continue
-            for head, _ids in g.incident_classes(tail):
-                if head in verts or head not in pool:
-                    continue
-                nxt = classes | {(min(tail, head), max(tail, head))}
-                if nxt in seen:
-                    continue
-                nparent = dict(parent)
-                nparent[head] = tail
-                _, sizes = branch_structure(nparent, root)
-                if any(s > k - 1 for s in sizes.values()):
-                    continue
-                seen.add(nxt)
-                shapes.append(nxt)
-                queue.append((nxt, nparent))
+    shapes = class_sets_reference(g, k, pool, view, g.incident_classes, edge_key)
     result = []
     for classes in sorted(shapes, key=lambda c: (len(c), tuple(sorted(c)))):
         adj = {}
@@ -150,18 +143,55 @@ def test_tree_shapes_match_the_replaced_enumerators(kind):
         if kind == "arb":
             pool, view = candidate_pool(g, k), classify_vertices(g, k)
             want = kernel_shapes_reference(g, k, pool, view)
-            got = tree_shapes(g.root, k, pool, view.large, g.out_classes,
-                              lambda u, v: (u, v))
+            got = tree_shapes(g.root, k, pool, view.large, g.out_classes, arc_key)
         else:
             pool, view = candidate_pool_tree(g, k), classify_vertices_tree(g, k)
             want = certificate_shapes_reference(g, k, pool, view)
-            got = tree_shapes(g.root, k, pool, view.large, g.incident_classes,
-                              lambda u, v: (min(u, v), max(u, v)))
+            got = tree_shapes(g.root, k, pool, view.large, g.incident_classes, edge_key)
         assert got == want
         total += len(got)
         anchored += sum(1 for _, attachment in got if attachment)
     # many shapes, and some with imaginary leaves to place
     assert total > 10_000 and anchored > 50
+
+
+@pytest.mark.parametrize("kind", ["arb", "tree"])
+def test_tree_shapes_build_each_class_set_once(kind):
+    """`key` names a class as a tree takes it, so one call per non-empty
+    class set the reference visits means that no tree is built twice."""
+    for inst, k in instances(kind):
+        g = inst.graph
+        if kind == "arb":
+            pool, view = candidate_pool(g, k), classify_vertices(g, k)
+            classes_of, key = g.out_classes, arc_key
+        else:
+            pool, view = candidate_pool_tree(g, k), classify_vertices_tree(g, k)
+            classes_of, key = g.incident_classes, edge_key
+        calls = []
+
+        def counted(u, v):
+            calls.append((u, v))
+            return key(u, v)
+
+        tree_shapes(g.root, k, pool, view.large, classes_of, counted)
+        visited = class_sets_reference(g, k, pool, view, classes_of, key)
+        assert len(calls) == len(visited) - 1, (g.n, k)
+
+
+def test_deep_shapes_keep_an_explicit_stack():
+    """A doubled path at k = 1200: its shapes are the path's prefixes, up
+    to 1199 classes deep, well past the default recursion limit.  None has
+    an attachment (no large vertex, and one root branch never reaches
+    2k-2 vertices), so both kinds answer NO at the pair search."""
+    n, k = 2600, 1200
+    pairs = [(i, i + 1) for i in range(n - 1) for _ in range(2)]
+    started = time.perf_counter()
+    for graph, solve, counter in ((RootedDigraph(n, 0, pairs), solve_arb, "kernels"),
+                                  (RootedGraph(n, 0, pairs), solve_tree, "certificates")):
+        report = solve(graph, k)
+        assert (report.decision, report.stage, report.counters[counter]) == (
+            False, "pair-search", 0)
+    assert time.perf_counter() - started < 2.0
 
 
 def aggregated_feasibility_reference(dig, class_counts, verts, large, k):
