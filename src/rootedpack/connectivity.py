@@ -8,9 +8,10 @@ Single arc removals go through one rule, kept by `ResidualReach`: while D - S
 is root-connected, fix any BFS r-arborescence T of it at parallel-class
 level.  Removing one more copy can disconnect D - S only when that copy is
 the last survivor of its class and the class is an arc of T; every other
-copy is admitted without a search, and T is rebuilt only after such a T-arc
-is removed.  `critical_arcs`, the k=2 gate and the directed growth and
-completion in `fptcommon` all run on it.
+copy is admitted without a search, such a T-arc (u, v) with a search that
+stops once it sees v, and T is rebuilt only after such a T-arc is removed.
+`critical_arcs`, the k=2 gate and the directed growth and completion in
+`fptcommon` all run on it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import ContractError
-from .graphs import ArcSelection, RootedDigraph
+from .graphs import ArcSelection, RootedDigraph, reach
 
 
 @dataclass(frozen=True)
@@ -205,40 +206,75 @@ def is_k_root_connected(dig: RootedDigraph, k: int) -> tuple[bool, Optional[CutW
 class ResidualReach:
     """D minus a growing arc set S, with a BFS r-arborescence T of D - S.
 
+    It keeps the out-masks of D - S, clearing a class's bit when S takes
+    its last copy, and builds T from them: each reachable non-root vertex
+    maps to the tail of the class that first reaches it, vertices expanded
+    in BFS order, each one's new heads ascending.
+
     `keeps_root_connected(aid)` answers whether D - S - aid is still
-    root-connected: with one search when aid is the last surviving copy of a
-    class on T, without one otherwise.  `remove(aid)` adds aid to S and
-    rebuilds T only when it removed such a T-arc.
+    root-connected.  Only the last surviving copy of a class (u, v) on T
+    needs a search: by the lemma of `graphs.RootedDigraph.spans_without_classes`
+    applied to the root-connected D - S, D - S - aid is root-connected iff v
+    stays reachable without that class, so the search stops once it sees v.
+    `remove(aid)` adds aid to S and rebuilds T only when it removed such a
+    T-arc.
     """
 
     def __init__(self, dig: RootedDigraph, removed: Iterable[int] = ()):
         self.dig = dig
-        self.removed = set(removed)
+        self.removed: set[int] = set()
+        self._left: dict[tuple[int, int], int] = {}  # survivors of the classes S touches
+        self._masks = dig.masks()
+        self.parent: dict[int, int] = {}
+        for aid in removed:
+            self._drop(aid)
         self._rebuild()
 
-    def _rebuild(self) -> None:
-        self.parent = self.dig.bfs_parents(self.removed)
-        self.spanning = len(self.parent) == self.dig.n - 1
-
-    def _last_on_tree(self, aid: int) -> bool:
-        """True iff aid is the only surviving copy of a class that T uses."""
-        u, v = self.dig.arc(aid)
-        if self.parent.get(v) != u:
+    def _drop(self, aid: int) -> bool:
+        """Add aid to S; True iff that empties an arc of T."""
+        if aid in self.removed:
             return False
-        removed = self.removed
-        return all(other == aid or other in removed for other in self.dig.class_ids(u, v))
+        self.removed.add(aid)
+        u, v = c = self.dig.arc(aid)
+        left = self._left[c] = self._surviving(c) - 1
+        if left:
+            return False
+        self._masks[u] &= ~(1 << v)
+        return self.parent.get(v) == u
+
+    def _surviving(self, c: tuple[int, int]) -> int:
+        """Copies of class c that are not in S."""
+        return self._left.get(c, len(self.dig.class_ids(*c)))
+
+    def _rebuild(self) -> None:
+        masks = self._masks
+        parent: dict[int, int] = {}
+        seen = 1 << self.dig.root
+        order = [self.dig.root]
+        for u in order:
+            fresh = masks[u] & ~seen
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                v = low.bit_length() - 1
+                parent[v] = u
+                order.append(v)
+                fresh ^= low
+        self.parent = parent
+        self.spanning = len(parent) == self.dig.n - 1
 
     def keeps_root_connected(self, aid: int) -> bool:
         if not self.spanning:
             return False
-        if not self._last_on_tree(aid):
+        if aid in self.removed:
             return True
-        return self.dig.is_root_connected_without(self.removed | {aid})
+        u, v = c = self.dig.arc(aid)
+        if self.parent.get(v) != u or self._surviving(c) > 1:
+            return True
+        return bool(reach(self._masks, self.dig.root, 1 << v, (c,)) >> v & 1)
 
     def remove(self, aid: int) -> None:
-        rebuild = self.spanning and self._last_on_tree(aid)
-        self.removed.add(aid)
-        if rebuild:
+        if self._drop(aid) and self.spanning:
             self._rebuild()
 
 
@@ -253,16 +289,16 @@ def critical_arcs(
     D - removed can be critical, so only those (at most n-1) are rechecked.
     This is the engine of the k=2 gate.
     """
-    reach = ResidualReach(dig, removed)
-    if not reach.spanning:
+    residual = ResidualReach(dig, removed)
+    if not residual.spanning:
         raise ContractError("digraph minus removed arcs is not root-connected")
     tail_filter = None if tails is None else set(tails)
     result = set()
-    for v, u in reach.parent.items():
+    for v, u in residual.parent.items():
         if tail_filter is not None and u not in tail_filter:
             continue
-        survivor = next(aid for aid in dig.class_ids(u, v) if aid not in reach.removed)
-        if not reach.keeps_root_connected(survivor):
+        survivor = next(aid for aid in dig.class_ids(u, v) if aid not in residual.removed)
+        if not residual.keeps_root_connected(survivor):
             result.add(survivor)
     return frozenset(result)
 

@@ -6,11 +6,12 @@ each kind's admissibility test, and the greedy directed completion.  The
 undirected solver's completion is exact via matroid union instead.
 
 A structure "shape" is a parallel-class-level description; reachability after
-removing a shape's arcs depends only on per-class counts, so extendability is
-precomputed per shape.  Whether two shapes can take disjoint copies also
-depends only on their counts, so each shape gets two copy bit masks
-(`copy_masks`) and the pair search tests a whole row of partners with a few
-big-integer operations (`PairSearch`).
+removing a shape's arcs depends only on which classes it empties, so
+extendability is decided per shape from its class counts.  Whether two
+shapes can take disjoint copies also depends only on their counts, so each
+shape gets two copy bit masks, and the pair search tests a whole row of
+partners with a few big-integer operations (`PairSearch`).  One pass over
+the shapes (`shape_masks`) builds the masks and runs the probe.
 """
 
 from __future__ import annotations
@@ -475,31 +476,41 @@ def completion_stall(dig: RootedDigraph, states: tuple[DirectedState, ...]) -> I
         "n": dig.n, "root": dig.root, "arcs": [list(arc) for arc in dig.arcs()]})
 
 
-def copy_masks(
-    shapes: Sequence[Shape], class_ids: Callable[[int, int], tuple[int, ...]]
-) -> tuple[int, list[int], list[int]]:
-    """(expanded shape count, `uses` masks, `limits` masks) of `shapes`.
+def shape_masks(
+    shapes: Sequence[Shape],
+    class_ids: Callable[[int, int], tuple[int, ...]],
+    extendable: Optional[Callable[[list[tuple[int, int]]], bool]] = None,
+) -> tuple[int, list[Shape], list[int], list[int]]:
+    """(expanded shape count, kept shapes, their `uses` masks, their `limits`
+    masks), in one pass over `shapes`.
 
-    The expanded count sums, over the shapes, the ways to pick each shape's
-    copies: the product of comb(L, m) over its classes, where the shape takes
-    m of the L copies of a class.  Bit (c, t) of a mask means "takes at least
-    t copies of class c", for t in {1, 2}: arb and tree shapes take one copy
-    per class and flow cores at most min(2, L).  `uses[j]` holds (c, 1..m)
-    for each class c of shape j, and `limits[i]` holds (c, L - m + 1) when
-    that t is at most 2.  So `limits[i] & uses[j]` is zero exactly when no
-    class has m_i + m_j > L, that is when the two shapes can take disjoint
-    copies; the test is symmetric.  A class with L >= 4 can never run out
-    and gets no bits.  A shape taking more copies of a class than min(L, 2)
-    raises InternalError.
+    The expanded count sums, over all the shapes, the ways to pick each
+    shape's copies: the product of comb(L, m) over its classes, where the
+    shape takes m of the L copies of a class.  Bit (c, t) of a mask means
+    "takes at least t copies of class c", for t in {1, 2}: arb and tree
+    shapes take one copy per class and flow cores at most min(2, L).
+    `uses[j]` holds (c, 1..m) for each class c of shape j, and `limits[i]`
+    holds (c, L - m + 1) when that t is at most 2.  So `limits[i] & uses[j]`
+    is zero exactly when no class has m_i + m_j > L, that is when the two
+    shapes can take disjoint copies; the test is symmetric.  A class with
+    L >= 4 can never run out and gets no bits.  A shape taking more copies
+    of a class than min(L, 2) raises InternalError.
+
+    Each class gets one table row per count m: comb(L, m), the use bits, the
+    limit bit, and whether m copies empty the class.  Given `extendable`
+    (the extendability probe), a shape is kept only if `extendable` passes
+    the classes it empties.
     """
-    table: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
+    table: dict[tuple[int, int], tuple[tuple[int, int, int, bool], ...]] = {}
     width = 0
     expanded = 0
+    kept: list[Shape] = []
     uses: list[int] = []
     limits: list[int] = []
-    for counts, _ in shapes:
+    for shape in shapes:
         combos, use, limit = 1, 0, 0
-        for c, m in counts.items():
+        emptied = []
+        for c, m in shape[0].items():
             row = table.get(c)
             if row is None:
                 copies = len(class_ids(*c))
@@ -508,30 +519,34 @@ def copy_masks(
                     one, two = 1 << width, 2 << width
                     width += 2
                 at_least = {1: one, 2: two}
-                # (comb(L, m), use bits, limit bit) for m = 0, 1, 2
+                # (comb(L, m), use bits, limit bit, empties) for m = 0, 1, 2
                 row = table[c] = (
-                    (1, 0, 0),
-                    (copies, one, at_least.get(copies, 0)),
-                    (comb(copies, 2), one | two, at_least.get(copies - 1, 0)),
+                    (1, 0, 0, copies == 0),
+                    (copies, one, at_least.get(copies, 0), copies == 1),
+                    (comb(copies, 2), one | two, at_least.get(copies - 1, 0), copies == 2),
                 )[:min(copies, 2) + 1]
             if not 0 <= m < len(row):
                 raise InternalError(
                     "shape takes more copies of a class than the pair masks allow",
                     {"class": list(c), "count": m, "copies": len(class_ids(*c))})
-            ways, use_bits, limit_bit = row[m]
+            ways, use_bits, limit_bit, empties = row[m]
             combos *= ways
             use |= use_bits
             limit |= limit_bit
+            if empties:
+                emptied.append(c)
         expanded += combos
-        uses.append(use)
-        limits.append(limit)
-    return expanded, uses, limits
+        if extendable is None or extendable(emptied):
+            kept.append(shape)
+            uses.append(use)
+            limits.append(limit)
+    return expanded, kept, uses, limits
 
 
 @dataclass
 class PairSearch:
     """Lexicographic search for the first shape pair (i, j), i <= j, whose
-    `limits[i] & uses[j]` is zero (see `copy_masks`) and that `accept`, when
+    `limits[i] & uses[j]` is zero (see `shape_masks`) and that `accept`, when
     given, accepts.
 
     `find_first` builds one column per mask bit, the set of shapes whose
@@ -601,12 +616,13 @@ class Stages:
     `finish` grows and completes the crystallised pair, given as the copy
     ids and shape of each side, and returns the witness.  Without
     `completable` (the directed kinds) the extendability probe drops the
-    shapes whose arcs' removal breaks root-connectivity before the pair
-    search, and the first pair whose copy masks do not conflict is the hit;
-    with it (tree), the masks only pre-filter and each mask-free pair is
-    crystallised and handed to `completable` until one passes.  `validate` is passed in rather than
-    imported here so that the call goes through the solver module's own
-    name, which `perfbench/tracer.py` wraps.
+    shapes whose arcs' removal breaks root-connectivity, in the same pass
+    that builds the copy masks (`shape_masks`), and the first pair whose
+    copy masks do not conflict is the hit; with it (tree), there is no
+    probe, the masks only pre-filter and each mask-free pair is crystallised
+    and handed to `completable` until one passes.  `validate` is passed in
+    rather than imported here so that the call goes through the solver
+    module's own name, which `perfbench/tracer.py` wraps.
     """
 
     started: float  # perf_counter() at the start of the solve
@@ -626,10 +642,11 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
     """Small-case oracle, gate, shape enumeration, extendability probe, pair
     search, copy crystallisation, then the problem's grow-and-complete.
 
-    The probe asks `is_root_connected_without` of each shape's lowest
-    copies.  A shape that empties no class keeps D root-connected with no
-    search, and any other needs a search only until the heads of the
-    classes it empties are seen (see `graphs._RootedMultigraph._spans_without`).
+    The probe runs in the pass of `shape_masks` that builds the copy
+    masks, on the classes each shape empties, read off its class counts.  A
+    shape that empties no class keeps the gated D root-connected with no
+    search; any other searches only until those classes' heads are seen
+    (`graphs.RootedDigraph.spans_without_classes`).
     """
     g = inst.graph
     counters = {stages.shape_counter: 0, "pairsTested": 0, "growSteps": 0}
@@ -665,27 +682,18 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
         return report(False, failed[0], cut=failed[1])
 
     class_ids = g.class_ids
-    shapes = stages.shapes()
-    expanded, uses, limits = copy_masks(shapes, class_ids)
-    counters[stages.shape_counter] = expanded
-
     completable = stages.completable
+    probe = g.spans_without_classes if completable is None else None
+    expanded, shapes, uses, limits = shape_masks(stages.shapes(), class_ids, probe)
+    counters[stages.shape_counter] = expanded
+    counts = [shape[0] for shape in shapes]
+
     accept = None
-    if completable is None:
-        keep = [
-            i for i, (counts, _) in enumerate(shapes)
-            if g.is_root_connected_without(
-                [aid for c, m in counts.items() for aid in class_ids(*c)[:m]])
-        ]
-        shapes = [shapes[i] for i in keep]
-        uses = [uses[i] for i in keep]
-        limits = [limits[i] for i in keep]
-    else:
+    if completable is not None:
         def accept(i: int, j: int) -> bool:
             assigned = crystallize_pair(counts[i], counts[j], class_ids)
             return assigned is not None and completable(
                 frozenset(assigned[0]), frozenset(assigned[1]))
-    counts = [shape[0] for shape in shapes]
 
     hit, tested = PairSearch(uses, limits, accept).find_first()
     counters["pairsTested"] = tested

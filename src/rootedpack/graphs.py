@@ -5,11 +5,12 @@ parallel copy, ids surviving sub-selection and arc-capping, so witnesses
 always refer to the original instance.  The two kinds differ only in their
 adjacency index and in whether a class (u, v) is ordered.  Reachability only
 depends on which parallel classes keep a surviving copy, so it is answered
-at class level through cached bitmask adjacency: `reach_mask` for one
-search, `is_root_connected_without` for a search that stops at the heads of
-the classes a removal empties, and `bfs_parents` for the BFS
-r-arborescence that `connectivity.ResidualReach` keeps so that most arc
-removals need no search at all.
+at class level through bitmask adjacency by one search, `reach`, which
+clears the emptied classes' bits for that search only.  `reach_mask` runs
+it to the end; `spans_without_classes`, behind `is_root_connected_without`
+and the extendability probe of `fptcommon.shape_masks`, stops it once the
+emptied classes' heads are seen.  `connectivity.ResidualReach` runs it on
+its own copy of the masks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, ParseError, StructureError
 
@@ -47,22 +48,34 @@ def _check_vertices(n: int, root: int, line: int | None = None) -> None:
         raise ParseError(f"root {root} out of range for n={n}", line)
 
 
-def _reach(masks: list[int], root: int, until: int) -> int:
+def reach(masks: list[int], root: int, until: int,
+          cleared: Sequence[tuple[int, int]] = ()) -> int:
     """Bitmask of the vertices reachable from `root`, given each vertex's
     neighbour mask, or of part of them: the search stops once it has seen
     every vertex of `until`, so the result holds all of `until` that is
-    reachable and is exact when `until` holds every vertex."""
-    seen = 1 << root
-    frontier = seen
-    while frontier and until & ~seen:
-        nxt = 0
-        v = frontier
-        while v:
-            low = v & -v
-            nxt |= masks[low.bit_length() - 1]
-            v ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
+    reachable and is exact when `until` holds every vertex.
+
+    Bit v of `masks[u]` is cleared for each (u, v) of `cleared`, in place,
+    and restored before returning, so pass a copy no one else reads.
+    """
+    saved = [(u, masks[u]) for u, _ in cleared]
+    for u, v in cleared:
+        masks[u] &= ~(1 << v)
+    try:
+        seen = 1 << root
+        frontier = seen
+        while frontier and until & ~seen:
+            nxt = 0
+            v = frontier
+            while v:
+                low = v & -v
+                nxt |= masks[low.bit_length() - 1]
+                v ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+    finally:
+        for u, mask in reversed(saved):
+            masks[u] = mask
     return seen
 
 
@@ -167,6 +180,7 @@ class _RootedMultigraph:
         self._by_class = {c: tuple(ids) for c, ids in by_class.items()}
         self._full_mask = (1 << n) - 1
         self._root_connected: bool | None = None  # decided on first use
+        self._work: list[int] | None = None  # see `_scratch`
         self._index(sorted(self._by_class.items()))
 
     # -- copy accessors, bound to arc_* or edge_* names by each kind -------
@@ -199,49 +213,48 @@ class _RootedMultigraph:
 
     # -- reachability ----------------------------------------------------
 
-    def _residual_masks(self, removed: Iterable[int]) -> tuple[list[int], int]:
-        """Neighbour masks without the removed copies, and the mask of the
-        heads of the classes that lose every copy (both ends for an edge).
+    def masks(self) -> list[int]:
+        """A fresh copy of the neighbour masks: bit v of entry u when some
+        copy joins u to v."""
+        return list(self._masks)
+
+    def _emptied(self, removed: Iterable[int]) -> list[tuple[int, int]]:
+        """The classes that lose every copy when `removed` goes."""
+        gone: dict[tuple[int, int], int] = {}
+        ends = self._ends
+        for cid in set(removed):
+            c = ends[cid]
+            gone[c] = gone.get(c, 0) + 1
+        return [c for c, cnt in gone.items() if cnt >= len(self._by_class[c])]
+
+    def _cleared(self, classes: Sequence[tuple[int, int]]) -> tuple[Sequence[tuple[int, int]], int]:
+        """The mask bits of the classes `classes`, as (u, v) pairs for
+        `reach`, and the mask of their heads (both ends for an edge class)."""
+        if not self._directed:
+            classes = [*classes, *((v, u) for u, v in classes)]
+        heads = 0
+        for _, v in classes:
+            heads |= 1 << v
+        return classes, heads
+
+    def _scratch(self) -> list[int]:
+        """The copy of the masks that this graph's searches clear bits in."""
+        if self._work is None:
+            self._work = self.masks()
+        return self._work
+
+    def reach_mask(self, removed: Iterable[int] = ()) -> int:
+        """Bitmask of vertices reachable from the root after removing copies.
 
         Reachability only depends on how many copies of each class survive,
         so only the classes that lose every copy are cleared.
         """
-        removed = set(removed)
-        masks = self._masks
-        heads = 0
-        if removed:
-            ends = self._ends
-            gone: dict[tuple[int, int], int] = {}
-            for cid in removed:
-                c = ends[cid]
-                gone[c] = gone.get(c, 0) + 1
-            dead = [c for c, cnt in gone.items() if cnt >= len(self._by_class[c])]
-            if dead:
-                masks = list(masks)
-                for (u, v) in dead:
-                    masks[u] &= ~(1 << v)
-                    heads |= 1 << v
-                    if not self._directed:
-                        masks[v] &= ~(1 << u)
-                        heads |= 1 << u
-        return masks, heads
+        cleared, _ = self._cleared(self._emptied(removed))
+        return reach(self._scratch(), self.root, self._full_mask, cleared)
 
-    def reach_mask(self, removed: Iterable[int] = (), until_emptied: bool = False) -> int:
-        """Bitmask of vertices reachable from the root after removing copies.
-
-        `until_emptied` is for `_spans_without` only: the search then stops
-        once it has seen every head of a class that `removed` empties, and
-        the result is the set of those heads it has not seen.  A removal
-        that empties no class needs no search.
-        """
-        masks, heads = self._residual_masks(removed)
-        if until_emptied:
-            return heads & ~_reach(masks, self.root, heads)
-        return _reach(masks, self.root, self._full_mask)
-
-    def _spans_without(self, removed: Iterable[int] = ()) -> bool:
+    def spans_without_classes(self, classes: Sequence[tuple[int, int]]) -> bool:
         """Whether every vertex stays reachable from the root after removing
-        the copies `removed`.
+        every copy of each class in `classes`.
 
         Lemma: if the whole multigraph D is root-connected, then D - X is
         root-connected iff every head of a class that X empties is reachable
@@ -256,7 +269,15 @@ class _RootedMultigraph:
         """
         if self._root_connected is None:
             self._root_connected = self.reach_mask() == self._full_mask
-        return self._root_connected and not self.reach_mask(removed, until_emptied=True)
+        if not (self._root_connected and classes):
+            return bool(self._root_connected)
+        cleared, heads = self._cleared(classes)
+        return not heads & ~reach(self._scratch(), self.root, heads, cleared)
+
+    def _spans_without(self, removed: Iterable[int] = ()) -> bool:
+        """Whether every vertex stays reachable from the root after removing
+        the copies `removed` (see `spans_without_classes`)."""
+        return self.spans_without_classes(self._emptied(removed))
 
     # -- construction helpers ---------------------------------------------
 
@@ -319,31 +340,18 @@ class RootedDigraph(_RootedMultigraph):
         )
 
     def unreachable_set(self, removed: Iterable[int] = ()) -> frozenset[int]:
-        mask = self.reach_mask(removed)
-        return frozenset(v for v in range(self.n) if not (mask >> v) & 1)
+        """The vertices not reachable from the root after removing copies.
 
-    def bfs_parents(self, removed: Iterable[int] = ()) -> dict[int, int]:
-        """Parent map of a BFS r-arborescence of D minus removed.
-
-        Built at parallel-class level: each vertex reachable from the root,
-        other than the root, maps to the tail of the class that first reaches
-        it.  Vertices are expanded in BFS order, each one's new heads
-        ascending.
+        Read off the binary digits of the missing mask, in time linear in
+        n; isolating one bit at a time costs O(n/64) per unreachable vertex.
         """
-        masks, _ = self._residual_masks(removed)
-        parent: dict[int, int] = {}
-        seen = 1 << self.root
-        order = [self.root]
-        for u in order:
-            fresh = masks[u] & ~seen
-            seen |= fresh
-            while fresh:
-                low = fresh & -fresh
-                v = low.bit_length() - 1
-                parent[v] = u
-                order.append(v)
-                fresh ^= low
-        return parent
+        digits = format(self._full_mask & ~self.reach_mask(removed), "b")[::-1]
+        found = []
+        v = digits.find("1")
+        while v >= 0:
+            found.append(v)
+            v = digits.find("1", v + 1)
+        return frozenset(found)
 
 
 class RootedGraph(_RootedMultigraph):

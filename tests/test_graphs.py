@@ -17,11 +17,12 @@ from rootedpack.graphs import (
     serialize_instance,
     subtree_sizes,
 )
-from rootedpack.fptcommon import tree_shapes
+from rootedpack.fptcommon import shape_masks, tree_shapes
 from rootedpack.solver_arb import candidate_pool, classify_vertices
 from rootedpack.solver_flow import _core_shapes, candidate_pool_flow, classify_vertices_flow
 
-from conftest import digraphs, graphs, random_digraph, random_graph
+from conftest import digraphs, graphs, random_digraph, random_graph, spanning_digraph
+from test_pair_search import expanded_reference
 from test_shapes import arc_key, flow_instances, instances
 import random
 import tracemalloc
@@ -220,20 +221,33 @@ def spans_agree(g, removed) -> bool:
     return want
 
 
-def probe_removals():
-    """(digraph, copies) for every kernel and core of the
-    `tests/test_shapes.py` fixtures, as the extendability probe builds
-    them: the lowest copies of each class of the shape."""
+def probe_shapes():
+    """(digraph, shapes) for the kernels and cores of the
+    `tests/test_shapes.py` fixtures, as `run_pipeline` hands them to
+    `shape_masks`: per-class copy counts and the attachment."""
     for inst, k in instances("arb"):
         g = cap_parallel(inst).graph
-        for classes, _ in tree_shapes(g.root, k, candidate_pool(g, k),
-                                      classify_vertices(g, k).large, g.out_classes, arc_key):
-            yield g, [g.class_ids(*c)[0] for c in classes]
+        yield g, [(dict.fromkeys(classes, 1), attachment) for classes, attachment
+                  in tree_shapes(g.root, k, candidate_pool(g, k),
+                                 classify_vertices(g, k).large, g.out_classes, arc_key)]
     for inst in flow_instances():
         g, k = cap_parallel(inst).graph, inst.k
-        for _, counts, _ in _core_shapes(g, k, candidate_pool_flow(g, k),
-                                         classify_vertices_flow(g, k)):
-            yield g, [aid for c, m in counts for aid in g.class_ids(*c)[:m]]
+        yield g, [(dict(counts), {}) for _, counts, _
+                  in _core_shapes(g, k, candidate_pool_flow(g, k), classify_vertices_flow(g, k))]
+
+
+def lowest_copies(g, counts) -> list[int]:
+    """The copies the replaced probe removed for a shape: the lowest m ids
+    of each class it takes m copies of."""
+    return [aid for c, m in counts.items() for aid in g.class_ids(*c)[:m]]
+
+
+def probe_removals():
+    """(digraph, copies) for every shape of `probe_shapes`: its lowest
+    copies."""
+    for g, shapes in probe_shapes():
+        for counts, _ in shapes:
+            yield g, lowest_copies(g, counts)
 
 
 def test_spans_without_matches_a_plain_search_on_probe_removals():
@@ -264,6 +278,74 @@ def test_spans_without_matches_a_plain_search_on_random_removals(rng):
             if isinstance(g, RootedGraph):
                 assert g.is_connected() == (len(plain_reach(g, set())) == g.n)
     assert min(verdicts.values()) > 500 and disconnected > 100 and partial > 100
+
+
+def probe_agrees(g, shapes) -> list[bool]:
+    """`shape_masks` with the class-level probe against
+    `is_root_connected_without` of each shape's lowest copies, and its
+    expanded count and masks against `shape_masks` without the probe and
+    the comb(L, m) reference; returns the verdicts."""
+    verdicts = [g.is_root_connected_without(lowest_copies(g, counts)) for counts, _ in shapes]
+    expanded, kept, uses, limits = shape_masks(shapes, g.class_ids, g.spans_without_classes)
+    every, unprobed, all_uses, all_limits = shape_masks(shapes, g.class_ids)
+    index = [i for i, ok in enumerate(verdicts) if ok]
+    assert expanded == every == expanded_reference([c for c, _ in shapes], g.class_ids)
+    assert unprobed == shapes
+    assert kept == [shapes[i] for i in index]
+    assert uses == [all_uses[i] for i in index] and limits == [all_limits[i] for i in index]
+    return verdicts
+
+
+def random_class_shapes(rng, g, count):
+    """`count` shapes over random classes of g, each taking 1..L copies of
+    a class with L copies."""
+    classes = sorted(g.parallel_classes())
+    return [({c: rng.randint(1, len(g.class_ids(*c)))
+              for c in sorted(rng.sample(classes, rng.randint(1, min(5, len(classes)))))}, {})
+            for _ in range(count)] if classes else []
+
+
+def test_one_pass_probe_matches_is_root_connected_without_on_fixture_shapes():
+    verdicts = {True: 0, False: 0}
+    for g, shapes in probe_shapes():
+        for ok in probe_agrees(g, shapes):
+            verdicts[ok] += 1
+    assert verdicts[True] > 10_000 and verdicts[False] > 1_000
+
+
+def test_one_pass_probe_matches_is_root_connected_without_on_random_digraphs(rng):
+    """Root-connected digraphs and arbitrary ones, many not root-connected,
+    capped as the arb pipeline caps them: 1- and 2-copy classes."""
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(2, 14)
+        for d in (spanning_digraph(rng, n, extra=rng.randint(0, 2 * n)),
+                  random_digraph(rng, max_n=9, max_mult=2)):
+            g = cap_parallel(ProblemInstance(kind="arb", graph=d, k=1)).graph
+            for ok in probe_agrees(g, random_class_shapes(rng, g, 30)):
+                verdicts[ok] += 1
+    assert min(verdicts.values()) > 500
+
+
+def test_unreachable_set_matches_the_per_vertex_definition(rng):
+    for _ in range(300):
+        d = random_digraph(rng, max_n=9, max_mult=2)
+        ids = sorted(d.arc_ids)
+        removed = rng.sample(ids, rng.randint(0, len(ids)))
+        mask = d.reach_mask(removed)
+        assert d.unreachable_set(removed) == frozenset(
+            v for v in range(d.n) if not (mask >> v) & 1)
+
+
+def test_unreachable_set_at_scale():
+    """Almost every vertex unreachable, and exactly one: both read off the
+    missing mask once."""
+    n = 200_000
+    assert RootedDigraph(n, 0, []).unreachable_set() == frozenset(range(1, n))
+    n = 20_000  # the reach search itself takes O(n^2/64) on a star
+    star = RootedDigraph(n, 0, [(0, v) for v in range(1, n - 1)])
+    assert star.unreachable_set() == {n - 1}
+    assert star.unreachable_set([0]) == {1, n - 1}
 
 
 def test_cap_parallel_idempotent(rng):

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from rootedpack.errors import InternalError
-from rootedpack.fptcommon import PairSearch, copy_masks
+from rootedpack.fptcommon import PairSearch, shape_masks
 
 
 def pair_shares_ok(classes1, classes2, class_ids) -> bool:
@@ -87,7 +87,7 @@ def recording_accept(rate, salt):
 
 
 def new_search(counts, class_ids, accept=None):
-    _, uses, limits = copy_masks([(shape, {}) for shape in counts], class_ids)
+    _, _, uses, limits = shape_masks([(shape, {}) for shape in counts], class_ids)
     return PairSearch(uses, limits, accept).find_first()
 
 
@@ -117,7 +117,7 @@ def shape_lists():
 @pytest.mark.parametrize("name,shapes,class_ids", shape_lists(),
                          ids=[case[0] for case in shape_lists()])
 def test_masks_agree_with_pair_shares_ok(name, shapes, class_ids):
-    expanded, uses, limits = copy_masks([(s, {}) for s in shapes], class_ids)
+    expanded, _, uses, limits = shape_masks([(s, {}) for s in shapes], class_ids)
     assert expanded == expanded_reference(shapes, class_ids)
     for i, a in enumerate(shapes):
         for j, b in enumerate(shapes):
@@ -175,7 +175,7 @@ def test_synthetic_no_with_thousands_of_shapes():
 
 def test_class_with_four_copies_gets_no_bits():
     ids = {(0, 1): (0, 1, 2, 3), (1, 2): (4, 5, 6, 7, 8)}
-    expanded, uses, limits = copy_masks(
+    expanded, _, uses, limits = shape_masks(
         [({(0, 1): 2, (1, 2): 1}, {}), ({(0, 1): 1}, {})], lambda u, v: ids[(u, v)])
     assert expanded == comb(4, 2) * 5 + 4
     assert uses == [0, 0] and limits == [0, 0]
@@ -188,4 +188,4 @@ def test_copy_masks_refuses_impossible_shapes(copies, count):
     ids = {(0, 1): tuple(range(copies)), (1, 2): (10,)}
     shapes = [({(1, 2): 1}, {}), ({(0, 1): count}, {})]
     with pytest.raises(InternalError):
-        copy_masks(shapes, lambda u, v: ids[(u, v)])
+        shape_masks(shapes, lambda u, v: ids[(u, v)])

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from rootedpack import connectivity
 from rootedpack.connectivity import (
     CutWitness,
     ResidualReach,
@@ -18,10 +19,11 @@ from rootedpack.connectivity import (
     is_k_root_connected,
 )
 from rootedpack.errors import ContractError
-from rootedpack.fptcommon import DirectedState, complete_directed_pair
-from rootedpack.graphs import RootedDigraph
+from rootedpack.fptcommon import DirectedState, complete_directed_pair, pair_states
+from rootedpack.graphs import RootedDigraph, reach
 
 from conftest import spanning_digraph
+from test_growth import _arb, _pairs
 
 
 def gate_reference(d: RootedDigraph):
@@ -125,31 +127,77 @@ def test_critical_arcs_match_per_arc_recheck_at_scale():
     assert rejected and found
 
 
-def test_residual_reach_matches_recheck_along_removals():
+def test_residual_reach_matches_recheck_along_removals(monkeypatch):
     # every copy is judged after each removal, so a stale arborescence
-    # (one not rebuilt after its arc went) would show
+    # (one not rebuilt after its arc went) or stale residual masks would
+    # show; half of the reaches start from a removal set, and each sequence
+    # goes on past the last admissible removal, where nothing is admitted
+    searches = []
+    monkeypatch.setattr(connectivity, "reach", lambda *args: searches.append(args[2])
+                        or reach(*args))
     rng = random.Random(34)
-    rebuilt = 0
+    rebuilt = started = disconnected = 0
     for _ in range(15):
         n = rng.randint(12, 30)
         d = spanning_digraph(rng, n, extra=rng.randint(n, 2 * n))
-        reach = ResidualReach(d)
         removed = set()
-        while True:
+        if rng.random() < 0.5:
+            for aid in rng.sample(sorted(d.arc_ids), n // 2):
+                if d.is_root_connected_without(removed | {aid}):
+                    removed.add(aid)
+            started += bool(removed)
+        reach_ = ResidualReach(d, removed)
+        tail = 3
+        while tail:
             admitted = []
             for aid in d.arc_ids:
                 want = d.is_root_connected_without(removed | {aid})
-                assert reach.keeps_root_connected(aid) == want
+                assert reach_.keeps_root_connected(aid) == want
                 if want and aid not in removed:
                     admitted.append(aid)
             if not admitted:
-                break
+                tail -= 1
+                admitted = sorted(set(d.arc_ids) - removed)
+                disconnected += not reach_.spanning
+                if not admitted:
+                    break
             aid = rng.choice(admitted)
-            before = reach.parent
-            reach.remove(aid)
+            before = reach_.parent
+            reach_.remove(aid)
             removed.add(aid)
-            rebuilt += reach.parent is not before
-    assert rebuilt
+            rebuilt += reach_.parent is not before
+    # each recheck of a last T-copy (u, v) searches only until v is seen
+    assert searches and all(bin(until).count("1") == 1 for until in searches)
+    assert rebuilt and started and disconnected
+
+
+def test_searches_leave_the_graph_masks_unchanged():
+    """`critical_arcs`, growth and completion search cleared copies of the
+    mask table, and so does the probe; the graph's own table, its scratch
+    copy and its reach stay as they were."""
+    rng = random.Random(35)
+    grown = completed = 0
+    for _ in range(4):
+        d, kernels, ids_of, extendable, grow, _ = _arb(rng)
+        table, full = d.masks(), d.reach_mask()
+        for pair in _pairs(rng, d, kernels, ids_of, 6):
+            for side in pair:
+                if d.is_root_connected_without(ids_of(side)):
+                    critical_arcs(d, ids_of(side))
+            if not extendable(*pair):
+                continue
+            states = pair_states(d.root, [(ids_of(s), s.vertices) for s in pair])
+            grow(states, tuple(s.attachment for s in pair), {})
+            grown += 1
+            # the gadget digraphs are not 2-root-connected, so completion
+            # may stall, but only after it has taken steps
+            counters = {}
+            complete_directed_pair(d, states, counters)
+            completed += counters.get("completionSteps", 0)
+        is_k_root_connected(d, 2)
+        assert d.masks() == table and d._scratch() == table
+        assert d.reach_mask() == full
+    assert grown and completed
 
 
 def _start_states(rng: random.Random, d: RootedDigraph):
