@@ -52,7 +52,6 @@ from .oracles import (
     validate_witness,
 )
 from .solver_arb import (
-    CompactKernel,
     SolveOptions,
     candidate_pool,
     classify_vertices,
@@ -63,7 +62,6 @@ from .solver_arb import (
     validate_compact_kernel,
 )
 from .solver_flow import (
-    CompactCore,
     candidate_pool_flow,
     classify_vertices_flow,
     complete_to_spanning_flow,
@@ -73,7 +71,6 @@ from .solver_flow import (
     validate_compact_core,
 )
 from .solver_tree import (
-    CompactCertificate,
     candidate_pool_tree,
     classify_vertices_tree,
     complete_to_spanning_trees,
@@ -90,7 +87,7 @@ from .instancegen import (
     sat_reduction,
     witness_tree_from_assignment,
 )
-from .fptcommon import LargenessView
+from .fptcommon import CompactStructure, LargenessView
 from .reports import SolveReport
 
 __version__ = "0.1.0"

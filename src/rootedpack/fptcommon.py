@@ -1,9 +1,12 @@
 """Machinery shared by the three FPT solvers.
 
 The solve pipeline all three run (`run_pipeline`), largeness views,
-depth-bounded candidate pools, the growth loop (compact -> classic) with
-each kind's admissibility test, and the greedy directed completion.  The
-undirected solver's completion is exact via matroid union instead.
+depth-bounded candidate pools, the one compact-structure record
+(`CompactStructure`: a kernel, core or certificate with its imaginary-leaf
+attachment) and the one expansion of shapes into its copy choices
+(`expand_shapes`), the growth loop (compact -> classic) with each kind's
+admissibility test, and the greedy directed completion.  The undirected
+solver's completion is exact via matroid union instead.
 
 A structure "shape" is a parallel-class-level description; reachability after
 removing a shape's arcs depends only on which classes it empties, so
@@ -17,15 +20,17 @@ the shapes (`shape_masks`) builds the masks and runs the probe.
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from bisect import insort
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .connectivity import ResidualReach
 from .errors import InternalError, StructureError
-from .graphs import ProblemInstance, RootedDigraph, RootedGraph, parse_rooted_tree
+from .graphs import (ArcSelection, EdgeSelection, ProblemInstance, RootedDigraph, RootedGraph,
+                     parse_rooted_tree)
 from .oracles import OracleAnswer, OracleBudget
 from .reports import SolveReport
 
@@ -602,8 +607,48 @@ class SolveOptions:
 
 
 # A shape as the pipeline sees it: per-class copy counts plus the attachment
-# witness.  Vertex sets and Compact* objects are built for the hit pair only.
+# witness.  `run_pipeline` builds `CompactStructure` records for the hit
+# pair only.
 Shape = tuple[dict[tuple[int, int], int], Mapping[int, int]]
+
+
+@dataclass(frozen=True)
+class CompactStructure:
+    """A compact kernel (arb), core (flow) or certificate (tree): its
+    non-root vertices, its copies and its imaginary-leaf attachment witness."""
+
+    vertices: frozenset[int]
+    selection: ArcSelection | EdgeSelection
+    attachment: Mapping[int, int]
+
+
+def compact_structure(
+    g: RootedDigraph | RootedGraph, ids: Iterable[int],
+    counts: Iterable[tuple[int, int]], attachment: Mapping[int, int],
+) -> CompactStructure:
+    """The record of copies `ids` of a shape with classes `counts`.
+
+    Its vertices are the ends of its classes minus the root.  Every tail of
+    a kernel or core is the root or a head, so for the directed kinds this
+    is the head set.
+    """
+    verts = frozenset(v for c in counts for v in c if v != g.root)
+    return CompactStructure(verts, g.selection(ids), dict(attachment))
+
+
+def expand_shapes(
+    g: RootedDigraph | RootedGraph, shapes: Iterable[Shape]
+) -> Iterator[CompactStructure]:
+    """Every copy choice of every shape, in order.
+
+    A shape taking m copies of a class chooses among the m-subsets of the
+    class's copies, in lexicographic order, the classes varying as in
+    `itertools.product` over the shape's class order.
+    """
+    for counts, attachment in shapes:
+        choices = [itertools.combinations(g.class_ids(*c), m) for c, m in counts.items()]
+        for combo in itertools.product(*choices):
+            yield compact_structure(g, (aid for chunk in combo for aid in chunk), counts, attachment)
 
 
 @dataclass
@@ -613,8 +658,9 @@ class Stages:
     `size` is the vertex count of a compact structure; instances with fewer
     non-root vertices go to the brute-force `oracle`.  `gate` returns None
     when it passes, else the failing stage and its cut witness (or None).
-    `finish` grows and completes the crystallised pair, given as the copy
-    ids and shape of each side, and returns the witness.  Without
+    `finish` grows and completes the crystallised pair, given as the two
+    `CompactStructure` records `run_pipeline` builds from each side's copy
+    ids and shape, and returns the witness.  Without
     `completable` (the directed kinds) the extendability probe drops the
     shapes whose arcs' removal breaks root-connectivity, in the same pass
     that builds the copy masks (`shape_masks`), and the first pair whose
@@ -631,7 +677,7 @@ class Stages:
     gate: Callable[[], Optional[tuple[str, Optional[dict]]]]
     shape_counter: str  # "kernels", "cores" or "certificates"
     shapes: Callable[[], list[Shape]]
-    finish: Callable[[tuple[tuple[set[int], Shape], ...], dict], dict]
+    finish: Callable[[tuple[CompactStructure, CompactStructure], dict], dict]
     validate: Callable[[ProblemInstance, dict], object]
     completable: Optional[Callable[[frozenset[int], frozenset[int]], bool]] = None
     oracle_witness: Callable[[tuple], dict] = (
@@ -704,5 +750,7 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
     assigned = crystallize_pair(counts[i], counts[j], class_ids)
     if assigned is None:
         raise InternalError("copy assignment failed for a tested pair", {"pair": [i, j]})
-    witness = stages.finish(((assigned[0], shapes[i]), (assigned[1], shapes[j])), counters)
+    pair = (compact_structure(g, assigned[0], *shapes[i]),
+            compact_structure(g, assigned[1], *shapes[j]))
+    witness = stages.finish(pair, counters)
     return report(True, "completed", witness)

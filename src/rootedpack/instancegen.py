@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 from .connectivity import is_k_root_connected
 from .errors import ContractError, GenerationError, InternalError, ParseError
-from .graphs import ProblemInstance, RootedDigraph, RootedGraph
+from .graphs import MAX_COPIES, ProblemInstance, RootedDigraph, RootedGraph
 
 
 @dataclass(frozen=True)
@@ -249,11 +249,15 @@ def random_instance(
     until the requested property holds.
 
     ensure is one of None, "2-root-connected" (directed kinds), "connected"
-    (trees).  Generation fails when the property needs more arcs than the
-    budget allows for.
+    (trees).  Generation fails when the budget exceeds `MAX_COPIES`, the
+    most copies an instance may have, or is below the property's least arc
+    count (2(n-1) or n-1); the repair loop may then add arcs beyond the
+    budget.
     """
     if n < 1:
         raise GenerationError(f"n must be >= 1, got {n}")
+    if arc_budget > MAX_COPIES:
+        raise GenerationError(f"arc budget {arc_budget} exceeds the limit of {MAX_COPIES} copies")
     if ensure not in (None, "2-root-connected", "connected"):
         raise GenerationError(f"unknown ensure property {ensure!r}")
     directed = kind in ("arb", "flow")

@@ -17,13 +17,38 @@ from .errors import ContractError, InternalError
 from .graphs import EdgeSelection, RootedGraph
 
 
+class _UnionFind:
+    """Disjoint sets over 0..n-1, with path halving."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(self, u: int, v: int) -> bool:
+        """Join the sets of u and v; False when they were one set already."""
+        ru, rv = self.find(u), self.find(v)
+        self.parent[ru] = rv
+        return ru != rv
+
+
+def _cycle_edge(graph: RootedGraph, eids: Iterable[int]) -> Optional[int]:
+    """The first of `eids` that closes a cycle with those before it, or None."""
+    uf = _UnionFind(graph.n)
+    return next((eid for eid in eids if not uf.union(*graph.edge(eid))), None)
+
+
 class ForcedForestContext:
     """One side of the union: forced forest plus movable independent edges.
 
     Independence of S means S together with the forced forest is acyclic.
-    Connectivity queries run on a union-find that stays valid across inserts
-    and is rebuilt lazily after removals.  Path queries run on a rooted copy
-    of the forest that every edit drops and the next query rebuilds.
+    Connectivity and path queries run on a rooted copy of the forest that
+    every edit drops and the next query rebuilds.
     """
 
     def __init__(self, graph: RootedGraph, forced: Iterable[int]):
@@ -31,42 +56,11 @@ class ForcedForestContext:
         self.forced = frozenset(forced)
         self.members: set[int] = set()
         self.adj: dict[int, list[tuple[int, int]]] = {}
-        self._uf: list[int] = list(range(graph.n))
-        self._uf_ok = True
         self._rooted: Optional[tuple[list[int], list[int], list[int], list[int]]] = None
+        if _cycle_edge(graph, sorted(self.forced)) is not None:
+            raise ContractError("forced edge set is not a forest")
         for eid in sorted(self.forced):
-            u, v = graph.edge(eid)
-            if self._connected_now(u, v):
-                raise ContractError("forced edge set is not a forest")
-            self._link(u, v)
-            self._adj_add(u, v, eid)
-
-    # union-find ---------------------------------------------------------
-
-    def _find(self, v: int) -> int:
-        uf = self._uf
-        root = v
-        while uf[root] != root:
-            root = uf[root]
-        while uf[v] != root:
-            uf[v], v = root, uf[v]
-        return root
-
-    def _link(self, u: int, v: int) -> None:
-        self._uf[self._find(u)] = self._find(v)
-
-    def _connected_now(self, u: int, v: int) -> bool:
-        return self._find(u) == self._find(v)
-
-    def _ensure_uf(self) -> None:
-        if self._uf_ok:
-            return
-        self._uf = list(range(self.graph.n))
-        for eid in self.forced:
-            self._link(*self.graph.edge(eid))
-        for eid in self.members:
-            self._link(*self.graph.edge(eid))
-        self._uf_ok = True
+            self._adj_add(*graph.edge(eid), eid)
 
     # forest edits ---------------------------------------------------------
 
@@ -76,22 +70,19 @@ class ForcedForestContext:
         self._rooted = None
 
     def connected(self, u: int, v: int) -> bool:
-        self._ensure_uf()
-        return self._connected_now(u, v)
+        comp = self._rooted_forest()[3]
+        return comp[u] == comp[v]
 
     def insert(self, eid: int) -> None:
         u, v = self.graph.edge(eid)
         self.members.add(eid)
         self._adj_add(u, v, eid)
-        if self._uf_ok:
-            self._link(u, v)
 
     def remove(self, eid: int) -> None:
         u, v = self.graph.edge(eid)
         self.members.remove(eid)
         self.adj[u].remove((v, eid))
         self.adj[v].remove((u, eid))
-        self._uf_ok = False
         self._rooted = None
 
     def size(self) -> int:
@@ -148,21 +139,9 @@ class ForcedForestContext:
         return from_v + from_u
 
     def assert_forest(self) -> None:
-        uf = list(range(self.graph.n))
-
-        def find(v: int) -> int:
-            while uf[v] != v:
-                uf[v] = uf[uf[v]]
-                v = uf[v]
-            return v
-
-        for eid in sorted(self.forced | self.members):
-            u, v = self.graph.edge(eid)
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise InternalError("matroid union produced a cyclic side",
-                                    {"edge": eid})
-            uf[ru] = rv
+        eid = _cycle_edge(self.graph, sorted(self.forced | self.members))
+        if eid is not None:
+            raise InternalError("matroid union produced a cyclic side", {"edge": eid})
 
 
 class _UnionRun:
@@ -176,6 +155,11 @@ class _UnionRun:
         self.sides = (ForcedForestContext(graph, f1), ForcedForestContext(graph, f2))
         self.in_side: dict[int, int] = {}
         self.target = graph.n - 1
+        # each side's components as the direct pass sees them (see `run`)
+        self._direct = (_UnionFind(graph.n), _UnionFind(graph.n))
+        for uf, forced in zip(self._direct, (f1, f2)):
+            for eid in forced:
+                uf.union(*graph.edge(eid))
 
     def full(self) -> bool:
         return all(s.size() == self.target for s in self.sides)
@@ -184,7 +168,7 @@ class _UnionRun:
         u, v = self.graph.edge(eid)
         for i in order:
             side = self.sides[i]
-            if side.size() < self.target and not side.connected(u, v):
+            if side.size() < self.target and self._direct[i].union(u, v):
                 side.insert(eid)
                 self.in_side[eid] = i
                 return True
@@ -205,12 +189,10 @@ class _UnionRun:
                 if i == cur:
                     continue
                 side = sides[i]
-                if side.size() < self.target and not side.connected(u, v):
+                circuit = side.path_edges(u, v)
+                if circuit is None:  # a forest short of spanning: x is free here
                     self._apply(x, i, parent)
                     return None
-                circuit = side.path_edges(u, v)
-                if circuit is None:
-                    continue
                 for y in circuit:
                     if y in side.members and y not in visited:
                         visited.add(y)
@@ -239,8 +221,11 @@ class _UnionRun:
         a preferred side.
 
         A direct pass inserts every element that fits a side as it stands and
-        stops as soon as both sides span.  The elements it could not insert
-        then get an augmenting search each, until both sides span.
+        stops as soon as both sides span.  It only inserts, and no
+        augmentation runs before it ends, so each side's components stay in
+        one union-find seeded with its forced edges (`_try_direct`).  The
+        elements it could not insert then get an augmenting search each,
+        until both sides span.
         """
         blocked = self.sides[0].forced | self.sides[1].forced
         seen = {eid for eid, _ in seeds} | blocked
@@ -333,20 +318,8 @@ def has_two_disjoint_spanning_trees(g: RootedGraph) -> bool:
 def _spanning_tree_or_raise(g: RootedGraph, sel: EdgeSelection, name: str) -> None:
     if len(sel.ids) != g.n - 1:
         raise ContractError(f"{name} is not a spanning tree (edge count)")
-    uf = list(range(g.n))
-
-    def find(v: int) -> int:
-        while uf[v] != v:
-            uf[v] = uf[uf[v]]
-            v = uf[v]
-        return v
-
-    for eid in sel.sorted_ids():
-        u, v = g.edge(eid)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise ContractError(f"{name} contains a cycle")
-        uf[ru] = rv
+    if _cycle_edge(g, sel.sorted_ids()) is not None:
+        raise ContractError(f"{name} contains a cycle")
 
 
 def _cut_side(g: RootedGraph, tree_ids: Sequence[int], dropped: int) -> frozenset[int]:

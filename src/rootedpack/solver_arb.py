@@ -10,16 +10,16 @@ the connectivity invariant matters during completion.
 
 from __future__ import annotations
 
-import itertools
 import time
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .connectivity import is_extendable_pair, is_k_root_connected
 from .errors import ContractError, InternalError, StructureError
 from .fptcommon import (
-    branch_structure,
+    CompactStructure,
     LargenessView,
+    Shape,
+    branch_structure,
     SolveOptions,
     Stages,
     classify,
@@ -27,6 +27,7 @@ from .fptcommon import (
     complete_directed_pair,
     completion_stall,
     depth_bounded_pool,
+    expand_shapes,
     grow_directed_pair,
     pair_states,
     run_pipeline,
@@ -35,15 +36,6 @@ from .fptcommon import (
 from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel, parse_rooted_tree
 from .oracles import oracle_arb, validate_witness
 from .reports import SolveReport
-
-
-@dataclass(frozen=True)
-class CompactKernel:
-    """A pruned kernel candidate plus its imaginary-leaf attachment witness."""
-
-    vertices: frozenset[int]
-    arcs: ArcSelection
-    attachment: Mapping[int, int]
 
 
 def classify_vertices(dig: RootedDigraph, k: int) -> LargenessView:
@@ -75,31 +67,29 @@ def _arc_class(tail: int, head: int) -> tuple[int, int]:
     return (tail, head)
 
 
-def enumerate_compact_kernels(dig: RootedDigraph, k: int) -> Iterator[CompactKernel]:
+def _kernel_shapes(dig: RootedDigraph, k: int) -> list[Shape]:
+    """Every compact kernel shape: one copy of each class of the tree."""
+    return [(dict.fromkeys(classes, 1), attachment) for classes, attachment
+            in tree_shapes(dig.root, k, candidate_pool(dig, k), classify_vertices(dig, k).large,
+                           dig.out_classes, _arc_class)]
+
+
+def enumerate_compact_kernels(dig: RootedDigraph, k: int) -> Iterator[CompactStructure]:
     """Every valid compact kernel, canonical order, one per arc-copy choice."""
-    for classes, attachment in tree_shapes(
-            dig.root, k, candidate_pool(dig, k), classify_vertices(dig, k).large,
-            dig.out_classes, _arc_class):
-        id_choices = [dig.class_ids(u, v) for u, v in classes]
-        for combo in itertools.product(*id_choices):
-            yield CompactKernel(
-                vertices=frozenset(v for _, v in classes),
-                arcs=dig.selection(combo),
-                attachment=dict(attachment),
-            )
+    yield from expand_shapes(dig, _kernel_shapes(dig, k))
 
 
 def grow_to_classic(
-    dig: RootedDigraph, k: int, pair: tuple[CompactKernel, CompactKernel],
+    dig: RootedDigraph, k: int, pair: tuple[CompactStructure, CompactStructure],
     counters: Optional[dict] = None,
 ) -> tuple[ArcSelection, ArcSelection]:
     """Grow an extendable arc-disjoint compact pair into classic kernels."""
     k1, k2 = pair
-    if k1.arcs.ids & k2.arcs.ids:
+    if k1.selection.ids & k2.selection.ids:
         raise ContractError("compact kernels must be arc-disjoint")
-    if not is_extendable_pair(dig, k1.arcs, k2.arcs):
+    if not is_extendable_pair(dig, k1.selection, k2.selection):
         raise ContractError("compact kernel pair is not extendable")
-    states = pair_states(dig.root, ((c.arcs.ids, c.vertices) for c in pair))
+    states = pair_states(dig.root, ((c.selection.ids, c.vertices) for c in pair))
     grow_directed_pair(dig, states, (k1.attachment, k2.attachment), counters)
     out = []
     for state in states:
@@ -142,20 +132,12 @@ def solve_arb(dig: RootedDigraph, k: int, options: Optional[SolveOptions] = None
         ok2, cut = is_k_root_connected(d, 2)
         return None if ok2 else ("connectivity-gate", cut.to_json_dict())
 
-    def shapes():
-        return [(dict.fromkeys(classes, 1), attachment) for classes, attachment
-                in tree_shapes(d.root, k, candidate_pool(d, k), classify_vertices(d, k).large,
-                               d.out_classes, _arc_class)]
-
-    def finish(sides, counters):
-        pair = tuple(
-            CompactKernel(frozenset(v for _, v in counts), d.selection(ids), dict(attachment))
-            for ids, (counts, attachment) in sides)
+    def finish(pair, counters):
         kernels = grow_to_classic(d, k, pair, counters)
         tree1, tree2 = complete_to_spanning(d, k, kernels, counters)
         return {"tree1": sorted(tree1.ids), "tree2": sorted(tree2.ids)}
 
     return run_pipeline(inst, options or SolveOptions(), Stages(
         started=t0, size=2 * k - 2, oracle=lambda budget: oracle_arb(d, k, budget),
-        gate=gate, shape_counter="kernels", shapes=shapes, finish=finish,
+        gate=gate, shape_counter="kernels", shapes=lambda: _kernel_shapes(d, k), finish=finish,
         validate=validate_witness))

@@ -13,20 +13,22 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .connectivity import FlowNetwork, is_extendable_pair, is_k_root_connected, max_flow
 from .errors import ContractError, InternalError
 from .flows import BranchingFlow, branching_flow_feasible, decompose_flow, validate_branching_flow
 from .fptcommon import (
+    CompactStructure,
     LargenessView,
+    Shape,
     SolveOptions,
     Stages,
     classify,
     complete_directed_pair,
     completion_stall,
     depth_bounded_pool,
+    expand_shapes,
     grow_directed_pair,
     pair_states,
     run_pipeline,
@@ -34,15 +36,6 @@ from .fptcommon import (
 from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel
 from .oracles import oracle_flow, validate_witness
 from .reports import SolveReport
-
-
-@dataclass(frozen=True)
-class CompactCore:
-    """A pruned core candidate plus its attachment witness."""
-
-    vertices: frozenset[int]
-    arcs: ArcSelection
-    attachment: Mapping[int, int]
 
 
 def classify_vertices_flow(dig: RootedDigraph, k: int) -> LargenessView:
@@ -208,34 +201,29 @@ def _core_shapes(
     return shapes
 
 
-def enumerate_compact_cores(dig: RootedDigraph, k: int) -> Iterator[CompactCore]:
+def _flow_shapes(dig: RootedDigraph, k: int) -> list[Shape]:
+    """Every compact core shape, its per-class counts in `_core_shapes`' order."""
+    return [(dict(counts), attachment) for _, counts, attachment
+            in _core_shapes(dig, k, candidate_pool_flow(dig, k), classify_vertices_flow(dig, k))]
+
+
+def enumerate_compact_cores(dig: RootedDigraph, k: int) -> Iterator[CompactStructure]:
     """Every valid compact core (copy-distinct), canonical order."""
-    view = classify_vertices_flow(dig, k)
-    pool = candidate_pool_flow(dig, k)
-    for verts, counts, attachment in _core_shapes(dig, k, pool, view):
-        per_class = []
-        for (u, v), m in counts:  # m <= 2: the m-subsets of the copies, lexicographic
-            ids = dig.class_ids(u, v)
-            per_class.append([(a,) for a in ids] if m == 1 else
-                             [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]])
-        for combos in itertools.product(*per_class):
-            ids = frozenset(aid for chunk in combos for aid in chunk)
-            yield CompactCore(
-                vertices=verts, arcs=dig.selection(ids), attachment=dict(attachment))
+    yield from expand_shapes(dig, _flow_shapes(dig, k))
 
 
 def grow_to_classic_core(
-    dig: RootedDigraph, k: int, pair: tuple[CompactCore, CompactCore],
+    dig: RootedDigraph, k: int, pair: tuple[CompactStructure, CompactStructure],
     counters: Optional[dict] = None,
 ) -> tuple[ArcSelection, ArcSelection]:
     """Grow an extendable arc-disjoint (triple-free) compact core pair into
     classic cores: (r,k)-flow branchings on exactly 2k-1 non-root vertices."""
     c1, c2 = pair
-    if c1.arcs.ids & c2.arcs.ids:
+    if c1.selection.ids & c2.selection.ids:
         raise ContractError("compact cores must be arc-disjoint")
-    if not is_extendable_pair(dig, c1.arcs, c2.arcs):
+    if not is_extendable_pair(dig, c1.selection, c2.selection):
         raise ContractError("compact core pair is not extendable")
-    states = pair_states(dig.root, ((c.arcs.ids, c.vertices) for c in pair))
+    states = pair_states(dig.root, ((c.selection.ids, c.vertices) for c in pair))
     grow_directed_pair(dig, states, (c1.attachment, c2.attachment), counters)
     out = []
     for state in states:
@@ -332,15 +320,7 @@ def solve_flow(dig: RootedDigraph, k: int, options: Optional[SolveOptions] = Non
         ok2, cut = is_k_root_connected(d, 2)
         return None if ok2 else ("connectivity-gate", cut.to_json_dict())
 
-    def shapes():
-        return [(dict(counts), attachment) for _, counts, attachment
-                in _core_shapes(d, k, candidate_pool_flow(d, k), classify_vertices_flow(d, k))]
-
-    def finish(sides, counters):
-        # every vertex of a core has an in-arc inside it, so V' is the head set
-        pair = tuple(
-            CompactCore(frozenset(v for _, v in counts), d.selection(ids), dict(attachment))
-            for ids, (counts, attachment) in sides)
+    def finish(pair, counters):
         cores = grow_to_classic_core(d, k, pair, counters)
         # no counters: flow reports have never carried completionSteps
         (sel1, flow1), (sel2, flow2) = complete_to_spanning_flow(d, k, cores)
@@ -349,7 +329,7 @@ def solve_flow(dig: RootedDigraph, k: int, options: Optional[SolveOptions] = Non
 
     return run_pipeline(inst, options or SolveOptions(), Stages(
         started=t0, size=2 * k - 1, oracle=lambda budget: oracle_flow(d, k, budget),
-        gate=gate, shape_counter="cores", shapes=shapes, finish=finish,
+        gate=gate, shape_counter="cores", shapes=lambda: _flow_shapes(d, k), finish=finish,
         validate=validate_witness,
         oracle_witness=lambda w: _flow_witness(d, k, w[0], w[1])))
 

@@ -8,21 +8,22 @@ completion of a classic certificate pair is automatically (r,k)-safe.
 
 from __future__ import annotations
 
-import itertools
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import ContractError, InternalError, StructureError
 from .fptcommon import (
+    CompactStructure,
     DirectedState,
     LargenessView,
+    Shape,
     branch_structure,
     SolveOptions,
     Stages,
     classify,
     compact_attachment,
     depth_bounded_pool,
+    expand_shapes,
     grow_pair,
     pair_states,
     run_pipeline,
@@ -32,15 +33,6 @@ from .graphs import EdgeSelection, ProblemInstance, RootedGraph, cap_parallel, p
 from .matroid import max_forest_pair
 from .oracles import oracle_tree, validate_witness
 from .reports import SolveReport
-
-
-@dataclass(frozen=True)
-class CompactCertificate:
-    """A pruned certificate candidate plus its attachment witness."""
-
-    vertices: frozenset[int]
-    edges: EdgeSelection
-    attachment: Mapping[int, int]
 
 
 def classify_vertices_tree(g: RootedGraph, k: int) -> LargenessView:
@@ -71,16 +63,16 @@ def _edge_class(u: int, v: int) -> tuple[int, int]:
     return (min(u, v), max(u, v))
 
 
-def enumerate_compact_certificates(g: RootedGraph, k: int) -> Iterator[CompactCertificate]:
+def _certificate_shapes(g: RootedGraph, k: int) -> list[Shape]:
+    """Every compact certificate shape: one copy of each class of the tree."""
+    return [(dict.fromkeys(classes, 1), attachment) for classes, attachment
+            in tree_shapes(g.root, k, candidate_pool_tree(g, k),
+                           classify_vertices_tree(g, k).large, g.incident_classes, _edge_class)]
+
+
+def enumerate_compact_certificates(g: RootedGraph, k: int) -> Iterator[CompactStructure]:
     """Every valid compact certificate (copy-distinct), canonical order."""
-    for classes, attachment in tree_shapes(
-            g.root, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large,
-            g.incident_classes, _edge_class):
-        id_choices = [g.class_ids(u, v) for u, v in classes]
-        for combo in itertools.product(*id_choices):
-            verts = frozenset(v for c in classes for v in c if v != g.root)
-            yield CompactCertificate(
-                vertices=verts, edges=g.selection(combo), attachment=dict(attachment))
+    yield from expand_shapes(g, _certificate_shapes(g, k))
 
 
 class _CompletabilityOracle:
@@ -109,7 +101,7 @@ class _CompletabilityOracle:
 
 
 def grow_to_classic_certificate(
-    g: RootedGraph, k: int, pair: tuple[CompactCertificate, CompactCertificate],
+    g: RootedGraph, k: int, pair: tuple[CompactStructure, CompactStructure],
     oracle: Optional[_CompletabilityOracle] = None,
     counters: Optional[dict] = None,
 ) -> tuple[EdgeSelection, EdgeSelection]:
@@ -119,12 +111,12 @@ def grow_to_classic_certificate(
     stays completable.
     """
     c1, c2 = pair
-    if c1.edges.ids & c2.edges.ids:
+    if c1.selection.ids & c2.selection.ids:
         raise ContractError("compact certificates must be edge-disjoint")
     oracle = oracle or _CompletabilityOracle(g)
-    if not oracle.completable(c1.edges.ids, c2.edges.ids):
+    if not oracle.completable(c1.selection.ids, c2.selection.ids):
         raise ContractError("compact certificate pair is not completable")
-    states = pair_states(g.root, ((c.edges.ids, c.vertices) for c in pair))
+    states = pair_states(g.root, ((c.selection.ids, c.vertices) for c in pair))
     grow_pair(states, (c1.attachment, c2.attachment), g.incident_classes,
               oracle.admits(states), counters)
     out = []
@@ -169,23 +161,14 @@ def solve_tree(g: RootedGraph, k: int, options: Optional[SolveOptions] = None) -
         oracle = _CompletabilityOracle(gg)
         return None if oracle.global_full else ("global-union-gate", None)
 
-    def shapes():
-        return [(dict.fromkeys(classes, 1), attachment) for classes, attachment
-                in tree_shapes(gg.root, k, candidate_pool_tree(gg, k),
-                               classify_vertices_tree(gg, k).large, gg.incident_classes,
-                               _edge_class)]
-
-    def finish(sides, counters):
-        pair = tuple(
-            CompactCertificate(frozenset(v for c in counts for v in c if v != gg.root),
-                               gg.selection(ids), dict(attachment))
-            for ids, (counts, attachment) in sides)
+    def finish(pair, counters):
         certs = grow_to_classic_certificate(gg, k, pair, oracle, counters)
         tree1, tree2 = complete_to_spanning_trees(gg, k, certs, oracle)
         return {"tree1": sorted(tree1.ids), "tree2": sorted(tree2.ids)}
 
     return run_pipeline(inst, options or SolveOptions(), Stages(
         started=t0, size=2 * k - 2, oracle=lambda budget: oracle_tree(gg, k, budget),
-        gate=gate, shape_counter="certificates", shapes=shapes, finish=finish,
+        gate=gate, shape_counter="certificates", shapes=lambda: _certificate_shapes(gg, k),
+        finish=finish,
         validate=validate_witness,
         completable=lambda ids1, ids2: oracle.completable(ids1, ids2)))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 import rootedpack
 from rootedpack.cli import run
 from rootedpack.errors import InternalError
-from rootedpack.graphs import MAX_VERTICES
+from rootedpack.graphs import MAX_COPIES, MAX_VERTICES
 
 
 def cli(*argv):
@@ -163,6 +164,16 @@ def test_gen_random_and_solve(tmp_path):
     code, out = cli("solve", "tree", "--input", str(out_file))
     assert code in (0, 1)
     assert json.loads(out)["problem"] == "tree"
+
+
+def test_gen_random_refuses_an_arc_budget_past_the_copy_limit():
+    """The budget is checked before any arc is drawn, so this returns at once."""
+    started = time.perf_counter()
+    code, out = cli("gen", "random", "--kind", "arb", "--n", "10",
+                    "--arcs", str(100_000_000_000), "--seed", "1")
+    assert code == 2
+    assert f"exceeds the limit of {MAX_COPIES} copies" in json.loads(out)["error"]
+    assert time.perf_counter() - started < 1.0
 
 
 def test_gen_sat_with_roles(tmp_path):

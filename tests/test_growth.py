@@ -159,8 +159,8 @@ def _run(grow, states, targets):
 def _arb(rng):
     n = rng.randint(17, 21)
     d = RootedDigraph(n, 0, _hub_copies(rng, n, 6 * K - 5))
-    return (d, list(enumerate_compact_kernels(d, K)), lambda s: s.arcs.ids,
-            lambda s1, s2: is_extendable_pair(d, s1.arcs, s2.arcs),
+    return (d, list(enumerate_compact_kernels(d, K)), lambda s: s.selection.ids,
+            lambda s1, s2: is_extendable_pair(d, s1.selection, s2.selection),
             lambda states, targets, counters: grow_directed_pair(d, states, targets, counters),
             lambda states, targets, counters, rejected: grow_directed_reference(
                 d, states, targets, counters, rejected))
@@ -170,8 +170,8 @@ def _tree(rng):
     n = rng.randint(21, 25)
     g = RootedGraph(n, 0, _hub_copies(rng, n, 8 * K - 7))
     oracle = _CompletabilityOracle(g)
-    return (g, list(enumerate_compact_certificates(g, K)), lambda s: s.edges.ids,
-            lambda s1, s2: oracle.completable(s1.edges.ids, s2.edges.ids),
+    return (g, list(enumerate_compact_certificates(g, K)), lambda s: s.selection.ids,
+            lambda s1, s2: oracle.completable(s1.selection.ids, s2.selection.ids),
             lambda states, targets, counters: grow_pair(
                 states, targets, g.incident_classes, oracle.admits(states), counters),
             lambda states, targets, counters, rejected: grow_tree_reference(

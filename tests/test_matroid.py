@@ -481,7 +481,9 @@ def test_path_edges_matches_bfs_reference_after_edits():
                     ref.insert(eid)
                 for a in range(n):
                     for b in range(n):
-                        assert ctx.path_edges(a, b) == ref.path_edges(a, b), (a, b)
+                        want = ref.path_edges(a, b)
+                        assert ctx.path_edges(a, b) == want, (a, b)
+                        assert ctx.connected(a, b) == (want is not None), (a, b)
             assert removals > 0
 
 

@@ -165,8 +165,8 @@ def test_solver_decision_matches_public_enumeration_midscale():
                 else:
                     kernels = list(rp.enumerate_compact_kernels(d, k))
                     want = any(
-                        not (kernels[a].arcs.ids & kernels[b].arcs.ids)
-                        and is_extendable_pair(d, kernels[a].arcs, kernels[b].arcs)
+                        not (kernels[a].selection.ids & kernels[b].selection.ids)
+                        and is_extendable_pair(d, kernels[a].selection, kernels[b].selection)
                         for a, b in itertools.combinations_with_replacement(
                             range(len(kernels)), 2))
                 assert report.decision == want
@@ -178,8 +178,8 @@ def test_solver_decision_matches_public_enumeration_midscale():
                 report = rp.solve_tree(g0, k)
                 certs = list(rp.enumerate_compact_certificates(g, k))
                 want = any(
-                    not (certs[a].edges.ids & certs[b].edges.ids)
-                    and is_completable_pair(g, certs[a].edges, certs[b].edges)
+                    not (certs[a].selection.ids & certs[b].selection.ids)
+                    and is_completable_pair(g, certs[a].selection, certs[b].selection)
                     for a, b in itertools.combinations_with_replacement(
                         range(len(certs)), 2))
                 assert report.decision == want
@@ -212,8 +212,8 @@ def test_flow_decision_matches_public_enumeration_midscale():
         else:
             cores = list(rp.enumerate_compact_cores(d, k))
             want = any(
-                not (cores[a].arcs.ids & cores[b].arcs.ids)
-                and is_extendable_pair(d, cores[a].arcs, cores[b].arcs)
+                not (cores[a].selection.ids & cores[b].selection.ids)
+                and is_extendable_pair(d, cores[a].selection, cores[b].selection)
                 for a, b in itertools.combinations_with_replacement(
                     range(len(cores)), 2))
         assert report.decision == want

@@ -12,6 +12,10 @@ classes, filters by in-degree and root-connectivity, and solves each
 survivor's aggregated network by max-flow.  Each must give
 the same shape list (classes or count vectors, order and attachments) on
 seeded random instances.
+
+The copy expansion behind `enumerate_compact_kernels`, `_cores` and
+`_certificates` (`fptcommon.expand_shapes`) is checked the same way against
+the three per-kind loops it replaced, record by record and in order.
 """
 
 import itertools
@@ -24,9 +28,24 @@ from rootedpack.connectivity import FlowNetwork, max_flow
 from rootedpack.fptcommon import branch_structure, lex_smallest_attachment, tree_shapes
 from rootedpack.graphs import RootedDigraph, RootedGraph, cap_parallel, ProblemInstance
 from rootedpack.instancegen import random_instance
-from rootedpack.solver_arb import candidate_pool, classify_vertices, solve_arb
-from rootedpack.solver_flow import _core_shapes, candidate_pool_flow, classify_vertices_flow
-from rootedpack.solver_tree import candidate_pool_tree, classify_vertices_tree, solve_tree
+from rootedpack.solver_arb import (
+    candidate_pool,
+    classify_vertices,
+    enumerate_compact_kernels,
+    solve_arb,
+)
+from rootedpack.solver_flow import (
+    _core_shapes,
+    candidate_pool_flow,
+    classify_vertices_flow,
+    enumerate_compact_cores,
+)
+from rootedpack.solver_tree import (
+    candidate_pool_tree,
+    classify_vertices_tree,
+    enumerate_compact_certificates,
+    solve_tree,
+)
 
 
 def arc_key(u, v):
@@ -313,3 +332,81 @@ def test_core_shapes_match_the_replaced_enumerator():
         attached += sum(1 for _, _, attachment in got if attachment)
     # 2-copy classes, large anchors and imaginary vertices to place
     assert total > 10_000 and doubled > 5_000 and anchored > 100 and attached > 5
+
+
+# -- the copy expansion against the per-kind loops it replaced --
+
+
+def kernels_reference(dig, k):
+    """One kernel per product of the tree classes' copies, V' the heads."""
+    for classes, attachment in tree_shapes(
+            dig.root, k, candidate_pool(dig, k), classify_vertices(dig, k).large,
+            dig.out_classes, arc_key):
+        for combo in itertools.product(*[dig.class_ids(u, v) for u, v in classes]):
+            yield frozenset(v for _, v in classes), tuple(sorted(combo)), dict(attachment)
+
+
+def certificates_reference(g, k):
+    """One certificate per product of the tree classes' copies, V' the
+    non-root ends."""
+    for classes, attachment in tree_shapes(
+            g.root, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large,
+            g.incident_classes, edge_key):
+        verts = frozenset(v for c in classes for v in c if v != g.root)
+        for combo in itertools.product(*[g.class_ids(u, v) for u, v in classes]):
+            yield verts, tuple(sorted(combo)), dict(attachment)
+
+
+def cores_reference(dig, k):
+    """Per class, the m-subsets of its copies listed by hand (m <= 2), one
+    core per product of them, V' as `_core_shapes` gives it."""
+    view, pool = classify_vertices_flow(dig, k), candidate_pool_flow(dig, k)
+    for verts, counts, attachment in _core_shapes(dig, k, pool, view):
+        per_class = []
+        for (u, v), m in counts:
+            ids = dig.class_ids(u, v)
+            per_class.append([(a,) for a in ids] if m == 1 else
+                             [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]])
+        for combos in itertools.product(*per_class):
+            yield verts, tuple(sorted(a for chunk in combos for a in chunk)), dict(attachment)
+
+
+def assert_same_stream(g, got, want):
+    """The records (vertices, sorted ids, attachment) of `got` equal `want`,
+    in order.  Returns their count and how many take some copy other than
+    the first of its class."""
+    firsts = {ids[0] for ids in g.parallel_classes().values()}
+    count = later = 0
+    for c, theirs in itertools.zip_longest(got, want):
+        assert c is not None, count
+        assert (c.vertices, c.selection.sorted_ids(), dict(c.attachment)) == theirs, count
+        count += 1
+        later += not c.selection.ids <= firsts
+    return count, later
+
+
+@pytest.mark.parametrize("kind", ["arb", "tree"])
+def test_tree_expansion_matches_the_replaced_loops(kind):
+    total = later = 0
+    for inst, k in instances(kind):
+        g = inst.graph
+        if kind == "arb":
+            seen = assert_same_stream(g, enumerate_compact_kernels(g, k), kernels_reference(g, k))
+        else:
+            seen = assert_same_stream(g, enumerate_compact_certificates(g, k),
+                                      certificates_reference(g, k))
+        total, later = total + seen[0], later + seen[1]
+    # many structures, most taking a copy past the first of some class
+    assert total > 10_000 and later > total // 2
+
+
+def test_core_expansion_matches_the_replaced_loop():
+    """Every record's vertices are `_core_shapes`' V' too, as the reference
+    takes them from there."""
+    total = later = 0
+    for inst in flow_instances():
+        g, k = cap_parallel(inst).graph, inst.k
+        seen = assert_same_stream(g, enumerate_compact_cores(g, k), cores_reference(g, k))
+        total, later = total + seen[0], later + seen[1]
+    # many cores, most taking a copy past the first of some class
+    assert total > 10_000 and later > total // 2

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 
 from rootedpack.connectivity import is_extendable_pair, is_k_root_connected
 from rootedpack.errors import ContractError, StructureError
+from rootedpack.fptcommon import CompactStructure
 from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel, parse_rooted_tree
 from rootedpack.oracles import oracle_arb, validate_witness
 from rootedpack.solver_arb import (
-    CompactKernel,
     candidate_pool,
     classify_vertices,
     complete_to_spanning,
@@ -142,13 +142,13 @@ def test_enumerate_kernels_k1_single_empty():
     d = random_digraph(random.Random(5))
     kernels = list(enumerate_compact_kernels(d, 1))
     assert len(kernels) == 1
-    assert kernels[0].arcs.ids == frozenset()
+    assert kernels[0].selection.ids == frozenset()
 
 
 def test_enumerate_kernels_copy_variants():
     d = RootedDigraph(3, 0, [(0, 1), (0, 1), (0, 2), (0, 2)])
     kernels = list(enumerate_compact_kernels(d, 2))
-    assert sorted(k.arcs.sorted_ids() for k in kernels) == \
+    assert sorted(k.selection.sorted_ids() for k in kernels) == \
         [(0, 2), (0, 3), (1, 2), (1, 3)]
 
 
@@ -159,7 +159,7 @@ def test_enumerate_kernels_matches_definition(rng):
         d = random_digraph(rng, max_n=5, max_m=8)
         k = rng.choice((1, 2))
         capped = cap_parallel(ProblemInstance(kind="arb", graph=d, k=k)).graph
-        emitted = {k_.arcs.ids for k_ in enumerate_compact_kernels(capped, k)}
+        emitted = {k_.selection.ids for k_ in enumerate_compact_kernels(capped, k)}
         ids = sorted(capped.arc_ids)
         valid = set()
         for size in range(0, 2 * k - 1):
@@ -180,15 +180,15 @@ def test_enumeration_within_closed_form_bound(rng):
 
 def test_grow_passthrough_when_classic():
     d = RootedDigraph(3, 0, [(0, 1), (0, 1), (0, 2), (0, 2)])
-    k1 = CompactKernel(frozenset({1, 2}), d.selection([0, 2]), {})
-    k2 = CompactKernel(frozenset({1, 2}), d.selection([1, 3]), {})
+    k1 = CompactStructure(frozenset({1, 2}), d.selection([0, 2]), {})
+    k2 = CompactStructure(frozenset({1, 2}), d.selection([1, 3]), {})
     g1, g2 = grow_to_classic(d, 2, (k1, k2))
-    assert g1.ids == k1.arcs.ids and g2.ids == k2.arcs.ids
+    assert g1.ids == k1.selection.ids and g2.ids == k2.selection.ids
 
 
 def test_grow_requires_disjoint_and_extendable():
     d = RootedDigraph(3, 0, [(0, 1), (0, 2)])
-    k1 = CompactKernel(frozenset({1, 2}), d.selection([0, 1]), {})
+    k1 = CompactStructure(frozenset({1, 2}), d.selection([0, 1]), {})
     with pytest.raises(ContractError):
         grow_to_classic(d, 2, (k1, k1))
 
@@ -207,8 +207,8 @@ def test_grow_realizes_attachment_targets(rng):
         att1 = validate_compact_kernel(d, k, sel1)
         att2 = validate_compact_kernel(d, k, sel2)
         assert att1 == {3: 1} and att2 == {3: 1}
-        c1 = CompactKernel(frozenset({1, 2, 3}), sel1, att1)
-        c2 = CompactKernel(frozenset({1, 2, 3}), sel2, att2)
+        c1 = CompactStructure(frozenset({1, 2, 3}), sel1, att1)
+        c2 = CompactStructure(frozenset({1, 2, 3}), sel2, att2)
         g1, g2 = grow_to_classic(d, k, (c1, c2))
         assert len(g1.ids) == 2 * k - 2 and len(g2.ids) == 2 * k - 2
         assert not (g1.ids & g2.ids)
@@ -356,8 +356,8 @@ def test_report_determinism_and_counters(rng):
 
 def test_enumeration_stream_deterministic(rng):
     d = random_digraph(rng, max_n=6, max_m=14)
-    first = [(k.arcs.sorted_ids(), dict(k.attachment))
+    first = [(k.selection.sorted_ids(), dict(k.attachment))
              for k in enumerate_compact_kernels(d, 2)]
-    second = [(k.arcs.sorted_ids(), dict(k.attachment))
+    second = [(k.selection.sorted_ids(), dict(k.attachment))
               for k in enumerate_compact_kernels(d, 2)]
     assert first == second

@@ -6,10 +6,10 @@ import pytest
 from rootedpack.connectivity import is_extendable_pair, is_k_root_connected
 from rootedpack.errors import ContractError
 from rootedpack.flows import branching_flow_feasible
+from rootedpack.fptcommon import CompactStructure
 from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel
 from rootedpack.oracles import oracle_flow
 from rootedpack.solver_flow import (
-    CompactCore,
     _aggregated_feasibility,
     candidate_pool_flow,
     classify_vertices_flow,
@@ -164,12 +164,12 @@ def test_full_size_cores_decided_by_cut_condition_match_max_flow(k):
 def test_enumerate_cores_k1_per_copy():
     d = RootedDigraph(3, 0, [(0, 1), (0, 1), (0, 2)])
     cores = list(enumerate_compact_cores(d, 1))
-    singles = [c.arcs.sorted_ids() for c in cores if len(c.arcs.ids) == 1]
+    singles = [c.selection.sorted_ids() for c in cores if len(c.selection.ids) == 1]
     assert (0,) in singles and (1,) in singles and (2,) in singles
     # no core carries three parallel copies
     for c in cores:
         counts = {}
-        for aid in c.arcs.ids:
+        for aid in c.selection.ids:
             cls = d.arc(aid)
             counts[cls] = counts.get(cls, 0) + 1
         assert all(v <= 2 for v in counts.values())
@@ -187,7 +187,7 @@ def test_enumerate_cores_matches_definition(rng):
         if len(ids) > 8:
             continue
         done += 1
-        emitted = {c.arcs.ids for c in enumerate_compact_cores(capped, k)}
+        emitted = {c.selection.ids for c in enumerate_compact_cores(capped, k)}
         valid = set()
         for size in range(0, len(ids) + 1):
             for combo in itertools.combinations(ids, size):
@@ -205,15 +205,15 @@ def test_enumerate_cores_matches_definition(rng):
 
 def test_grow_core_passthrough():
     d = RootedDigraph(2, 0, [(0, 1), (0, 1)])
-    c1 = CompactCore(frozenset({1}), d.selection([0]), {})
-    c2 = CompactCore(frozenset({1}), d.selection([1]), {})
+    c1 = CompactStructure(frozenset({1}), d.selection([0]), {})
+    c2 = CompactStructure(frozenset({1}), d.selection([1]), {})
     g1, g2 = grow_to_classic_core(d, 1, (c1, c2))
     assert g1.ids == {0} and g2.ids == {1}
 
 
 def test_grow_core_contract_checks():
     d = RootedDigraph(2, 0, [(0, 1), (0, 1)])
-    c1 = CompactCore(frozenset({1}), d.selection([0]), {})
+    c1 = CompactStructure(frozenset({1}), d.selection([0]), {})
     with pytest.raises(ContractError):
         grow_to_classic_core(d, 1, (c1, c1))
 
@@ -229,8 +229,8 @@ def test_grow_core_with_targets():
     assert att1 == {1: 1}
     sel2 = d.selection([2, 3])
     att2 = validate_compact_core(d, k, sel2)
-    c1 = CompactCore(frozenset({1, 2}), sel1, att1)
-    c2 = CompactCore(frozenset({1, 2}), sel2, att2)
+    c1 = CompactStructure(frozenset({1, 2}), sel1, att1)
+    c2 = CompactStructure(frozenset({1, 2}), sel2, att2)
     g1, g2 = grow_to_classic_core(d, k, (c1, c2))
     for g in (g1, g2):
         verts = g.covered_vertices(with_root=True)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rootedpack.errors import ContractError, StructureError
+from rootedpack.fptcommon import CompactStructure
 from rootedpack.graphs import (
     ProblemInstance,
     RootedGraph,
@@ -15,7 +16,6 @@ from rootedpack.graphs import (
 from rootedpack.matroid import has_two_disjoint_spanning_trees, is_completable_pair
 from rootedpack.oracles import oracle_tree, validate_witness
 from rootedpack.solver_tree import (
-    CompactCertificate,
     candidate_pool_tree,
     classify_vertices_tree,
     complete_to_spanning_trees,
@@ -129,13 +129,13 @@ def test_validate_certificate_against_attachment_enumeration(rng):
 def test_enumerate_certificates_k1_only_empty(rng):
     g = random_graph(rng)
     certs = list(enumerate_compact_certificates(g, 1))
-    assert len(certs) == 1 and certs[0].edges.ids == frozenset()
+    assert len(certs) == 1 and certs[0].selection.ids == frozenset()
 
 
 def test_enumerate_certificates_edge_count_is_vertex_count():
     g = RootedGraph(4, 0, [(0, 1), (0, 2), (1, 3), (2, 3)])
     for cert in enumerate_compact_certificates(g, 2):
-        assert len(cert.edges.ids) == len(cert.vertices)
+        assert len(cert.selection.ids) == len(cert.vertices)
 
 
 def test_enumerate_certificates_matches_definition(rng):
@@ -143,7 +143,7 @@ def test_enumerate_certificates_matches_definition(rng):
         g = random_graph(rng, max_n=5, max_m=8)
         k = rng.choice((1, 2))
         capped = cap_parallel(ProblemInstance(kind="tree", graph=g, k=k)).graph
-        emitted = {c.edges.ids for c in enumerate_compact_certificates(capped, k)}
+        emitted = {c.selection.ids for c in enumerate_compact_certificates(capped, k)}
         ids = sorted(capped.edge_ids)
         valid = set()
         for size in range(0, 2 * k - 1):
@@ -155,15 +155,15 @@ def test_enumerate_certificates_matches_definition(rng):
 
 def test_grow_certificate_passthrough():
     g = RootedGraph(3, 0, [(0, 1), (0, 1), (0, 2), (0, 2)])
-    c1 = CompactCertificate(frozenset({1, 2}), g.selection([0, 2]), {})
-    c2 = CompactCertificate(frozenset({1, 2}), g.selection([1, 3]), {})
+    c1 = CompactStructure(frozenset({1, 2}), g.selection([0, 2]), {})
+    c2 = CompactStructure(frozenset({1, 2}), g.selection([1, 3]), {})
     g1, g2 = grow_to_classic_certificate(g, 2, (c1, c2))
     assert g1.ids == {0, 2} and g2.ids == {1, 3}
 
 
 def test_grow_certificate_contract():
     g = RootedGraph(3, 0, [(0, 1), (0, 2)])
-    c = CompactCertificate(frozenset({1, 2}), g.selection([0, 1]), {})
+    c = CompactStructure(frozenset({1, 2}), g.selection([0, 1]), {})
     with pytest.raises(ContractError):
         grow_to_classic_certificate(g, 2, (c, c))
 
@@ -180,8 +180,8 @@ def test_grow_certificate_with_targets():
     assert att1 == {3: 1}
     sel2 = g.selection([1, 3, 5])
     att2 = validate_compact_certificate(g, k, sel2)
-    c1 = CompactCertificate(frozenset({1, 2, 3}), sel1, att1)
-    c2 = CompactCertificate(frozenset({1, 2, 3}), sel2, att2)
+    c1 = CompactStructure(frozenset({1, 2, 3}), sel1, att1)
+    c2 = CompactStructure(frozenset({1, 2, 3}), sel2, att2)
     g1, g2 = grow_to_classic_certificate(g, k, (c1, c2))
     for sel in (g1, g2):
         assert len(sel.ids) == 2 * k - 2
