@@ -10,11 +10,14 @@ solver's completion is exact via matroid union instead.
 
 A structure "shape" is a parallel-class-level description; reachability after
 removing a shape's arcs depends only on which classes it empties, so
-extendability is decided per shape from its class counts.  Whether two
-shapes can take disjoint copies also depends only on their counts, so each
-shape gets two copy bit masks, and the pair search tests a whole row of
-partners with a few big-integer operations (`PairSearch`).  One pass over
-the shapes (`shape_masks`) builds the masks and runs the probe.
+extendability is decided per shape from the classes it empties.  Whether
+two shapes can take disjoint copies also depends only on their counts, so
+each shape gets two copy bit masks (`pairs.CopyTable`), and the pair search
+tests pairs by a few big-integer operations (`pairs.PairSearch`).  The
+shape searches, `tree_shapes` for kernels and certificates and
+`solver_flow._core_shapes` for cores, carry each state's masks, expanded
+count and emptied classes down their stacks and emit finished rows
+(`pairs.Row`), so the pipeline only runs the probe on them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import itertools
 import time
 from bisect import insort
 from dataclasses import dataclass
-from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .connectivity import ResidualReach
@@ -32,6 +35,7 @@ from .errors import InternalError, StructureError
 from .graphs import (ArcSelection, EdgeSelection, ProblemInstance, RootedDigraph, RootedGraph,
                      parse_rooted_tree)
 from .oracles import OracleAnswer, OracleBudget
+from .pairs import CopyTable, PairSearch, Row
 from .reports import SolveReport
 
 
@@ -180,64 +184,61 @@ def tree_shapes(
     k: int,
     pool: frozenset[int],
     large: frozenset[int],
-    classes_of: Callable[[int], Iterable[tuple[int, object]]],
+    classes_of: Callable[[int], Iterable[tuple[int, tuple[int, ...]]]],
     key: Callable[[int, int], tuple[int, int]],
-) -> list[tuple[tuple[tuple[int, int], ...], dict[int, int]]]:
-    """Every compact tree shape (sorted class tuple) with its attachment.
+) -> list[Row]:
+    """Every compact tree shape as a finished row (`Row`), sorted by (size,
+    classes).
 
     Shapes are trees on at most 2k-2 non-root vertices of `pool`, described
     at parallel-class level and grown from `root` one class at a time:
     `classes_of(tail)` gives the (head, ids) pairs leaving `tail` and
-    `key(tail, head)` names the class.  Large vertices other than the root
-    get no children and every root branch keeps at most k-1 vertices, which
-    every valid kernel or certificate satisfies anyway.
+    `key(tail, head)` names the class.  A tree takes one copy of each of its
+    classes.  Large vertices other than the root get no children and every
+    root branch keeps at most k-1 vertices, which every valid kernel or
+    certificate satisfies anyway.
 
     Each tree is built exactly once, so no seen set is needed: a state keeps
-    an ordered list of candidates, the (tail, head) pairs leaving the tree
-    for a pool vertex outside it.  Taking candidate i passes on only the
-    candidates after i, minus those into the new head, plus the pairs
+    an ordered list of candidates, the (tail, head, ids) triples leaving the
+    tree for a pool vertex outside it.  Taking candidate i passes on only
+    the candidates after i, minus those into the new head, plus the triples
     leaving the new head (none for a large one).  A tree is then reached
     only through the first of its classes in each list, as every skipped
     candidate stays out of the whole subtree of the search.  The search is
     depth-first with an explicit stack, since trees can be k-1 classes
-    deep, and the branch map, branch sizes, class list and anchors are
-    changed in place and undone on the way back.  `key` is called once per
+    deep.  The branch map, branch sizes, class list and anchors are changed
+    in place and undone on the way back; each frame carries its state's
+    expanded count, pair masks and emptied classes, its parent's with the
+    new class's `CopyTable` entry folded in.  `key` is called once per
     non-empty tree.  A full-size tree has nothing to attach, so its
-    attachment is empty; a smaller one needs an anchor to have one, so
-    only those call `lex_smallest_attachment`.  The result is sorted by
-    (size, classes).
+    attachment is empty, and it has no children, so it is emitted without
+    a frame; a smaller one needs an anchor to have an attachment, so only
+    those call `lex_smallest_attachment`.
     """
     limit = 2 * k - 2
+    if not limit:  # k = 1: only the empty tree, full-size
+        return [((), (), {}, 1, 0, 0, ())]
+    table = CopyTable()
+    ones = [(1,) * size for size in range(limit + 1)]
     branch_of: dict[int, int] = {}
     sizes: dict[int, int] = {}
     classes: list[tuple[int, int]] = []
     anchors: list[int] = []  # the large vertices of branch_of, ascending
-    result = []
+    by_size: list[list[Row]] = [[] for _ in range(limit + 1)]  # the rows of each size
 
-    def visit() -> None:
-        if len(classes) == limit:  # nothing to attach, every branch within k-1
-            result.append((tuple(sorted(classes)), {}))
-        elif anchors:
-            attachment = lex_smallest_attachment(
-                anchors=anchors, branch_of=branch_of, branch_sizes=sizes,
-                limit=k - 1, residual=limit - len(classes))
-            if attachment is not None:
-                result.append((tuple(sorted(classes)), attachment))
-
-    def leaving(tail: int) -> list[tuple[int, int]]:
-        return [(tail, head) for head, _ids in classes_of(tail)
+    def leaving(tail: int) -> list[tuple[int, int, tuple[int, ...]]]:
+        return [(tail, head, ids) for head, ids in classes_of(tail)
                 if head != root and head not in branch_of and head in pool]
 
-    visit()
     # frames of (candidates, index of the next one to try, head taken to
-    # enter the frame); the root frame took none, and a full-size tree gets
-    # no candidates
-    stack: list[list] = [[leaving(root) if limit else [], 0, None]]
+    # enter the frame, expanded count, uses, limits, emptied classes); the
+    # root frame took none, and a full-size tree gets no frame
+    stack: list[list] = [[leaving(root), 0, None, 1, 0, 0, ()]]
     while stack:
         frame = stack[-1]
         candidates = frame[0]
         for i in range(frame[1], len(candidates)):
-            tail, head = candidates[i]
+            tail, head, ids = candidates[i]
             top = head if tail == root else branch_of[tail]
             if sizes.get(top, 0) < k - 1:
                 break
@@ -254,19 +255,35 @@ def tree_shapes(
                     anchors.remove(head)
             continue
         frame[1] = i + 1
+        c = key(tail, head)
+        ways, use, lim, empties = table.entry(c, len(ids), 1)
+        expanded, uses, limits = frame[3] * ways, frame[4] | use, frame[5] | lim
+        emptied = frame[6] + (c,) if empties else frame[6]
+        classes.append(c)
+        if len(classes) == limit:  # nothing to attach, every branch within k-1
+            by_size[limit].append((tuple(sorted(classes)), ones[limit], {}, expanded, uses,
+                                   limits, emptied))
+            classes.pop()
+            continue
         branch_of[head] = top
         sizes[top] = sizes.get(top, 0) + 1
-        classes.append(key(tail, head))
         if head in large:
             insort(anchors, head)
-        visit()
-        following = []
-        if len(classes) < limit:
-            following = [c for c in candidates[i + 1:] if c[1] != head]
-            if head not in large:
-                following += leaving(head)
-        stack.append([following, 0, head])
-    result.sort(key=lambda shape: (len(shape[0]), shape[0]))
+        if anchors:
+            attachment = lex_smallest_attachment(
+                anchors=anchors, branch_of=branch_of, branch_sizes=sizes,
+                limit=k - 1, residual=limit - len(classes))
+            if attachment is not None:
+                by_size[len(classes)].append((tuple(sorted(classes)), ones[len(classes)],
+                                              attachment, expanded, uses, limits, emptied))
+        following = [cand for cand in candidates[i + 1:] if cand[1] != head]
+        if head not in large:
+            following += leaving(head)
+        stack.append([following, 0, head, expanded, uses, limits, emptied])
+    result = []
+    for rows in by_size:
+        rows.sort(key=itemgetter(0))
+        result += rows
     return result
 
 
@@ -481,135 +498,10 @@ def completion_stall(dig: RootedDigraph, states: tuple[DirectedState, ...]) -> I
         "n": dig.n, "root": dig.root, "arcs": [list(arc) for arc in dig.arcs()]})
 
 
-def shape_masks(
-    shapes: Sequence[Shape],
-    class_ids: Callable[[int, int], tuple[int, ...]],
-    extendable: Optional[Callable[[list[tuple[int, int]]], bool]] = None,
-) -> tuple[int, list[Shape], list[int], list[int]]:
-    """(expanded shape count, kept shapes, their `uses` masks, their `limits`
-    masks), in one pass over `shapes`.
-
-    The expanded count sums, over all the shapes, the ways to pick each
-    shape's copies: the product of comb(L, m) over its classes, where the
-    shape takes m of the L copies of a class.  Bit (c, t) of a mask means
-    "takes at least t copies of class c", for t in {1, 2}: arb and tree
-    shapes take one copy per class and flow cores at most min(2, L).
-    `uses[j]` holds (c, 1..m) for each class c of shape j, and `limits[i]`
-    holds (c, L - m + 1) when that t is at most 2.  So `limits[i] & uses[j]`
-    is zero exactly when no class has m_i + m_j > L, that is when the two
-    shapes can take disjoint copies; the test is symmetric.  A class with
-    L >= 4 can never run out and gets no bits.  A shape taking more copies
-    of a class than min(L, 2) raises InternalError.
-
-    Each class gets one table row per count m: comb(L, m), the use bits, the
-    limit bit, and whether m copies empty the class.  Given `extendable`
-    (the extendability probe), a shape is kept only if `extendable` passes
-    the classes it empties.
-    """
-    table: dict[tuple[int, int], tuple[tuple[int, int, int, bool], ...]] = {}
-    width = 0
-    expanded = 0
-    kept: list[Shape] = []
-    uses: list[int] = []
-    limits: list[int] = []
-    for shape in shapes:
-        combos, use, limit = 1, 0, 0
-        emptied = []
-        for c, m in shape[0].items():
-            row = table.get(c)
-            if row is None:
-                copies = len(class_ids(*c))
-                one = two = 0
-                if copies < 4:
-                    one, two = 1 << width, 2 << width
-                    width += 2
-                at_least = {1: one, 2: two}
-                # (comb(L, m), use bits, limit bit, empties) for m = 0, 1, 2
-                row = table[c] = (
-                    (1, 0, 0, copies == 0),
-                    (copies, one, at_least.get(copies, 0), copies == 1),
-                    (comb(copies, 2), one | two, at_least.get(copies - 1, 0), copies == 2),
-                )[:min(copies, 2) + 1]
-            if not 0 <= m < len(row):
-                raise InternalError(
-                    "shape takes more copies of a class than the pair masks allow",
-                    {"class": list(c), "count": m, "copies": len(class_ids(*c))})
-            ways, use_bits, limit_bit, empties = row[m]
-            combos *= ways
-            use |= use_bits
-            limit |= limit_bit
-            if empties:
-                emptied.append(c)
-        expanded += combos
-        if extendable is None or extendable(emptied):
-            kept.append(shape)
-            uses.append(use)
-            limits.append(limit)
-    return expanded, kept, uses, limits
-
-
-@dataclass
-class PairSearch:
-    """Lexicographic search for the first shape pair (i, j), i <= j, whose
-    `limits[i] & uses[j]` is zero (see `shape_masks`) and that `accept`, when
-    given, accepts.
-
-    `find_first` builds one column per mask bit, the set of shapes whose
-    `uses` has that bit, and scans row i at once: OR-ing the columns that
-    `limits[i]` names gives every conflicting partner.  The free partners
-    j >= i are then walked lowest first, and `accept` sees exactly the pairs
-    a row-major scan of the pairs would pass to it, in the same order.  The
-    pairsTested counter is the hit's 1-based row-major rank (or the total
-    pair count on NO).
-    """
-
-    uses: Sequence[int]
-    limits: Sequence[int]
-    accept: Optional[Callable[[int, int], bool]] = None
-
-    def _columns(self) -> list[int]:
-        width = max((mask.bit_length() for mask in (*self.uses, *self.limits)), default=0)
-        cells = [bytearray((len(self.uses) + 7) // 8) for _ in range(width)]
-        for j, use in enumerate(self.uses):
-            byte, bit = j >> 3, 1 << (j & 7)
-            while use:
-                low = use & -use
-                cells[low.bit_length() - 1][byte] |= bit
-                use ^= low
-        return [int.from_bytes(cell, "little") for cell in cells]
-
-    def find_first(self) -> tuple[Optional[tuple[int, int]], int]:
-        """(first successful pair in row-major order or None, pairsTested)."""
-        count = len(self.uses)
-        columns = self._columns()
-        full = (1 << count) - 1
-        accept = self.accept
-        for i, limit in enumerate(self.limits):
-            blocked = 0
-            while limit:
-                low = limit & -limit
-                blocked |= columns[low.bit_length() - 1]
-                limit ^= low
-            free = (full ^ blocked) >> i
-            while free:
-                low = free & -free
-                j = i + low.bit_length() - 1
-                if accept is None or accept(i, j):
-                    return (i, j), i * count - i * (i - 1) // 2 + (j - i) + 1
-                free ^= low
-        return None, count * (count + 1) // 2
-
-
 @dataclass
 class SolveOptions:
     deterministic: bool = True
     oracle_budget: Optional[OracleBudget] = None
-
-
-# A shape as the pipeline sees it: per-class copy counts plus the attachment
-# witness.  `run_pipeline` builds `CompactStructure` records for the hit
-# pair only.
-Shape = tuple[dict[tuple[int, int], int], Mapping[int, int]]
 
 
 @dataclass(frozen=True)
@@ -624,31 +516,31 @@ class CompactStructure:
 
 def compact_structure(
     g: RootedDigraph | RootedGraph, ids: Iterable[int],
-    counts: Iterable[tuple[int, int]], attachment: Mapping[int, int],
+    classes: Iterable[tuple[int, int]], attachment: Mapping[int, int],
 ) -> CompactStructure:
-    """The record of copies `ids` of a shape with classes `counts`.
+    """The record of copies `ids` of a shape with classes `classes`.
 
     Its vertices are the ends of its classes minus the root.  Every tail of
     a kernel or core is the root or a head, so for the directed kinds this
     is the head set.
     """
-    verts = frozenset(v for c in counts for v in c if v != g.root)
+    verts = frozenset(v for c in classes for v in c if v != g.root)
     return CompactStructure(verts, g.selection(ids), dict(attachment))
 
 
 def expand_shapes(
-    g: RootedDigraph | RootedGraph, shapes: Iterable[Shape]
+    g: RootedDigraph | RootedGraph, rows: Iterable[Row]
 ) -> Iterator[CompactStructure]:
-    """Every copy choice of every shape, in order.
+    """Every copy choice of every shape row, in order.
 
     A shape taking m copies of a class chooses among the m-subsets of the
     class's copies, in lexicographic order, the classes varying as in
-    `itertools.product` over the shape's class order.
+    `itertools.product` over the shape's sorted classes.
     """
-    for counts, attachment in shapes:
-        choices = [itertools.combinations(g.class_ids(*c), m) for c, m in counts.items()]
+    for classes, counts, attachment, *_ in rows:
+        choices = [itertools.combinations(g.class_ids(*c), m) for c, m in zip(classes, counts)]
         for combo in itertools.product(*choices):
-            yield compact_structure(g, (aid for chunk in combo for aid in chunk), counts, attachment)
+            yield compact_structure(g, (aid for chunk in combo for aid in chunk), classes, attachment)
 
 
 @dataclass
@@ -660,15 +552,15 @@ class Stages:
     when it passes, else the failing stage and its cut witness (or None).
     `finish` grows and completes the crystallised pair, given as the two
     `CompactStructure` records `run_pipeline` builds from each side's copy
-    ids and shape, and returns the witness.  Without
-    `completable` (the directed kinds) the extendability probe drops the
-    shapes whose arcs' removal breaks root-connectivity, in the same pass
-    that builds the copy masks (`shape_masks`), and the first pair whose
-    copy masks do not conflict is the hit; with it (tree), there is no
-    probe, the masks only pre-filter and each mask-free pair is crystallised
-    and handed to `completable` until one passes.  `validate` is passed in
-    rather than imported here so that the call goes through the solver
-    module's own name, which `perfbench/tracer.py` wraps.
+    ids and shape, and returns the witness.  `shapes` returns the kind's
+    shape search's finished rows (`Row`).  Without `completable` (the
+    directed kinds) the extendability probe drops the rows whose arcs'
+    removal breaks root-connectivity, and the first pair whose copy masks do
+    not conflict is the hit; with it (tree), there is no probe, the masks
+    only pre-filter and each mask-free pair is crystallised and handed to
+    `completable` until one passes.  `validate` is passed in rather than
+    imported here so that the call goes through the solver module's own
+    name, which `perfbench/tracer.py` wraps.
     """
 
     started: float  # perf_counter() at the start of the solve
@@ -676,7 +568,7 @@ class Stages:
     oracle: Callable[[OracleBudget], OracleAnswer]
     gate: Callable[[], Optional[tuple[str, Optional[dict]]]]
     shape_counter: str  # "kernels", "cores" or "certificates"
-    shapes: Callable[[], list[Shape]]
+    shapes: Callable[[], list[Row]]
     finish: Callable[[tuple[CompactStructure, CompactStructure], dict], dict]
     validate: Callable[[ProblemInstance, dict], object]
     completable: Optional[Callable[[frozenset[int], frozenset[int]], bool]] = None
@@ -688,11 +580,13 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
     """Small-case oracle, gate, shape enumeration, extendability probe, pair
     search, copy crystallisation, then the problem's grow-and-complete.
 
-    The probe runs in the pass of `shape_masks` that builds the copy
-    masks, on the classes each shape empties, read off its class counts.  A
-    shape that empties no class keeps the gated D root-connected with no
-    search; any other searches only until those classes' heads are seen
-    (`graphs.RootedDigraph.spans_without_classes`).
+    The shape searches hand over finished rows, so this only sums their
+    expanded counts, runs the probe on each row's emptied classes and
+    passes the kept rows' masks to `PairSearch`.  A shape that empties no
+    class keeps the gated D root-connected with no search; any other
+    searches only until those classes' heads are seen
+    (`graphs.RootedDigraph.spans_without_classes`).  Count dicts are built
+    only for the pairs that get crystallised: tree's `accept` and the hit.
     """
     g = inst.graph
     counters = {stages.shape_counter: 0, "pairsTested": 0, "growSteps": 0}
@@ -729,28 +623,34 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
 
     class_ids = g.class_ids
     completable = stages.completable
-    probe = g.spans_without_classes if completable is None else None
-    expanded, shapes, uses, limits = shape_masks(stages.shapes(), class_ids, probe)
-    counters[stages.shape_counter] = expanded
-    counts = [shape[0] for shape in shapes]
+    rows = stages.shapes()
+    counters[stages.shape_counter] = sum(row[3] for row in rows)
+    if completable is None:
+        probe = g.spans_without_classes
+        rows = [row for row in rows if probe(row[6])]
+
+    def crystallize(i: int, j: int) -> Optional[tuple[set[int], set[int]]]:
+        return crystallize_pair(dict(zip(rows[i][0], rows[i][1])),
+                                dict(zip(rows[j][0], rows[j][1])), class_ids)
 
     accept = None
     if completable is not None:
         def accept(i: int, j: int) -> bool:
-            assigned = crystallize_pair(counts[i], counts[j], class_ids)
+            assigned = crystallize(i, j)
             return assigned is not None and completable(
                 frozenset(assigned[0]), frozenset(assigned[1]))
 
-    hit, tested = PairSearch(uses, limits, accept).find_first()
+    hit, tested = PairSearch([row[4] for row in rows], [row[5] for row in rows],
+                             accept).find_first()
     counters["pairsTested"] = tested
     if hit is None:
         return report(False, "pair-search")
 
     i, j = hit
-    assigned = crystallize_pair(counts[i], counts[j], class_ids)
+    assigned = crystallize(i, j)
     if assigned is None:
         raise InternalError("copy assignment failed for a tested pair", {"pair": [i, j]})
-    pair = (compact_structure(g, assigned[0], *shapes[i]),
-            compact_structure(g, assigned[1], *shapes[j]))
+    pair = (compact_structure(g, assigned[0], rows[i][0], rows[i][2]),
+            compact_structure(g, assigned[1], rows[j][0], rows[j][2]))
     witness = stages.finish(pair, counters)
     return report(True, "completed", witness)

@@ -8,7 +8,7 @@ depends on which parallel classes keep a surviving copy, so it is answered
 at class level through bitmask adjacency by one search, `reach`, which
 clears the emptied classes' bits for that search only.  `reach_mask` runs
 it to the end; `spans_without_classes`, behind `is_root_connected_without`
-and the extendability probe of `fptcommon.shape_masks`, stops it once the
+and the extendability probe of `fptcommon.run_pipeline`, stops it once the
 emptied classes' heads are seen.  `connectivity.ResidualReach` runs it on
 its own copy of the masks.
 """
@@ -163,6 +163,8 @@ class _RootedMultigraph:
                 cid = next_id
             else:
                 u, v, cid = triple
+                if type(cid) is not int or cid < 0:  # bool is a subclass of int
+                    raise ParseError(f"{noun} id {cid!r} is not a non-negative integer")
             next_id = max(next_id, cid + 1)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"{noun} ({u},{v}) out of range for n={n}")
@@ -489,8 +491,7 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
     if header is None:
         raise ParseError("empty document: missing header")
     tag, n, root = header
-    triples = []
-    next_id = 0
+    copies = []  # (u, v) pairs, which the constructor numbers 0, 1, ... in order
     for lineno, u, v, count in entries:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"vertex out of range in arc ({u},{v})", lineno)
@@ -498,10 +499,8 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
             raise ParseError(f"loop arc at vertex {u}", lineno)
         if tag == "D" and v == root:
             raise ParseError(f"arc ({u},{v}) enters the root", lineno)
-        for _ in range(count):
-            triples.append((u, v, next_id))
-            next_id += 1
-    graph = (RootedDigraph if tag == "D" else RootedGraph)(n, root, triples)
+        copies.extend([(u, v)] * count)
+    graph = (RootedDigraph if tag == "D" else RootedGraph)(n, root, copies)
     if kind is None:
         kind = meta.get("kind") or ("arb" if tag == "D" else "tree")
     if k is None:
@@ -545,11 +544,8 @@ def _parse_json_instance(text: str, *, kind: str | None, k: int | None) -> Probl
         entries.append((u, v, count))
     if sum(count for _, _, count in entries) > MAX_COPIES:
         raise ParseError(f"more than {MAX_COPIES} arc copies in total")
-    triples = []
-    for u, v, count in entries:
-        for _ in range(count):
-            triples.append((u, v, len(triples)))
-    graph = (RootedGraph if kind == "tree" else RootedDigraph)(n, root, triples)
+    copies = [(u, v) for u, v, count in entries for _ in range(count)]
+    graph = (RootedGraph if kind == "tree" else RootedDigraph)(n, root, copies)
     return ProblemInstance(kind=kind, graph=graph, k=k)
 
 

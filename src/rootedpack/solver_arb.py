@@ -18,7 +18,6 @@ from .errors import ContractError, InternalError, StructureError
 from .fptcommon import (
     CompactStructure,
     LargenessView,
-    Shape,
     branch_structure,
     SolveOptions,
     Stages,
@@ -35,6 +34,7 @@ from .fptcommon import (
 )
 from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel, parse_rooted_tree
 from .oracles import oracle_arb, validate_witness
+from .pairs import Row
 from .reports import SolveReport
 
 
@@ -67,11 +67,10 @@ def _arc_class(tail: int, head: int) -> tuple[int, int]:
     return (tail, head)
 
 
-def _kernel_shapes(dig: RootedDigraph, k: int) -> list[Shape]:
+def _kernel_shapes(dig: RootedDigraph, k: int) -> list[Row]:
     """Every compact kernel shape: one copy of each class of the tree."""
-    return [(dict.fromkeys(classes, 1), attachment) for classes, attachment
-            in tree_shapes(dig.root, k, candidate_pool(dig, k), classify_vertices(dig, k).large,
-                           dig.out_classes, _arc_class)]
+    return tree_shapes(dig.root, k, candidate_pool(dig, k), classify_vertices(dig, k).large,
+                       dig.out_classes, _arc_class)
 
 
 def enumerate_compact_kernels(dig: RootedDigraph, k: int) -> Iterator[CompactStructure]:

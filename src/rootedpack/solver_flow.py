@@ -11,8 +11,8 @@ the uniform capacity n-k.
 
 from __future__ import annotations
 
-import itertools
 import time
+from itertools import chain
 from typing import Iterator, Mapping, Optional
 
 from .connectivity import FlowNetwork, is_extendable_pair, is_k_root_connected, max_flow
@@ -21,7 +21,6 @@ from .flows import BranchingFlow, branching_flow_feasible, decompose_flow, valid
 from .fptcommon import (
     CompactStructure,
     LargenessView,
-    Shape,
     SolveOptions,
     Stages,
     classify,
@@ -35,6 +34,7 @@ from .fptcommon import (
 )
 from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel
 from .oracles import oracle_flow, validate_witness
+from .pairs import CopyTable, Row
 from .reports import SolveReport
 
 
@@ -156,8 +156,9 @@ def validate_compact_core(
 
 def _core_shapes(
     dig: RootedDigraph, k: int, pool: frozenset[int], view: LargenessView
-) -> list[tuple[frozenset[int], tuple[tuple[tuple[int, int], int], ...], dict[int, int]]]:
-    """All valid core shapes: (V', per-class counts, attachment witness).
+) -> list[Row]:
+    """All valid core shapes as finished rows (`Row`), sorted by (|V'|,
+    sorted V', (class, count) pairs).
 
     One depth-first search grows per-class count vectors from the empty one.
     A step adds one copy, up to min(2, L) of L (the triple-free reduction), of
@@ -165,46 +166,89 @@ def _core_shapes(
     sinks), v a non-root pool vertex, and a new v joins V' only while
     |V'| < 2k-1.  So the states are exactly the root-connected vectors (add a
     vector's arcs in breadth-first order), and V' is a state's head set.
-    A vector is keyed by one integer with two bits per class holding its
-    count, so a child's key is its parent's plus the class's unit, and a
-    seen set of keys keeps each vector once; the sorted (class, count) tuple
-    is built only for a vector not seen before.  Each state with V'
-    non-empty is checked by `_aggregated_feasibility`: the full-size ones
-    (|V'| = 2k-1) by their min-cut condition, two kinds of root reaches, and
-    only the smaller ones with a large anchor by a max-flow, which gives
-    their attachment.
+
+    Each vector is built exactly once, with no seen set, by ordered
+    candidate lists as in `fptcommon.tree_shapes`: a candidate is a class
+    whose next copy the state may take.  Taking candidate i passes on the
+    candidates after i, that class's next copy while it has fewer than
+    min(2, L), and the classes leaving a new small head; once |V'| = 2k-1
+    the candidates into a new head are dropped.  A vector is then reached
+    only through the first of its copies in each list: a skipped candidate
+    stays out of the whole subtree, and each one a step adds was not
+    available before it.  The count vector is one dict changed in place and
+    undone on the way back; each frame carries V', the expanded count, the
+    pair masks and the emptied classes, a step from m to m+1 copies swapping
+    the class's m-copy `CopyTable` entry for its (m+1)-copy one.  Each state
+    with V' non-empty is checked once by `_aggregated_feasibility`: the
+    full-size ones (|V'| = 2k-1) by their min-cut condition, two kinds of
+    root reaches, and only the smaller ones with a large anchor by a
+    max-flow, which gives their attachment.
     """
-    root, max_size = dig.root, 2 * k - 1
-    bits = itertools.count(0, 2)  # each class's count takes two bits of a key
-    classes = {u: [((u, v), min(2, len(ids)), next(bits))
-                   for v, ids in dig.out_classes(u) if v != root and v in pool]
-               for u in pool if u == root or u not in view.large}
-    shapes = []
-    seen = {0}
-    stack = [(0, (), frozenset())]
+    root, max_size, large = dig.root, 2 * k - 1, view.large
+    table = CopyTable()
+    counts: dict[tuple[int, int], int] = {}
+    found: list[Row] = []
+
+    def leaving(u: int) -> list[tuple[tuple[int, int], int]]:
+        return [((u, v), len(ids)) for v, ids in dig.out_classes(u) if v != root and v in pool]
+
+    # frames of (candidates, index of the next one to try, class taken to
+    # enter the frame, V', expanded count, uses, limits, emptied); the root
+    # frame took none
+    stack: list[list] = [[leaving(root), 0, None, frozenset(), 1, 0, 0, ()]]
     while stack:
-        code, pairs, verts = stack.pop()
-        if verts:
-            attachment = _aggregated_feasibility(dig, dict(pairs), verts, view.large, k)
-            if attachment is not None:
-                shapes.append((verts, pairs, attachment))
-        for u in (root, *verts):
-            for cls, cap, shift in classes.get(u, ()):
-                m, head = code >> shift & 3, cls[1]
-                if m < cap and (head in verts or len(verts) < max_size):
-                    child = code + (1 << shift)
-                    if child not in seen:
-                        seen.add(child)
-                        pairs_child = tuple(sorted([p for p in pairs if p[0] != cls] + [(cls, m + 1)]))
-                        stack.append((child, pairs_child, verts if head in verts else verts | {head}))
-    shapes.sort(key=lambda s: (len(s[0]), tuple(sorted(s[0])), s[1]))
-    return shapes
+        frame = stack[-1]
+        candidates, i = frame[0], frame[1]
+        if i == len(candidates):
+            stack.pop()
+            c = frame[2]
+            if c is not None:
+                if counts[c] == 1:
+                    del counts[c]
+                else:
+                    counts[c] -= 1
+            continue
+        frame[1] = i + 1
+        c, copies = candidates[i]
+        m = counts.get(c, 0)
+        counts[c] = m + 1
+        old_ways, old_use, old_limit, _ = table.entry(c, copies, m)
+        ways, use, limit, empties = table.entry(c, copies, m + 1)
+        expanded = frame[4] // old_ways * ways
+        uses = frame[5] ^ old_use | use
+        limits = frame[6] ^ old_limit | limit
+        emptied = frame[7] + (c,) if empties else frame[7]
+        verts, head = frame[3], c[1]
+        new_head = head not in verts
+        if new_head:
+            verts = verts | {head}
+        attachment = _aggregated_feasibility(dig, counts, verts, large, k)
+        if attachment is not None:
+            classes, taken = zip(*sorted(counts.items()))
+            found.append((classes, taken, attachment, expanded, uses, limits, emptied))
+        following = candidates[i + 1:]
+        if m + 1 < min(2, copies):
+            following.append((c, copies))
+        if new_head:
+            if head not in large:
+                following += leaving(head)
+            if len(verts) == max_size:
+                following = [cand for cand in following if cand[0][1] in verts]
+        stack.append([following, 0, c, verts, expanded, uses, limits, emptied])
+    found.sort(key=_core_order)
+    return found
 
 
-def _flow_shapes(dig: RootedDigraph, k: int) -> list[Shape]:
-    """Every compact core shape, its per-class counts in `_core_shapes`' order."""
-    return [(dict(counts), attachment) for _, counts, attachment
-            in _core_shapes(dig, k, candidate_pool_flow(dig, k), classify_vertices_flow(dig, k))]
+def _core_order(row: Row) -> tuple:
+    """A core row's (|V'|, sorted V', (class, count) pairs), flattened into
+    one tuple, which orders the rows the same way."""
+    verts = sorted({v for _, v in row[0]})
+    return len(verts), *verts, *chain.from_iterable(zip(row[0], row[1]))
+
+
+def _flow_shapes(dig: RootedDigraph, k: int) -> list[Row]:
+    """Every compact core shape."""
+    return _core_shapes(dig, k, candidate_pool_flow(dig, k), classify_vertices_flow(dig, k))
 
 
 def enumerate_compact_cores(dig: RootedDigraph, k: int) -> Iterator[CompactStructure]:

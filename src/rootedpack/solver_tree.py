@@ -16,7 +16,6 @@ from .fptcommon import (
     CompactStructure,
     DirectedState,
     LargenessView,
-    Shape,
     branch_structure,
     SolveOptions,
     Stages,
@@ -32,6 +31,7 @@ from .fptcommon import (
 from .graphs import EdgeSelection, ProblemInstance, RootedGraph, cap_parallel, parse_rooted_tree
 from .matroid import max_forest_pair
 from .oracles import oracle_tree, validate_witness
+from .pairs import Row
 from .reports import SolveReport
 
 
@@ -60,14 +60,13 @@ def validate_compact_certificate(
 
 
 def _edge_class(u: int, v: int) -> tuple[int, int]:
-    return (min(u, v), max(u, v))
+    return (u, v) if u < v else (v, u)
 
 
-def _certificate_shapes(g: RootedGraph, k: int) -> list[Shape]:
+def _certificate_shapes(g: RootedGraph, k: int) -> list[Row]:
     """Every compact certificate shape: one copy of each class of the tree."""
-    return [(dict.fromkeys(classes, 1), attachment) for classes, attachment
-            in tree_shapes(g.root, k, candidate_pool_tree(g, k),
-                           classify_vertices_tree(g, k).large, g.incident_classes, _edge_class)]
+    return tree_shapes(g.root, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large,
+                       g.incident_classes, _edge_class)
 
 
 def enumerate_compact_certificates(g: RootedGraph, k: int) -> Iterator[CompactStructure]:

@@ -311,6 +311,22 @@ def test_console_entry_point(yes_instance):
     assert json.loads(proc.stdout)["decision"] is True
 
 
+def test_python_dash_m_package(yes_instance):
+    """`python -m rootedpack` from a checkout, with PYTHONPATH=src: a YES
+    instance exits 0 and an invalid k exits 2 (usage), never 1 (NO)."""
+    src = str(Path(rootedpack.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    codes = []
+    for k in ("2", "0"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootedpack", "solve", "arb", "--k", k, "--input", yes_instance],
+            capture_output=True, text=True, env=env)
+        codes.append(proc.returncode)
+        if k == "2":
+            assert json.loads(proc.stdout)["decision"] is True
+    assert codes == [0, 2]
+
+
 def test_byte_identical_reports_across_runs(yes_instance):
     outputs = set()
     for _ in range(10):

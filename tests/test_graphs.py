@@ -17,12 +17,13 @@ from rootedpack.graphs import (
     serialize_instance,
     subtree_sizes,
 )
-from rootedpack.fptcommon import shape_masks, tree_shapes
+from rootedpack.fptcommon import tree_shapes
 from rootedpack.solver_arb import candidate_pool, classify_vertices
 from rootedpack.solver_flow import _core_shapes, candidate_pool_flow, classify_vertices_flow
 
 from conftest import digraphs, graphs, random_digraph, random_graph, spanning_digraph
-from test_pair_search import expanded_reference
+from test_pair_search import (conflicts, expanded_reference, row_masks, shape_masks_reference,
+                              table_rows)
 from test_shapes import arc_key, flow_instances, instances
 import random
 import tracemalloc
@@ -49,6 +50,18 @@ def test_parse_undirected():
 def test_parse_arc_into_root_fails():
     with pytest.raises(ParseError, match="enters the root"):
         parse_instance("D 2 0\n1 0\n")
+
+
+@pytest.mark.parametrize("cls", [RootedDigraph, RootedGraph])
+@pytest.mark.parametrize("cid", [-5, -1, True, False, 1.0, "2"])
+def test_constructors_refuse_ids_that_are_not_non_negative_integers(cls, cid):
+    with pytest.raises(ParseError, match="id .* is not a non-negative integer"):
+        cls(3, 0, [(0, 1, 7), (1, 2, cid)])
+
+
+def test_constructors_keep_explicit_non_negative_ids():
+    d = RootedDigraph(3, 0, [(0, 1, 5), (1, 2, 0), (0, 2)])
+    assert d.arc_ids == (0, 5, 6)
 
 
 def test_parse_malformed_header():
@@ -222,18 +235,21 @@ def spans_agree(g, removed) -> bool:
 
 
 def probe_shapes():
-    """(digraph, shapes) for the kernels and cores of the
-    `tests/test_shapes.py` fixtures, as `run_pipeline` hands them to
-    `shape_masks`: per-class copy counts and the attachment."""
+    """(digraph, rows) for the kernels and cores of the
+    `tests/test_shapes.py` fixtures, as the shape searches hand them to
+    `run_pipeline`."""
     for inst, k in instances("arb"):
         g = cap_parallel(inst).graph
-        yield g, [(dict.fromkeys(classes, 1), attachment) for classes, attachment
-                  in tree_shapes(g.root, k, candidate_pool(g, k),
-                                 classify_vertices(g, k).large, g.out_classes, arc_key)]
+        yield g, tree_shapes(g.root, k, candidate_pool(g, k), classify_vertices(g, k).large,
+                             g.out_classes, arc_key)
     for inst in flow_instances():
         g, k = cap_parallel(inst).graph, inst.k
-        yield g, [(dict(counts), {}) for _, counts, _
-                  in _core_shapes(g, k, candidate_pool_flow(g, k), classify_vertices_flow(g, k))]
+        yield g, _core_shapes(g, k, candidate_pool_flow(g, k), classify_vertices_flow(g, k))
+
+
+def row_counts(row) -> dict:
+    """A row's per-class copy counts."""
+    return dict(zip(row[0], row[1]))
 
 
 def lowest_copies(g, counts) -> list[int]:
@@ -245,9 +261,9 @@ def lowest_copies(g, counts) -> list[int]:
 def probe_removals():
     """(digraph, copies) for every shape of `probe_shapes`: its lowest
     copies."""
-    for g, shapes in probe_shapes():
-        for counts, _ in shapes:
-            yield g, lowest_copies(g, counts)
+    for g, rows in probe_shapes():
+        for row in rows:
+            yield g, lowest_copies(g, row_counts(row))
 
 
 def test_spans_without_matches_a_plain_search_on_probe_removals():
@@ -280,19 +296,24 @@ def test_spans_without_matches_a_plain_search_on_random_removals(rng):
     assert min(verdicts.values()) > 500 and disconnected > 100 and partial > 100
 
 
-def probe_agrees(g, shapes) -> list[bool]:
-    """`shape_masks` with the class-level probe against
-    `is_root_connected_without` of each shape's lowest copies, and its
-    expanded count and masks against `shape_masks` without the probe and
-    the comb(L, m) reference; returns the verdicts."""
+def probe_agrees(g, rows) -> list[bool]:
+    """The pipeline's class-level probe on each row's emptied classes
+    against `is_root_connected_without` of its lowest copies, and the rows'
+    expanded counts and masks against `shape_masks_reference` with and
+    without the probe and the comb(L, m) reference; returns the verdicts."""
+    shapes = [(row_counts(row), row[2]) for row in rows]
     verdicts = [g.is_root_connected_without(lowest_copies(g, counts)) for counts, _ in shapes]
-    expanded, kept, uses, limits = shape_masks(shapes, g.class_ids, g.spans_without_classes)
-    every, unprobed, all_uses, all_limits = shape_masks(shapes, g.class_ids)
+    kept = [row for row in rows if g.spans_without_classes(row[6])]
+    expanded, ref_kept, uses, limits = shape_masks_reference(
+        shapes, g.class_ids, g.spans_without_classes)
+    every, unprobed, all_uses, all_limits = shape_masks_reference(shapes, g.class_ids)
     index = [i for i, ok in enumerate(verdicts) if ok]
-    assert expanded == every == expanded_reference([c for c, _ in shapes], g.class_ids)
+    assert sum(row[3] for row in rows) == expanded == every == expanded_reference(
+        [c for c, _ in shapes], g.class_ids)
     assert unprobed == shapes
-    assert kept == [shapes[i] for i in index]
+    assert [(row_counts(row), row[2]) for row in kept] == ref_kept == [shapes[i] for i in index]
     assert uses == [all_uses[i] for i in index] and limits == [all_limits[i] for i in index]
+    assert conflicts(*row_masks(kept)) == conflicts(uses, limits)
     return verdicts
 
 
@@ -307,8 +328,8 @@ def random_class_shapes(rng, g, count):
 
 def test_one_pass_probe_matches_is_root_connected_without_on_fixture_shapes():
     verdicts = {True: 0, False: 0}
-    for g, shapes in probe_shapes():
-        for ok in probe_agrees(g, shapes):
+    for g, rows in probe_shapes():
+        for ok in probe_agrees(g, rows):
             verdicts[ok] += 1
     assert verdicts[True] > 10_000 and verdicts[False] > 1_000
 
@@ -322,7 +343,8 @@ def test_one_pass_probe_matches_is_root_connected_without_on_random_digraphs(rng
         for d in (spanning_digraph(rng, n, extra=rng.randint(0, 2 * n)),
                   random_digraph(rng, max_n=9, max_mult=2)):
             g = cap_parallel(ProblemInstance(kind="arb", graph=d, k=1)).graph
-            for ok in probe_agrees(g, random_class_shapes(rng, g, 30)):
+            rows = table_rows(random_class_shapes(rng, g, 30), g.class_ids)
+            for ok in probe_agrees(g, rows):
                 verdicts[ok] += 1
     assert min(verdicts.values()) > 500
 

@@ -1,8 +1,14 @@
-"""Differential tests for the bit-mask pair search.
+"""Differential tests for the bit-mask pair search and the pair masks.
 
 The reference is the per-pair scan it replaced, kept here in behaviour:
 `pair_shares_ok` walks the first shape's classes, and a row-major scan over
 every pair (i, j), i <= j, asks it and then `accept` about each pair in turn.
+
+The masks come from `CopyTable` entries, which the shape searches fold into
+each state as they take classes; `table_rows` folds whole count-dict shapes
+the same way.  `shape_masks_reference` is the one pass over finished shapes
+that built the masks before the searches carried them, kept here as the
+reference for the carried rows.
 """
 
 import random
@@ -11,7 +17,7 @@ from math import comb
 import pytest
 
 from rootedpack.errors import InternalError
-from rootedpack.fptcommon import PairSearch, shape_masks
+from rootedpack.pairs import CopyTable, PairSearch
 
 
 def pair_shares_ok(classes1, classes2, class_ids) -> bool:
@@ -86,8 +92,93 @@ def recording_accept(rate, salt):
     return accept, calls
 
 
+def shape_masks_reference(shapes, class_ids, extendable=None):
+    """(expanded shape count, kept shapes, their `uses` masks, their `limits`
+    masks) of (count dict, attachment) shapes, in one pass: each class gets
+    one table row per count m (comb(L, m), the use bits, the limit bit, and
+    whether m copies empty the class), and given `extendable`, a shape is
+    kept only if it passes the classes the shape empties."""
+    table = {}
+    width = 0
+    expanded = 0
+    kept, uses, limits = [], [], []
+    for shape in shapes:
+        combos, use, limit = 1, 0, 0
+        emptied = []
+        for c, m in shape[0].items():
+            row = table.get(c)
+            if row is None:
+                copies = len(class_ids(*c))
+                one = two = 0
+                if copies < 4:
+                    one, two = 1 << width, 2 << width
+                    width += 2
+                at_least = {1: one, 2: two}
+                row = table[c] = (
+                    (1, 0, 0, copies == 0),
+                    (copies, one, at_least.get(copies, 0), copies == 1),
+                    (comb(copies, 2), one | two, at_least.get(copies - 1, 0), copies == 2),
+                )[:min(copies, 2) + 1]
+            if not 0 <= m < len(row):
+                raise InternalError("shape takes more copies of a class than the pair masks allow",
+                                    {"class": list(c), "count": m})
+            ways, use_bits, limit_bit, empties = row[m]
+            combos *= ways
+            use |= use_bits
+            limit |= limit_bit
+            if empties:
+                emptied.append(c)
+        expanded += combos
+        if extendable is None or extendable(emptied):
+            kept.append(shape)
+            uses.append(use)
+            limits.append(limit)
+    return expanded, kept, uses, limits
+
+
+def table_rows(shapes, class_ids):
+    """Finished rows of (count dict, attachment) shapes, each folded through
+    one `CopyTable` as a search folds the classes it takes."""
+    table = CopyTable()
+    rows = []
+    for counts, attachment in shapes:
+        classes = tuple(sorted(counts))
+        expanded, uses, limits, emptied = 1, 0, 0, []
+        for c in classes:
+            ways, use, limit, empties = table.entry(c, len(class_ids(*c)), counts[c])
+            expanded, uses, limits = expanded * ways, uses | use, limits | limit
+            if empties:
+                emptied.append(c)
+        rows.append((classes, tuple(counts[c] for c in classes), attachment,
+                     expanded, uses, limits, tuple(emptied)))
+    return rows
+
+
+def row_masks(rows):
+    return [row[4] for row in rows], [row[5] for row in rows]
+
+
+def conflicts(uses, limits):
+    """Per shape i, the shapes j with `limits[i] & uses[j]` non-zero, as a
+    bit set over j.  Bit positions drop out, so two mask encodings give the
+    same answer on every ordered pair iff their conflict sets are equal."""
+    columns = {}
+    for j, use in enumerate(uses):
+        for bit in range(use.bit_length()):
+            if use >> bit & 1:
+                columns[bit] = columns.get(bit, 0) | 1 << j
+    out = []
+    for limit in limits:
+        blocked = 0
+        for bit in range(limit.bit_length()):
+            if limit >> bit & 1:
+                blocked |= columns.get(bit, 0)
+        out.append(blocked)
+    return out
+
+
 def new_search(counts, class_ids, accept=None):
-    _, _, uses, limits = shape_masks([(shape, {}) for shape in counts], class_ids)
+    uses, limits = row_masks(table_rows([(shape, {}) for shape in counts], class_ids))
     return PairSearch(uses, limits, accept).find_first()
 
 
@@ -117,8 +208,11 @@ def shape_lists():
 @pytest.mark.parametrize("name,shapes,class_ids", shape_lists(),
                          ids=[case[0] for case in shape_lists()])
 def test_masks_agree_with_pair_shares_ok(name, shapes, class_ids):
-    expanded, _, uses, limits = shape_masks([(s, {}) for s in shapes], class_ids)
-    assert expanded == expanded_reference(shapes, class_ids)
+    rows = table_rows([(s, {}) for s in shapes], class_ids)
+    uses, limits = row_masks(rows)
+    expanded, _, ref_uses, ref_limits = shape_masks_reference([(s, {}) for s in shapes], class_ids)
+    assert sum(row[3] for row in rows) == expanded == expanded_reference(shapes, class_ids)
+    assert conflicts(uses, limits) == conflicts(ref_uses, ref_limits)
     for i, a in enumerate(shapes):
         for j, b in enumerate(shapes):
             ok = pair_shares_ok(a, b, class_ids)
@@ -175,10 +269,9 @@ def test_synthetic_no_with_thousands_of_shapes():
 
 def test_class_with_four_copies_gets_no_bits():
     ids = {(0, 1): (0, 1, 2, 3), (1, 2): (4, 5, 6, 7, 8)}
-    expanded, _, uses, limits = shape_masks(
-        [({(0, 1): 2, (1, 2): 1}, {}), ({(0, 1): 1}, {})], lambda u, v: ids[(u, v)])
-    assert expanded == comb(4, 2) * 5 + 4
-    assert uses == [0, 0] and limits == [0, 0]
+    rows = table_rows([({(0, 1): 2, (1, 2): 1}, {}), ({(0, 1): 1}, {})], lambda u, v: ids[(u, v)])
+    assert sum(row[3] for row in rows) == comb(4, 2) * 5 + 4
+    assert row_masks(rows) == ([0, 0], [0, 0])
 
 
 @pytest.mark.parametrize("copies,count", [(1, 2), (2, 3), (3, 3), (5, 3), (0, 1)])
@@ -188,4 +281,65 @@ def test_copy_masks_refuses_impossible_shapes(copies, count):
     ids = {(0, 1): tuple(range(copies)), (1, 2): (10,)}
     shapes = [({(1, 2): 1}, {}), ({(0, 1): count}, {})]
     with pytest.raises(InternalError):
-        shape_masks(shapes, lambda u, v: ids[(u, v)])
+        table_rows(shapes, lambda u, v: ids[(u, v)])
+    with pytest.raises(InternalError):
+        shape_masks_reference(shapes, lambda u, v: ids[(u, v)])
+    with pytest.raises(InternalError):
+        CopyTable().entry((0, 1), copies, count)
+
+
+def switch_lists():
+    """(name, shapes, class_ids, hit row) around the row where `find_first`
+    turns from direct row scans to columns.
+
+    Forty shapes take four use bits each, 160 in all: two copies of the
+    two-copy class x and one copy of two two-copy classes.  The first five
+    rows hold 40 + 39 + 38 + 37 + 36 pairs, so rows 0..4 are scanned
+    directly (154 < 160 pairs before row 4) and row 5 is the first one
+    scanned by columns.  Two copies of x conflict with any copy of x, so
+    all pairs conflict, except that the shape of the hit row takes one copy
+    of x and one of the three-copy class y, which keeps its bit count and
+    frees its pair with itself only."""
+    ids = {(100, 101): (0, 1), (200, 201): (2, 3, 4)}
+    ids.update({(u, u + 1): (10 + 2 * u, 11 + 2 * u) for u in range(20)})
+    rng = random.Random(3)
+    lists = []
+    for name, hit_row in (("last-direct-row", 4), ("first-column-row", 5), ("no", None)):
+        shapes = []
+        for i in range(40):
+            shape = {(u, u + 1): 1 for u in rng.sample(range(20), 2)}
+            shape.update({(100, 101): 1, (200, 201): 1} if i == hit_row else {(100, 101): 2})
+            shapes.append(shape)
+        lists.append((name, shapes, lambda u, v: ids[(u, v)], hit_row))
+    return lists
+
+
+@pytest.mark.parametrize("name,shapes,class_ids,hit_row", switch_lists(),
+                         ids=[case[0] for case in switch_lists()])
+def test_switch_from_direct_rows_to_columns(name, shapes, class_ids, hit_row, monkeypatch):
+    """Hit, pairsTested and `accept` calls against the row-major scan, with
+    the columns built once, and only when the search gets past row 4."""
+    builds = []
+    columns = PairSearch._columns
+
+    def recorded(self):
+        builds.append(True)
+        return columns(self)
+
+    monkeypatch.setattr(PairSearch, "_columns", recorded)
+    uses, _ = row_masks(table_rows([(s, {}) for s in shapes], class_ids))
+    assert sum(map(int.bit_count, uses)) == 160
+    for rate in (None, 1.0, 0.5, 0.0):
+        builds.clear()
+        if rate is None:
+            got = new_search(shapes, class_ids)
+            assert got == reference_search(shapes, class_ids)
+        else:
+            accept, calls = recording_accept(rate, name)
+            ref_accept, ref_calls = recording_accept(rate, name)
+            got = new_search(shapes, class_ids, accept)
+            assert got == reference_search(shapes, class_ids, ref_accept)
+            assert calls == ref_calls == ([(hit_row, hit_row)] if hit_row is not None else [])
+        if rate in (None, 1.0):
+            assert got[0] == (None if hit_row is None else (hit_row, hit_row))
+        assert len(builds) == (0 if got[0] is not None and got[0][0] <= 4 else 1)

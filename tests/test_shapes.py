@@ -13,17 +13,26 @@ survivor's aggregated network by max-flow.  Each must give
 the same shape list (classes or count vectors, order and attachments) on
 seeded random instances.
 
+The searches emit finished rows (`pairs.Row`): besides the classes,
+counts and attachment, each carries its expanded count, pair masks and
+emptied classes down the search stack.  Those are checked against
+`shape_masks_reference`, the one pass over finished shapes that built them
+before, on these fixtures and on random digraphs and graphs, for all three
+kinds.
+
 The copy expansion behind `enumerate_compact_kernels`, `_cores` and
 `_certificates` (`fptcommon.expand_shapes`) is checked the same way against
 the three per-kind loops it replaced, record by record and in order.
 """
 
 import itertools
+import random
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
+from rootedpack import solver_flow
 from rootedpack.connectivity import FlowNetwork, max_flow
 from rootedpack.fptcommon import branch_structure, lex_smallest_attachment, tree_shapes
 from rootedpack.graphs import RootedDigraph, RootedGraph, cap_parallel, ProblemInstance
@@ -46,6 +55,9 @@ from rootedpack.solver_tree import (
     enumerate_compact_certificates,
     solve_tree,
 )
+
+from conftest import random_digraph, random_graph
+from test_pair_search import conflicts, row_masks, shape_masks_reference
 
 
 def arc_key(u, v):
@@ -146,6 +158,25 @@ ARCS_PER_VERTEX = {
 }
 
 
+def tree_rows(kind, g, k):
+    """The rows of `tree_shapes` for kernels (arb) or certificates (tree)."""
+    if kind == "arb":
+        return tree_shapes(g.root, k, candidate_pool(g, k), classify_vertices(g, k).large,
+                           g.out_classes, arc_key)
+    return tree_shapes(g.root, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large,
+                       g.incident_classes, edge_key)
+
+
+def core_rows(g, k):
+    return _core_shapes(g, k, candidate_pool_flow(g, k), classify_vertices_flow(g, k))
+
+
+def as_cores(rows):
+    """Rows as the replaced core search gave them: (V', sorted (class,
+    count) pairs, attachment)."""
+    return [(frozenset(v for _, v in row[0]), tuple(zip(row[0], row[1])), row[2]) for row in rows]
+
+
 def instances(kind):
     """Seeded `random_instance` fixtures, n = 6..22 and k = 2..4."""
     for n in (6, 10, 14, 18, 22):
@@ -160,13 +191,13 @@ def test_tree_shapes_match_the_replaced_enumerators(kind):
     for inst, k in instances(kind):
         g = inst.graph
         if kind == "arb":
-            pool, view = candidate_pool(g, k), classify_vertices(g, k)
-            want = kernel_shapes_reference(g, k, pool, view)
-            got = tree_shapes(g.root, k, pool, view.large, g.out_classes, arc_key)
+            want = kernel_shapes_reference(g, k, candidate_pool(g, k), classify_vertices(g, k))
         else:
-            pool, view = candidate_pool_tree(g, k), classify_vertices_tree(g, k)
-            want = certificate_shapes_reference(g, k, pool, view)
-            got = tree_shapes(g.root, k, pool, view.large, g.incident_classes, edge_key)
+            want = certificate_shapes_reference(g, k, candidate_pool_tree(g, k),
+                                                classify_vertices_tree(g, k))
+        rows = tree_rows(kind, g, k)
+        assert all(counts == (1,) * len(classes) for classes, counts, *_ in rows)
+        got = [(classes, attachment) for classes, _, attachment, *_ in rows]
         assert got == want
         total += len(got)
         anchored += sum(1 for _, attachment in got if attachment)
@@ -240,10 +271,12 @@ def aggregated_feasibility_reference(dig, class_counts, verts, large, k):
     return {v: flows[idx] for v, idx in sorted(anchor_arcs.items()) if flows[idx] > 0}
 
 
-def core_shapes_reference(dig, k, pool, view):
+def core_vectors_reference(dig, k, pool, view):
+    """Every root-connected count vector with V' non-empty, as (V', count
+    dict): every vertex subset of the pool and every {0, 1, 2} product over
+    its classes, filtered by in-degree and root-connectivity."""
     root = dig.root
     nonroot_pool = sorted(pool - {root})
-    shapes = []
     max_size = 2 * k - 1
     for size in range(1, min(max_size, len(nonroot_pool)) + 1):
         for vset in itertools.combinations(nonroot_pool, size):
@@ -275,11 +308,16 @@ def core_shapes_reference(dig, k, pool, view):
                         if v not in seen:
                             seen.add(v)
                             stack.append(v)
-                if not verts <= seen:
-                    continue
-                attachment = aggregated_feasibility_reference(dig, counts, verts, view.large, k)
-                if attachment is not None:
-                    shapes.append((verts, tuple(sorted(counts.items())), attachment))
+                if verts <= seen:
+                    yield verts, counts
+
+
+def core_shapes_reference(dig, k, pool, view):
+    shapes = []
+    for verts, counts in core_vectors_reference(dig, k, pool, view):
+        attachment = aggregated_feasibility_reference(dig, counts, verts, view.large, k)
+        if attachment is not None:
+            shapes.append((verts, tuple(sorted(counts.items())), attachment))
     shapes.sort(key=lambda s: (len(s[0]), tuple(sorted(s[0])), s[1]))
     return shapes
 
@@ -324,7 +362,7 @@ def test_core_shapes_match_the_replaced_enumerator():
     for inst in flow_instances():
         g, k = cap_parallel(inst).graph, inst.k
         pool, view = candidate_pool_flow(g, k), classify_vertices_flow(g, k)
-        got = _core_shapes(g, k, pool, view)
+        got = as_cores(_core_shapes(g, k, pool, view))
         assert got == core_shapes_reference(g, k, pool, view)
         total += len(got)
         doubled += sum(1 for _, counts, _ in got if any(m == 2 for _, m in counts))
@@ -334,14 +372,97 @@ def test_core_shapes_match_the_replaced_enumerator():
     assert total > 10_000 and doubled > 5_000 and anchored > 100 and attached > 5
 
 
+def test_core_search_checks_each_count_vector_once(monkeypatch):
+    """`_aggregated_feasibility` is called exactly once per count vector,
+    and on exactly the reference's non-empty root-connected vectors."""
+    calls = Counter()
+    feasibility = solver_flow._aggregated_feasibility
+
+    def counted(dig, class_counts, verts, large, k):
+        calls[tuple(sorted((c, m) for c, m in class_counts.items() if m > 0))] += 1
+        return feasibility(dig, class_counts, verts, large, k)
+
+    monkeypatch.setattr(solver_flow, "_aggregated_feasibility", counted)
+    total = 0
+    for inst in flow_instances():
+        g, k = cap_parallel(inst).graph, inst.k
+        pool, view = candidate_pool_flow(g, k), classify_vertices_flow(g, k)
+        calls.clear()
+        _core_shapes(g, k, pool, view)
+        assert set(calls.values()) <= {1}
+        assert set(calls) == {tuple(sorted(counts.items())) for _, counts
+                              in core_vectors_reference(g, k, pool, view)}
+        total += len(calls)
+    assert total > 20_000
+
+
+# -- the carried rows against the one pass over finished shapes --
+
+
+def assert_rows_match_reference(g, rows, probe):
+    """The rows' expanded counts, the rows `probe` keeps (all without one),
+    their masks and emptied classes against `shape_masks_reference` on the
+    rows' own (count dict, attachment) shapes.  Returns the (L, m) pairs
+    of every class a row takes."""
+    shapes = [(dict(zip(row[0], row[1])), row[2]) for row in rows]
+    expanded, kept, uses, limits = shape_masks_reference(shapes, g.class_ids, probe)
+    kept_rows = rows if probe is None else [row for row in rows if probe(row[6])]
+    assert sum(row[3] for row in rows) == expanded
+    assert [(dict(zip(row[0], row[1])), row[2]) for row in kept_rows] == kept
+    assert conflicts(*row_masks(kept_rows)) == conflicts(uses, limits)
+    taken = Counter()
+    for classes, counts, *_, emptied in rows:
+        copies = [len(g.class_ids(*c)) for c in classes]
+        assert sorted(emptied) == [c for c, m, L in zip(classes, counts, copies) if m == L]
+        taken.update(zip(copies, counts))
+    return taken
+
+
+def test_carried_rows_match_shape_masks_on_fixtures():
+    taken = Counter()
+    for kind in ("arb", "tree"):
+        for inst, k in instances(kind):
+            g = inst.graph
+            probe = g.spans_without_classes if kind == "arb" else None
+            assert_rows_match_reference(g, tree_rows(kind, g, k), probe)
+    for inst in flow_instances():
+        g, k = cap_parallel(inst).graph, inst.k
+        taken += assert_rows_match_reference(g, core_rows(g, k), g.spans_without_classes)
+    # flow classes of 2 and 3 copies, taken once and twice
+    assert min(taken[pair] for pair in ((2, 1), (2, 2), (3, 1), (3, 2))) > 100
+
+
+def test_carried_rows_match_shape_masks_on_random_graphs():
+    """Random digraphs and graphs with up to five copies per class, capped
+    as each pipeline caps them, at k = 1..3."""
+    rng = random.Random(29)
+    taken = Counter()
+    rows_seen = Counter()
+    for _ in range(120):
+        k = rng.randint(1, 3)
+        for kind in ("arb", "flow", "tree"):
+            graph = (random_graph if kind == "tree" else random_digraph)(
+                rng, max_n=7 if kind == "flow" and k == 3 else 9, max_mult=5)
+            g = cap_parallel(ProblemInstance(kind=kind, graph=graph, k=k)).graph
+            if kind == "flow":
+                rows = core_rows(g, k)
+                taken += assert_rows_match_reference(g, rows, g.spans_without_classes)
+            else:
+                rows = tree_rows(kind, g, k)
+                probe = g.spans_without_classes if kind == "arb" else None
+                assert_rows_match_reference(g, rows, probe)
+            rows_seen[kind] += len(rows)
+    assert min(rows_seen.values()) > 100
+    assert min(taken[pair] for pair in ((2, 1), (2, 2), (3, 1), (3, 2))) > 1_000
+    assert taken[(4, 1)] and taken[(4, 2)]
+
+
 # -- the copy expansion against the per-kind loops it replaced --
 
 
 def kernels_reference(dig, k):
     """One kernel per product of the tree classes' copies, V' the heads."""
-    for classes, attachment in tree_shapes(
-            dig.root, k, candidate_pool(dig, k), classify_vertices(dig, k).large,
-            dig.out_classes, arc_key):
+    for classes, _, attachment, *_ in tree_rows("arb", dig, k):
         for combo in itertools.product(*[dig.class_ids(u, v) for u, v in classes]):
             yield frozenset(v for _, v in classes), tuple(sorted(combo)), dict(attachment)
 
@@ -349,9 +470,7 @@ def kernels_reference(dig, k):
 def certificates_reference(g, k):
     """One certificate per product of the tree classes' copies, V' the
     non-root ends."""
-    for classes, attachment in tree_shapes(
-            g.root, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large,
-            g.incident_classes, edge_key):
+    for classes, _, attachment, *_ in tree_rows("tree", g, k):
         verts = frozenset(v for c in classes for v in c if v != g.root)
         for combo in itertools.product(*[g.class_ids(u, v) for u, v in classes]):
             yield verts, tuple(sorted(combo)), dict(attachment)
@@ -360,8 +479,7 @@ def certificates_reference(g, k):
 def cores_reference(dig, k):
     """Per class, the m-subsets of its copies listed by hand (m <= 2), one
     core per product of them, V' as `_core_shapes` gives it."""
-    view, pool = classify_vertices_flow(dig, k), candidate_pool_flow(dig, k)
-    for verts, counts, attachment in _core_shapes(dig, k, pool, view):
+    for verts, counts, attachment in as_cores(core_rows(dig, k)):
         per_class = []
         for (u, v), m in counts:
             ids = dig.class_ids(u, v)
