@@ -4,14 +4,10 @@ The cut condition d^-(X) >= k for all non-empty X avoiding the root is
 decided through Menger's theorem: k arc-disjoint root-to-v paths for every v,
 computed as integral max-flows with one unit of capacity per parallel copy.
 
-Single arc removals go through one rule, kept by `ResidualReach`: while D - S
-is root-connected, fix any BFS r-arborescence T of it at parallel-class
-level.  Removing one more copy can disconnect D - S only when that copy is
-the last survivor of its class and the class is an arc of T; every other
-copy is admitted without a search, such a T-arc (u, v) with a search that
-stops once it sees v, and T is rebuilt only after such a T-arc is removed.
-`critical_arcs`, the k=2 gate and the directed growth and completion in
-`fptcommon` all run on it.
+Root reach is asked of `graphs.ResidualReach`, whose docstring states the
+lemma and the arborescence rule behind every answer here: the digraph's own
+engine decides the gate's k=1 check and extendability, and `critical_arcs`,
+behind the k=2 gate, builds one for its removal set.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import ContractError
-from .graphs import ArcSelection, RootedDigraph, reach
+from .graphs import ArcSelection, ResidualReach, RootedDigraph
 
 
 @dataclass(frozen=True)
@@ -181,8 +177,8 @@ def is_k_root_connected(dig: RootedDigraph, k: int) -> tuple[bool, Optional[CutW
         raise ContractError(f"k must be >= 1, got {k}")
     if dig.n == 1:
         return True, None
-    if not dig.is_root_connected_without():
-        bad = dig.unreachable_set()
+    bad = dig.unreachable_set()
+    if bad:
         return False, CutWitness(bad, dig.in_degree_of_set(bad))
     if k == 1:
         return True, None
@@ -203,81 +199,6 @@ def is_k_root_connected(dig: RootedDigraph, k: int) -> tuple[bool, Optional[CutW
     return True, None
 
 
-class ResidualReach:
-    """D minus a growing arc set S, with a BFS r-arborescence T of D - S.
-
-    It keeps the out-masks of D - S, clearing a class's bit when S takes
-    its last copy, and builds T from them: each reachable non-root vertex
-    maps to the tail of the class that first reaches it, vertices expanded
-    in BFS order, each one's new heads ascending.
-
-    `keeps_root_connected(aid)` answers whether D - S - aid is still
-    root-connected.  Only the last surviving copy of a class (u, v) on T
-    needs a search: by the lemma of `graphs.RootedDigraph.spans_without_classes`
-    applied to the root-connected D - S, D - S - aid is root-connected iff v
-    stays reachable without that class, so the search stops once it sees v.
-    `remove(aid)` adds aid to S and rebuilds T only when it removed such a
-    T-arc.
-    """
-
-    def __init__(self, dig: RootedDigraph, removed: Iterable[int] = ()):
-        self.dig = dig
-        self.removed: set[int] = set()
-        self._left: dict[tuple[int, int], int] = {}  # survivors of the classes S touches
-        self._masks = dig.masks()
-        self.parent: dict[int, int] = {}
-        for aid in removed:
-            self._drop(aid)
-        self._rebuild()
-
-    def _drop(self, aid: int) -> bool:
-        """Add aid to S; True iff that empties an arc of T."""
-        if aid in self.removed:
-            return False
-        self.removed.add(aid)
-        u, v = c = self.dig.arc(aid)
-        left = self._left[c] = self._surviving(c) - 1
-        if left:
-            return False
-        self._masks[u] &= ~(1 << v)
-        return self.parent.get(v) == u
-
-    def _surviving(self, c: tuple[int, int]) -> int:
-        """Copies of class c that are not in S."""
-        return self._left.get(c, len(self.dig.class_ids(*c)))
-
-    def _rebuild(self) -> None:
-        masks = self._masks
-        parent: dict[int, int] = {}
-        seen = 1 << self.dig.root
-        order = [self.dig.root]
-        for u in order:
-            fresh = masks[u] & ~seen
-            seen |= fresh
-            while fresh:
-                low = fresh & -fresh
-                v = low.bit_length() - 1
-                parent[v] = u
-                order.append(v)
-                fresh ^= low
-        self.parent = parent
-        self.spanning = len(parent) == self.dig.n - 1
-
-    def keeps_root_connected(self, aid: int) -> bool:
-        if not self.spanning:
-            return False
-        if aid in self.removed:
-            return True
-        u, v = c = self.dig.arc(aid)
-        if self.parent.get(v) != u or self._surviving(c) > 1:
-            return True
-        return bool(reach(self._masks, self.dig.root, 1 << v, (c,)) >> v & 1)
-
-    def remove(self, aid: int) -> None:
-        if self._drop(aid) and self.spanning:
-            self._rebuild()
-
-
 def critical_arcs(
     dig: RootedDigraph,
     removed: Iterable[int] = (),
@@ -286,8 +207,8 @@ def critical_arcs(
     """Arcs whose additional removal disconnects some vertex from the root.
 
     Only the last surviving copy of a class on a BFS r-arborescence of
-    D - removed can be critical, so only those (at most n-1) are rechecked.
-    This is the engine of the k=2 gate.
+    D - removed can be critical (the T-arc rule of `ResidualReach`), so only
+    those (at most n-1) are rechecked.  This decides the k=2 gate.
     """
     residual = ResidualReach(dig, removed)
     if not residual.spanning:

@@ -17,7 +17,8 @@ tests pairs by a few big-integer operations (`pairs.PairSearch`).  The
 shape searches, `tree_shapes` for kernels and certificates and
 `solver_flow._core_shapes` for cores, carry each state's masks, expanded
 count and emptied classes down their stacks and emit finished rows
-(`pairs.Row`), so the pipeline only runs the probe on them.
+(`pairs.Row`), so the pipeline only runs the probe on them.  The probe,
+growth and completion ask root reach of `graphs.ResidualReach`.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .connectivity import ResidualReach
 from .errors import InternalError, StructureError
-from .graphs import (ArcSelection, EdgeSelection, ProblemInstance, RootedDigraph, RootedGraph,
-                     parse_rooted_tree)
+from .graphs import (ArcSelection, EdgeSelection, ProblemInstance, ResidualReach, RootedDigraph,
+                     RootedGraph, parse_rooted_tree)
 from .oracles import OracleAnswer, OracleBudget
 from .pairs import CopyTable, PairSearch, Row
 from .reports import SolveReport
@@ -584,8 +584,8 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
     expanded counts, runs the probe on each row's emptied classes and
     passes the kept rows' masks to `PairSearch`.  A shape that empties no
     class keeps the gated D root-connected with no search; any other
-    searches only until those classes' heads are seen
-    (`graphs.RootedDigraph.spans_without_classes`).  Count dicts are built
+    searches only until those classes' heads are seen, by the lemma of
+    `graphs.ResidualReach`.  Count dicts are built
     only for the pairs that get crystallised: tree's `accept` and the hit.
     """
     g = inst.graph

@@ -6,11 +6,10 @@ always refer to the original instance.  The two kinds differ only in their
 adjacency index and in whether a class (u, v) is ordered.  Reachability only
 depends on which parallel classes keep a surviving copy, so it is answered
 at class level through bitmask adjacency by one search, `reach`, which
-clears the emptied classes' bits for that search only.  `reach_mask` runs
-it to the end; `spans_without_classes`, behind `is_root_connected_without`
-and the extendability probe of `fptcommon.run_pipeline`, stops it once the
-emptied classes' heads are seen.  `connectivity.ResidualReach` runs it on
-its own copy of the masks.
+clears the emptied classes' bits for that search only.  `ResidualReach`,
+the one root-reach engine, runs it and states the lemma behind every reach
+query.  Each graph keeps one with nothing removed behind its own queries;
+`connectivity` and `fptcommon` build theirs for growing removal sets.
 """
 
 from __future__ import annotations
@@ -28,13 +27,17 @@ KINDS = ("arb", "flow", "tree")
 PARALLEL_CAP = {"arb": 2, "flow": 4, "tree": 2}
 
 # Most arc or edge copies a parsed instance may declare in total.  The parser
-# builds one id per copy, about 230 bytes each, so this bounds parse-time
-# memory at about 230 MB.
+# builds one id per copy, about 230 bytes each, so the copy tables take at
+# most about 230 MB.
 MAX_COPIES = 1_000_000
 
 # Most vertices an instance may have.  A root-connected instance has at least
-# n - 1 copies, so no instance with more vertices can be root-connected.  The
-# per-vertex tables take at most 24 bytes a vertex, about 24 MB at the limit.
+# n - 1 copies, so no instance with more vertices can be root-connected.
+# This does not bound memory at the limit: each vertex's neighbour mask is
+# an integer as wide as its highest neighbour's index, so the masks of a
+# long path take Theta(n^2) bytes, and the root-reach engine keeps a second
+# copy once a reach query runs.  A path `RootedDigraph` holds 168 MB of
+# masks at 50,000 vertices and 669 MB at 100,000.
 MAX_VERTICES = MAX_COPIES + 1
 
 
@@ -77,6 +80,119 @@ def reach(masks: list[int], root: int, until: int,
         for u, mask in reversed(saved):
             masks[u] = mask
     return seen
+
+
+class ResidualReach:
+    """The one root-reach engine: D minus a growing copy set S, with a
+    breadth-first r-arborescence T of D - S.
+
+    It keeps the class-level neighbour masks of D - S, clearing a class's
+    bits when S takes its last copy, and builds T from them, expanding
+    vertices in breadth-first order and each one's new heads ascending.
+    `seen` masks the vertices T reaches; `spanning` says if that is all.
+
+    Lemma: if D - S is root-connected, then D - S - X is root-connected iff
+    every head of a class that X empties (both ends of an edge class) is
+    reachable in D - S - X.  Proof: on a root path of D - S to any vertex w,
+    every class after the last one that X empties keeps a copy, so that
+    stretch runs inside D - S - X, from a head of an emptied class to w.
+    If D - S is not root-connected, no D - S - X is.
+
+    So `spans_without(classes)` searches only when X empties a class, with
+    every emptied class cleared, and stops once all their heads are seen.
+    `keeps_root_connected(aid)` is its one-class case behind the T-arc
+    rule: T survives unless aid is the last copy of a class (u, v) on T, so
+    only then is there a search, which stops once it sees v.  `remove(aid)`
+    adds aid to S and rebuilds T only when that empties a T-arc.
+
+    S and `keeps_root_connected` serve digraphs only.  The engine holds the
+    root, n, its own masks and the graph's class tables, not the graph, so
+    a graph and its kept engine form no reference cycle.
+    """
+
+    def __init__(self, g: _RootedMultigraph, removed: Iterable[int] = ()):
+        self.root, self.n = g.root, g.n
+        self._ends, self._by_class, self._directed = g._ends, g._by_class, g._directed
+        self._masks = g.masks()
+        self.removed: set[int] = set()
+        self._left: dict[tuple[int, int], int] = {}  # survivors of the classes S touches
+        self.parent: dict[int, int] = {}
+        for aid in removed:
+            self._drop(aid)
+        self._rebuild()
+
+    def _drop(self, aid: int) -> bool:
+        """Add aid to S; True iff that empties an arc of T."""
+        if aid in self.removed:
+            return False
+        self.removed.add(aid)
+        u, v = c = self._ends[aid]
+        left = self._left[c] = self._surviving(c) - 1
+        if left:
+            return False
+        self._masks[u] &= ~(1 << v)
+        return self.parent.get(v) == u
+
+    def _surviving(self, c: tuple[int, int]) -> int:
+        """Copies of class c that are not in S."""
+        return self._left.get(c, len(self._by_class[c]))
+
+    def _rebuild(self) -> None:
+        masks = self._masks
+        parent: dict[int, int] = {}
+        seen = 1 << self.root
+        order = [self.root]
+        for u in order:
+            fresh = masks[u] & ~seen
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                v = low.bit_length() - 1
+                parent[v] = u
+                order.append(v)
+                fresh ^= low
+        self.parent = parent
+        self.seen = seen
+        self.spanning = len(parent) == self.n - 1
+
+    def _cleared(self, classes: Sequence[tuple[int, int]]) -> tuple[Sequence[tuple[int, int]], int]:
+        """The mask bits of the classes `classes`, as (u, v) pairs for
+        `reach`, and the mask of their heads (both ends for an edge class)."""
+        if not self._directed:
+            classes = [*classes, *((v, u) for u, v in classes)]
+        heads = 0
+        for _, v in classes:
+            heads |= 1 << v
+        return classes, heads
+
+    def reach_mask(self, classes: Sequence[tuple[int, int]] = ()) -> int:
+        """Mask of the vertices reachable from the root in D - S without
+        every copy of each class in `classes`."""
+        if not classes:
+            return self.seen
+        cleared, _ = self._cleared(classes)
+        return reach(self._masks, self.root, (1 << self.n) - 1, cleared)
+
+    def spans_without(self, classes: Sequence[tuple[int, int]]) -> bool:
+        """Whether D - S stays root-connected without every copy of each
+        class in `classes`."""
+        if not (self.spanning and classes):
+            return self.spanning
+        cleared, heads = self._cleared(classes)
+        return not heads & ~reach(self._masks, self.root, heads, cleared)
+
+    def keeps_root_connected(self, aid: int) -> bool:
+        """Whether D - S stays root-connected without the copy aid."""
+        if not self.spanning or aid in self.removed:
+            return self.spanning
+        u, v = c = self._ends[aid]
+        if self.parent.get(v) != u or self._surviving(c) > 1:
+            return True
+        return self.spans_without((c,))
+
+    def remove(self, aid: int) -> None:
+        if self._drop(aid):
+            self._rebuild()
 
 
 def _table(n: int, entries: Iterable[tuple[int, object]]) -> list[tuple]:
@@ -180,9 +296,7 @@ class _RootedMultigraph:
         for cid in sorted(ends):
             by_class.setdefault(ends[cid], []).append(cid)
         self._by_class = {c: tuple(ids) for c, ids in by_class.items()}
-        self._full_mask = (1 << n) - 1
-        self._root_connected: bool | None = None  # decided on first use
-        self._work: list[int] | None = None  # see `_scratch`
+        self._engine: ResidualReach | None = None  # see `_reach`
         self._index(sorted(self._by_class.items()))
 
     # -- copy accessors, bound to arc_* or edge_* names by each kind -------
@@ -229,21 +343,11 @@ class _RootedMultigraph:
             gone[c] = gone.get(c, 0) + 1
         return [c for c, cnt in gone.items() if cnt >= len(self._by_class[c])]
 
-    def _cleared(self, classes: Sequence[tuple[int, int]]) -> tuple[Sequence[tuple[int, int]], int]:
-        """The mask bits of the classes `classes`, as (u, v) pairs for
-        `reach`, and the mask of their heads (both ends for an edge class)."""
-        if not self._directed:
-            classes = [*classes, *((v, u) for u, v in classes)]
-        heads = 0
-        for _, v in classes:
-            heads |= 1 << v
-        return classes, heads
-
-    def _scratch(self) -> list[int]:
-        """The copy of the masks that this graph's searches clear bits in."""
-        if self._work is None:
-            self._work = self.masks()
-        return self._work
+    def _reach(self) -> ResidualReach:
+        """This graph's engine, with nothing removed, built on first use."""
+        if self._engine is None:
+            self._engine = ResidualReach(self)
+        return self._engine
 
     def reach_mask(self, removed: Iterable[int] = ()) -> int:
         """Bitmask of vertices reachable from the root after removing copies.
@@ -251,35 +355,7 @@ class _RootedMultigraph:
         Reachability only depends on how many copies of each class survive,
         so only the classes that lose every copy are cleared.
         """
-        cleared, _ = self._cleared(self._emptied(removed))
-        return reach(self._scratch(), self.root, self._full_mask, cleared)
-
-    def spans_without_classes(self, classes: Sequence[tuple[int, int]]) -> bool:
-        """Whether every vertex stays reachable from the root after removing
-        every copy of each class in `classes`.
-
-        Lemma: if the whole multigraph D is root-connected, then D - X is
-        root-connected iff every head of a class that X empties is reachable
-        in D - X (both ends of an edge class).  Proof: take a root path of D
-        to any vertex w as a sequence of classes.  Every class after the
-        last one that X empties keeps a copy, so that stretch of the path
-        runs inside D - X, from a head of an emptied class to w.  If D is
-        not root-connected, no D - X is.  So D's own reach, made on first
-        use rather than when the graph is built, and kept, plus a search
-        that stops once those heads are seen decide every removal; a
-        removal that empties no class needs no search.
-        """
-        if self._root_connected is None:
-            self._root_connected = self.reach_mask() == self._full_mask
-        if not (self._root_connected and classes):
-            return bool(self._root_connected)
-        cleared, heads = self._cleared(classes)
-        return not heads & ~reach(self._scratch(), self.root, heads, cleared)
-
-    def _spans_without(self, removed: Iterable[int] = ()) -> bool:
-        """Whether every vertex stays reachable from the root after removing
-        the copies `removed` (see `spans_without_classes`)."""
-        return self.spans_without_classes(self._emptied(removed))
+        return self._reach().reach_mask(self._emptied(removed))
 
     # -- construction helpers ---------------------------------------------
 
@@ -308,7 +384,6 @@ class RootedDigraph(_RootedMultigraph):
     arcs = _RootedMultigraph._copies
     # bound here too, so that each kind's reach_mask can be wrapped on its own
     reach_mask = _RootedMultigraph.reach_mask
-    is_root_connected_without = _RootedMultigraph._spans_without
 
     def _index(self, classes):
         masks = [0] * self.n
@@ -341,13 +416,21 @@ class RootedDigraph(_RootedMultigraph):
             if u not in inside
         )
 
+    def spans_without_classes(self, classes: Sequence[tuple[int, int]]) -> bool:
+        """Whether D stays root-connected without the classes `classes`."""
+        return self._reach().spans_without(classes)
+
+    def is_root_connected_without(self, removed: Iterable[int] = ()) -> bool:
+        """Whether D stays root-connected without the copies `removed`."""
+        return self.spans_without_classes(self._emptied(removed))
+
     def unreachable_set(self, removed: Iterable[int] = ()) -> frozenset[int]:
         """The vertices not reachable from the root after removing copies.
 
         Read off the binary digits of the missing mask, in time linear in
         n; isolating one bit at a time costs O(n/64) per unreachable vertex.
         """
-        digits = format(self._full_mask & ~self.reach_mask(removed), "b")[::-1]
+        digits = format(((1 << self.n) - 1) & ~self.reach_mask(removed), "b")[::-1]
         found = []
         v = digits.find("1")
         while v >= 0:
@@ -396,7 +479,7 @@ class RootedGraph(_RootedMultigraph):
         return sum(len(ids) for _, ids in self._incident_classes[v])
 
     def is_connected(self) -> bool:
-        return self._spans_without()
+        return self._reach().spanning
 
 
 @dataclass(frozen=True)

@@ -96,20 +96,19 @@ def _arb_structures(dig: RootedDigraph, budget: OracleBudget) -> list[dict[int, 
 
 
 def _arb_subtree_sizes(parent: dict[int, int], root: int) -> dict[int, int]:
-    sizes = {v: 1 for v in parent}
-    order = sorted(parent, key=lambda v: -_depth(parent, root, v))
-    for v in order:
+    """Size of the subtree at each vertex of an r-arborescence's parent map,
+    summed in one reverse pass over a root-first order."""
+    children: dict[int, list[int]] = {}
+    for v, u in parent.items():
+        children.setdefault(u, []).append(v)
+    order = list(children.get(root, ()))
+    for u in order:
+        order.extend(children.get(u, ()))
+    sizes = dict.fromkeys(parent, 1)
+    for v in reversed(order):
         if parent[v] != root:
             sizes[parent[v]] += sizes[v]
     return sizes
-
-
-def _depth(parent: dict[int, int], root: int, v: int) -> int:
-    d = 0
-    while v != root:
-        v = parent[v]
-        d += 1
-    return d
 
 
 def _tree_structures(g: RootedGraph, budget: OracleBudget) -> list[frozenset[tuple[int, int]]]:
@@ -174,19 +173,13 @@ def _tree_hanging_sizes(g_n: int, root: int, classes: frozenset[tuple[int, int]]
         adj.setdefault(v, []).append(u)
     parent = {root: -1}
     order = [root]
-    queue = [root]
-    while queue:
-        x = queue.pop(0)
+    for x in order:
         for w in sorted(adj.get(x, ())):
             if w not in parent:
                 parent[w] = x
                 order.append(w)
-                queue.append(w)
-    sizes = {v: 0 for v in parent if v != root}
-    for v in reversed(order):
-        if v != root and parent[v] != root:
-            sizes[parent[v]] += sizes[v] + 1
-    return sizes
+    del parent[root]
+    return {v: size - 1 for v, size in _arb_subtree_sizes(parent, root).items()}
 
 
 def _ff_max_flow(n_nodes: int, arcs: Sequence[tuple[int, int, int]], s: int, t: int) -> int:

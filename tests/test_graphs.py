@@ -225,11 +225,11 @@ def plain_reach(g, removed) -> set[int]:
 
 
 def spans_agree(g, removed) -> bool:
-    """The early-stopping check, and the full reach mask, against
-    `plain_reach`; returns the verdict."""
+    """The early-stopping check of a digraph, and the full reach mask of
+    either kind, against `plain_reach`; returns the verdict."""
     want = len(plain_reach(g, set(removed))) == g.n
-    check = g.is_root_connected_without if isinstance(g, RootedDigraph) else g._spans_without
-    assert check(removed) == want, (g, sorted(removed))
+    if isinstance(g, RootedDigraph):
+        assert g.is_root_connected_without(removed) == want, (g, sorted(removed))
     assert (g.reach_mask(removed) == (1 << g.n) - 1) == want
     return want
 

@@ -20,10 +20,10 @@ import random
 
 import pytest
 
-from rootedpack.connectivity import ResidualReach, is_extendable_pair
+from rootedpack.connectivity import is_extendable_pair
 from rootedpack.errors import InternalError
 from rootedpack.fptcommon import grow_directed_pair, grow_pair, pair_states
-from rootedpack.graphs import RootedDigraph, RootedGraph
+from rootedpack.graphs import ResidualReach, RootedDigraph, RootedGraph
 from rootedpack.solver_arb import enumerate_compact_kernels
 from rootedpack.solver_tree import _CompletabilityOracle, enumerate_compact_certificates
 

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from rootedpack.errors import BudgetExceededError
 from rootedpack.graphs import ProblemInstance, RootedDigraph, RootedGraph, parse_instance
 from rootedpack.oracles import (
     OracleBudget,
+    _arb_subtree_sizes,
+    _tree_hanging_sizes,
     oracle_arb,
     oracle_flow,
     oracle_tree,
@@ -32,6 +36,36 @@ def test_oracle_arb_witness_validates(rng):
             verdict = validate_witness(
                 inst, {"tree1": list(ans.witness[0]), "tree2": list(ans.witness[1])})
             assert verdict.ok, verdict.failures()
+
+
+def test_checker_sizes_match_a_brute_force_count():
+    """Random parent maps with shuffled labels and key order: the arb
+    checker's subtree sizes, and the tree checker's strict descendant counts,
+    against counting the vertices whose walk to the root passes each one."""
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        labels = rng.sample(range(n), n)
+        root = labels[0]
+        pairs = [(labels[i], labels[rng.randrange(i)]) for i in range(1, n)]
+        rng.shuffle(pairs)
+        parent = dict(pairs)
+        want = dict.fromkeys(parent, 0)
+        for w in parent:
+            while w != root:
+                want[w] += 1
+                w = parent[w]
+        assert _arb_subtree_sizes(parent, root) == want
+        classes = frozenset((min(u, v), max(u, v)) for v, u in parent.items())
+        assert _tree_hanging_sizes(n, root, classes) == {v: s - 1 for v, s in want.items()}
+
+
+def test_arb_checker_sizes_on_a_long_path():
+    """A 50,000-vertex path listed deepest first: one pass, where sorting by
+    a per-vertex walk to the root took quadratic time."""
+    n = 50_000
+    parent = {v: v - 1 for v in range(n - 1, 0, -1)}
+    assert _arb_subtree_sizes(parent, 0) == {v: n - v for v in parent}
 
 
 def test_oracle_arb_boundary_k():

@@ -1,5 +1,7 @@
-"""Differential tests at scale (n = 20..200) for the spanning-arborescence
-rule behind the k=2 gate, `critical_arcs` and the directed completion.
+"""Differential tests for `graphs.ResidualReach`: its query on D - S - X
+against a plain search, and, at scale (n = 20..200), the
+spanning-arborescence rule behind the k=2 gate, `critical_arcs` and the
+directed completion.
 
 The references are the per-candidate rechecks the rule replaced, kept here
 verbatim in behaviour: one reach-mask search per single-copy class for the
@@ -7,22 +9,21 @@ gate and `critical_arcs`, and a completion that rescans every covered tail
 and searches once per candidate on every step.
 """
 
+import gc
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
-from rootedpack import connectivity
-from rootedpack.connectivity import (
-    CutWitness,
-    ResidualReach,
-    critical_arcs,
-    is_k_root_connected,
-)
+from rootedpack import graphs
+from rootedpack.connectivity import CutWitness, critical_arcs, is_k_root_connected
 from rootedpack.errors import ContractError
 from rootedpack.fptcommon import DirectedState, complete_directed_pair, pair_states
-from rootedpack.graphs import RootedDigraph, reach
+from rootedpack.graphs import ResidualReach, RootedDigraph, reach
 
-from conftest import spanning_digraph
+from conftest import random_digraph, spanning_digraph
+from test_graphs import plain_reach
 from test_growth import _arb, _pairs
 
 
@@ -89,6 +90,63 @@ def complete_reference(d: RootedDigraph, states, counters) -> bool:
         counters["completionSteps"] = counters.get("completionSteps", 0) + 1
 
 
+def plain_reach_mask(d: RootedDigraph, removed, classes) -> int:
+    """Mask of what `plain_reach` reaches in D - S - X, for S = `removed`
+    and X = `classes`."""
+    gone = set(removed).union(*(d.class_ids(*c) for c in classes))
+    return sum(1 << v for v in plain_reach(d, gone))
+
+
+def test_spans_without_matches_a_plain_search_of_d_minus_s_minus_x():
+    """`ResidualReach(d, S).spans_without(X)` and `reach_mask(X)` on random
+    digraphs with classes of 1 to 3 copies.  S is empty or random, and may
+    disconnect D already; X holds 1 to 3 classes, may disconnect D - S, may
+    empty no T-arc, and may disconnect D - S only through a class after its
+    first."""
+    rng = random.Random(36)
+    seen = Counter()
+    for _ in range(600):
+        n = rng.randint(2, 10)
+        d = (spanning_digraph(rng, n, extra=rng.randint(0, 2 * n), max_mult=3)
+             if rng.random() < 0.7 else random_digraph(rng, max_n=9, max_mult=3))
+        classes = sorted(d.parallel_classes())
+        ids = sorted(d.arc_ids)
+        for _ in range(4):
+            removed = set(rng.sample(ids, rng.randint(0, len(ids) // 3))) if ids else set()
+            engine = ResidualReach(d, removed)
+            full = (1 << d.n) - 1
+            spans = plain_reach_mask(d, removed, ()) == full
+            assert engine.spanning == spans
+            assert engine.reach_mask() == plain_reach_mask(d, removed, ())
+            for _ in range(4):
+                x = rng.sample(classes, rng.randint(1, min(3, len(classes)))) if classes else []
+                want = plain_reach_mask(d, removed, x)
+                assert engine.spans_without(x) == (want == full), (d, sorted(removed), x)
+                assert engine.reach_mask(x) == want
+                t_arcs = any(engine.parent.get(v) == u for u, v in x)
+                seen["s-disconnects", t_arcs] += not spans
+                seen["x-disconnects"] += spans and want != full
+                seen["no-t-arc"] += spans and not t_arcs
+                seen["later-class"] += (spans and want != full
+                                        and plain_reach_mask(d, removed, x[:1]) == full)
+                seen["copies", max((len(d.class_ids(*c)) for c in x), default=0)] += 1
+    assert all(seen[key] > 20 for key in (
+        ("s-disconnects", False), ("s-disconnects", True), "x-disconnects", "no-t-arc",
+        "later-class", ("copies", 1), ("copies", 2), ("copies", 3))), seen
+
+
+def test_a_graph_with_a_kept_engine_is_freed_by_reference_counting():
+    d = RootedDigraph(3, 0, [(0, 1), (1, 2), (1, 2)])
+    assert d.is_root_connected_without([1]) and d.reach_mask() == 0b111
+    ref = weakref.ref(d)
+    gc.disable()
+    try:
+        del d
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def scale_digraphs(seed: int, count: int):
     """Seeded digraphs with n = 20..200, from sparse (many critical arcs) to
     up to about twelve arcs per vertex."""
@@ -131,10 +189,18 @@ def test_residual_reach_matches_recheck_along_removals(monkeypatch):
     # every copy is judged after each removal, so a stale arborescence
     # (one not rebuilt after its arc went) or stale residual masks would
     # show; half of the reaches start from a removal set, and each sequence
-    # goes on past the last admissible removal, where nothing is admitted
+    # goes on past the last admissible removal, where nothing is admitted;
+    # the references search through `reach` too, on the digraph's own
+    # engine, so only the searches on the tested engine's masks count
     searches = []
-    monkeypatch.setattr(connectivity, "reach", lambda *args: searches.append(args[2])
-                        or reach(*args))
+    reach_ = None
+
+    def counted(masks, *args):
+        if reach_ is not None and masks is reach_._masks:
+            searches.append(args[1])
+        return reach(masks, *args)
+
+    monkeypatch.setattr(graphs, "reach", counted)
     rng = random.Random(34)
     rebuilt = started = disconnected = 0
     for _ in range(15):
@@ -173,8 +239,8 @@ def test_residual_reach_matches_recheck_along_removals(monkeypatch):
 
 def test_searches_leave_the_graph_masks_unchanged():
     """`critical_arcs`, growth and completion search cleared copies of the
-    mask table, and so does the probe; the graph's own table, its scratch
-    copy and its reach stay as they were."""
+    mask table, and so does the probe; the graph's own table, its kept
+    engine's copy and its reach stay as they were."""
     rng = random.Random(35)
     grown = completed = 0
     for _ in range(4):
@@ -195,7 +261,7 @@ def test_searches_leave_the_graph_masks_unchanged():
             complete_directed_pair(d, states, counters)
             completed += counters.get("completionSteps", 0)
         is_k_root_connected(d, 2)
-        assert d.masks() == table and d._scratch() == table
+        assert d.masks() == table and d._reach()._masks == table
         assert d.reach_mask() == full
     assert grown and completed
 
