@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import InternalError, StructureError
 from .graphs import (ArcSelection, EdgeSelection, ProblemInstance, ResidualReach, RootedDigraph,
                      RootedGraph, parse_rooted_tree)
-from .oracles import OracleAnswer, OracleBudget
+from .oracles import OracleBudget, run_oracle
 from .pairs import CopyTable, PairSearch, Row
 from .reports import SolveReport
 
@@ -548,11 +548,11 @@ class Stages:
     """The per-problem hooks of `run_pipeline`, built inside each solve call.
 
     `size` is the vertex count of a compact structure; instances with fewer
-    non-root vertices go to the brute-force `oracle`.  `gate` returns None
-    when it passes, else the failing stage and its cut witness (or None).
-    `finish` grows and completes the crystallised pair, given as the two
-    `CompactStructure` records `run_pipeline` builds from each side's copy
-    ids and shape, and returns the witness.  `shapes` returns the kind's
+    non-root vertices go to the brute-force `oracles.run_oracle`.  `gate`
+    returns None when it passes, else the failing stage and its cut witness
+    (or None).  `finish` grows and completes the crystallised pair, given as
+    the two `CompactStructure` records `run_pipeline` builds from each
+    side's copy ids and shape, and returns the witness.  `shapes` returns the kind's
     shape search's finished rows (`Row`).  Without `completable` (the
     directed kinds) the extendability probe drops the rows whose arcs'
     removal breaks root-connectivity, and the first pair whose copy masks do
@@ -565,7 +565,6 @@ class Stages:
 
     started: float  # perf_counter() at the start of the solve
     size: int
-    oracle: Callable[[OracleBudget], OracleAnswer]
     gate: Callable[[], Optional[tuple[str, Optional[dict]]]]
     shape_counter: str  # "kernels", "cores" or "certificates"
     shapes: Callable[[], list[Row]]
@@ -612,7 +611,7 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
         arcs = g.arc_count if isinstance(g, RootedDigraph) else g.edge_count
         budget = opts.oracle_budget or OracleBudget(
             max_vertices=g.n, max_arcs=arcs, max_candidates=10_000_000)
-        ans = stages.oracle(budget)
+        ans = run_oracle(inst, budget)
         counters["pairsTested"] = ans.candidates
         witness = stages.oracle_witness(ans.witness) if ans.decision else None
         return report(ans.decision, "oracle-smallcase", witness)

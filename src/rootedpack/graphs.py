@@ -35,9 +35,10 @@ MAX_COPIES = 1_000_000
 # n - 1 copies, so no instance with more vertices can be root-connected.
 # This does not bound memory at the limit: each vertex's neighbour mask is
 # an integer as wide as its highest neighbour's index, so the masks of a
-# long path take Theta(n^2) bytes, and the root-reach engine keeps a second
-# copy once a reach query runs.  A path `RootedDigraph` holds 168 MB of
-# masks at 50,000 vertices and 669 MB at 100,000.
+# long path take Theta(n^2) bytes.  A path `RootedDigraph` holds 168 MB of
+# masks at 50,000 vertices and 669 MB at 100,000.  The kept root-reach
+# engine adds no second copy: `masks()` copies the list, not the integers,
+# S stays empty, and each search puts back the very entries it clears.
 MAX_VERTICES = MAX_COPIES + 1
 
 

@@ -5,6 +5,15 @@ are interchangeable, so a disjoint pair of structures exists iff a pair of
 class-level structures exists whose shared classes have at least two copies.
 Validators share no traversal or feasibility code with the solver modules;
 they re-derive everything from the definitions.
+
+One root-first walk decides shape and sizes branches, on both sides:
+- a parent map on the non-root vertices is an r-arborescence iff the walk
+  from r down its child lists reaches every vertex (`_arb_subtree_sizes`
+  is None otherwise): a vertex it misses climbs into a cycle, never to r;
+- n - 1 distinct edges form a spanning tree iff the walk from r over their
+  classes reaches all n vertices (`_tree_hanging_sizes` has n - 1 entries):
+  n - 1 edges connect n vertices only without a cycle, and two copies of
+  one class are one class to the walk, so they leave a vertex unreached.
 """
 
 from __future__ import annotations
@@ -56,8 +65,11 @@ class OracleAnswer:
 # --------------------------------------------------------------------------
 
 
-def _arb_structures(dig: RootedDigraph, budget: OracleBudget) -> list[dict[int, int]]:
-    """All spanning-arborescence parent maps (vertex -> chosen tail)."""
+def _arb_structures(
+    dig: RootedDigraph, budget: OracleBudget
+) -> list[tuple[dict[int, int], dict[int, int]]]:
+    """Every spanning r-arborescence as its parent map (vertex -> chosen
+    tail) and its subtree sizes."""
     verts = [v for v in range(dig.n) if v != dig.root]
     choices = []
     for v in verts:
@@ -72,43 +84,37 @@ def _arb_structures(dig: RootedDigraph, budget: OracleBudget) -> list[dict[int, 
     result = []
     for combo in itertools.product(*choices):
         parent = dict(zip(verts, combo))
-        # every vertex must climb to the root without a cycle
-        ok = True
-        state = {dig.root: True}
-        for v in verts:
-            path = []
-            w = v
-            while w not in state:
-                state[w] = False
-                path.append(w)
-                w = parent[w]
-                if state.get(w) is False:
-                    ok = False
-                    break
-            if not ok or not state[w]:
-                ok = False
-                break
-            for p in path:
-                state[p] = True
-        if ok:
-            result.append(parent)
+        sizes = _arb_subtree_sizes(parent, dig.root)
+        if sizes is not None:
+            result.append((parent, sizes))
     return result
 
 
-def _arb_subtree_sizes(parent: dict[int, int], root: int) -> dict[int, int]:
-    """Size of the subtree at each vertex of an r-arborescence's parent map,
-    summed in one reverse pass over a root-first order."""
+def _arb_subtree_sizes(parent: dict[int, int], root: int) -> Optional[dict[int, int]]:
+    """Size of the subtree at each vertex of a parent map on the non-root
+    vertices, summed in one reverse pass over a root-first order, or None
+    when that order misses a vertex: the map is then no r-arborescence."""
     children: dict[int, list[int]] = {}
     for v, u in parent.items():
         children.setdefault(u, []).append(v)
     order = list(children.get(root, ()))
     for u in order:
         order.extend(children.get(u, ()))
+    if len(order) < len(parent):
+        return None
     sizes = dict.fromkeys(parent, 1)
     for v in reversed(order):
         if parent[v] != root:
             sizes[parent[v]] += sizes[v]
     return sizes
+
+
+def _find(uf: list[int], x: int) -> int:
+    """Union-find root of x, halving the path."""
+    while uf[x] != x:
+        uf[x] = uf[uf[x]]
+        x = uf[x]
+    return x
 
 
 def _tree_structures(g: RootedGraph, budget: OracleBudget) -> list[frozenset[tuple[int, int]]]:
@@ -120,16 +126,9 @@ def _tree_structures(g: RootedGraph, budget: OracleBudget) -> list[frozenset[tup
 
     def connects(chosen: list[tuple[int, int]], remaining: list[tuple[int, int]]) -> bool:
         uf = list(range(n))
-
-        def find(x: int) -> int:
-            while uf[x] != x:
-                uf[x] = uf[uf[x]]
-                x = uf[x]
-            return x
-
         comps = n
         for u, v in chosen + remaining:
-            ru, rv = find(u), find(v)
+            ru, rv = _find(uf, u), _find(uf, v)
             if ru != rv:
                 uf[ru] = rv
                 comps -= 1
@@ -146,14 +145,7 @@ def _tree_structures(g: RootedGraph, budget: OracleBudget) -> list[frozenset[tup
         if not connects(chosen, classes[idx:]):
             return
         u, v = classes[idx]
-
-        def find(x: int, table: list[int]) -> int:
-            while table[x] != x:
-                table[x] = table[table[x]]
-                x = table[x]
-            return x
-
-        ru, rv = find(u, uf), find(v, uf)
+        ru, rv = _find(uf, u), _find(uf, v)
         if ru != rv:
             uf2 = list(uf)
             uf2[ru] = rv
@@ -167,6 +159,8 @@ def _tree_structures(g: RootedGraph, budget: OracleBudget) -> list[frozenset[tup
 
 
 def _tree_hanging_sizes(g_n: int, root: int, classes: frozenset[tuple[int, int]]) -> dict[int, int]:
+    """Strict descendant count of each non-root vertex that a root-first walk
+    over the edge classes reaches, hanging the classes from the root."""
     adj: dict[int, list[int]] = {}
     for u, v in classes:
         adj.setdefault(u, []).append(v)
@@ -243,10 +237,18 @@ def _flow_feasible_counts(
 # --------------------------------------------------------------------------
 
 
-def _pairable(
-    s1: frozenset, s2: frozenset, mult: dict, need_two: int = 2
-) -> bool:
-    return all(len(mult[c]) >= need_two for c in s1 & s2)
+def _first_pair(
+    safe: list[frozenset[tuple[int, int]]], mult: dict, candidates: int
+) -> OracleAnswer:
+    """The first pair of safe class sets, in list order, whose shared classes
+    all have two copies, with the lowest copies as its witness."""
+    for i, c1 in enumerate(safe):
+        for c2 in safe[i:]:
+            if all(len(mult[c]) >= 2 for c in c1 & c2):
+                w1 = tuple(sorted(mult[c][0] for c in c1))
+                w2 = tuple(sorted(mult[c][1] if c in c1 else mult[c][0] for c in c2))
+                return OracleAnswer(True, (w1, w2), candidates=candidates)
+    return OracleAnswer(False, None, candidates=candidates)
 
 
 def oracle_arb(
@@ -260,20 +262,10 @@ def oracle_arb(
     if dig.n == 1:
         return OracleAnswer(True, ((), ()), candidates=1)
     structures = _arb_structures(dig, budget)
-    mult = dict(dig.parallel_classes())
-    safe: list[tuple[frozenset[tuple[int, int]], dict[int, int]]] = []
-    for parent in structures:
-        sizes = _arb_subtree_sizes(parent, dig.root)
-        if all(dig.n - s >= k for s in sizes.values()):
-            classes = frozenset((parent[v], v) for v in parent)
-            safe.append((classes, parent))
-    for i, (c1, _p1) in enumerate(safe):
-        for c2, _p2 in safe[i:]:
-            if _pairable(c1, c2, mult):
-                w1 = tuple(sorted(mult[c][0] for c in c1))
-                w2 = tuple(sorted(mult[c][1] if c in c1 else mult[c][0] for c in c2))
-                return OracleAnswer(True, (w1, w2), candidates=len(structures))
-    return OracleAnswer(False, None, candidates=len(structures))
+    safe = [frozenset((u, v) for v, u in parent.items())
+            for parent, sizes in structures
+            if all(dig.n - s >= k for s in sizes.values())]
+    return _first_pair(safe, dict(dig.parallel_classes()), len(structures))
 
 
 def oracle_tree(
@@ -287,19 +279,10 @@ def oracle_tree(
     if g.n == 1:
         return OracleAnswer(True, ((), ()), candidates=1)
     trees = _tree_structures(g, budget)
-    mult = dict(g.parallel_classes())
-    safe = []
-    for classes in trees:
-        sizes = _tree_hanging_sizes(g.n, g.root, classes)
-        if all((g.n - 1) - s >= k for s in sizes.values()):
-            safe.append(classes)
-    for i, c1 in enumerate(safe):
-        for c2 in safe[i:]:
-            if _pairable(c1, c2, mult):
-                w1 = tuple(sorted(mult[c][0] for c in c1))
-                w2 = tuple(sorted(mult[c][1] if c in c1 else mult[c][0] for c in c2))
-                return OracleAnswer(True, (w1, w2), candidates=len(trees))
-    return OracleAnswer(False, None, candidates=len(trees))
+    safe = [classes for classes in trees
+            if all((g.n - 1) - s >= k
+                   for s in _tree_hanging_sizes(g.n, g.root, classes).values())]
+    return _first_pair(safe, dict(g.parallel_classes()), len(trees))
 
 
 def oracle_flow(
@@ -408,27 +391,11 @@ def _validate_arb_side(
                 "" if spanning else f"uncovered: {sorted(set(range(dig.n)) - {dig.root} - set(parent))}")
     if not spanning:
         return
-    state: dict[int, bool] = {dig.root: True}
-    acyclic = True
-    for v in parent:
-        path = []
-        w = v
-        while w not in state:
-            state[w] = False
-            path.append(w)
-            w = parent[w]
-            if state.get(w) is False:
-                acyclic = False
-                break
-        if not acyclic or not state[w]:
-            acyclic = False
-            break
-        for p in path:
-            state[p] = True
+    sizes = _arb_subtree_sizes(parent, dig.root)
+    acyclic = sizes is not None
     verdict.add(f"{tag}:acyclic", acyclic, "" if acyclic else "parent cycle")
     if not acyclic:
         return
-    sizes = _arb_subtree_sizes(parent, dig.root)
     bad = sorted(v for v, s in sizes.items() if dig.n - s < k)
     verdict.add(f"{tag}:k-safe", not bad,
                 "" if not bad else f"overweight branch at vertex {bad[0]}")
@@ -446,27 +413,13 @@ def _validate_tree_side(
                 "" if count_ok else f"{len(ids)} edges for n={g.n}")
     if not count_ok:
         return
-    uf = list(range(g.n))
-
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    acyclic = True
-    for eid in sorted(ids):
-        u, v = g.edge(eid)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            acyclic = False
-            break
-        uf[ru] = rv
+    sizes = _tree_hanging_sizes(g.n, g.root, frozenset(g.edge(eid) for eid in ids))
+    acyclic = len(sizes) == g.n - 1
     verdict.add(f"{tag}:acyclic", acyclic, "" if acyclic else "cycle in selection")
     if not acyclic:
         return
-    classes = frozenset(g.edge(eid) for eid in ids)
-    sizes = _tree_hanging_sizes(g.n, g.root, classes)
+    # Always passes once acyclic does; it stays because the check list is
+    # part of every YES report's bytes and of `rootedpack validate` output.
     spanning = len(sizes) == g.n - 1
     verdict.add(f"{tag}:spanning", spanning, "" if spanning else "not spanning")
     if not spanning:

@@ -33,7 +33,7 @@ from .fptcommon import (
     tree_shapes,
 )
 from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel, parse_rooted_tree
-from .oracles import oracle_arb, validate_witness
+from .oracles import validate_witness
 from .pairs import Row
 from .reports import SolveReport
 
@@ -137,6 +137,5 @@ def solve_arb(dig: RootedDigraph, k: int, options: Optional[SolveOptions] = None
         return {"tree1": sorted(tree1.ids), "tree2": sorted(tree2.ids)}
 
     return run_pipeline(inst, options or SolveOptions(), Stages(
-        started=t0, size=2 * k - 2, oracle=lambda budget: oracle_arb(d, k, budget),
-        gate=gate, shape_counter="kernels", shapes=lambda: _kernel_shapes(d, k), finish=finish,
-        validate=validate_witness))
+        started=t0, size=2 * k - 2, gate=gate, shape_counter="kernels",
+        shapes=lambda: _kernel_shapes(d, k), finish=finish, validate=validate_witness))

@@ -33,7 +33,7 @@ from .fptcommon import (
     run_pipeline,
 )
 from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel
-from .oracles import oracle_flow, validate_witness
+from .oracles import validate_witness
 from .pairs import CopyTable, Row
 from .reports import SolveReport
 
@@ -372,9 +372,8 @@ def solve_flow(dig: RootedDigraph, k: int, options: Optional[SolveOptions] = Non
                 "flow1": flow1.to_json(), "flow2": flow2.to_json()}
 
     return run_pipeline(inst, options or SolveOptions(), Stages(
-        started=t0, size=2 * k - 1, oracle=lambda budget: oracle_flow(d, k, budget),
-        gate=gate, shape_counter="cores", shapes=lambda: _flow_shapes(d, k), finish=finish,
-        validate=validate_witness,
+        started=t0, size=2 * k - 1, gate=gate, shape_counter="cores",
+        shapes=lambda: _flow_shapes(d, k), finish=finish, validate=validate_witness,
         oracle_witness=lambda w: _flow_witness(d, k, w[0], w[1])))
 
 

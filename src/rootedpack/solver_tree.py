@@ -30,7 +30,7 @@ from .fptcommon import (
 )
 from .graphs import EdgeSelection, ProblemInstance, RootedGraph, cap_parallel, parse_rooted_tree
 from .matroid import max_forest_pair
-from .oracles import oracle_tree, validate_witness
+from .oracles import validate_witness
 from .pairs import Row
 from .reports import SolveReport
 
@@ -166,8 +166,6 @@ def solve_tree(g: RootedGraph, k: int, options: Optional[SolveOptions] = None) -
         return {"tree1": sorted(tree1.ids), "tree2": sorted(tree2.ids)}
 
     return run_pipeline(inst, options or SolveOptions(), Stages(
-        started=t0, size=2 * k - 2, oracle=lambda budget: oracle_tree(gg, k, budget),
-        gate=gate, shape_counter="certificates", shapes=lambda: _certificate_shapes(gg, k),
-        finish=finish,
-        validate=validate_witness,
+        started=t0, size=2 * k - 2, gate=gate, shape_counter="certificates",
+        shapes=lambda: _certificate_shapes(gg, k), finish=finish, validate=validate_witness,
         completable=lambda ids1, ids2: oracle.completable(ids1, ids2)))

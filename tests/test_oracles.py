@@ -1,7 +1,11 @@
+import ast
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from rootedpack import oracles
 from rootedpack.errors import BudgetExceededError
 from rootedpack.graphs import ProblemInstance, RootedDigraph, RootedGraph, parse_instance
 from rootedpack.oracles import (
@@ -171,3 +175,84 @@ def test_validate_witness_stated_flow_unknown_arc_is_itemised():
     verdict = validate_witness(inst, {"tree1": [999], "tree2": [], "flow1": [[999, 1]]})
     assert not verdict.ok
     assert ("tree1:stated-flow", "stated flow invalid") in verdict.failures()
+
+
+def test_arb_parent_cycle_is_refused_after_spanning():
+    """tree1 = {0->1, 2->3, 3->2} covers every vertex once but 2 and 3 never
+    climb to the root; the walk from the root misses them."""
+    d = RootedDigraph(4, 0, [(0, 1), (1, 2), (2, 3), (3, 2)] * 2)
+    inst = ProblemInstance(kind="arb", graph=d, k=1)
+    verdict = validate_witness(inst, {"tree1": [0, 2, 3], "tree2": [4, 5, 6]})
+    assert verdict.checks == [
+        ("disjoint", True, ""),
+        ("tree1:ids", True, ""),
+        ("tree1:spanning", True, ""),
+        ("tree1:acyclic", False, "parent cycle"),
+        ("tree2:ids", True, ""),
+        ("tree2:spanning", True, ""),
+        ("tree2:acyclic", True, ""),
+        ("tree2:k-safe", True, ""),
+    ]
+
+
+@pytest.mark.parametrize("tree1, tree2", [
+    ([0, 1, 2], [3, 4, 5]),  # both copies of class (0, 1): vertex 3 unreached
+    ([0, 2, 4], [1, 3, 5]),  # triangle 0-1-2: vertex 3 unreached
+])
+def test_tree_cycle_of_n_minus_1_edges_is_refused(tree1, tree2):
+    g = RootedGraph(4, 0, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (2, 3), (2, 3)])
+    inst = ProblemInstance(kind="tree", graph=g, k=1)
+    verdict = validate_witness(inst, {"tree1": tree1, "tree2": tree2})
+    assert verdict.checks == [
+        ("disjoint", True, ""),
+        ("tree1:ids", True, ""),
+        ("tree1:edge-count", True, ""),
+        ("tree1:acyclic", False, "cycle in selection"),
+        ("tree2:ids", True, ""),
+        ("tree2:edge-count", True, ""),
+        ("tree2:acyclic", True, ""),
+        ("tree2:spanning", True, ""),
+        ("tree2:rk-safe", True, ""),
+    ]
+
+
+def test_subtree_sizes_are_none_iff_some_walk_misses_the_root():
+    """Random functional parent maps on the non-root vertices, cycles
+    included: the root-first walk misses a vertex exactly when that vertex's
+    parent walk never reaches the root."""
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(2000):
+        n = rng.randint(2, 9)
+        root = rng.randrange(n)
+        parent = {v: rng.choice([u for u in range(n) if u != v])
+                  for v in rng.sample(range(n), n) if v != root}
+
+        def climbs(v):
+            for _ in range(n):
+                if v == root:
+                    return True
+                v = parent[v]
+            return v == root
+
+        cyclic = not all(climbs(v) for v in parent)
+        outcomes.add(cyclic)
+        assert (_arb_subtree_sizes(parent, root) is None) == cyclic
+    assert outcomes == {False, True}
+
+
+def test_oracles_imports_only_the_standard_library_errors_and_graphs():
+    """The checker must not share code with the solvers it checks."""
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 1 and node.module in ("errors", "graphs"), ast.dump(node)
+            continue
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in sys.stdlib_module_names, name

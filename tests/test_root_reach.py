@@ -147,6 +147,21 @@ def test_a_graph_with_a_kept_engine_is_freed_by_reference_counting():
         gc.enable()
 
 
+def test_the_kept_engine_shares_the_graph_mask_integers():
+    """The kept engine (S empty) copies the mask list, not its integers, and
+    its searches restore every cleared entry to the same object, so a graph
+    never holds a second copy of its masks.  Wide masks (n = 300) are not
+    cached small ints, so `is` tells a shared entry from an equal copy."""
+    n = 300
+    d = RootedDigraph(n, 0, [(v, v + 1) for v in range(n - 1)] * 2)
+    assert not d.spans_without_classes([(5, 6)]) and d.spans_without_classes([])
+    assert d.is_root_connected_without(d.class_ids(5, 6)[:1])
+    assert d.reach_mask(d.class_ids(150, 151)) == (1 << 151) - 1
+    engine = d._reach()
+    assert len(engine._masks) == n
+    assert all(mine is theirs for mine, theirs in zip(engine._masks, d._masks))
+
+
 def scale_digraphs(seed: int, count: int):
     """Seeded digraphs with n = 20..200, from sparse (many critical arcs) to
     up to about twelve arcs per vertex."""
