@@ -5,9 +5,9 @@ decided through Menger's theorem: k arc-disjoint root-to-v paths for every v,
 computed as integral max-flows with one unit of capacity per parallel copy.
 
 Root reach is asked of `graphs.ResidualReach`, whose docstring states the
-lemma and the arborescence rule behind every answer here: the digraph's own
-engine decides the gate's k=1 check and extendability, and `critical_arcs`,
-behind the k=2 gate, builds one for its removal set.
+replacement step and the arborescence rule behind every answer here: the
+digraph's own engine decides the gate's k=1 check and extendability, and
+`critical_arcs`, behind the k=2 gate, builds one for its removal set.
 """
 
 from __future__ import annotations

@@ -16,9 +16,12 @@ each shape gets two copy bit masks (`pairs.CopyTable`), and the pair search
 tests pairs by a few big-integer operations (`pairs.PairSearch`).  The
 shape searches, `tree_shapes` for kernels and certificates and
 `solver_flow._core_shapes` for cores, carry each state's masks, expanded
-count and emptied classes down their stacks and emit finished rows
-(`pairs.Row`), so the pipeline only runs the probe on them.  The probe,
-growth and completion ask root reach of `graphs.ResidualReach`.
+count and, for the directed kinds, extendability down their stacks: a
+child that empties a class takes one replacement step of
+`graphs.ResidualReach` on its parent's arborescence overlay.  They emit
+finished rows (`pairs.Row`) with the verdict in them, so the pipeline runs
+no probe pass.  Growth and completion ask root reach of `ResidualReach`
+too.
 """
 
 from __future__ import annotations
@@ -186,6 +189,7 @@ def tree_shapes(
     large: frozenset[int],
     classes_of: Callable[[int], Iterable[tuple[int, tuple[int, ...]]]],
     key: Callable[[int, int], tuple[int, int]],
+    reach: Optional[ResidualReach] = None,
 ) -> list[Row]:
     """Every compact tree shape as a finished row (`Row`), sorted by (size,
     classes).
@@ -208,16 +212,25 @@ def tree_shapes(
     depth-first with an explicit stack, since trees can be k-1 classes
     deep.  The branch map, branch sizes, class list and anchors are changed
     in place and undone on the way back; each frame carries its state's
-    expanded count, pair masks and emptied classes, its parent's with the
-    new class's `CopyTable` entry folded in.  `key` is called once per
-    non-empty tree.  A full-size tree has nothing to attach, so its
-    attachment is empty, and it has no children, so it is emitted without
-    a frame; a smaller one needs an anchor to have an attachment, so only
-    those call `lex_smallest_attachment`.
+    expanded count and pair masks, its parent's with the new class's
+    `CopyTable` entry folded in.  `key` is called once per non-empty tree.
+    A full-size tree has nothing to attach, so its attachment is empty, and
+    it has no children, so it is emitted without a frame; a smaller one
+    needs an anchor to have an attachment, so only those call
+    `lex_smallest_attachment`.
+
+    Given `reach` (the arb kernels), each frame also carries its emptied
+    classes and its overlay on `reach`'s arborescence, or None once the
+    state loses root-connectivity: a child that empties its new class takes
+    one `ResidualReach.step`, and any other child, like every child of a
+    failed state, inherits the verdict, as removing more classes never
+    restores root-connectivity.  Each row's last field is that verdict,
+    True for every row without `reach` (the tree certificates, which have
+    no extendability probe).
     """
     limit = 2 * k - 2
     if not limit:  # k = 1: only the empty tree, full-size
-        return [((), (), {}, 1, 0, 0, ())]
+        return [((), (), {}, 1, 0, 0, reach is None or reach.spanning)]
     table = CopyTable()
     ones = [(1,) * size for size in range(limit + 1)]
     branch_of: dict[int, int] = {}
@@ -231,9 +244,10 @@ def tree_shapes(
                 if head != root and head not in branch_of and head in pool]
 
     # frames of (candidates, index of the next one to try, head taken to
-    # enter the frame, expanded count, uses, limits, emptied classes); the
-    # root frame took none, and a full-size tree gets no frame
-    stack: list[list] = [[leaving(root), 0, None, 1, 0, 0, ()]]
+    # enter the frame, expanded count, uses, limits, emptied classes,
+    # overlay); the root frame took none, and a full-size tree gets no frame
+    step, start = (None, {}) if reach is None else (reach.step, reach.overlay())
+    stack: list[list] = [[leaving(root), 0, None, 1, 0, 0, (), start]]
     while stack:
         frame = stack[-1]
         candidates = frame[0]
@@ -258,11 +272,14 @@ def tree_shapes(
         c = key(tail, head)
         ways, use, lim, empties = table.entry(c, len(ids), 1)
         expanded, uses, limits = frame[3] * ways, frame[4] | use, frame[5] | lim
-        emptied = frame[6] + (c,) if empties else frame[6]
+        emptied, overlay = frame[6], frame[7]
+        if empties and step is not None and overlay is not None:
+            overlay = step(overlay, emptied, c)
+            emptied += (c,)
         classes.append(c)
         if len(classes) == limit:  # nothing to attach, every branch within k-1
             by_size[limit].append((tuple(sorted(classes)), ones[limit], {}, expanded, uses,
-                                   limits, emptied))
+                                   limits, overlay is not None))
             classes.pop()
             continue
         branch_of[head] = top
@@ -275,11 +292,12 @@ def tree_shapes(
                 limit=k - 1, residual=limit - len(classes))
             if attachment is not None:
                 by_size[len(classes)].append((tuple(sorted(classes)), ones[len(classes)],
-                                              attachment, expanded, uses, limits, emptied))
+                                              attachment, expanded, uses, limits,
+                                              overlay is not None))
         following = [cand for cand in candidates[i + 1:] if cand[1] != head]
         if head not in large:
             following += leaving(head)
-        stack.append([following, 0, head, expanded, uses, limits, emptied])
+        stack.append([following, 0, head, expanded, uses, limits, emptied, overlay])
     result = []
     for rows in by_size:
         rows.sort(key=itemgetter(0))
@@ -552,15 +570,16 @@ class Stages:
     returns None when it passes, else the failing stage and its cut witness
     (or None).  `finish` grows and completes the crystallised pair, given as
     the two `CompactStructure` records `run_pipeline` builds from each
-    side's copy ids and shape, and returns the witness.  `shapes` returns the kind's
-    shape search's finished rows (`Row`).  Without `completable` (the
-    directed kinds) the extendability probe drops the rows whose arcs'
-    removal breaks root-connectivity, and the first pair whose copy masks do
-    not conflict is the hit; with it (tree), there is no probe, the masks
-    only pre-filter and each mask-free pair is crystallised and handed to
-    `completable` until one passes.  `validate` is passed in rather than
-    imported here so that the call goes through the solver module's own
-    name, which `perfbench/tracer.py` wraps.
+    side's copy ids and shape, and returns the witness.  `shapes` returns
+    the kind's shape search's finished rows (`Row`), each carrying whether
+    it is extendable: for the directed kinds whether removing its arcs
+    keeps D root-connected, and always for tree.  Without `completable`
+    (the directed kinds) the first pair of extendable rows whose copy masks
+    do not conflict is the hit; with it (tree), the masks only pre-filter
+    and each mask-free pair is crystallised and handed to `completable`
+    until one passes.  `validate` is passed in rather than imported here so
+    that the call goes through the solver module's own name, which
+    `perfbench/tracer.py` wraps.
     """
 
     started: float  # perf_counter() at the start of the solve
@@ -576,16 +595,16 @@ class Stages:
 
 
 def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> SolveReport:
-    """Small-case oracle, gate, shape enumeration, extendability probe, pair
-    search, copy crystallisation, then the problem's grow-and-complete.
+    """Small-case oracle, gate, shape enumeration with the extendability
+    probe carried down, pair search, copy crystallisation, then the
+    problem's grow-and-complete.
 
-    The shape searches hand over finished rows, so this only sums their
-    expanded counts, runs the probe on each row's emptied classes and
-    passes the kept rows' masks to `PairSearch`.  A shape that empties no
-    class keeps the gated D root-connected with no search; any other
-    searches only until those classes' heads are seen, by the lemma of
-    `graphs.ResidualReach`.  Count dicts are built
-    only for the pairs that get crystallised: tree's `accept` and the hit.
+    The shape searches hand over finished rows that carry their
+    extendability verdicts, decided down the search stacks by
+    `graphs.ResidualReach.step`, so this only sums their expanded counts,
+    drops the rows marked not extendable and passes the kept rows' masks to
+    `PairSearch`; it runs no probe of its own.  Count dicts are built only
+    for the pairs that get crystallised: tree's `accept` and the hit.
     """
     g = inst.graph
     counters = {stages.shape_counter: 0, "pairsTested": 0, "growSteps": 0}
@@ -624,9 +643,7 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
     completable = stages.completable
     rows = stages.shapes()
     counters[stages.shape_counter] = sum(row[3] for row in rows)
-    if completable is None:
-        probe = g.spans_without_classes
-        rows = [row for row in rows if probe(row[6])]
+    rows = [row for row in rows if row[6]]
 
     def crystallize(i: int, j: int) -> Optional[tuple[set[int], set[int]]]:
         return crystallize_pair(dict(zip(rows[i][0], rows[i][1])),

@@ -5,11 +5,13 @@ parallel copy, ids surviving sub-selection and arc-capping, so witnesses
 always refer to the original instance.  The two kinds differ only in their
 adjacency index and in whether a class (u, v) is ordered.  Reachability only
 depends on which parallel classes keep a surviving copy, so it is answered
-at class level through bitmask adjacency by one search, `reach`, which
-clears the emptied classes' bits for that search only.  `ResidualReach`,
-the one root-reach engine, runs it and states the lemma behind every reach
-query.  Each graph keeps one with nothing removed behind its own queries;
-`connectivity` and `fptcommon` build theirs for growing removal sets.
+at class level: whole-graph reach through bitmask adjacency by one search,
+`reach`, which clears the emptied classes' bits for that search only, and
+whether removals keep a digraph root-connected by repairing one kept
+arborescence.  `ResidualReach`, the one root-reach engine, does both and
+states why the repair is exact.  Each graph keeps one with nothing removed
+behind its own queries; `connectivity` and `fptcommon` build theirs for
+growing removal sets.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ContractError, ParseError, StructureError
 
@@ -52,12 +54,9 @@ def _check_vertices(n: int, root: int, line: int | None = None) -> None:
         raise ParseError(f"root {root} out of range for n={n}", line)
 
 
-def reach(masks: list[int], root: int, until: int,
-          cleared: Sequence[tuple[int, int]] = ()) -> int:
+def reach(masks: list[int], root: int, cleared: Sequence[tuple[int, int]] = ()) -> int:
     """Bitmask of the vertices reachable from `root`, given each vertex's
-    neighbour mask, or of part of them: the search stops once it has seen
-    every vertex of `until`, so the result holds all of `until` that is
-    reachable and is exact when `until` holds every vertex.
+    neighbour mask.
 
     Bit v of `masks[u]` is cleared for each (u, v) of `cleared`, in place,
     and restored before returning, so pass a copy no one else reads.
@@ -68,7 +67,7 @@ def reach(masks: list[int], root: int, until: int,
     try:
         seen = 1 << root
         frontier = seen
-        while frontier and until & ~seen:
+        while frontier:
             nxt = 0
             v = frontier
             while v:
@@ -83,6 +82,10 @@ def reach(masks: list[int], root: int, until: int,
     return seen
 
 
+# Parent changes on an engine's arborescence T, by vertex (see `ResidualReach`)
+Overlay = dict[int, int]
+
+
 class ResidualReach:
     """The one root-reach engine: D minus a growing copy set S, with a
     breadth-first r-arborescence T of D - S.
@@ -92,28 +95,43 @@ class ResidualReach:
     vertices in breadth-first order and each one's new heads ascending.
     `seen` masks the vertices T reaches; `spanning` says if that is all.
 
-    Lemma: if D - S is root-connected, then D - S - X is root-connected iff
-    every head of a class that X empties (both ends of an edge class) is
-    reachable in D - S - X.  Proof: on a root path of D - S to any vertex w,
-    every class after the last one that X empties keeps a copy, so that
-    stretch runs inside D - S - X, from a head of an emptied class to w.
-    If D - S is not root-connected, no D - S - X is.
+    Removing whole classes X is answered by the replacement step of Even
+    and Shiloach's decremental tree ("An on-line edge-deletion problem",
+    J. ACM 1981).  An overlay maps some vertices to new parents; read over
+    T, it gives a parent map, and `step` keeps that map a spanning
+    r-arborescence of H = D - S - emptied.  `step(overlay, emptied, c)`
+    gives the overlay for H - c, or None when H - c is not root-connected:
+    - If c = (u, v) is not the map's arc into v, every arc of the map is in
+      H - c, so the overlay survives with no search.
+    - Otherwise a vertex hangs below v when its parent walk passes v.
+      Search backwards from v over the classes of H - c entering the
+      visited vertices, to the first vertex w whose walk reaches the root
+      without passing v.  Re-hang the search path from w to v in a copy of
+      the overlay: every vertex below v then walks down that path to w, and
+      w's walk passes no vertex below v, so the map has no cycle and spans
+      H - c.
+    - If every vertex the search finds hangs below v, the visited set holds
+      v but not the root, and no class of H - c enters it from outside, so
+      H - c is not root-connected.
+    So D - S - X is root-connected iff no step of a fold over X fails, as H
+    only shrinks, and a step searches only when its class cuts the map,
+    visiting only vertices below v.
 
-    So `spans_without(classes)` searches only when X empties a class, with
-    every emptied class cleared, and stops once all their heads are seen.
-    `keeps_root_connected(aid)` is its one-class case behind the T-arc
-    rule: T survives unless aid is the last copy of a class (u, v) on T, so
-    only then is there a search, which stops once it sees v.  `remove(aid)`
-    adds aid to S and rebuilds T only when that empties a T-arc.
+    `spans_without(classes)` folds `step` over the classes from the empty
+    overlay, T itself (`overlay()`), and the shape searches fold it down
+    their stacks.  `keeps_root_connected(aid)` is its one-class case: only
+    the last copy of a class on T can cut T.  `remove(aid)` adds aid to S
+    and rebuilds T only when that empties a T-arc.
 
-    S and `keeps_root_connected` serve digraphs only.  The engine holds the
-    root, n, its own masks and the graph's class tables, not the graph, so
-    a graph and its kept engine form no reference cycle.
+    S, `step` and `keeps_root_connected` serve digraphs only.  The engine
+    holds the root, n, its own masks and the graph's class tables, not the
+    graph, so a graph and its kept engine form no reference cycle.
     """
 
     def __init__(self, g: _RootedMultigraph, removed: Iterable[int] = ()):
         self.root, self.n = g.root, g.n
         self._ends, self._by_class, self._directed = g._ends, g._by_class, g._directed
+        self._in_classes = g._in_classes if g._directed else ()
         self._masks = g.masks()
         self.removed: set[int] = set()
         self._left: dict[tuple[int, int], int] = {}  # survivors of the classes S touches
@@ -156,40 +174,73 @@ class ResidualReach:
         self.seen = seen
         self.spanning = len(parent) == self.n - 1
 
-    def _cleared(self, classes: Sequence[tuple[int, int]]) -> tuple[Sequence[tuple[int, int]], int]:
-        """The mask bits of the classes `classes`, as (u, v) pairs for
-        `reach`, and the mask of their heads (both ends for an edge class)."""
-        if not self._directed:
-            classes = [*classes, *((v, u) for u, v in classes)]
-        heads = 0
-        for _, v in classes:
-            heads |= 1 << v
-        return classes, heads
-
     def reach_mask(self, classes: Sequence[tuple[int, int]] = ()) -> int:
         """Mask of the vertices reachable from the root in D - S without
         every copy of each class in `classes`."""
         if not classes:
             return self.seen
-        cleared, _ = self._cleared(classes)
-        return reach(self._masks, self.root, (1 << self.n) - 1, cleared)
+        if not self._directed:
+            classes = [*classes, *((v, u) for u, v in classes)]
+        return reach(self._masks, self.root, classes)
+
+    def overlay(self) -> Optional[Overlay]:
+        """The empty overlay, T itself, or None when D - S is not
+        root-connected."""
+        return {} if self.spanning else None
+
+    def step(self, overlay: Overlay, emptied: Sequence[tuple[int, int]],
+             c: tuple[int, int]) -> Optional[Overlay]:
+        """The overlay for D - S - emptied - c from `overlay`, which spans
+        D - S - emptied, or None when that loses root-connectivity."""
+        u, v = c
+        parent = self.parent
+        if overlay.get(v, parent.get(v)) != u:
+            return overlay
+        root, in_classes = self.root, self._in_classes
+        masks = self._masks if self.removed else None  # S's emptied classes
+        inside = {v}  # vertices known to hang below v
+        into = {v: v}  # each visited vertex -> the visited one it enters
+        queue = [v]
+        for x in queue:
+            for w, _ in in_classes[x]:
+                if (w in into or (w == u and x == v) or (w, x) in emptied
+                        or (masks is not None and not masks[w] >> x & 1)):
+                    continue
+                walk = []
+                y = w
+                while y != root and y not in inside:
+                    walk.append(y)
+                    y = overlay.get(y, parent[y])
+                if y == root:
+                    hung = dict(overlay)
+                    hung[x] = w
+                    while x != v:
+                        hung[into[x]] = x
+                        x = into[x]
+                    return hung
+                inside.update(walk)
+                into[w] = x
+                queue.append(w)
+        return None
 
     def spans_without(self, classes: Sequence[tuple[int, int]]) -> bool:
         """Whether D - S stays root-connected without every copy of each
         class in `classes`."""
-        if not (self.spanning and classes):
-            return self.spanning
-        cleared, heads = self._cleared(classes)
-        return not heads & ~reach(self._masks, self.root, heads, cleared)
+        overlay = self.overlay()
+        emptied: tuple[tuple[int, int], ...] = ()
+        for c in classes:
+            if overlay is None:
+                break
+            overlay = self.step(overlay, emptied, c)
+            emptied += (c,)
+        return overlay is not None
 
     def keeps_root_connected(self, aid: int) -> bool:
         """Whether D - S stays root-connected without the copy aid."""
         if not self.spanning or aid in self.removed:
             return self.spanning
-        u, v = c = self._ends[aid]
-        if self.parent.get(v) != u or self._surviving(c) > 1:
-            return True
-        return self.spans_without((c,))
+        c = self._ends[aid]
+        return self._surviving(c) > 1 or self.step({}, (), c) is not None
 
     def remove(self, aid: int) -> None:
         if self._drop(aid):

@@ -158,7 +158,7 @@ def _tree_structures(g: RootedGraph, budget: OracleBudget) -> list[frozenset[tup
     return result
 
 
-def _tree_hanging_sizes(g_n: int, root: int, classes: frozenset[tuple[int, int]]) -> dict[int, int]:
+def _tree_hanging_sizes(root: int, classes: frozenset[tuple[int, int]]) -> dict[int, int]:
     """Strict descendant count of each non-root vertex that a root-first walk
     over the edge classes reaches, hanging the classes from the root."""
     adj: dict[int, list[int]] = {}
@@ -281,7 +281,7 @@ def oracle_tree(
     trees = _tree_structures(g, budget)
     safe = [classes for classes in trees
             if all((g.n - 1) - s >= k
-                   for s in _tree_hanging_sizes(g.n, g.root, classes).values())]
+                   for s in _tree_hanging_sizes(g.root, classes).values())]
     return _first_pair(safe, dict(g.parallel_classes()), len(trees))
 
 
@@ -413,7 +413,7 @@ def _validate_tree_side(
                 "" if count_ok else f"{len(ids)} edges for n={g.n}")
     if not count_ok:
         return
-    sizes = _tree_hanging_sizes(g.n, g.root, frozenset(g.edge(eid) for eid in ids))
+    sizes = _tree_hanging_sizes(g.root, frozenset(g.edge(eid) for eid in ids))
     acyclic = len(sizes) == g.n - 1
     verdict.add(f"{tag}:acyclic", acyclic, "" if acyclic else "cycle in selection")
     if not acyclic:

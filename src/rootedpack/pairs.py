@@ -5,7 +5,7 @@ copy counts, so each shape gets two bit masks, `uses` and `limits`, from
 its classes' `CopyTable` entries, and `PairSearch` finds the first pair in
 row-major order whose masks do not conflict.  The shape searches fold the
 entries into each state as they take classes and emit finished rows
-(`Row`).
+(`Row`), each with its extendability verdict.
 """
 
 from __future__ import annotations
@@ -60,13 +60,14 @@ class CopyTable:
 
 
 # One compact shape as the shape searches emit it, a finished pipeline row:
-# (classes, counts, attachment, expanded, uses, limits, emptied).  `classes`
-# are its parallel classes, sorted, and `counts` the copies it takes of each;
-# `expanded` is its number of copy choices, the product of comb(L, m);
-# `uses` and `limits` are its pair masks (`CopyTable`), and `emptied` the
-# classes it takes every copy of.
-Row = tuple[tuple[tuple[int, int], ...], tuple[int, ...], Mapping[int, int], int, int, int,
-            tuple[tuple[int, int], ...]]
+# (classes, counts, attachment, expanded, uses, limits, extendable).
+# `classes` are its parallel classes, sorted, and `counts` the copies it
+# takes of each; `expanded` is its number of copy choices, the product of
+# comb(L, m); `uses` and `limits` are its pair masks (`CopyTable`), and
+# `extendable` whether the pipeline may pair it: for the directed kinds,
+# whether D stays root-connected without the classes it takes every copy
+# of, as its search decided on the way down.
+Row = tuple[tuple[tuple[int, int], ...], tuple[int, ...], Mapping[int, int], int, int, int, bool]
 
 
 @dataclass

@@ -68,9 +68,10 @@ def _arc_class(tail: int, head: int) -> tuple[int, int]:
 
 
 def _kernel_shapes(dig: RootedDigraph, k: int) -> list[Row]:
-    """Every compact kernel shape: one copy of each class of the tree."""
+    """Every compact kernel shape: one copy of each class of the tree, each
+    row carrying whether removing it keeps D root-connected."""
     return tree_shapes(dig.root, k, candidate_pool(dig, k), classify_vertices(dig, k).large,
-                       dig.out_classes, _arc_class)
+                       dig.out_classes, _arc_class, dig._reach())
 
 
 def enumerate_compact_kernels(dig: RootedDigraph, k: int) -> Iterator[CompactStructure]:

@@ -177,14 +177,20 @@ def _core_shapes(
     stays out of the whole subtree, and each one a step adds was not
     available before it.  The count vector is one dict changed in place and
     undone on the way back; each frame carries V', the expanded count, the
-    pair masks and the emptied classes, a step from m to m+1 copies swapping
-    the class's m-copy `CopyTable` entry for its (m+1)-copy one.  Each state
+    pair masks, the emptied classes and the state's overlay on the digraph's
+    kept arborescence, or None once the state loses root-connectivity.  A
+    step from m to m+1 copies swaps the class's m-copy `CopyTable` entry for
+    its (m+1)-copy one; one that empties the class takes one
+    `ResidualReach.step`, and any other child, like every child of a failed
+    state, inherits the verdict, which each row carries.  Each state
     with V' non-empty is checked once by `_aggregated_feasibility`: the
     full-size ones (|V'| = 2k-1) by their min-cut condition, two kinds of
     root reaches, and only the smaller ones with a large anchor by a
     max-flow, which gives their attachment.
     """
     root, max_size, large = dig.root, 2 * k - 1, view.large
+    reach = dig._reach()
+    step = reach.step
     table = CopyTable()
     counts: dict[tuple[int, int], int] = {}
     found: list[Row] = []
@@ -193,9 +199,9 @@ def _core_shapes(
         return [((u, v), len(ids)) for v, ids in dig.out_classes(u) if v != root and v in pool]
 
     # frames of (candidates, index of the next one to try, class taken to
-    # enter the frame, V', expanded count, uses, limits, emptied); the root
-    # frame took none
-    stack: list[list] = [[leaving(root), 0, None, frozenset(), 1, 0, 0, ()]]
+    # enter the frame, V', expanded count, uses, limits, emptied, overlay);
+    # the root frame took none
+    stack: list[list] = [[leaving(root), 0, None, frozenset(), 1, 0, 0, (), reach.overlay()]]
     while stack:
         frame = stack[-1]
         candidates, i = frame[0], frame[1]
@@ -217,7 +223,10 @@ def _core_shapes(
         expanded = frame[4] // old_ways * ways
         uses = frame[5] ^ old_use | use
         limits = frame[6] ^ old_limit | limit
-        emptied = frame[7] + (c,) if empties else frame[7]
+        emptied, overlay = frame[7], frame[8]
+        if empties and overlay is not None:
+            overlay = step(overlay, emptied, c)
+            emptied += (c,)
         verts, head = frame[3], c[1]
         new_head = head not in verts
         if new_head:
@@ -225,7 +234,8 @@ def _core_shapes(
         attachment = _aggregated_feasibility(dig, counts, verts, large, k)
         if attachment is not None:
             classes, taken = zip(*sorted(counts.items()))
-            found.append((classes, taken, attachment, expanded, uses, limits, emptied))
+            found.append((classes, taken, attachment, expanded, uses, limits,
+                          overlay is not None))
         following = candidates[i + 1:]
         if m + 1 < min(2, copies):
             following.append((c, copies))
@@ -234,7 +244,7 @@ def _core_shapes(
                 following += leaving(head)
             if len(verts) == max_size:
                 following = [cand for cand in following if cand[0][1] in verts]
-        stack.append([following, 0, c, verts, expanded, uses, limits, emptied])
+        stack.append([following, 0, c, verts, expanded, uses, limits, emptied, overlay])
     found.sort(key=_core_order)
     return found
 

@@ -241,7 +241,7 @@ def probe_shapes():
     for inst, k in instances("arb"):
         g = cap_parallel(inst).graph
         yield g, tree_shapes(g.root, k, candidate_pool(g, k), classify_vertices(g, k).large,
-                             g.out_classes, arc_key)
+                             g.out_classes, arc_key, g._reach())
     for inst in flow_instances():
         g, k = cap_parallel(inst).graph, inst.k
         yield g, _core_shapes(g, k, candidate_pool_flow(g, k), classify_vertices_flow(g, k))
@@ -297,13 +297,13 @@ def test_spans_without_matches_a_plain_search_on_random_removals(rng):
 
 
 def probe_agrees(g, rows) -> list[bool]:
-    """The pipeline's class-level probe on each row's emptied classes
-    against `is_root_connected_without` of its lowest copies, and the rows'
-    expanded counts and masks against `shape_masks_reference` with and
-    without the probe and the comb(L, m) reference; returns the verdicts."""
+    """Each row's carried verdict against `is_root_connected_without` of its
+    lowest copies, and the rows' expanded counts and masks against
+    `shape_masks_reference` with and without the probe and the comb(L, m)
+    reference; returns the verdicts."""
     shapes = [(row_counts(row), row[2]) for row in rows]
     verdicts = [g.is_root_connected_without(lowest_copies(g, counts)) for counts, _ in shapes]
-    kept = [row for row in rows if g.spans_without_classes(row[6])]
+    kept = [row for row in rows if row[6]]
     expanded, ref_kept, uses, limits = shape_masks_reference(
         shapes, g.class_ids, g.spans_without_classes)
     every, unprobed, all_uses, all_limits = shape_masks_reference(shapes, g.class_ids)
@@ -343,7 +343,8 @@ def test_one_pass_probe_matches_is_root_connected_without_on_random_digraphs(rng
         for d in (spanning_digraph(rng, n, extra=rng.randint(0, 2 * n)),
                   random_digraph(rng, max_n=9, max_mult=2)):
             g = cap_parallel(ProblemInstance(kind="arb", graph=d, k=1)).graph
-            rows = table_rows(random_class_shapes(rng, g, 30), g.class_ids)
+            rows = table_rows(random_class_shapes(rng, g, 30), g.class_ids,
+                              g.spans_without_classes)
             for ok in probe_agrees(g, rows):
                 verdicts[ok] += 1
     assert min(verdicts.values()) > 500

@@ -61,7 +61,7 @@ def test_checker_sizes_match_a_brute_force_count():
                 w = parent[w]
         assert _arb_subtree_sizes(parent, root) == want
         classes = frozenset((min(u, v), max(u, v)) for v, u in parent.items())
-        assert _tree_hanging_sizes(n, root, classes) == {v: s - 1 for v, s in want.items()}
+        assert _tree_hanging_sizes(root, classes) == {v: s - 1 for v, s in want.items()}
 
 
 def test_arb_checker_sizes_on_a_long_path():

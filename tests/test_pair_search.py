@@ -6,9 +6,10 @@ every pair (i, j), i <= j, asks it and then `accept` about each pair in turn.
 
 The masks come from `CopyTable` entries, which the shape searches fold into
 each state as they take classes; `table_rows` folds whole count-dict shapes
-the same way.  `shape_masks_reference` is the one pass over finished shapes
-that built the masks before the searches carried them, kept here as the
-reference for the carried rows.
+the same way, and `row_emptied` recomputes the classes a row empties.
+`shape_masks_reference` is the one pass over finished shapes that built the
+masks before the searches carried them, kept here as the reference for the
+carried rows.
 """
 
 import random
@@ -136,9 +137,10 @@ def shape_masks_reference(shapes, class_ids, extendable=None):
     return expanded, kept, uses, limits
 
 
-def table_rows(shapes, class_ids):
+def table_rows(shapes, class_ids, extendable=None):
     """Finished rows of (count dict, attachment) shapes, each folded through
-    one `CopyTable` as a search folds the classes it takes."""
+    one `CopyTable` as a search folds the classes it takes.  A row's last
+    field is `extendable` of the classes it empties, True without one."""
     table = CopyTable()
     rows = []
     for counts, attachment in shapes:
@@ -150,8 +152,14 @@ def table_rows(shapes, class_ids):
             if empties:
                 emptied.append(c)
         rows.append((classes, tuple(counts[c] for c in classes), attachment,
-                     expanded, uses, limits, tuple(emptied)))
+                     expanded, uses, limits, extendable is None or extendable(emptied)))
     return rows
+
+
+def row_emptied(row, class_ids):
+    """The classes a row takes every copy of, read off its classes and
+    counts."""
+    return [c for c, m in zip(row[0], row[1]) if m == len(class_ids(*c))]
 
 
 def row_masks(rows):

@@ -1,7 +1,9 @@
-"""Differential tests for `graphs.ResidualReach`: its query on D - S - X
-against a plain search, and, at scale (n = 20..200), the
-spanning-arborescence rule behind the k=2 gate, `critical_arcs` and the
-directed completion.
+"""Differential tests for `graphs.ResidualReach`: its query on D - S - X,
+answered by replacement steps on one kept arborescence, against a plain
+search, on random digraphs, on digraphs whose two cut subtrees can only
+hang off each other, and on every row of the shape-search fixtures; and,
+at scale (n = 20..200), the spanning-arborescence rule behind the k=2
+gate, `critical_arcs` and the directed completion.
 
 The references are the per-candidate rechecks the rule replaced, kept here
 verbatim in behaviour: one reach-mask search per single-copy class for the
@@ -23,7 +25,8 @@ from rootedpack.fptcommon import DirectedState, complete_directed_pair, pair_sta
 from rootedpack.graphs import ResidualReach, RootedDigraph, reach
 
 from conftest import random_digraph, spanning_digraph
-from test_graphs import plain_reach
+from test_graphs import plain_reach, probe_shapes
+from test_pair_search import row_emptied
 from test_growth import _arb, _pairs
 
 
@@ -97,12 +100,38 @@ def plain_reach_mask(d: RootedDigraph, removed, classes) -> int:
     return sum(1 << v for v in plain_reach(d, gone))
 
 
+def below(parent, v) -> set[int]:
+    """The vertices whose walk up the parent map `parent` passes v."""
+    found = {v}
+    for w in parent:
+        path = []
+        while w not in found and w in parent:
+            path.append(w)
+            w = parent[w]
+        if w in found:
+            found.update(path)
+    return found
+
+
+def hang_off_each_other(d, engine, x) -> bool:
+    """Whether x cuts two T-arcs of `engine` whose subtrees are disjoint and
+    each entered from the other by a class of D - S - x: removing either
+    class alone can hang its subtree off the other one."""
+    def enters(src, dst):
+        return any(w in src and (w, y) not in x and engine._masks[w] >> y & 1
+                   for y in dst for w, _ in d.in_classes(y))
+
+    cut = [below(engine.parent, v) for u, v in x if engine.parent.get(v) == u]
+    return any(not a & b and enters(a, b) and enters(b, a)
+               for i, a in enumerate(cut) for b in cut[i + 1:])
+
+
 def test_spans_without_matches_a_plain_search_of_d_minus_s_minus_x():
     """`ResidualReach(d, S).spans_without(X)` and `reach_mask(X)` on random
     digraphs with classes of 1 to 3 copies.  S is empty or random, and may
     disconnect D already; X holds 1 to 3 classes, may disconnect D - S, may
-    empty no T-arc, and may disconnect D - S only through a class after its
-    first."""
+    empty no T-arc, may disconnect D - S only through a class after its
+    first, and may cut two subtrees that could hang off each other."""
     rng = random.Random(36)
     seen = Counter()
     for _ in range(600):
@@ -129,10 +158,84 @@ def test_spans_without_matches_a_plain_search_of_d_minus_s_minus_x():
                 seen["no-t-arc"] += spans and not t_arcs
                 seen["later-class"] += (spans and want != full
                                         and plain_reach_mask(d, removed, x[:1]) == full)
+                seen["cycle"] += (spans and want != full and hang_off_each_other(d, engine, x)
+                                  and all(engine.spans_without([c]) for c in x))
                 seen["copies", max((len(d.class_ids(*c)) for c in x), default=0)] += 1
     assert all(seen[key] > 20 for key in (
         ("s-disconnects", False), ("s-disconnects", True), "x-disconnects", "no-t-arc",
-        "later-class", ("copies", 1), ("copies", 2), ("copies", 3))), seen
+        "later-class", "cycle", ("copies", 1), ("copies", 2), ("copies", 3))), seen
+
+
+def crossed_chains(rng: random.Random):
+    """A digraph with two chains A and B below the root, each entered from
+    the root only at its first vertex, arcs from each chain into the
+    other's first vertex, random arcs inside each chain and between them,
+    and classes of 1 to 3 copies.  Returns it and the root's two classes."""
+    a = rng.randint(1, 5)
+    n = a + rng.randint(1, 5) + 1
+    chains = (list(range(1, a + 1)), list(range(a + 1, n)))
+    arcs = []
+
+    def add(u, v):
+        arcs.extend([(u, v)] * rng.randint(1, 3))
+
+    for mine, theirs in (chains, chains[::-1]):
+        add(0, mine[0])
+        add(rng.choice(mine), theirs[0])
+        for u, v in zip(mine, mine[1:]):
+            add(u, v)
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.choice(mine), rng.choice(mine + theirs[1:])
+            if u != v:
+                add(u, v)
+    return RootedDigraph(n, 0, arcs), [(0, chain[0]) for chain in chains]
+
+
+def test_two_cut_subtrees_that_only_hang_off_each_other_disconnect():
+    """Removing either root class of `crossed_chains` hangs its chain off
+    the other one; removing both, in either order and among other classes,
+    leaves neither a way in.  With S empty, and with S a copy of each
+    multi-copy class, which empties none."""
+    rng = random.Random(38)
+    for _ in range(300):
+        d, roots = crossed_chains(rng)
+        spare = [ids[0] for ids in d.parallel_classes().values() if len(ids) > 1]
+        others = [c for c in sorted(d.parallel_classes()) if c not in roots]
+        for removed in ((), spare):
+            engine = ResidualReach(d, removed)
+            assert hang_off_each_other(d, engine, roots)
+            assert all(engine.spans_without([c]) for c in roots)
+            for x in (roots, roots[::-1]):
+                x = [*rng.sample(others, rng.randint(0, min(2, len(others)))), *x]
+                rng.shuffle(x)
+                assert plain_reach_mask(d, removed, x) != (1 << d.n) - 1
+                assert not engine.spans_without(x), (d, x)
+
+
+def test_spans_without_matches_a_plain_search_on_fixture_rows():
+    """Every kernel and core row of the `tests/test_shapes.py` fixtures: its
+    carried verdict and `spans_without` of the classes it empties, on the
+    digraph's kept engine (S empty) and on one whose S is random copies
+    that keep D root-connected, against a plain search of D - S - X."""
+    rng = random.Random(37)
+    seen = Counter()
+    for d, rows in probe_shapes():
+        full = (1 << d.n) - 1
+        removed = set()
+        for aid in rng.sample(sorted(d.arc_ids), d.n // 2):
+            if d.is_root_connected_without(removed | {aid}):
+                removed.add(aid)
+        engine = ResidualReach(d, removed)
+        for row in rows:
+            x = row_emptied(row, d.class_ids)
+            want = plain_reach_mask(d, (), x) == full
+            assert row[6] is want and d.spans_without_classes(x) is want
+            assert engine.spans_without(x) is (plain_reach_mask(d, removed, x) == full)
+            seen[want] += 1
+            seen["s-empties"] += len(d._emptied(removed)) > 0
+            seen["copies", max((len(d.class_ids(*c)) for c in x), default=0)] += 1
+    assert min(seen[True], seen[False], seen["s-empties"]) > 1_000, seen
+    assert seen["copies", 1] > 1_000 and seen["copies", 2] > 100, seen
 
 
 def test_a_graph_with_a_kept_engine_is_freed_by_reference_counting():
@@ -205,17 +308,25 @@ def test_residual_reach_matches_recheck_along_removals(monkeypatch):
     # (one not rebuilt after its arc went) or stale residual masks would
     # show; half of the reaches start from a removal set, and each sequence
     # goes on past the last admissible removal, where nothing is admitted;
-    # the references search through `reach` too, on the digraph's own
-    # engine, so only the searches on the tested engine's masks count
-    searches = []
+    # the references ask the digraph's own engine, so only the searches
+    # and steps of the tested engine count
+    searches, steps = [], []
     reach_ = None
 
     def counted(masks, *args):
         if reach_ is not None and masks is reach_._masks:
-            searches.append(args[1])
+            searches.append(args)
         return reach(masks, *args)
 
+    def stepped(self, overlay, emptied, c):
+        result = step(self, overlay, emptied, c)
+        if self is reach_:
+            steps.append((overlay, emptied, self.parent.get(c[1]) == c[0], result is overlay))
+        return result
+
+    step = ResidualReach.step
     monkeypatch.setattr(graphs, "reach", counted)
+    monkeypatch.setattr(ResidualReach, "step", stepped)
     rng = random.Random(34)
     rebuilt = started = disconnected = 0
     for _ in range(15):
@@ -247,8 +358,13 @@ def test_residual_reach_matches_recheck_along_removals(monkeypatch):
             reach_.remove(aid)
             removed.add(aid)
             rebuilt += reach_.parent is not before
-    # each recheck of a last T-copy (u, v) searches only until v is seen
-    assert searches and all(bin(until).count("1") == 1 for until in searches)
+    # each recheck of a last copy is one replacement step on T itself, which
+    # keeps T with no search unless the copy's class is a T-arc; no forward
+    # search runs
+    assert not searches
+    assert all(overlay == {} and emptied == () and on_t is not kept
+               for overlay, emptied, on_t, kept in steps)
+    assert {on_t for *_, on_t, _ in steps} == {True, False}
     assert rebuilt and started and disconnected
 
 

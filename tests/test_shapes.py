@@ -15,10 +15,11 @@ seeded random instances.
 
 The searches emit finished rows (`pairs.Row`): besides the classes,
 counts and attachment, each carries its expanded count, pair masks and
-emptied classes down the search stack.  Those are checked against
-`shape_masks_reference`, the one pass over finished shapes that built them
-before, on these fixtures and on random digraphs and graphs, for all three
-kinds.
+extendability verdict down the search stack.  The counts and masks are
+checked against `shape_masks_reference`, the one pass over finished shapes
+that built them before, on these fixtures and on random digraphs and
+graphs, for all three kinds; the verdicts against the probe of the classes
+each row empties, which the pipeline ran on every row before.
 
 The copy expansion behind `enumerate_compact_kernels`, `_cores` and
 `_certificates` (`fptcommon.expand_shapes`) is checked the same way against
@@ -35,7 +36,8 @@ import pytest
 from rootedpack import solver_flow
 from rootedpack.connectivity import FlowNetwork, max_flow
 from rootedpack.fptcommon import branch_structure, lex_smallest_attachment, tree_shapes
-from rootedpack.graphs import RootedDigraph, RootedGraph, cap_parallel, ProblemInstance
+from rootedpack.graphs import (ProblemInstance, ResidualReach, RootedDigraph, RootedGraph,
+                               cap_parallel)
 from rootedpack.instancegen import random_instance
 from rootedpack.solver_arb import (
     candidate_pool,
@@ -57,7 +59,7 @@ from rootedpack.solver_tree import (
 )
 
 from conftest import random_digraph, random_graph
-from test_pair_search import conflicts, row_masks, shape_masks_reference
+from test_pair_search import conflicts, row_emptied, row_masks, shape_masks_reference
 
 
 def arc_key(u, v):
@@ -159,10 +161,11 @@ ARCS_PER_VERTEX = {
 
 
 def tree_rows(kind, g, k):
-    """The rows of `tree_shapes` for kernels (arb) or certificates (tree)."""
+    """The rows of `tree_shapes` for kernels (arb), with the extendability
+    step as the arb pipeline passes it, or certificates (tree), without."""
     if kind == "arb":
         return tree_shapes(g.root, k, candidate_pool(g, k), classify_vertices(g, k).large,
-                           g.out_classes, arc_key)
+                           g.out_classes, arc_key, g._reach())
     return tree_shapes(g.root, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large,
                        g.incident_classes, edge_key)
 
@@ -401,35 +404,43 @@ def test_core_search_checks_each_count_vector_once(monkeypatch):
 
 def assert_rows_match_reference(g, rows, probe):
     """The rows' expanded counts, the rows `probe` keeps (all without one),
-    their masks and emptied classes against `shape_masks_reference` on the
-    rows' own (count dict, attachment) shapes.  Returns the (L, m) pairs
-    of every class a row takes."""
+    their masks and carried verdicts against `shape_masks_reference` on the
+    rows' own (count dict, attachment) shapes: each verdict is `probe` of
+    the classes the row empties, recomputed from its classes and counts,
+    and True without a probe.  Returns the (L, m) pairs of every class a
+    row takes and, keyed ("extendable", verdict), the verdict counts."""
     shapes = [(dict(zip(row[0], row[1])), row[2]) for row in rows]
     expanded, kept, uses, limits = shape_masks_reference(shapes, g.class_ids, probe)
-    kept_rows = rows if probe is None else [row for row in rows if probe(row[6])]
+    kept_rows = [row for row in rows if row[6]]
     assert sum(row[3] for row in rows) == expanded
     assert [(dict(zip(row[0], row[1])), row[2]) for row in kept_rows] == kept
     assert conflicts(*row_masks(kept_rows)) == conflicts(uses, limits)
     taken = Counter()
-    for classes, counts, *_, emptied in rows:
-        copies = [len(g.class_ids(*c)) for c in classes]
-        assert sorted(emptied) == [c for c, m, L in zip(classes, counts, copies) if m == L]
-        taken.update(zip(copies, counts))
+    for row in rows:
+        assert row[6] is (probe is None or probe(row_emptied(row, g.class_ids)))
+        taken.update(zip((len(g.class_ids(*c)) for c in row[0]), row[1]))
+        taken["extendable", row[6]] += 1
     return taken
 
 
 def test_carried_rows_match_shape_masks_on_fixtures():
-    taken = Counter()
+    """Every row of the fixtures: the kernel (arb) and core (flow) rows
+    carry `spans_without_classes` of the classes they empty, and the
+    certificate rows (tree, no step) are all marked extendable."""
+    taken = {kind: Counter() for kind in ("arb", "flow", "tree")}
     for kind in ("arb", "tree"):
         for inst, k in instances(kind):
             g = inst.graph
             probe = g.spans_without_classes if kind == "arb" else None
-            assert_rows_match_reference(g, tree_rows(kind, g, k), probe)
+            taken[kind] += assert_rows_match_reference(g, tree_rows(kind, g, k), probe)
     for inst in flow_instances():
         g, k = cap_parallel(inst).graph, inst.k
-        taken += assert_rows_match_reference(g, core_rows(g, k), g.spans_without_classes)
+        taken["flow"] += assert_rows_match_reference(g, core_rows(g, k), g.spans_without_classes)
     # flow classes of 2 and 3 copies, taken once and twice
-    assert min(taken[pair] for pair in ((2, 1), (2, 2), (3, 1), (3, 2))) > 100
+    assert min(taken["flow"][pair] for pair in ((2, 1), (2, 2), (3, 1), (3, 2))) > 100
+    assert min(taken[kind]["extendable", ok] for kind in ("arb", "flow") for ok in (True, False)
+               ) > 1_000
+    assert taken["tree"]["extendable", True] > 10_000
 
 
 def test_carried_rows_match_shape_masks_on_random_graphs():
@@ -455,6 +466,56 @@ def test_carried_rows_match_shape_masks_on_random_graphs():
     assert min(rows_seen.values()) > 100
     assert min(taken[pair] for pair in ((2, 1), (2, 2), (3, 1), (3, 2))) > 1_000
     assert taken[(4, 1)] and taken[(4, 2)]
+
+
+# -- the carried extendability verdicts --
+
+
+class CountedReads(list):
+    """A table that counts its reads, so that a step's search shows."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        CountedReads.reads += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("kind", ["arb", "flow"])
+def test_carried_probe_searches_only_where_a_state_cuts_its_overlay(kind, monkeypatch):
+    """On one fixture: a step searches (reads the in-class table) only when
+    its class is the overlay's arc into its head, a failed state's children
+    take no step, and the searches number fewer than the rows that empty a
+    class, each of which took one search in the per-row probe."""
+    counts = Counter()
+    step = ResidualReach.step
+
+    def counted(self, overlay, emptied, c):
+        assert overlay is not None
+        u, v = c
+        cuts = overlay.get(v, self.parent.get(v)) == u
+        before = CountedReads.reads
+        result = step(self, overlay, emptied, c)
+        searched = CountedReads.reads > before
+        counts["steps"] += 1
+        counts["cuts"] += cuts
+        counts["searches"] += searched
+        assert cuts or not searched
+        return result
+
+    if kind == "arb":
+        g, k = random_instance("arb", 22, 66, seed=97 * 22 + 4).graph, 4
+    else:
+        inst = random_instance("flow", 6, 18, seed=0, ensure="2-root-connected", k=3)
+        g, k = cap_parallel(inst).graph, inst.k
+    engine = g._reach()
+    engine._in_classes = CountedReads(engine._in_classes)
+    monkeypatch.setattr(ResidualReach, "step", counted)
+    rows = tree_rows("arb", g, k) if kind == "arb" else core_rows(g, k)
+    emptying = sum(1 for row in rows if row_emptied(row, g.class_ids))
+    assert 0 < counts["searches"] <= counts["cuts"] < counts["steps"]
+    assert counts["searches"] < emptying
+    assert any(not row[6] for row in rows) and any(row[6] for row in rows)
 
 
 # -- the copy expansion against the per-kind loops it replaced --
