@@ -38,7 +38,7 @@ from .errors import InternalError, StructureError
 from .graphs import (ArcSelection, EdgeSelection, ProblemInstance, ResidualReach, RootedDigraph,
                      RootedGraph, parse_rooted_tree)
 from .oracles import OracleBudget, run_oracle
-from .pairs import CopyTable, PairSearch, Row
+from .pairs import EMPTY_ATTACHMENT, CopyTable, PairSearch, Row
 from .reports import SolveReport
 
 
@@ -214,10 +214,10 @@ def tree_shapes(
     in place and undone on the way back; each frame carries its state's
     expanded count and pair masks, its parent's with the new class's
     `CopyTable` entry folded in.  `key` is called once per non-empty tree.
-    A full-size tree has nothing to attach, so its attachment is empty, and
-    it has no children, so it is emitted without a frame; a smaller one
-    needs an anchor to have an attachment, so only those call
-    `lex_smallest_attachment`.
+    A full-size tree has nothing to attach, so its attachment is the shared
+    `EMPTY_ATTACHMENT`, and it has no children, so it is emitted without a
+    frame; a smaller one needs an anchor to have an attachment, so only
+    those call `lex_smallest_attachment`.
 
     Given `reach` (the arb kernels), each frame also carries its emptied
     classes and its overlay on `reach`'s arborescence, or None once the
@@ -230,7 +230,7 @@ def tree_shapes(
     """
     limit = 2 * k - 2
     if not limit:  # k = 1: only the empty tree, full-size
-        return [((), (), {}, 1, 0, 0, reach is None or reach.spanning)]
+        return [((), (), EMPTY_ATTACHMENT, 1, 0, 0, reach is None or reach.spanning)]
     table = CopyTable()
     ones = [(1,) * size for size in range(limit + 1)]
     branch_of: dict[int, int] = {}
@@ -278,8 +278,8 @@ def tree_shapes(
             emptied += (c,)
         classes.append(c)
         if len(classes) == limit:  # nothing to attach, every branch within k-1
-            by_size[limit].append((tuple(sorted(classes)), ones[limit], {}, expanded, uses,
-                                   limits, overlay is not None))
+            by_size[limit].append((tuple(sorted(classes)), ones[limit], EMPTY_ATTACHMENT,
+                                   expanded, uses, limits, overlay is not None))
             classes.pop()
             continue
         branch_of[head] = top

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InternalError
@@ -68,6 +69,11 @@ class CopyTable:
 # whether D stays root-connected without the classes it takes every copy
 # of, as its search decided on the way down.
 Row = tuple[tuple[tuple[int, int], ...], tuple[int, ...], Mapping[int, int], int, int, int, bool]
+
+# The attachment of every full-size row, which has nothing to attach: one
+# read-only mapping shared by all of them rather than a new dict per row
+# (`fptcommon.compact_structure` copies it into each record).
+EMPTY_ATTACHMENT: Mapping[int, int] = MappingProxyType({})
 
 
 @dataclass

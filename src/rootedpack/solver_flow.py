@@ -2,18 +2,36 @@
 
 Mirrors the arborescence pipeline with flow-specific pieces: largeness
 threshold 20k^2+1, candidate pool depth 2k-1, cores as arbitrary subdigraphs
-validated by the aggregated network's min-cut condition (root reaches when
-|V'| = 2k-1, one aggregated max-flow when large anchors take the leftover
-demand), and a completion that routes every new vertex's unit along its
-anchor's path flow from the core decomposition, which keeps core arcs within
-the uniform capacity n-k.
+validated by the aggregated network's min-cut condition, and a completion
+that routes every new vertex's unit along its anchor's path flow from the
+core decomposition, which keeps core arcs within the uniform capacity n-k.
+
+A core smaller than 2k-1 vertices needs large anchors to take the leftover
+demand, and one aggregated max-flow decides it.  A full-size core (|V'| =
+2k-1) has nothing to attach, and it is valid iff k * in(X) >= |X| for every
+X within V'; as |X| <= 2k-1, that holds iff the root reaches V' and no
+single-copy class e cuts off more than k vertices of V' (its bridge cut
+X_e, `_bridge_cuts`).  The core search (`_core_shapes`) carries that
+verdict down its stack instead of deciding each count vector afresh, by
+three exact rules:
+
+1. a pass is inherited, as the children of a full-size state only add
+   copies inside V' and the root, and a copy lowers no in(X);
+2. a failure carries its violated set X, and only a child whose new copy
+   enters X is searched again, as no other changes in(X);
+3. a child into a new head reads its parent's bridge cuts of at least k
+   vertices, computed once per parent, as a new head with no out-arcs
+   joins exactly the cuts that hold its tail.
+
+This is the carry-down of the decremental tree of Even and Shiloach (J. ACM
+1981) that the extendability probe makes on `graphs.ResidualReach`.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import chain
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .connectivity import FlowNetwork, is_extendable_pair, is_k_root_connected, max_flow
 from .errors import ContractError, InternalError
@@ -34,7 +52,7 @@ from .fptcommon import (
 )
 from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel
 from .oracles import validate_witness
-from .pairs import CopyTable, Row
+from .pairs import EMPTY_ATTACHMENT, CopyTable, Row
 from .reports import SolveReport
 
 
@@ -51,20 +69,18 @@ def candidate_pool_flow(dig: RootedDigraph, k: int) -> frozenset[int]:
     return depth_bounded_pool(dig.out_neighbors, dig.root, 2 * k - 1, view.large)
 
 
-def _cut_condition(
-    root: int, class_counts: Mapping[tuple[int, int], int], verts: frozenset[int], k: int
-) -> bool:
-    """Whether k * in(X) >= |X & V'| for every vertex set X without the root,
-    in(X) counting the copies that enter X; needs |V'| <= 2k-1.
+def _bridge_cuts(
+    root: int, class_counts: Mapping[tuple[int, int], int], verts: frozenset[int], least: int
+) -> Optional[list[set[int]]]:
+    """The bridge cuts of a count vector with at least `least` vertices of
+    V', or None when the root does not reach all of V'.
 
-    Then |X & V'| <= 2k-1 asks for one entering copy when it is at most k and
-    for two when it is larger.  X without an entering copy lies in the part
-    of the support the root does not reach; X with exactly one lies in what
-    the root does not reach once that copy's class, a single-copy one, is
-    removed.  Only a class on a breadth-first tree T of the support can cut
-    anything off, and only T's subtree below it, so just the single-copy
-    tree classes above more than k vertices need a second reach.  The
-    support need not be root-connected.
+    The bridge cut X_e of a single-copy class e is the part of V' that the
+    root no longer reaches once e is removed: no copy but e's enters it, and
+    it holds every vertex set that only e enters.  Only a class on a
+    breadth-first tree T of the support can cut anything off, and only T's
+    subtree below it, so just the single-copy tree classes above at least
+    `least` vertices take a second reach.
     """
     out: dict[int, list[int]] = {}
     for (u, v), m in class_counts.items():
@@ -83,14 +99,36 @@ def _cut_condition(
 
     parent = reach(None)  # in breadth-first order
     if not verts <= parent.keys():
-        return False
+        return None
     below = dict.fromkeys(parent, 1)
     for v, u in reversed(parent.items()):
         if v != root:
             below[u] += below[v]
-    return not any(
-        below[v] > k and class_counts[(u, v)] == 1 and len(verts - reach((u, v)).keys()) > k
-        for v, u in parent.items() if v != root)
+    cuts = []
+    for v, u in parent.items():
+        if v != root and below[v] >= least and class_counts[(u, v)] == 1:
+            cut = verts - reach((u, v)).keys()
+            if len(cut) >= least:
+                cuts.append(cut)
+    return cuts
+
+
+def _new_head_cut(cuts: list[set[int]], tail: int, head: int, k: int) -> Optional[set[int]]:
+    """A vertex set violated by a count vector on 2k-2 root-connected
+    vertices plus one copy of (tail, head) into a new head, or None when
+    that vector meets the cut condition; `cuts` are the smaller vector's
+    bridge cuts of at least k vertices.
+
+    The new head has no out-arcs, so it changes no reach but its own: each
+    bridge cut of the new vector is the old one, plus the head when the tail
+    lies in it, and the new class cuts off the head alone.
+    """
+    for cut in cuts:
+        if tail in cut:
+            return cut | {head}
+        if len(cut) > k:
+            return cut
+    return None
 
 
 def _aggregated_feasibility(
@@ -107,14 +145,17 @@ def _aggregated_feasibility(
     demand of the residual 2k-1-|V'| units may leave only through the
     anchors, the large vertices of V'.  With a positive residual and no
     anchor it is infeasible.  With residual 0 there is nothing to attach, so
-    the attachment is empty and its min cut decides: feasible iff
-    k * in(X) >= |X| for every non-empty X within V' (`_cut_condition`), no
-    max-flow needed.  Otherwise one max-flow decides, and the per-anchor split
-    is read off the integral flow.
+    the attachment is empty and its min cut decides, with no max-flow:
+    feasible iff k * in(X) >= |X| for every non-empty X within V'.  As
+    |X| <= 2k-1, that asks for one entering copy when |X| <= k and for two
+    when it is larger, so it holds iff the root reaches V' and no bridge cut
+    (`_bridge_cuts`) has more than k vertices.  Otherwise one max-flow
+    decides, and the per-anchor split is read off the integral flow.
     """
     residual = 2 * k - 1 - len(verts)
     if residual == 0:
-        return {} if _cut_condition(dig.root, class_counts, verts, k) else None
+        cuts = _bridge_cuts(dig.root, class_counts, verts, k + 1)
+        return {} if cuts is not None and not cuts else None
     anchors = sorted(verts & large)
     if residual > 0 and not anchors:
         return None
@@ -155,7 +196,9 @@ def validate_compact_core(
 
 
 def _core_shapes(
-    dig: RootedDigraph, k: int, pool: frozenset[int], view: LargenessView
+    dig: RootedDigraph, k: int, pool: frozenset[int], view: LargenessView,
+    decided: Optional[Callable[[str, Mapping[tuple[int, int], int], frozenset[int],
+                                Optional[set[int]]], None]] = None,
 ) -> list[Row]:
     """All valid core shapes as finished rows (`Row`), sorted by (|V'|,
     sorted V', (class, count) pairs).
@@ -182,11 +225,36 @@ def _core_shapes(
     step from m to m+1 copies swaps the class's m-copy `CopyTable` entry for
     its (m+1)-copy one; one that empties the class takes one
     `ResidualReach.step`, and any other child, like every child of a failed
-    state, inherits the verdict, which each row carries.  Each state
-    with V' non-empty is checked once by `_aggregated_feasibility`: the
-    full-size ones (|V'| = 2k-1) by their min-cut condition, two kinds of
-    root reaches, and only the smaller ones with a large anchor by a
-    max-flow, which gives their attachment.
+    state, inherits the verdict, which each row carries.
+
+    A state with |V'| < 2k-1 is checked once by `_aggregated_feasibility`:
+    by one max-flow, which gives its attachment, when it has a large anchor,
+    and refused at once when it has none.  A full-size state (|V'| = 2k-1)
+    has nothing to attach, so its attachment is the shared
+    `EMPTY_ATTACHMENT`, and it is valid iff k * in(X) >= |X & V'| for every
+    X without the root.  States are root-connected, so X violates that iff
+    in(X) = 1 and |X| >= k+1, and the largest such sets are the bridge cuts
+    (`_bridge_cuts`).  Each full-size frame carries a set its state
+    violates, or None when it passes, decided by three exact rules from
+    what its parent's frame carries:
+
+    1. A pass is inherited.  The children of a full-size state only add
+       copies of classes inside V' and the root, V' stays fixed, and a new
+       copy lowers no in(X), so every descendant passes too.
+    2. A failure carries its violated set X.  A child whose new copy does
+       not enter X (tail outside X, head inside) keeps in(X) = 1 and fails
+       on X too; only a child whose copy enters X has its bridge cuts
+       searched again.
+    3. A child into a new head reads its parent's bridge cuts.  A frame
+       with 2k-2 vertices computes its bridge cuts of at least k vertices
+       once, when its first such child asks, and each child (u, h) fails
+       iff one of them has more than k vertices or contains u
+       (`_new_head_cut`).
+
+    `decided`, when given, is called on every full-size state with the rule
+    that decided it ("inherited", "carried", "searched" or "new-head"), the
+    count vector (changed in place afterwards), V' and the violated set or
+    None.
     """
     root, max_size, large = dig.root, 2 * k - 1, view.large
     reach = dig._reach()
@@ -195,13 +263,18 @@ def _core_shapes(
     counts: dict[tuple[int, int], int] = {}
     found: list[Row] = []
 
-    def leaving(u: int) -> list[tuple[tuple[int, int], int]]:
-        return [((u, v), len(ids)) for v, ids in dig.out_classes(u) if v != root and v in pool]
+    # the candidates leaving the root and each small pool vertex, built once
+    # and copied into the lists of the frames that take them
+    leaving = {u: [((u, v), len(ids)) for v, ids in dig.out_classes(u) if v != root and v in pool]
+               for u in pool | {root} if u == root or u not in large}
 
     # frames of (candidates, index of the next one to try, class taken to
-    # enter the frame, V', expanded count, uses, limits, emptied, overlay);
-    # the root frame took none
-    stack: list[list] = [[leaving(root), 0, None, frozenset(), 1, 0, 0, (), reach.overlay()]]
+    # enter the frame, V', expanded count, uses, limits, emptied, overlay,
+    # cut); the root frame took none, and cut is a full-size state's
+    # violated set (None when it passes) or a (2k-2)-vertex state's bridge
+    # cuts of at least k vertices, once a child into a new head asks
+    stack: list[list] = [[leaving[root], 0, None, frozenset(), 1, 0, 0, (), reach.overlay(),
+                          None]]
     while stack:
         frame = stack[-1]
         candidates, i = frame[0], frame[1]
@@ -216,6 +289,10 @@ def _core_shapes(
             continue
         frame[1] = i + 1
         c, copies = candidates[i]
+        (tail, head), verts = c, frame[3]
+        new_head = head not in verts
+        if new_head and len(verts) == max_size - 1 and frame[9] is None:
+            frame[9] = _bridge_cuts(root, counts, verts, k)  # before c's copy joins
         m = counts.get(c, 0)
         counts[c] = m + 1
         old_ways, old_use, old_limit, _ = table.entry(c, copies, m)
@@ -227,11 +304,25 @@ def _core_shapes(
         if empties and overlay is not None:
             overlay = step(overlay, emptied, c)
             emptied += (c,)
-        verts, head = frame[3], c[1]
-        new_head = head not in verts
         if new_head:
             verts = verts | {head}
-        attachment = _aggregated_feasibility(dig, counts, verts, large, k)
+        cut = None
+        if len(verts) < max_size:
+            attachment = _aggregated_feasibility(dig, counts, verts, large, k)
+        else:
+            parent_cut = frame[9]
+            if new_head:
+                cut, rule = _new_head_cut(parent_cut, tail, head, k), "new-head"
+            elif parent_cut is None:
+                rule = "inherited"
+            elif tail in parent_cut or head not in parent_cut:
+                cut, rule = parent_cut, "carried"
+            else:
+                cuts = _bridge_cuts(root, counts, verts, k + 1)
+                cut, rule = (cuts[0] if cuts else None), "searched"
+            if decided is not None:
+                decided(rule, counts, verts, cut)
+            attachment = EMPTY_ATTACHMENT if cut is None else None
         if attachment is not None:
             classes, taken = zip(*sorted(counts.items()))
             found.append((classes, taken, attachment, expanded, uses, limits,
@@ -241,10 +332,10 @@ def _core_shapes(
             following.append((c, copies))
         if new_head:
             if head not in large:
-                following += leaving(head)
+                following += leaving[head]
             if len(verts) == max_size:
                 following = [cand for cand in following if cand[0][1] in verts]
-        stack.append([following, 0, c, verts, expanded, uses, limits, emptied, overlay])
+        stack.append([following, 0, c, verts, expanded, uses, limits, emptied, overlay, cut])
     found.sort(key=_core_order)
     return found
 
@@ -298,8 +389,12 @@ def _routed_completion_flow(
     """Witness flow for a completed branching: core flow plus one routed unit
     per new vertex along its attachment chain and its anchor's core path.
 
-    Core arcs start at <= k units and gain at most n-2k, so every arc stays
-    within the uniform capacity n-k; the bound is asserted.
+    The new arcs form a forest hanging from the core's vertices, so one
+    reverse pass over a root-first order of it gives each new arc its units,
+    the new vertices at or below its head, and each anchor the units that
+    leave along its core path.  Core arcs start at <= k units and gain at
+    most n-2k, so every arc stays within the uniform capacity n-k; the bound
+    is asserted.
     """
     caps = dig.n - k
     core_sel = dig.selection(core_ids)
@@ -315,22 +410,33 @@ def _routed_completion_flow(
         core_paths = {v: arcs for v, arcs in dec.paths.items()}
     else:
         core_paths = {}
-    attach_parent: dict[int, int] = {}
-    for aid in sorted(all_ids - core_ids):
+    new_ids = all_ids - core_ids
+    into: dict[int, tuple[int, int]] = {}  # new vertex -> (tail, arc into it)
+    below: dict[int, list[int]] = {}
+    for aid in new_ids:
         u, v = dig.arc(aid)
-        attach_parent[v] = aid
-    for w in sorted(attach_parent):
-        chain = []
-        v = w
-        while v in attach_parent:
-            aid = attach_parent[v]
-            chain.append(aid)
-            v = dig.arc(aid)[0]
-        for aid in chain:
-            z[aid] += 1
+        into[v] = (u, aid)
+        below.setdefault(u, []).append(v)
+    if len(into) != len(new_ids) or not into.keys().isdisjoint(core_verts):
+        raise InternalError("new arcs do not enter each new vertex once",
+                            {"new": len(new_ids), "heads": len(into)})
+    # so each new vertex is listed at most once, and one on a cycle never
+    order = [v for u in core_verts for v in below.get(u, ())]
+    for v in order:  # root-first: the list grows while it is walked
+        order += below.get(v, ())
+    if len(order) != len(into):
+        raise InternalError("new arcs do not hang below the core",
+                            {"new": len(into), "hanging": len(order)})
+    hanging: dict[int, int] = {}  # new vertices at or below each vertex
+    for v in reversed(order):
+        u, aid = into[v]
+        units = hanging.pop(v, 0) + 1
+        z[aid] += units
+        hanging[u] = hanging.get(u, 0) + units
+    for v, units in hanging.items():  # only the core's vertices are left
         if v != dig.root:
             for aid in core_paths[v]:
-                z[aid] += 1
+                z[aid] += units
     over = [aid for aid, val in z.items() if val > caps]
     if over:
         raise InternalError("completion flow exceeds capacity n-k",

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import hypothesis
 import pytest
@@ -9,6 +10,30 @@ from rootedpack.graphs import RootedDigraph, RootedGraph
 hypothesis.settings.register_profile(
     "ci", max_examples=60, deadline=None, derandomize=True)
 hypothesis.settings.load_profile("ci")
+
+
+# seconds a test may run before it fails: a search that never ends, such as
+# a parent walk around a cycle, then fails its test instead of hanging the run
+TEST_SECONDS = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail the test once it has run `TEST_SECONDS` (where SIGALRM exists)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test still running after {TEST_SECONDS} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite

@@ -375,28 +375,109 @@ def test_core_shapes_match_the_replaced_enumerator():
     assert total > 10_000 and doubled > 5_000 and anchored > 100 and attached > 5
 
 
-def test_core_search_checks_each_count_vector_once(monkeypatch):
-    """`_aggregated_feasibility` is called exactly once per count vector,
-    and on exactly the reference's non-empty root-connected vectors."""
+def cut_condition_reference(root, class_counts, verts, k):
+    """The min-cut check that `_core_shapes` ran on every full-size count
+    vector before it carried the verdicts down: whether k * in(X) >=
+    |X & V'| for every X without the root, by a root reach plus one reach
+    without each single-copy class of a breadth-first tree T above more
+    than k vertices."""
+    out = {}
+    for (u, v), m in class_counts.items():
+        if m > 0:
+            out.setdefault(u, []).append(v)
+
+    def reach(skip):
+        parent = {root: root}
+        order = [root]
+        for u in order:
+            for v in out.get(u, ()):
+                if v not in parent and (u, v) != skip:
+                    parent[v] = u
+                    order.append(v)
+        return parent
+
+    parent = reach(None)
+    if not verts <= parent.keys():
+        return False
+    below = dict.fromkeys(parent, 1)
+    for v, u in reversed(parent.items()):
+        if v != root:
+            below[u] += below[v]
+    return not any(
+        below[v] > k and class_counts[(u, v)] == 1 and len(verts - reach((u, v)).keys()) > k
+        for v, u in parent.items() if v != root)
+
+
+def entering(class_counts, cut):
+    """in(X): the copies of a count vector that enter X."""
+    return sum(m for (u, v), m in class_counts.items() if u not in cut and v in cut)
+
+
+# Two fixtures for the search of rule 2, which the random fixtures at
+# k <= 3 almost never need.  In both, vertex 1 takes its classes to 3..
+# before the search reaches those of 2, so a full-size state fails on the
+# bridge cut of (0, 1), and a child that adds a class of 2 into that cut
+# has its bridge cuts searched again.  In TWO_HUBS (k = 3) the child passes;
+# in ONE_HUB (k = 4) the cut of (0, 1) only loses vertex 3, and the child
+# still fails on it.
+TWO_HUBS = RootedDigraph(7, 0, [(0, 1), (0, 2), (0, 2),
+                                *((u, v) for u in (1, 2) for v in range(3, 7))])
+ONE_HUB = RootedDigraph(8, 0, [(0, 1), (0, 2), (0, 2), *((1, v) for v in range(3, 8)), (2, 3)])
+
+
+def test_core_search_decides_each_count_vector_once(monkeypatch):
+    """Each of the reference's non-empty root-connected vectors is decided
+    exactly once: a smaller one by `_aggregated_feasibility`, a full-size
+    one by one of the rules of `_core_shapes`, with the verdict of the cut
+    check it replaced (`cut_condition_reference`) and of the max-flow, and
+    the set a failing one carries is violated.  Each of the three rules
+    decides more than 1,000 states, and the search of rule 2 both passes
+    and refuses states."""
     calls = Counter()
+    rules = Counter()
+    refused = Counter()
+    carried = {}
+    total = 0
     feasibility = solver_flow._aggregated_feasibility
 
     def counted(dig, class_counts, verts, large, k):
-        calls[tuple(sorted((c, m) for c, m in class_counts.items() if m > 0))] += 1
+        calls[tuple(sorted(class_counts.items()))] += 1
         return feasibility(dig, class_counts, verts, large, k)
 
     monkeypatch.setattr(solver_flow, "_aggregated_feasibility", counted)
-    total = 0
-    for inst in flow_instances():
+    for inst in (*flow_instances(), ProblemInstance("flow", TWO_HUBS, 3),
+                 ProblemInstance("flow", ONE_HUB, 4)):
         g, k = cap_parallel(inst).graph, inst.k
         pool, view = candidate_pool_flow(g, k), classify_vertices_flow(g, k)
         calls.clear()
-        _core_shapes(g, k, pool, view)
+        carried.clear()
+
+        def decided(rule, class_counts, verts, cut):
+            assert len(verts) == 2 * k - 1
+            key = tuple(sorted(class_counts.items()))
+            calls[key] += 1
+            carried[key] = cut
+            rules[rule] += 1
+            refused[rule] += cut is not None
+            if cut is not None:
+                assert k * entering(class_counts, cut) < len(cut & verts)
+
+        rows = _core_shapes(g, k, pool, view, decided)
         assert set(calls.values()) <= {1}
-        assert set(calls) == {tuple(sorted(counts.items())) for _, counts
-                              in core_vectors_reference(g, k, pool, view)}
+        vectors = list(core_vectors_reference(g, k, pool, view))
+        assert set(calls) == {tuple(sorted(counts.items())) for _, counts in vectors}
         total += len(calls)
+        kept = {tuple(zip(row[0], row[1])) for row in rows}
+        for verts, counts in vectors:
+            key = tuple(sorted(counts.items()))
+            valid = aggregated_feasibility_reference(g, counts, verts, view.large, k) is not None
+            assert (key in kept) == valid
+            if len(verts) == 2 * k - 1:
+                assert cut_condition_reference(g.root, counts, verts, k) == valid
+                assert (carried[key] is None) == valid
     assert total > 20_000
+    assert min(rules[rule] for rule in ("inherited", "carried", "new-head")) > 1_000, rules
+    assert rules["searched"] > refused["searched"] > 0, (rules, refused)
 
 
 # -- the carried rows against the one pass over finished shapes --

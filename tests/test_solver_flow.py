@@ -11,6 +11,9 @@ from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel
 from rootedpack.oracles import oracle_flow
 from rootedpack.solver_flow import (
     _aggregated_feasibility,
+    _bridge_cuts,
+    _new_head_cut,
+    _routed_completion_flow,
     candidate_pool_flow,
     classify_vertices_flow,
     complete_to_spanning_flow,
@@ -161,6 +164,50 @@ def test_full_size_cores_decided_by_cut_condition_match_max_flow(k):
         assert tally["tight"] > 50 and tally["single-copy cut"] > 100, tally
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_new_head_children_read_off_the_bridge_cuts_match_max_flow(k):
+    """Rule 3 of `_core_shapes`: a root-connected vector on 2k-2 vertices
+    plus one copy of (u, h) into a new head h meets the cut condition iff
+    none of the vector's bridge cuts of at least k vertices has more than k
+    or contains u.  Each drawn vector is a random tree over the root and V'
+    plus up to 2k-2 random classes, each class of 1 or 2 copies, and every
+    tail u in the root and V' is tried; the verdict must match the
+    aggregated network solved by max-flow, and a refused child's set must
+    be violated."""
+    rng = random.Random(9000 + k)
+    size = 2 * k - 2
+    tally = {"feasible": 0, "larger cut": 0, "tail in cut": 0}
+    for _ in range(300):
+        n = size + 2 + rng.randint(0, 2)
+        order = rng.sample(range(1, n), size + 1)
+        head, order = order[-1], order[:-1]
+        verts = frozenset(order)
+        counts = {}
+        for i, v in enumerate(order):
+            counts[(rng.choice([0, *order[:i]]), v)] = rng.choice((1, 1, 2))
+        for _ in range(rng.randint(0, size)):
+            u, v = rng.choice([0, *order]), rng.choice(order)
+            if u != v:
+                counts[(u, v)] = rng.choice((1, 1, 2))
+        cuts = _bridge_cuts(0, counts, verts, k)
+        assert cuts is not None and all(len(cut) >= k for cut in cuts)
+        for tail in (0, *order):
+            child = {**counts, (tail, head): 1}
+            dig = RootedDigraph(n, 0, [cls for cls, m in child.items() for _ in range(m)])
+            want = aggregated_feasibility_reference(dig, child, verts | {head}, frozenset(), k)
+            cut = _new_head_cut(cuts, tail, head, k)
+            assert (cut is None) == (want is not None), (k, counts, tail)
+            if cut is None:
+                tally["feasible"] += 1
+                continue
+            entering = sum(m for (u, v), m in child.items() if u not in cut and v in cut)
+            assert k * entering < len(cut)
+            tally["tail in cut" if head in cut else "larger cut"] += 1
+    assert tally["feasible"] >= 300, tally
+    if k > 1:  # a cut of more than k of the 2k-2 vertices needs k >= 3
+        assert tally["tail in cut"] > 50 and (k < 3 or tally["larger cut"] > 20), tally
+
+
 def test_enumerate_cores_k1_per_copy():
     d = RootedDigraph(3, 0, [(0, 1), (0, 1), (0, 2)])
     cores = list(enumerate_compact_cores(d, 1))
@@ -261,6 +308,29 @@ def test_complete_flow_caps_respected(rng):
         caps = d.n - 2
         for tag in ("flow1", "flow2"):
             assert all(val <= caps for _, val in report.witness[tag])
+
+
+def test_routed_completion_flow_reads_each_new_arc_once():
+    """On a doubled chain at k = 1, the core one copy of (0, 1) and every
+    later vertex hung from the one before it: the routed flow puts on each
+    arc the vertices at or below its head, and reads each arc of the
+    completion once, so its work grows linearly in n (walking every new
+    vertex's whole attachment chain read about n^2/2 arcs)."""
+    extra = set()
+    for n in (50, 100, 200, 400):
+        dig = RootedDigraph(n, 0, [(i, i + 1) for i in range(n - 1) for _ in range(2)])
+        reads = []
+        arc = dig.arc
+
+        def counted(aid, arc=arc, reads=reads):
+            reads.append(aid)
+            return arc(aid)
+
+        dig.arc = counted
+        flow = _routed_completion_flow(dig, 1, frozenset({0}), frozenset(range(0, 2 * n - 2, 2)))
+        assert flow.values == {2 * i: n - 1 - i for i in range(n - 1)}
+        extra.add(len(reads) - (n - 2))  # one read per new arc, plus the core's
+    assert len(extra) == 1 and extra.pop() < 10
 
 
 def test_solve_flow_gate():
