@@ -6,8 +6,10 @@ computed as integral max-flows with one unit of capacity per parallel copy.
 
 Root reach is asked of `graphs.ResidualReach`, whose docstring states the
 replacement step and the arborescence rule behind every answer here: the
-digraph's own engine decides the gate's k=1 check and extendability, and
-`critical_arcs`, behind the k=2 gate, builds one for its removal set.
+digraph's own engine decides the gate's k=1 check and extendability, a
+fresh engine for one removed copy reads off the vertices a failing k=2 gate
+cuts off, and `critical_arcs`, behind the k=2 gate, builds its own engine
+for its removal set, so its arborescence is breadth-first.
 """
 
 from __future__ import annotations

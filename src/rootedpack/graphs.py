@@ -3,15 +3,16 @@
 Rooted digraphs and rooted graphs are one rooted multigraph core: one id per
 parallel copy, ids surviving sub-selection and arc-capping, so witnesses
 always refer to the original instance.  The two kinds differ only in their
-adjacency index and in whether a class (u, v) is ordered.  Reachability only
-depends on which parallel classes keep a surviving copy, so it is answered
-at class level: whole-graph reach through bitmask adjacency by one search,
-`reach`, which clears the emptied classes' bits for that search only, and
-whether removals keep a digraph root-connected by repairing one kept
-arborescence.  `ResidualReach`, the one root-reach engine, does both and
-states why the repair is exact.  Each graph keeps one with nothing removed
-behind its own queries; `connectivity` and `fptcommon` build theirs for
-growing removal sets.
+adjacency index (per-vertex tables of (neighbour, ids) classes: out and in
+for a digraph, incident for a graph) and in whether a class (u, v) is
+ordered.  Reachability only depends on which parallel classes keep a
+surviving copy, so it is answered at class level by `ResidualReach`, the
+one root-reach engine: one walk of the class tables builds a breadth-first
+arborescence, and replacement steps keep it across removals and decide
+whether removals keep a digraph root-connected.  Its docstring states why
+they are exact.  Each graph keeps one engine with nothing removed behind
+its own queries; `connectivity` and `fptcommon` build theirs for growing
+removal sets.
 """
 
 from __future__ import annotations
@@ -35,12 +36,9 @@ MAX_COPIES = 1_000_000
 
 # Most vertices an instance may have.  A root-connected instance has at least
 # n - 1 copies, so no instance with more vertices can be root-connected.
-# This does not bound memory at the limit: each vertex's neighbour mask is
-# an integer as wide as its highest neighbour's index, so the masks of a
-# long path take Theta(n^2) bytes.  A path `RootedDigraph` holds 168 MB of
-# masks at 50,000 vertices and 669 MB at 100,000.  The kept root-reach
-# engine adds no second copy: `masks()` copies the list, not the integers,
-# S stays empty, and each search puts back the very entries it clears.
+# Memory stays linear in vertices plus copies at the limit: the class
+# tables hold one slot per vertex and one entry per class end, and a
+# root-reach engine one parent entry per vertex its arborescence reaches.
 MAX_VERTICES = MAX_COPIES + 1
 
 
@@ -54,46 +52,20 @@ def _check_vertices(n: int, root: int, line: int | None = None) -> None:
         raise ParseError(f"root {root} out of range for n={n}", line)
 
 
-def reach(masks: list[int], root: int, cleared: Sequence[tuple[int, int]] = ()) -> int:
-    """Bitmask of the vertices reachable from `root`, given each vertex's
-    neighbour mask.
-
-    Bit v of `masks[u]` is cleared for each (u, v) of `cleared`, in place,
-    and restored before returning, so pass a copy no one else reads.
-    """
-    saved = [(u, masks[u]) for u, _ in cleared]
-    for u, v in cleared:
-        masks[u] &= ~(1 << v)
-    try:
-        seen = 1 << root
-        frontier = seen
-        while frontier:
-            nxt = 0
-            v = frontier
-            while v:
-                low = v & -v
-                nxt |= masks[low.bit_length() - 1]
-                v ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-    finally:
-        for u, mask in reversed(saved):
-            masks[u] = mask
-    return seen
-
-
 # Parent changes on an engine's arborescence T, by vertex (see `ResidualReach`)
 Overlay = dict[int, int]
 
 
 class ResidualReach:
-    """The one root-reach engine: D minus a growing copy set S, with a
-    breadth-first r-arborescence T of D - S.
+    """The one root-reach engine: D minus a growing copy set S, with an
+    r-arborescence T of D - S as a parent map.
 
-    It keeps the class-level neighbour masks of D - S, clearing a class's
-    bits when S takes its last copy, and builds T from them, expanding
-    vertices in breadth-first order and each one's new heads ascending.
-    `seen` masks the vertices T reaches; `spanning` says if that is all.
+    `_left` counts the surviving copies of each class S touches, so S has
+    emptied exactly the classes it maps to 0.  T starts as one walk of the
+    graph's class tables: the root first, then vertices in breadth-first
+    order, each one's new heads ascending, skipping S's emptied classes.
+    `spanning` says whether T reaches every vertex; `mask()` gives the
+    vertices it reaches.
 
     Removing whole classes X is answered by the replacement step of Even
     and Shiloach's decremental tree ("An on-line edge-deletion problem",
@@ -115,24 +87,31 @@ class ResidualReach:
       H - c is not root-connected.
     So D - S - X is root-connected iff no step of a fold over X fails, as H
     only shrinks, and a step searches only when its class cuts the map,
-    visiting only vertices below v.
+    visiting only vertices below v.  None of this needs T to be
+    breadth-first: it holds for any spanning r-arborescence of D - S.
 
     `spans_without(classes)` folds `step` over the classes from the empty
     overlay, T itself (`overlay()`), and the shape searches fold it down
     their stacks.  `keeps_root_connected(aid)` is its one-class case: only
-    the last copy of a class on T can cut T.  `remove(aid)` adds aid to S
-    and rebuilds T only when that empties a T-arc.
+    the last copy of a class on T can cut T.  `remove(aid)` adds aid to S;
+    when that empties a T-arc, it repairs T in place with that same step's
+    overlay, and walks the class tables again only when the step finds
+    D - S no longer root-connected.  So T stops being breadth-first after
+    a repair, which no answer depends on; `critical_arcs` builds its own
+    engine for each removal set anyway.
 
-    S, `step` and `keeps_root_connected` serve digraphs only.  The engine
-    holds the root, n, its own masks and the graph's class tables, not the
-    graph, so a graph and its kept engine form no reference cycle.
+    `step`, `keeps_root_connected` and the repair serve digraphs only; a
+    graph's engine may start from a set S, and walks its tables again on a
+    later removal that empties a tree edge.  The engine holds the root, n,
+    S and the graph's class tables, not the graph, so a graph and its kept
+    engine form no reference cycle.
     """
 
     def __init__(self, g: _RootedMultigraph, removed: Iterable[int] = ()):
         self.root, self.n = g.root, g.n
         self._ends, self._by_class, self._directed = g._ends, g._by_class, g._directed
+        self._out_classes = g._out_classes if g._directed else g._incident_classes
         self._in_classes = g._in_classes if g._directed else ()
-        self._masks = g.masks()
         self.removed: set[int] = set()
         self._left: dict[tuple[int, int], int] = {}  # survivors of the classes S touches
         self.parent: dict[int, int] = {}
@@ -147,41 +126,34 @@ class ResidualReach:
         self.removed.add(aid)
         u, v = c = self._ends[aid]
         left = self._left[c] = self._surviving(c) - 1
-        if left:
-            return False
-        self._masks[u] &= ~(1 << v)
-        return self.parent.get(v) == u
+        parent = self.parent
+        return not left and (parent.get(v) == u or not self._directed and parent.get(u) == v)
 
     def _surviving(self, c: tuple[int, int]) -> int:
         """Copies of class c that are not in S."""
         return self._left.get(c, len(self._by_class[c]))
 
     def _rebuild(self) -> None:
-        masks = self._masks
+        root, left, ordered = self.root, self._left, self._directed
         parent: dict[int, int] = {}
-        seen = 1 << self.root
-        order = [self.root]
+        order = [root]
         for u in order:
-            fresh = masks[u] & ~seen
-            seen |= fresh
-            while fresh:
-                low = fresh & -fresh
-                v = low.bit_length() - 1
+            for v, _ in self._out_classes[u]:
+                if v in parent or v == root:
+                    continue
+                if left and left.get((u, v) if ordered or u < v else (v, u)) == 0:
+                    continue
                 parent[v] = u
                 order.append(v)
-                fresh ^= low
         self.parent = parent
-        self.seen = seen
         self.spanning = len(parent) == self.n - 1
 
-    def reach_mask(self, classes: Sequence[tuple[int, int]] = ()) -> int:
-        """Mask of the vertices reachable from the root in D - S without
-        every copy of each class in `classes`."""
-        if not classes:
-            return self.seen
-        if not self._directed:
-            classes = [*classes, *((v, u) for u, v in classes)]
-        return reach(self._masks, self.root, classes)
+    def mask(self) -> int:
+        """Bitmask of the vertices T reaches, which are those D - S reaches."""
+        cells = bytearray((self.n + 7) // 8)
+        for v in (self.root, *self.parent):
+            cells[v >> 3] |= 1 << (v & 7)
+        return int.from_bytes(cells, "little")
 
     def overlay(self) -> Optional[Overlay]:
         """The empty overlay, T itself, or None when D - S is not
@@ -196,15 +168,14 @@ class ResidualReach:
         parent = self.parent
         if overlay.get(v, parent.get(v)) != u:
             return overlay
-        root, in_classes = self.root, self._in_classes
-        masks = self._masks if self.removed else None  # S's emptied classes
+        root, in_classes, left = self.root, self._in_classes, self._left
         inside = {v}  # vertices known to hang below v
         into = {v: v}  # each visited vertex -> the visited one it enters
         queue = [v]
         for x in queue:
             for w, _ in in_classes[x]:
                 if (w in into or (w == u and x == v) or (w, x) in emptied
-                        or (masks is not None and not masks[w] >> x & 1)):
+                        or (left and left.get((w, x)) == 0)):
                     continue
                 walk = []
                 y = w
@@ -243,8 +214,15 @@ class ResidualReach:
         return self._surviving(c) > 1 or self.step({}, (), c) is not None
 
     def remove(self, aid: int) -> None:
-        if self._drop(aid):
+        """Add aid to S, keeping T an r-arborescence of D - S that spans it
+        while it stays root-connected."""
+        if not self._drop(aid):
+            return
+        hung = self.step({}, (), self._ends[aid]) if self._directed and self.spanning else None
+        if hung is None:
             self._rebuild()
+        else:
+            self.parent.update(hung)
 
 
 def _table(n: int, entries: Iterable[tuple[int, object]]) -> list[tuple]:
@@ -309,7 +287,9 @@ class _RootedMultigraph:
     Copies are (u, v, id) triples, or (u, v) pairs that take the next free
     id; ids are arbitrary distinct non-negative integers (dense when built by
     the parser).  A subclass sets `_directed`, `_noun` and `_selection`,
-    and builds `_masks` and its adjacency index in `_index(classes)`.
+    and builds its class tables in `_index(classes)`: per vertex, the
+    (neighbour, ids) classes, neighbours ascending.  They are the only
+    adjacency; root reach walks them through `ResidualReach`.
     """
 
     _directed: bool
@@ -381,11 +361,6 @@ class _RootedMultigraph:
 
     # -- reachability ----------------------------------------------------
 
-    def masks(self) -> list[int]:
-        """A fresh copy of the neighbour masks: bit v of entry u when some
-        copy joins u to v."""
-        return list(self._masks)
-
     def _emptied(self, removed: Iterable[int]) -> list[tuple[int, int]]:
         """The classes that lose every copy when `removed` goes."""
         gone: dict[tuple[int, int], int] = {}
@@ -402,12 +377,11 @@ class _RootedMultigraph:
         return self._engine
 
     def reach_mask(self, removed: Iterable[int] = ()) -> int:
-        """Bitmask of vertices reachable from the root after removing copies.
-
-        Reachability only depends on how many copies of each class survive,
-        so only the classes that lose every copy are cleared.
-        """
-        return self._reach().reach_mask(self._emptied(removed))
+        """Bitmask of vertices reachable from the root after removing copies,
+        read off the arborescence of the kept engine, or of an engine whose
+        S is `removed`, in time linear in n plus the copies."""
+        removed = set(removed)
+        return (ResidualReach(self, removed) if removed else self._reach()).mask()
 
     # -- construction helpers ---------------------------------------------
 
@@ -438,10 +412,6 @@ class RootedDigraph(_RootedMultigraph):
     reach_mask = _RootedMultigraph.reach_mask
 
     def _index(self, classes):
-        masks = [0] * self.n
-        for (u, v), _ in classes:
-            masks[u] |= 1 << v
-        self._masks = masks
         self._out_classes = _table(self.n, ((u, (v, ids)) for (u, v), ids in classes))
         self._in_classes = _table(self.n, ((v, (u, ids)) for (u, v), ids in classes))
 
@@ -468,13 +438,9 @@ class RootedDigraph(_RootedMultigraph):
             if u not in inside
         )
 
-    def spans_without_classes(self, classes: Sequence[tuple[int, int]]) -> bool:
-        """Whether D stays root-connected without the classes `classes`."""
-        return self._reach().spans_without(classes)
-
     def is_root_connected_without(self, removed: Iterable[int] = ()) -> bool:
         """Whether D stays root-connected without the copies `removed`."""
-        return self.spans_without_classes(self._emptied(removed))
+        return self._reach().spans_without(self._emptied(removed))
 
     def unreachable_set(self, removed: Iterable[int] = ()) -> frozenset[int]:
         """The vertices not reachable from the root after removing copies.
@@ -507,11 +473,6 @@ class RootedGraph(_RootedMultigraph):
     reach_mask = _RootedMultigraph.reach_mask
 
     def _index(self, classes):
-        masks = [0] * self.n
-        for (u, v), _ in classes:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        self._masks = masks
         # in sorted class order each vertex meets its smaller neighbours
         # first, so every incidence tuple comes out ascending
         self._incident_classes = _table(self.n, (

@@ -225,7 +225,7 @@ def plain_reach(g, removed) -> set[int]:
 
 
 def spans_agree(g, removed) -> bool:
-    """The early-stopping check of a digraph, and the full reach mask of
+    """The replacement-step check of a digraph, and the full reach mask of
     either kind, against `plain_reach`; returns the verdict."""
     want = len(plain_reach(g, set(removed))) == g.n
     if isinstance(g, RootedDigraph):
@@ -305,7 +305,7 @@ def probe_agrees(g, rows) -> list[bool]:
     verdicts = [g.is_root_connected_without(lowest_copies(g, counts)) for counts, _ in shapes]
     kept = [row for row in rows if row[6]]
     expanded, ref_kept, uses, limits = shape_masks_reference(
-        shapes, g.class_ids, g.spans_without_classes)
+        shapes, g.class_ids, g._reach().spans_without)
     every, unprobed, all_uses, all_limits = shape_masks_reference(shapes, g.class_ids)
     index = [i for i, ok in enumerate(verdicts) if ok]
     assert sum(row[3] for row in rows) == expanded == every == expanded_reference(
@@ -344,7 +344,7 @@ def test_one_pass_probe_matches_is_root_connected_without_on_random_digraphs(rng
                   random_digraph(rng, max_n=9, max_mult=2)):
             g = cap_parallel(ProblemInstance(kind="arb", graph=d, k=1)).graph
             rows = table_rows(random_class_shapes(rng, g, 30), g.class_ids,
-                              g.spans_without_classes)
+                              g._reach().spans_without)
             for ok in probe_agrees(g, rows):
                 verdicts[ok] += 1
     assert min(verdicts.values()) > 500
@@ -365,10 +365,28 @@ def test_unreachable_set_at_scale():
     missing mask once."""
     n = 200_000
     assert RootedDigraph(n, 0, []).unreachable_set() == frozenset(range(1, n))
-    n = 20_000  # the reach search itself takes O(n^2/64) on a star
+    n = 20_000  # the class-table walk and the mask it fills are linear in n
     star = RootedDigraph(n, 0, [(0, v) for v in range(1, n - 1)])
     assert star.unreachable_set() == {n - 1}
     assert star.unreachable_set([0]) == {1, n - 1}
+
+
+def test_root_reach_memory_is_linear_on_long_paths():
+    """Building a doubled path, its `unreachable_set()` and a probe take
+    memory linear in n: doubling n at most about doubles the traced peak
+    (per-vertex neighbour bitmasks, as wide as a vertex's highest
+    neighbour, made it 2.8 times)."""
+    def peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            d = RootedDigraph(n, 0, [(v, v + 1) for v in range(n - 1)] * 2)
+            assert d.unreachable_set() == frozenset()
+            assert d.is_root_connected_without([0])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20_000) / peak(10_000) < 2.4
 
 
 def test_cap_parallel_idempotent(rng):

@@ -1,7 +1,8 @@
 """Differential tests for `graphs.ResidualReach`: its query on D - S - X,
 answered by replacement steps on one kept arborescence, against a plain
 search, on random digraphs, on digraphs whose two cut subtrees can only
-hang off each other, and on every row of the shape-search fixtures; and,
+hang off each other, and on every row of the shape-search fixtures; the
+arborescence that `remove` repairs, against an engine built afresh; and,
 at scale (n = 20..200), the spanning-arborescence rule behind the k=2
 gate, `critical_arcs` and the directed completion.
 
@@ -18,11 +19,10 @@ from collections import Counter
 
 import pytest
 
-from rootedpack import graphs
 from rootedpack.connectivity import CutWitness, critical_arcs, is_k_root_connected
 from rootedpack.errors import ContractError
 from rootedpack.fptcommon import DirectedState, complete_directed_pair, pair_states
-from rootedpack.graphs import ResidualReach, RootedDigraph, reach
+from rootedpack.graphs import ResidualReach, RootedDigraph, RootedGraph
 
 from conftest import random_digraph, spanning_digraph
 from test_graphs import plain_reach, probe_shapes
@@ -118,7 +118,7 @@ def hang_off_each_other(d, engine, x) -> bool:
     each entered from the other by a class of D - S - x: removing either
     class alone can hang its subtree off the other one."""
     def enters(src, dst):
-        return any(w in src and (w, y) not in x and engine._masks[w] >> y & 1
+        return any(w in src and (w, y) not in x and engine._left.get((w, y)) != 0
                    for y in dst for w, _ in d.in_classes(y))
 
     cut = [below(engine.parent, v) for u, v in x if engine.parent.get(v) == u]
@@ -127,8 +127,9 @@ def hang_off_each_other(d, engine, x) -> bool:
 
 
 def test_spans_without_matches_a_plain_search_of_d_minus_s_minus_x():
-    """`ResidualReach(d, S).spans_without(X)` and `reach_mask(X)` on random
-    digraphs with classes of 1 to 3 copies.  S is empty or random, and may
+    """`ResidualReach(d, S).spans_without(X)`, and the `mask()` of engines
+    for S and for S plus every copy of X, on random digraphs with classes
+    of 1 to 3 copies.  S is empty or random, and may
     disconnect D already; X holds 1 to 3 classes, may disconnect D - S, may
     empty no T-arc, may disconnect D - S only through a class after its
     first, and may cut two subtrees that could hang off each other."""
@@ -146,12 +147,13 @@ def test_spans_without_matches_a_plain_search_of_d_minus_s_minus_x():
             full = (1 << d.n) - 1
             spans = plain_reach_mask(d, removed, ()) == full
             assert engine.spanning == spans
-            assert engine.reach_mask() == plain_reach_mask(d, removed, ())
+            assert engine.mask() == plain_reach_mask(d, removed, ())
             for _ in range(4):
                 x = rng.sample(classes, rng.randint(1, min(3, len(classes)))) if classes else []
                 want = plain_reach_mask(d, removed, x)
                 assert engine.spans_without(x) == (want == full), (d, sorted(removed), x)
-                assert engine.reach_mask(x) == want
+                gone = removed.union(*(d.class_ids(*c) for c in x))
+                assert ResidualReach(d, gone).mask() == want
                 t_arcs = any(engine.parent.get(v) == u for u, v in x)
                 seen["s-disconnects", t_arcs] += not spans
                 seen["x-disconnects"] += spans and want != full
@@ -229,7 +231,7 @@ def test_spans_without_matches_a_plain_search_on_fixture_rows():
         for row in rows:
             x = row_emptied(row, d.class_ids)
             want = plain_reach_mask(d, (), x) == full
-            assert row[6] is want and d.spans_without_classes(x) is want
+            assert row[6] is want and d._reach().spans_without(x) is want
             assert engine.spans_without(x) is (plain_reach_mask(d, removed, x) == full)
             seen[want] += 1
             seen["s-empties"] += len(d._emptied(removed)) > 0
@@ -250,20 +252,21 @@ def test_a_graph_with_a_kept_engine_is_freed_by_reference_counting():
         gc.enable()
 
 
-def test_the_kept_engine_shares_the_graph_mask_integers():
-    """The kept engine (S empty) copies the mask list, not its integers, and
-    its searches restore every cleared entry to the same object, so a graph
-    never holds a second copy of its masks.  Wide masks (n = 300) are not
-    cached small ints, so `is` tells a shared entry from an equal copy."""
+def test_the_kept_engine_holds_the_graph_class_tables():
+    """The kept engine (S empty) reads the graph's own class tables, so a
+    graph holds one adjacency and its engine adds one parent entry per
+    vertex; its queries leave S empty."""
     n = 300
     d = RootedDigraph(n, 0, [(v, v + 1) for v in range(n - 1)] * 2)
-    assert not d.spans_without_classes([(5, 6)]) and d.spans_without_classes([])
+    assert not d._reach().spans_without([(5, 6)]) and d._reach().spans_without([])
     assert d.is_root_connected_without(d.class_ids(5, 6)[:1])
     assert d.reach_mask(d.class_ids(150, 151)) == (1 << 151) - 1
     engine = d._reach()
-    assert len(engine._masks) == n
-    assert all(mine is theirs for mine, theirs in zip(engine._masks, d._masks))
-
+    assert engine._out_classes is d._out_classes and engine._in_classes is d._in_classes
+    assert engine._by_class is d._by_class and engine._ends is d._ends
+    assert len(engine.parent) == n - 1 and not engine.removed and not engine._left
+    g = RootedGraph(n, 0, [(v, v + 1) for v in range(n - 1)])
+    assert g.is_connected() and g._reach()._out_classes is g._incident_classes
 
 def scale_digraphs(seed: int, count: int):
     """Seeded digraphs with n = 20..200, from sparse (many critical arcs) to
@@ -304,19 +307,19 @@ def test_critical_arcs_match_per_arc_recheck_at_scale():
 
 
 def test_residual_reach_matches_recheck_along_removals(monkeypatch):
-    # every copy is judged after each removal, so a stale arborescence
-    # (one not rebuilt after its arc went) or stale residual masks would
-    # show; half of the reaches start from a removal set, and each sequence
-    # goes on past the last admissible removal, where nothing is admitted;
-    # the references ask the digraph's own engine, so only the searches
-    # and steps of the tested engine count
-    searches, steps = [], []
+    # every copy is judged after each removal, so a stale arborescence (one
+    # not repaired after its arc went) or a stale S would show; half of the
+    # reaches start from a removal set, and each sequence goes on past the
+    # last admissible removal, where nothing is admitted; the references
+    # ask the digraph's own engine, so only the walks and steps of the
+    # tested engine count
+    walks, steps = [], []
     reach_ = None
 
-    def counted(masks, *args):
-        if reach_ is not None and masks is reach_._masks:
-            searches.append(args)
-        return reach(masks, *args)
+    def walked(self):
+        rebuild(self)
+        if self is reach_:
+            walks.append(self.spanning)
 
     def stepped(self, overlay, emptied, c):
         result = step(self, overlay, emptied, c)
@@ -324,11 +327,11 @@ def test_residual_reach_matches_recheck_along_removals(monkeypatch):
             steps.append((overlay, emptied, self.parent.get(c[1]) == c[0], result is overlay))
         return result
 
-    step = ResidualReach.step
-    monkeypatch.setattr(graphs, "reach", counted)
+    rebuild, step = ResidualReach._rebuild, ResidualReach.step
+    monkeypatch.setattr(ResidualReach, "_rebuild", walked)
     monkeypatch.setattr(ResidualReach, "step", stepped)
     rng = random.Random(34)
-    rebuilt = started = disconnected = 0
+    repaired = started = disconnected = 0
     for _ in range(15):
         n = rng.randint(12, 30)
         d = spanning_digraph(rng, n, extra=rng.randint(n, 2 * n))
@@ -339,6 +342,7 @@ def test_residual_reach_matches_recheck_along_removals(monkeypatch):
                     removed.add(aid)
             started += bool(removed)
         reach_ = ResidualReach(d, removed)
+        walks.clear()
         tail = 3
         while tail:
             admitted = []
@@ -354,29 +358,112 @@ def test_residual_reach_matches_recheck_along_removals(monkeypatch):
                 if not admitted:
                     break
             aid = rng.choice(admitted)
-            before = reach_.parent
+            before = dict(reach_.parent)
             reach_.remove(aid)
             removed.add(aid)
-            rebuilt += reach_.parent is not before
-    # each recheck of a last copy is one replacement step on T itself, which
-    # keeps T with no search unless the copy's class is a T-arc; no forward
-    # search runs
-    assert not searches
+            repaired += not walks and reach_.parent != before
+        # T is walked again only once D - S has lost root-connectivity
+        assert not any(walks), walks
+    # each recheck of a last copy, and each repair, is one replacement step
+    # on T itself, which keeps T with no search unless the copy's class is
+    # a T-arc
     assert all(overlay == {} and emptied == () and on_t is not kept
                for overlay, emptied, on_t, kept in steps)
     assert {on_t for *_, on_t, _ in steps} == {True, False}
-    assert rebuilt and started and disconnected
+    assert repaired and started and disconnected
 
 
-def test_searches_leave_the_graph_masks_unchanged():
-    """`critical_arcs`, growth and completion search cleared copies of the
-    mask table, and so does the probe; the graph's own table, its kept
-    engine's copy and its reach stay as they were."""
+def is_spanning_arborescence(d: RootedDigraph, parent, removed) -> bool:
+    """Whether `parent` is a spanning r-arborescence of D - removed: one
+    parent per non-root vertex, over a class with a copy not in `removed`,
+    and a root-first walk of its children reaching every vertex."""
+    children = {}
+    for v, u in parent.items():
+        if v == d.root or all(aid in removed for aid in d.class_ids(u, v)):
+            return False
+        children.setdefault(u, []).append(v)
+    order = [d.root]
+    for u in order:
+        order.extend(children.get(u, ()))
+    return len(parent) == d.n - 1 and len(order) == d.n
+
+
+def two_way_path(rng: random.Random, n: int) -> RootedDigraph:
+    """A path through the non-root vertices in random order, with arcs both
+    ways of 1 or 2 copies, entered from the root at 2 to 4 of its vertices,
+    plus a few random arcs: cutting a path arc re-hangs a stretch of the
+    path off another root entry."""
+    line = list(range(1, n))
+    rng.shuffle(line)
+    arcs = [(0, v) for v in rng.sample(line, min(len(line), rng.randint(2, 4)))]
+    for u, v in zip(line, line[1:]):
+        arcs.extend([(u, v)] * rng.randint(1, 2))
+        arcs.extend([(v, u)] * rng.randint(1, 2))
+    for _ in range(rng.randint(0, n // 3)):
+        u, v = rng.randrange(n), rng.randrange(1, n)
+        if u != v:
+            arcs.append((u, v))
+    return RootedDigraph(n, 0, arcs)
+
+
+def test_repaired_arborescence_stays_exact(monkeypatch):
+    """Admissible removal sequences on random digraphs, mostly of a copy of
+    a T-arc: after every `remove`, T is a spanning r-arborescence of D - S
+    over surviving classes, and every `keeps_root_connected` verdict equals
+    that of an engine built afresh for S.  Many repairs re-hang paths of
+    two or more vertices, and none walks the class tables again."""
+    walks = []
+
+    def walked(self):
+        walks.append(self)
+        rebuild(self)
+
+    rebuild = ResidualReach._rebuild
+    monkeypatch.setattr(ResidualReach, "_rebuild", walked)
+    rng = random.Random(39)
+    rehung = Counter()
+    for i in range(120):
+        n = rng.randint(8, 30)
+        d = (two_way_path(rng, n) if i % 2 else
+             spanning_digraph(rng, n, extra=rng.randint(n, 3 * n), max_mult=rng.randint(1, 2)))
+        engine = ResidualReach(d)
+        removed = set()
+        misses = 0
+        while misses < 10:
+            if rng.random() < 0.8:
+                v = rng.choice(sorted(engine.parent))
+                aid = rng.choice(d.class_ids(engine.parent[v], v))
+            else:
+                aid = rng.choice(sorted(d.arc_ids))
+            if aid in removed or len(plain_reach(d, removed | {aid})) < d.n:
+                misses += 1
+                continue
+            before = dict(engine.parent)
+            walks.clear()
+            engine.remove(aid)
+            removed.add(aid)
+            assert not walks
+            assert is_spanning_arborescence(d, engine.parent, removed)
+            fresh = ResidualReach(d, removed)
+            assert all(engine.keeps_root_connected(x) == fresh.keeps_root_connected(x)
+                       for x in d.arc_ids)
+            moved = sum(engine.parent[v] != u for v, u in before.items())
+            rehung[min(moved, 2)] += 1
+    assert min(rehung[0], rehung[1], rehung[2]) > 100, rehung
+
+
+def test_searches_leave_the_kept_engine_unchanged():
+    """Probes, the gate, `critical_arcs`, growth and completion build their
+    own engines for removal sets; the graph's class tables, its kept
+    engine's T and S, and its reach stay as they were."""
     rng = random.Random(35)
     grown = completed = 0
     for _ in range(4):
         d, kernels, ids_of, extendable, grow, _ = _arb(rng)
-        table, full = d.masks(), d.reach_mask()
+        tables = (d._out_classes, d._in_classes)
+        copies = [list(table) for table in tables]
+        engine = d._reach()
+        parent, full = dict(engine.parent), d.reach_mask()
         for pair in _pairs(rng, d, kernels, ids_of, 6):
             for side in pair:
                 if d.is_root_connected_without(ids_of(side)):
@@ -392,7 +479,10 @@ def test_searches_leave_the_graph_masks_unchanged():
             complete_directed_pair(d, states, counters)
             completed += counters.get("completionSteps", 0)
         is_k_root_connected(d, 2)
-        assert d.masks() == table and d._reach()._masks == table
+        assert d._out_classes is tables[0] and d._in_classes is tables[1]
+        assert [list(table) for table in tables] == copies
+        assert d._reach() is engine and engine.parent == parent
+        assert not engine.removed and not engine._left
         assert d.reach_mask() == full
     assert grown and completed
 

@@ -506,17 +506,17 @@ def assert_rows_match_reference(g, rows, probe):
 
 def test_carried_rows_match_shape_masks_on_fixtures():
     """Every row of the fixtures: the kernel (arb) and core (flow) rows
-    carry `spans_without_classes` of the classes they empty, and the
+    carry `spans_without` of the classes they empty, and the
     certificate rows (tree, no step) are all marked extendable."""
     taken = {kind: Counter() for kind in ("arb", "flow", "tree")}
     for kind in ("arb", "tree"):
         for inst, k in instances(kind):
             g = inst.graph
-            probe = g.spans_without_classes if kind == "arb" else None
+            probe = g._reach().spans_without if kind == "arb" else None
             taken[kind] += assert_rows_match_reference(g, tree_rows(kind, g, k), probe)
     for inst in flow_instances():
         g, k = cap_parallel(inst).graph, inst.k
-        taken["flow"] += assert_rows_match_reference(g, core_rows(g, k), g.spans_without_classes)
+        taken["flow"] += assert_rows_match_reference(g, core_rows(g, k), g._reach().spans_without)
     # flow classes of 2 and 3 copies, taken once and twice
     assert min(taken["flow"][pair] for pair in ((2, 1), (2, 2), (3, 1), (3, 2))) > 100
     assert min(taken[kind]["extendable", ok] for kind in ("arb", "flow") for ok in (True, False)
@@ -538,10 +538,10 @@ def test_carried_rows_match_shape_masks_on_random_graphs():
             g = cap_parallel(ProblemInstance(kind=kind, graph=graph, k=k)).graph
             if kind == "flow":
                 rows = core_rows(g, k)
-                taken += assert_rows_match_reference(g, rows, g.spans_without_classes)
+                taken += assert_rows_match_reference(g, rows, g._reach().spans_without)
             else:
                 rows = tree_rows(kind, g, k)
-                probe = g.spans_without_classes if kind == "arb" else None
+                probe = g._reach().spans_without if kind == "arb" else None
                 assert_rows_match_reference(g, rows, probe)
             rows_seen[kind] += len(rows)
     assert min(rows_seen.values()) > 100
