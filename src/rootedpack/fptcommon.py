@@ -6,7 +6,8 @@ depth-bounded candidate pools, the one compact-structure record
 attachment) and the one expansion of shapes into its copy choices
 (`expand_shapes`), the growth loop (compact -> classic) with each kind's
 admissibility test, and the greedy directed completion.  The undirected
-solver's completion is exact via matroid union instead.
+solver's completion is exact instead: it returns the matroid union that
+accepted the pair, held in `solver_tree`'s oracle, and runs none of its own.
 
 A structure "shape" is a parallel-class-level description; reachability after
 removing a shape's arcs depends only on which classes it empties, so

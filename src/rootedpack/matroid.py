@@ -270,11 +270,6 @@ class TreeMapping:
         return self.mapping[eid]
 
 
-def _check_subtree_inputs(g: RootedGraph, x1: EdgeSelection, x2: EdgeSelection) -> None:
-    if x1.ids & x2.ids:
-        raise ContractError("subtrees must be edge-disjoint")
-
-
 def max_forest_pair(
     g: RootedGraph,
     forced1: Iterable[int],
@@ -293,16 +288,15 @@ def max_forest_pair(
 
 def is_completable_pair(g: RootedGraph, x1: EdgeSelection, x2: EdgeSelection) -> bool:
     """Do edge-disjoint spanning trees T1 >= X1, T2 >= X2 exist?"""
-    _check_subtree_inputs(g, x1, x2)
-    t1, t2 = max_forest_pair(g, x1.ids, x2.ids)
-    return len(t1) == g.n - 1 and len(t2) == g.n - 1
+    return find_disjoint_bases(g, x1, x2) is not None
 
 
 def find_disjoint_bases(
     g: RootedGraph, x1: EdgeSelection, x2: EdgeSelection
 ) -> Optional[tuple[EdgeSelection, EdgeSelection]]:
-    """The completion witness: two disjoint spanning trees containing X1, X2."""
-    _check_subtree_inputs(g, x1, x2)
+    """The completion witness: two disjoint spanning trees containing X1, X2.
+
+    Overlapping selections are a `ContractError`."""
     t1, t2 = max_forest_pair(g, x1.ids, x2.ids)
     if len(t1) != g.n - 1 or len(t2) != g.n - 1:
         return None
@@ -311,8 +305,7 @@ def find_disjoint_bases(
 
 def has_two_disjoint_spanning_trees(g: RootedGraph) -> bool:
     """Union rank of two graphic-matroid copies reaches 2(n-1)."""
-    t1, t2 = max_forest_pair(g, (), ())
-    return len(t1) == g.n - 1 and len(t2) == g.n - 1
+    return find_disjoint_bases(g, g.selection(()), g.selection(())) is not None
 
 
 def _spanning_tree_or_raise(g: RootedGraph, sel: EdgeSelection, name: str) -> None:

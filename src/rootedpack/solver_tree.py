@@ -4,12 +4,15 @@ Certificates are trees whose large vertices are leaves; growth consults the
 matroid completability oracle per candidate edge, and completion is exact:
 the matroid-union witness itself is the pair of spanning trees, and any
 completion of a classic certificate pair is automatically (r,k)-safe.
+One union per pair: the oracle asks in (tree1, tree2) order and keeps its
+last completable pair and trees in one slot, which growth's contract check
+and completion read (exact, see `_CompletabilityOracle`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ContractError, InternalError, StructureError
 from .fptcommon import (
@@ -75,28 +78,41 @@ def enumerate_compact_certificates(g: RootedGraph, k: int) -> Iterator[CompactSt
 
 
 class _CompletabilityOracle:
-    """Matroid-union completability with warm-start seeds from a global base."""
+    """Matroid-union completability with warm-start seeds from a global base.
+
+    `completable(ids1, ids2)` asks for disjoint spanning trees T1 >= ids1,
+    T2 >= ids2; `admits` asks in the same (tree1, tree2) order, so the last
+    admitted growth step asks about the grown pair itself.  One slot keeps
+    the last completable pair (`pair`) and its trees (`trees`).  Both are
+    exact: the union is a deterministic function of the graph, the forced
+    sets and the seeds, fixed per oracle, so the slot holds what a new union
+    would return; and completability is symmetric, so the order changes no
+    answer.
+    """
 
     def __init__(self, g: RootedGraph):
         self.g = g
         t1, t2 = max_forest_pair(g, (), ())
         self.global_full = (len(t1) == g.n - 1 and len(t2) == g.n - 1)
         self.seeds = [(eid, 0) for eid in sorted(t1)] + [(eid, 1) for eid in sorted(t2)]
+        self.pair = self.trees = None
 
-    def completable(self, ids1: frozenset[int], ids2: frozenset[int]) -> bool:
-        return not ids1 & ids2 and self.complete(ids1, ids2) is not None
+    def completable(self, ids1: Iterable[int], ids2: Iterable[int]) -> bool:
+        """Overlapping sets are a `ContractError` of the union."""
+        pair = (frozenset(ids1), frozenset(ids2))
+        if pair != self.pair:
+            t1, t2 = max_forest_pair(self.g, *pair, self.seeds)
+            if len(t1) != self.g.n - 1 or len(t2) != self.g.n - 1:
+                return False
+            self.pair, self.trees = pair, (t1, t2)
+        return True
 
     def admits(self, states: tuple[DirectedState, DirectedState]) -> Callable[[int, int], bool]:
-        """`grow_pair`'s test: a side with the copy added stays completable
-        beside the other side."""
+        """`grow_pair`'s test: the pair stays completable with the copy added
+        to `side`."""
         return lambda side, copy: self.completable(
-            frozenset(states[side].ids | {copy}), frozenset(states[1 - side].ids))
-
-    def complete(self, ids1: frozenset[int], ids2: frozenset[int]):
-        t1, t2 = max_forest_pair(self.g, ids1, ids2, self.seeds)
-        if len(t1) != self.g.n - 1 or len(t2) != self.g.n - 1:
-            return None
-        return t1, t2
+            states[0].ids | {copy} if side == 0 else states[0].ids,
+            states[1].ids | {copy} if side == 1 else states[1].ids)
 
 
 def grow_to_classic_certificate(
@@ -107,11 +123,10 @@ def grow_to_classic_certificate(
     """Grow a completable edge-disjoint compact pair into classic certificates.
 
     `grow_pair` along incident edges, accepting an edge only if the pair
-    stays completable.
+    stays completable.  In a solve, the oracle's slot answers the contract
+    check: it holds the pair the pair search accepted.
     """
     c1, c2 = pair
-    if c1.selection.ids & c2.selection.ids:
-        raise ContractError("compact certificates must be edge-disjoint")
     oracle = oracle or _CompletabilityOracle(g)
     if not oracle.completable(c1.selection.ids, c2.selection.ids):
         raise ContractError("compact certificate pair is not completable")
@@ -140,12 +155,12 @@ def complete_to_spanning_trees(
     oracle: Optional[_CompletabilityOracle] = None,
 ) -> tuple[EdgeSelection, EdgeSelection]:
     """Exact completion: the matroid-union witness with the certificates
-    forced.  Safety of any completion follows from the certificate sizes."""
+    forced, read from the oracle's slot when it holds this pair.  Safety of
+    any completion follows from the certificate sizes."""
     oracle = oracle or _CompletabilityOracle(g)
-    done = oracle.complete(frozenset(pair[0].ids), frozenset(pair[1].ids))
-    if done is None:
+    if not oracle.completable(pair[0].ids, pair[1].ids):
         raise InternalError("matroid union failed on a completable pair", {})
-    return g.selection(done[0]), g.selection(done[1])
+    return g.selection(oracle.trees[0]), g.selection(oracle.trees[1])
 
 
 def solve_tree(g: RootedGraph, k: int, options: Optional[SolveOptions] = None) -> SolveReport:

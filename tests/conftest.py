@@ -126,6 +126,37 @@ def root_degree_three(rng: random.Random, n: int, noise: int, undirected: bool =
     return RootedGraph(n, 0, arcs) if undirected else RootedDigraph(n, 0, arcs)
 
 
+def planted_tree_with_hub(rng: random.Random, n: int, k: int) -> RootedGraph:
+    """Two planted spanning trees, a hub fan and n // 3 noise edges: YES
+    for tree at every k <= (n - 1) - ceil((n - 1) / 3).
+
+    Each planted tree has three root children, and every other vertex joins
+    the branch of its position modulo 3, so no branch holds more than
+    ceil((n - 1) / 3) vertices and both trees are (r,k)-safe.  They are
+    edge-disjoint because every planted edge is its own copy, and extra
+    edges never destroy a packing.  The hub, a root child in both trees, gets a
+    fan of 8k - 7 distinct neighbours, so it is large at k: compact
+    certificates on both sides keep it as a leaf, and both sides grow.
+    """
+    hub = rng.randrange(1, n)
+    others = [v for v in range(1, n) if v != hub]
+    edges = []
+    for _ in range(2):
+        order = [hub, *rng.sample(others, n - 2)]
+        branches = [[v] for v in order[:3]]
+        edges += [(0, v) for v in order[:3]]
+        for idx, v in enumerate(order[3:]):
+            edges.append((rng.choice(branches[idx % 3]), v))
+            branches[idx % 3].append(v)
+    edges += [(hub, v) for v in rng.sample(others, 8 * k - 7)]
+    while len(edges) < 2 * (n - 1) + 8 * k - 7 + n // 3:
+        u, v = rng.randrange(1, n), rng.randrange(1, n)
+        if u != v:
+            edges.append((u, v))
+    rng.shuffle(edges)
+    return RootedGraph(n, 0, edges)
+
+
 def relabel(g, rng: random.Random):
     """A copy of `g` with its non-root vertices renamed at random and its
     arcs (edges) listed, and so numbered, in a random order."""

@@ -7,7 +7,9 @@ a rejection tally.  On seeded compact pairs at k = 3 (at k = 2 every root
 branch holds one vertex, so no pair has an attachment) the batch compares
 them with `grow_directed_pair` and with `grow_pair` under tree's
 `_CompletabilityOracle.admits`: final copy ids, covered sets, `growSteps`
-and any stall.
+and any stall.  The tree reference asks with the growing side first, while
+`admits` asks in (tree1, tree2) order, so the batch also shows that the
+order changes no growth decision.
 
 Random planted instances almost never reject a candidate, so each instance
 carries two gadgets.  Vertices v < a are reached only by root-a, hub-v and

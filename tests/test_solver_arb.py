@@ -193,6 +193,15 @@ def test_grow_requires_disjoint_and_extendable():
         grow_to_classic(d, 2, (k1, k1))
 
 
+def test_grow_requires_an_extendable_disjoint_pair():
+    # removing the one arc into 1 disconnects D
+    d = RootedDigraph(3, 0, [(0, 1), (0, 2), (0, 2)])
+    pair = (CompactStructure(frozenset({1}), d.selection([0]), {}),
+            CompactStructure(frozenset({2}), d.selection([1]), {}))
+    with pytest.raises(ContractError):
+        grow_to_classic(d, 2, pair)
+
+
 def test_grow_realizes_attachment_targets(rng):
     """Growth outputs validated as classic kernels, pair stays extendable."""
     grown = 0

@@ -265,6 +265,15 @@ def test_grow_core_contract_checks():
         grow_to_classic_core(d, 1, (c1, c1))
 
 
+def test_grow_core_requires_an_extendable_disjoint_pair():
+    # removing the one arc into 1 disconnects D
+    d = RootedDigraph(3, 0, [(0, 1), (0, 2), (0, 2)])
+    pair = (CompactStructure(frozenset({1}), d.selection([0]), {}),
+            CompactStructure(frozenset({2}), d.selection([1]), {}))
+    with pytest.raises(ContractError):
+        grow_to_classic_core(d, 1, pair)
+
+
 def test_grow_core_with_targets():
     # k=2: core {r->a, r->b, a large} must grow one leaf below a
     k = 2

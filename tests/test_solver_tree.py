@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,9 +14,11 @@ from rootedpack.graphs import (
     hanging_component_sizes,
     parse_rooted_tree,
 )
+from rootedpack import matroid, solver_tree
 from rootedpack.matroid import has_two_disjoint_spanning_trees, is_completable_pair
 from rootedpack.oracles import oracle_tree, validate_witness
 from rootedpack.solver_tree import (
+    _CompletabilityOracle,
     candidate_pool_tree,
     classify_vertices_tree,
     complete_to_spanning_trees,
@@ -25,7 +28,7 @@ from rootedpack.solver_tree import (
     validate_compact_certificate,
 )
 
-from conftest import connected_graph, graphs, random_graph
+from conftest import connected_graph, graphs, planted_tree_with_hub, random_graph
 
 
 def fan_graph(base_edges, n_base, fan_vertices, fan_width, mult=1):
@@ -168,6 +171,21 @@ def test_grow_certificate_contract():
         grow_to_classic_certificate(g, 2, (c, c))
 
 
+def test_grow_certificate_contract_rejects_a_pair_that_is_not_completable():
+    # T1 >= {0-2, 1-2} spans, so T2 >= {0-1} has no edge left to reach 2
+    g = RootedGraph(3, 0, [(0, 1), (0, 1), (0, 2), (1, 2)])
+    pair = (CompactStructure(frozenset({1, 2}), g.selection([2, 3]), {}),
+            CompactStructure(frozenset({1}), g.selection([0]), {}))
+    with pytest.raises(ContractError):
+        grow_to_classic_certificate(g, 2, pair)
+    oracle = _CompletabilityOracle(g)
+    assert oracle.global_full and oracle.completable({0, 2}, {1, 3})
+    with pytest.raises(ContractError):
+        grow_to_classic_certificate(g, 2, pair, oracle)
+    # a failed question leaves the slot as it was
+    assert oracle.pair == ({0, 2}, {1, 3})
+
+
 def test_grow_certificate_with_targets():
     # k=3: three root branches of size 1, the third large; the attachment
     # puts one imaginary leaf below it (branch limit k-1 = 2 permits it)
@@ -209,6 +227,70 @@ def test_complete_k1_equals_union(rng):
         verdict = validate_witness(
             inst, {"tree1": sorted(t1.ids), "tree2": sorted(t2.ids)})
         assert verdict.ok, verdict.failures()
+
+
+def _logged_unions(monkeypatch, log):
+    real = solver_tree.max_forest_pair
+
+    def union(g, forced1, forced2, seeds=()):
+        log.append(("union", frozenset(forced1), frozenset(forced2)))
+        return real(g, forced1, forced2, seeds)
+
+    monkeypatch.setattr(solver_tree, "max_forest_pair", union)
+
+
+def test_doubled_chain_runs_two_unions(monkeypatch):
+    """The gate's union and the accepted pair's: growth's contract check and
+    completion read the oracle's slot."""
+    log = []
+    _logged_unions(monkeypatch, log)
+    n = 300
+    report = solve_tree(RootedGraph(n, 0, [(i, i + 1) for i in range(n - 1)] * 2), 1)
+    assert report.decision and report.counters["growSteps"] == 0
+    assert log == [("union", frozenset(), frozenset())] * 2
+
+
+def test_growth_leaves_its_last_union_as_the_witness(monkeypatch):
+    """No union runs after the last admitted growth step, and the witness is
+    the union of the grown certificates under the oracle's seeds."""
+    log = []
+    _logged_unions(monkeypatch, log)
+    real_admits, real_grow = _CompletabilityOracle.admits, solver_tree.grow_to_classic_certificate
+
+    def admits(oracle, states):
+        test = real_admits(oracle, states)
+
+        def logged(side, copy):
+            ok = test(side, copy)
+            if ok:
+                log.append(("admitted", side))
+            return ok
+        return logged
+
+    def grow(g, k, pair, oracle=None, counters=None):
+        certs = real_grow(g, k, pair, oracle, counters)
+        log.append(("grown", oracle, certs))
+        return certs
+
+    monkeypatch.setattr(_CompletabilityOracle, "admits", admits)
+    monkeypatch.setattr(solver_tree, "grow_to_classic_certificate", grow)
+    rng = random.Random(21)
+    tree2_last = 0
+    for _ in range(6):
+        del log[:]
+        report = solve_tree(planted_tree_with_hub(rng, rng.randint(20, 60), 3), 3)
+        steps = report.counters["growSteps"]
+        assert report.decision and steps > 0
+        kinds = [entry[0] for entry in log]
+        assert kinds.count("admitted") == steps
+        last = len(kinds) - kinds[::-1].index("admitted")
+        assert "union" not in kinds[last:]
+        tree2_last += log[last - 1][1] == 1
+        _, oracle, (c1, c2) = log[-1]
+        assert oracle.pair == (c1.ids, c2.ids)
+        t1, t2 = matroid.max_forest_pair(oracle.g, c1.ids, c2.ids, oracle.seeds)
+        assert report.witness == {"tree1": sorted(t1), "tree2": sorted(t2)}
+    assert tree2_last  # growth of tree2 asks in (tree1, tree2) order too
 
 
 def test_solve_simple_tree_is_no():
