@@ -16,13 +16,13 @@ two shapes can take disjoint copies also depends only on their counts, so
 each shape gets two copy bit masks (`pairs.CopyTable`), and the pair search
 tests pairs by a few big-integer operations (`pairs.PairSearch`).  The
 shape searches, `tree_shapes` for kernels and certificates and
-`solver_flow._core_shapes` for cores, carry each state's masks, expanded
-count and, for the directed kinds, extendability down their stacks: a
-child that empties a class takes one replacement step of
-`graphs.ResidualReach` on its parent's arborescence overlay.  They emit
-finished rows (`pairs.Row`) with the verdict in them, so the pipeline runs
-no probe pass.  Growth and completion ask root reach of `ResidualReach`
-too.
+`solver_flow._core_shapes` for cores, take their candidates from one
+`candidate_table`, and carry each state's masks, expanded count and, for
+the directed kinds, extendability down their stacks: a child that empties
+a class takes one replacement step of `graphs.ResidualReach` on its
+parent's arborescence overlay.  They emit finished rows (`pairs.Row`)
+with the verdict in them, so the pipeline runs no probe pass.  Growth and
+completion ask root reach of `ResidualReach` too.
 """
 
 from __future__ import annotations
@@ -183,42 +183,53 @@ def compact_attachment(
     )
 
 
+def candidate_table(
+    g: RootedDigraph | RootedGraph, pool: frozenset[int], large: frozenset[int]
+) -> dict[int, list[tuple[int, int, tuple[int, int], int]]]:
+    """The shape searches' candidates leaving the root and each small pool
+    vertex u, as shared (u, v, class, copies) tuples: every class from u to
+    a non-root pool vertex v, heads ascending.  The class is (u, v) for an
+    arc and (min, max) for an edge; large non-root vertices take no children
+    and get no entry."""
+    root, directed = g.root, isinstance(g, RootedDigraph)
+    incident = g.out_classes if directed else g.incident_classes
+    return {u: [(u, v, (u, v) if directed or u < v else (v, u), len(ids))
+                for v, ids in incident(u) if v != root and v in pool]
+            for u in pool | {root} if u == root or u not in large}
+
+
 def tree_shapes(
-    root: int,
+    g: RootedDigraph | RootedGraph,
     k: int,
     pool: frozenset[int],
     large: frozenset[int],
-    classes_of: Callable[[int], Iterable[tuple[int, tuple[int, ...]]]],
-    key: Callable[[int, int], tuple[int, int]],
     reach: Optional[ResidualReach] = None,
 ) -> list[Row]:
     """Every compact tree shape as a finished row (`Row`), sorted by (size,
     classes).
 
     Shapes are trees on at most 2k-2 non-root vertices of `pool`, described
-    at parallel-class level and grown from `root` one class at a time:
-    `classes_of(tail)` gives the (head, ids) pairs leaving `tail` and
-    `key(tail, head)` names the class.  A tree takes one copy of each of its
-    classes.  Large vertices other than the root get no children and every
-    root branch keeps at most k-1 vertices, which every valid kernel or
+    at parallel-class level and grown from the root one class of
+    `candidate_table(g, pool, large)` at a time, taking one copy of each.
+    Large vertices other than the root get no children and every root
+    branch keeps at most k-1 vertices, which every valid kernel or
     certificate satisfies anyway.
 
     Each tree is built exactly once, so no seen set is needed: a state keeps
-    an ordered list of candidates, the (tail, head, ids) triples leaving the
-    tree for a pool vertex outside it.  Taking candidate i passes on only
-    the candidates after i, minus those into the new head, plus the triples
-    leaving the new head (none for a large one).  A tree is then reached
-    only through the first of its classes in each list, as every skipped
-    candidate stays out of the whole subtree of the search.  The search is
-    depth-first with an explicit stack, since trees can be k-1 classes
-    deep.  The branch map, branch sizes, class list and anchors are changed
-    in place and undone on the way back; each frame carries its state's
-    expanded count and pair masks, its parent's with the new class's
-    `CopyTable` entry folded in.  `key` is called once per non-empty tree.
-    A full-size tree has nothing to attach, so its attachment is the shared
-    `EMPTY_ATTACHMENT`, and it has no children, so it is emitted without a
-    frame; a smaller one needs an anchor to have an attachment, so only
-    those call `lex_smallest_attachment`.
+    an ordered list of candidates.  Taking candidate i passes on the
+    candidates after i plus the table's list of the new head; a candidate
+    whose head is in the tree or whose root branch is full is passed over
+    when its turn comes.  A tree is then reached only through the first of
+    its classes in each list, as every skipped candidate stays out of the
+    whole subtree of the search.  The search is depth-first with an explicit
+    stack, since trees can be k-1 classes deep.  The branch map, branch
+    sizes, class list and anchors are changed in place and undone on the
+    way back; each frame carries its state's expanded count and pair masks,
+    its parent's with the new class's `CopyTable` entry folded in, asked
+    once per non-empty tree.  A full-size tree has nothing to attach, so its
+    attachment is the shared `EMPTY_ATTACHMENT`, and it has no children, so
+    it is emitted without a frame; a smaller one needs an anchor to have an
+    attachment, so only those call `lex_smallest_attachment`.
 
     Given `reach` (the arb kernels), each frame also carries its emptied
     classes and its overlay on `reach`'s arborescence, or None once the
@@ -232,6 +243,7 @@ def tree_shapes(
     limit = 2 * k - 2
     if not limit:  # k = 1: only the empty tree, full-size
         return [((), (), EMPTY_ATTACHMENT, 1, 0, 0, reach is None or reach.spanning)]
+    root, candidates_of = g.root, candidate_table(g, pool, large)
     table = CopyTable()
     ones = [(1,) * size for size in range(limit + 1)]
     branch_of: dict[int, int] = {}
@@ -240,20 +252,18 @@ def tree_shapes(
     anchors: list[int] = []  # the large vertices of branch_of, ascending
     by_size: list[list[Row]] = [[] for _ in range(limit + 1)]  # the rows of each size
 
-    def leaving(tail: int) -> list[tuple[int, int, tuple[int, ...]]]:
-        return [(tail, head, ids) for head, ids in classes_of(tail)
-                if head != root and head not in branch_of and head in pool]
-
     # frames of (candidates, index of the next one to try, head taken to
     # enter the frame, expanded count, uses, limits, emptied classes,
     # overlay); the root frame took none, and a full-size tree gets no frame
     step, start = (None, {}) if reach is None else (reach.step, reach.overlay())
-    stack: list[list] = [[leaving(root), 0, None, 1, 0, 0, (), start]]
+    stack: list[list] = [[candidates_of[root], 0, None, 1, 0, 0, (), start]]
     while stack:
         frame = stack[-1]
         candidates = frame[0]
         for i in range(frame[1], len(candidates)):
-            tail, head, ids = candidates[i]
+            tail, head, c, copies = candidates[i]
+            if head in branch_of:
+                continue
             top = head if tail == root else branch_of[tail]
             if sizes.get(top, 0) < k - 1:
                 break
@@ -270,8 +280,7 @@ def tree_shapes(
                     anchors.remove(head)
             continue
         frame[1] = i + 1
-        c = key(tail, head)
-        ways, use, lim, empties = table.entry(c, len(ids), 1)
+        ways, use, lim, empties = table.entry(c, copies, 1)
         expanded, uses, limits = frame[3] * ways, frame[4] | use, frame[5] | lim
         emptied, overlay = frame[6], frame[7]
         if empties and step is not None and overlay is not None:
@@ -295,9 +304,9 @@ def tree_shapes(
                 by_size[len(classes)].append((tuple(sorted(classes)), ones[len(classes)],
                                               attachment, expanded, uses, limits,
                                               overlay is not None))
-        following = [cand for cand in candidates[i + 1:] if cand[1] != head]
+        following = candidates[i + 1:]
         if head not in large:
-            following += leaving(head)
+            following += candidates_of[head]
         stack.append([following, 0, head, expanded, uses, limits, emptied, overlay])
     result = []
     for rows in by_size:

@@ -63,15 +63,11 @@ def validate_compact_kernel(
     return compact_attachment(dig, x.ids, classify_vertices(dig, k).large, k)
 
 
-def _arc_class(tail: int, head: int) -> tuple[int, int]:
-    return (tail, head)
-
-
 def _kernel_shapes(dig: RootedDigraph, k: int) -> list[Row]:
     """Every compact kernel shape: one copy of each class of the tree, each
     row carrying whether removing it keeps D root-connected."""
-    return tree_shapes(dig.root, k, candidate_pool(dig, k), classify_vertices(dig, k).large,
-                       dig.out_classes, _arc_class, dig._reach())
+    return tree_shapes(dig, k, candidate_pool(dig, k), classify_vertices(dig, k).large,
+                       dig._reach())
 
 
 def enumerate_compact_kernels(dig: RootedDigraph, k: int) -> Iterator[CompactStructure]:

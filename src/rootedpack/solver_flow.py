@@ -41,6 +41,7 @@ from .fptcommon import (
     LargenessView,
     SolveOptions,
     Stages,
+    candidate_table,
     classify,
     complete_directed_pair,
     completion_stall,
@@ -211,11 +212,12 @@ def _core_shapes(
     vector's arcs in breadth-first order), and V' is a state's head set.
 
     Each vector is built exactly once, with no seen set, by ordered
-    candidate lists as in `fptcommon.tree_shapes`: a candidate is a class
-    whose next copy the state may take.  Taking candidate i passes on the
-    candidates after i, that class's next copy while it has fewer than
-    min(2, L), and the classes leaving a new small head; once |V'| = 2k-1
-    the candidates into a new head are dropped.  A vector is then reached
+    candidate lists as in `fptcommon.tree_shapes`, made of the shared tuples
+    of `fptcommon.candidate_table`: a candidate is a class whose next copy
+    the state may take.  Taking candidate i passes on the candidates after
+    i, that class's next copy while it has fewer than min(2, L), and the
+    table's classes leaving a new small head; once |V'| = 2k-1 the
+    candidates into a new head are dropped.  A vector is then reached
     only through the first of its copies in each list: a skipped candidate
     stays out of the whole subtree, and each one a step adds was not
     available before it.  The count vector is one dict changed in place and
@@ -259,21 +261,17 @@ def _core_shapes(
     root, max_size, large = dig.root, 2 * k - 1, view.large
     reach = dig._reach()
     step = reach.step
+    candidates_of = candidate_table(dig, pool, large)
     table = CopyTable()
     counts: dict[tuple[int, int], int] = {}
     found: list[Row] = []
-
-    # the candidates leaving the root and each small pool vertex, built once
-    # and copied into the lists of the frames that take them
-    leaving = {u: [((u, v), len(ids)) for v, ids in dig.out_classes(u) if v != root and v in pool]
-               for u in pool | {root} if u == root or u not in large}
 
     # frames of (candidates, index of the next one to try, class taken to
     # enter the frame, V', expanded count, uses, limits, emptied, overlay,
     # cut); the root frame took none, and cut is a full-size state's
     # violated set (None when it passes) or a (2k-2)-vertex state's bridge
     # cuts of at least k vertices, once a child into a new head asks
-    stack: list[list] = [[leaving[root], 0, None, frozenset(), 1, 0, 0, (), reach.overlay(),
+    stack: list[list] = [[candidates_of[root], 0, None, frozenset(), 1, 0, 0, (), reach.overlay(),
                           None]]
     while stack:
         frame = stack[-1]
@@ -288,8 +286,8 @@ def _core_shapes(
                     counts[c] -= 1
             continue
         frame[1] = i + 1
-        c, copies = candidates[i]
-        (tail, head), verts = c, frame[3]
+        tail, head, c, copies = candidates[i]
+        verts = frame[3]
         new_head = head not in verts
         if new_head and len(verts) == max_size - 1 and frame[9] is None:
             frame[9] = _bridge_cuts(root, counts, verts, k)  # before c's copy joins
@@ -329,12 +327,12 @@ def _core_shapes(
                           overlay is not None))
         following = candidates[i + 1:]
         if m + 1 < min(2, copies):
-            following.append((c, copies))
+            following.append(candidates[i])
         if new_head:
             if head not in large:
-                following += leaving[head]
+                following += candidates_of[head]
             if len(verts) == max_size:
-                following = [cand for cand in following if cand[0][1] in verts]
+                following = [cand for cand in following if cand[1] in verts]
         stack.append([following, 0, c, verts, expanded, uses, limits, emptied, overlay, cut])
     found.sort(key=_core_order)
     return found

@@ -6,7 +6,9 @@ the matroid-union witness itself is the pair of spanning trees, and any
 completion of a classic certificate pair is automatically (r,k)-safe.
 One union per pair: the oracle asks in (tree1, tree2) order and keeps its
 last completable pair and trees in one slot, which growth's contract check
-and completion read (exact, see `_CompletabilityOracle`).
+and completion read (exact, see `_CompletabilityOracle`).  The gate's union
+fills the slot for the empty pair, so a solve that accepts two empty
+certificates (every k = 1 solve) runs one union in all.
 """
 
 from __future__ import annotations
@@ -62,14 +64,9 @@ def validate_compact_certificate(
     return compact_attachment(g, x.ids, classify_vertices_tree(g, k).large, k)
 
 
-def _edge_class(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def _certificate_shapes(g: RootedGraph, k: int) -> list[Row]:
     """Every compact certificate shape: one copy of each class of the tree."""
-    return tree_shapes(g.root, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large,
-                       g.incident_classes, _edge_class)
+    return tree_shapes(g, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large)
 
 
 def enumerate_compact_certificates(g: RootedGraph, k: int) -> Iterator[CompactStructure]:
@@ -87,7 +84,10 @@ class _CompletabilityOracle:
     exact: the union is a deterministic function of the graph, the forced
     sets and the seeds, fixed per oracle, so the slot holds what a new union
     would return; and completability is symmetric, so the order changes no
-    answer.
+    answer.  When the global union is full, the slot starts with the empty
+    pair and that union's trees T1, T2: the seeded union's direct pass puts
+    each seed of T1 into tree 1 and each of T2 into tree 2, and stops once
+    both are spanning, so it would return T1, T2.
     """
 
     def __init__(self, g: RootedGraph):
@@ -96,6 +96,8 @@ class _CompletabilityOracle:
         self.global_full = (len(t1) == g.n - 1 and len(t2) == g.n - 1)
         self.seeds = [(eid, 0) for eid in sorted(t1)] + [(eid, 1) for eid in sorted(t2)]
         self.pair = self.trees = None
+        if self.global_full:
+            self.pair, self.trees = (frozenset(), frozenset()), (t1, t2)
 
     def completable(self, ids1: Iterable[int], ids2: Iterable[int]) -> bool:
         """Overlapping sets are a `ContractError` of the union."""

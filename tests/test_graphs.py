@@ -24,7 +24,7 @@ from rootedpack.solver_flow import _core_shapes, candidate_pool_flow, classify_v
 from conftest import digraphs, graphs, random_digraph, random_graph, spanning_digraph
 from test_pair_search import (conflicts, expanded_reference, row_masks, shape_masks_reference,
                               table_rows)
-from test_shapes import arc_key, flow_instances, instances
+from test_shapes import flow_instances, instances
 import random
 import tracemalloc
 
@@ -240,8 +240,8 @@ def probe_shapes():
     `run_pipeline`."""
     for inst, k in instances("arb"):
         g = cap_parallel(inst).graph
-        yield g, tree_shapes(g.root, k, candidate_pool(g, k), classify_vertices(g, k).large,
-                             g.out_classes, arc_key, g._reach())
+        yield g, tree_shapes(g, k, candidate_pool(g, k), classify_vertices(g, k).large,
+                             g._reach())
     for inst in flow_instances():
         g, k = cap_parallel(inst).graph, inst.k
         yield g, _core_shapes(g, k, candidate_pool_flow(g, k), classify_vertices_flow(g, k))

@@ -18,6 +18,8 @@ from rootedpack.oracles import (
     validate_witness,
 )
 
+from rootedpack.solver_flow import solve_flow
+
 from conftest import random_digraph, random_graph
 
 
@@ -167,6 +169,59 @@ def test_validate_witness_stated_flow_crosscheck():
         "tree1": [0, 2], "tree2": [1, 3],
         "flow1": [[0, 9], [2, 1]], "flow2": [[1, 2], [3, 1]]})
     assert not bad.ok
+
+
+def _counted_max_flows(monkeypatch) -> list:
+    calls = []
+    real = oracles._ff_max_flow
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracles, "_ff_max_flow", counted)
+    return calls
+
+
+FLOW_CHECKS = ["disjoint", "tree1:ids", "tree1:feasible", "tree2:ids", "tree2:feasible"]
+
+
+def test_a_valid_stated_flow_certifies_feasibility(monkeypatch):
+    """A doubled chain's solver witness states both flows, so neither side
+    runs the validator's max-flow, in the solve or after it, and the checks
+    keep their names and order."""
+    calls = _counted_max_flows(monkeypatch)
+    n = 300
+    d = RootedDigraph(n, 0, [(i, i + 1) for i in range(n - 1) for _ in range(2)])
+    report = solve_flow(d, 1)
+    assert report.decision
+    verdict = validate_witness(ProblemInstance(kind="flow", graph=d, k=1), report.witness)
+    assert [name for name, *_ in verdict.checks] == [
+        *FLOW_CHECKS, "tree1:stated-flow", "tree2:stated-flow"]
+    assert verdict.ok and not calls
+
+
+def test_a_broken_stated_flow_leaves_feasibility_to_the_max_flow(monkeypatch):
+    calls = _counted_max_flows(monkeypatch)
+    d = RootedDigraph(3, 0, [(0, 1), (0, 1), (1, 2), (1, 2)])
+    verdict = validate_witness(ProblemInstance(kind="flow", graph=d, k=1), {
+        "tree1": [0, 2], "tree2": [1, 3],
+        "flow1": [[0, 9], [2, 1]], "flow2": [[1, 2], [3, 1]]})
+    assert verdict.failures() == [("tree1:stated-flow", "stated flow invalid")]
+    assert ("tree1:feasible", True, "") in verdict.checks
+    assert len(calls) == 1  # side 1 only: side 2's stated flow certifies it
+
+
+def test_a_witness_without_stated_flows_runs_the_max_flow(monkeypatch):
+    calls = _counted_max_flows(monkeypatch)
+    d = RootedDigraph(3, 0, [(0, 1), (0, 1), (1, 2), (1, 2)])
+    inst = ProblemInstance(kind="flow", graph=d, k=1)
+    verdict = validate_witness(inst, {"tree1": [0, 2], "tree2": [1, 3]})
+    assert verdict.ok and [name for name, *_ in verdict.checks] == FLOW_CHECKS
+    assert len(calls) == 2
+    bad = validate_witness(inst, {"tree1": [0], "tree2": [1, 3], "flow2": [[1, 2], [3, 1]]})
+    assert bad.failures() == [("tree1:feasible", "no branching flow under caps 2")]
+    assert len(calls) == 3
 
 
 def test_validate_witness_stated_flow_unknown_arc_is_itemised():

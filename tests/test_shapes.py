@@ -39,6 +39,7 @@ from rootedpack.fptcommon import branch_structure, lex_smallest_attachment, tree
 from rootedpack.graphs import (ProblemInstance, ResidualReach, RootedDigraph, RootedGraph,
                                cap_parallel)
 from rootedpack.instancegen import random_instance
+from rootedpack.pairs import CopyTable
 from rootedpack.solver_arb import (
     candidate_pool,
     classify_vertices,
@@ -164,10 +165,9 @@ def tree_rows(kind, g, k):
     """The rows of `tree_shapes` for kernels (arb), with the extendability
     step as the arb pipeline passes it, or certificates (tree), without."""
     if kind == "arb":
-        return tree_shapes(g.root, k, candidate_pool(g, k), classify_vertices(g, k).large,
-                           g.out_classes, arc_key, g._reach())
-    return tree_shapes(g.root, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large,
-                       g.incident_classes, edge_key)
+        return tree_shapes(g, k, candidate_pool(g, k), classify_vertices(g, k).large,
+                           g._reach())
+    return tree_shapes(g, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large)
 
 
 def core_rows(g, k):
@@ -209,9 +209,18 @@ def test_tree_shapes_match_the_replaced_enumerators(kind):
 
 
 @pytest.mark.parametrize("kind", ["arb", "tree"])
-def test_tree_shapes_build_each_class_set_once(kind):
-    """`key` names a class as a tree takes it, so one call per non-empty
-    class set the reference visits means that no tree is built twice."""
+def test_tree_shapes_build_each_class_set_once(kind, monkeypatch):
+    """`tree_shapes` asks `CopyTable.entry` once per class it takes, that
+    is once per non-empty tree it builds, so one call per non-empty class
+    set the reference visits means that no tree is built twice."""
+    calls = []
+    entry = CopyTable.entry
+
+    def counted(self, c, copies, m):
+        calls.append(c)
+        return entry(self, c, copies, m)
+
+    monkeypatch.setattr(CopyTable, "entry", counted)
     for inst, k in instances(kind):
         g = inst.graph
         if kind == "arb":
@@ -220,13 +229,8 @@ def test_tree_shapes_build_each_class_set_once(kind):
         else:
             pool, view = candidate_pool_tree(g, k), classify_vertices_tree(g, k)
             classes_of, key = g.incident_classes, edge_key
-        calls = []
-
-        def counted(u, v):
-            calls.append((u, v))
-            return key(u, v)
-
-        tree_shapes(g.root, k, pool, view.large, classes_of, counted)
+        calls.clear()
+        tree_shapes(g, k, pool, view.large)
         visited = class_sets_reference(g, k, pool, view, classes_of, key)
         assert len(calls) == len(visited) - 1, (g.n, k)
 

@@ -239,15 +239,31 @@ def _logged_unions(monkeypatch, log):
     monkeypatch.setattr(solver_tree, "max_forest_pair", union)
 
 
-def test_doubled_chain_runs_two_unions(monkeypatch):
-    """The gate's union and the accepted pair's: growth's contract check and
-    completion read the oracle's slot."""
+def test_doubled_chain_runs_one_union(monkeypatch):
+    """Only the gate's union: it fills the oracle's slot for the empty pair
+    that the pair search accepts at k = 1, and growth's contract check and
+    completion read the slot."""
     log = []
     _logged_unions(monkeypatch, log)
     n = 300
     report = solve_tree(RootedGraph(n, 0, [(i, i + 1) for i in range(n - 1)] * 2), 1)
     assert report.decision and report.counters["growSteps"] == 0
-    assert log == [("union", frozenset(), frozenset())] * 2
+    assert log == [("union", frozenset(), frozenset())]
+
+
+def test_the_gate_slot_is_the_seeded_union_of_the_empty_pair(rng):
+    """The slot the gate fills holds what `completable(∅, ∅)` would compute:
+    the union of the empty pair under the oracle's seeds."""
+    done = 0
+    while done < 60:
+        g = connected_graph(rng, max_n=12, extra=16)
+        oracle = _CompletabilityOracle(g)
+        if not oracle.global_full:
+            assert oracle.pair is None
+            continue
+        done += 1
+        assert oracle.pair == (frozenset(), frozenset())
+        assert oracle.trees == matroid.max_forest_pair(g, (), (), oracle.seeds)
 
 
 def test_growth_leaves_its_last_union_as_the_witness(monkeypatch):
