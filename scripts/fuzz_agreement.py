@@ -8,13 +8,15 @@ on any mismatch or failure.
 
 With --planted, every kind instead solves planted instances at n = 8..30,
 beyond the oracles' reach, where YES is certain by construction: a NO
-answer counts as a failure too.  Arb and tree run at k = 1..4 with a vertex
-large enough to make growth run, flow at k = 1..2.  At k = 4 that vertex
-has 19 out-neighbours for arb and 25 neighbours for tree, so n = 21..30 and
-27..30, and every solve enumerates tens of thousands of shapes (arb also
-probes each for extendability).  The tally then also shows how many solves
-grew.  `--planted --count 200` takes about 6 minutes on a 2-core x86-64
-host, most of it tree at k = 4.
+answer counts as a failure too.  Arb and tree run at k = 1..4 and flow at
+k = 1..2, with a vertex large enough to make growth run (flow at k = 1 has
+none: a classic core is then one vertex, so no core grows).  At k = 4 that
+vertex has 19 out-neighbours for arb and 25 neighbours for tree, so
+n = 21..30 and 27..30, and every solve enumerates tens of thousands of
+shapes.  Flow's at k = 2 has 81 out-neighbours, so n = 83..100; those
+solves take about 10 ms each.  The tally then also shows how many solves
+grew.  `--planted --count 60` takes about 30 s on a 2-core x86-64 host,
+most of it tree at k = 4.
 
 Examples:
     python3 scripts/fuzz_agreement.py --count 2000 --seed 1 --kinds arb flow tree
@@ -70,9 +72,9 @@ def rand_graph(rng, max_n, max_m, max_mult):
 
 def planted(rng, kind, k):
     """Two random spanning 0-arborescences plus up to n/4 noise copies, as a
-    digraph, or as a graph for tree; for arb and tree also an out-fan of
-    6k-5 or 8k-7 distinct heads at one vertex, which makes that vertex large
-    so that growth can run.
+    digraph, or as a graph for tree; also an out-fan of 6k-5 (arb), 8k-7
+    (tree) or, at k = 2, 20k^2+1 (flow) distinct heads at one vertex, which
+    makes that vertex large so that growth can run.
 
     YES by construction.  Each arborescence gives the root c children, c = k
     (c = k + 1 for tree), so every root branch, and with it every subtree,
@@ -85,9 +87,10 @@ def planted(rng, kind, k):
       most n - 1 - k vertices, so each tree is (r,k)-safe.
     Extra copies, noise and fan alike, never destroy a packing.
     """
-    fan = {"arb": 6 * k - 5, "tree": 8 * k - 7}.get(kind, 0)
+    fan = {"arb": 6 * k - 5, "tree": 8 * k - 7, "flow": 20 * k * k + 1 if k > 1 else 0}[kind]
     children = k + 1 if kind == "tree" else k
-    n = rng.randint(max(8, fan + 2), 30)
+    low = max(8, fan + 2)
+    n = rng.randint(low, 30 if low <= 30 else low + 17)
     copies = []
     for _ in range(2):
         order = rng.sample(range(1, n), n - 1)

@@ -390,7 +390,6 @@ def grow_pair(
     targets: tuple[Mapping[int, int], Mapping[int, int]],
     classes_from: Callable[[int], Sequence[tuple[int, tuple[int, ...]]]],
     admits: Callable[[int, int], bool],
-    counters: Optional[dict] = None,
 ) -> None:
     """Grow both structures until per-anchor leaf targets are met.
 
@@ -400,7 +399,9 @@ def grow_pair(
     `admits(side, copy)`, the kind's test, asked before the copy is taken.
     Parallel copies of a failed class are never retried.  Anchors have
     enough neighbours to outlast every possible rejection, so a stall is an
-    internal invariant violation.
+    internal invariant violation.  Each step meets one unit of one target,
+    and the loop stops exactly when all are met, or raises: a growth takes
+    the sum of both targets in steps.
     """
     deficits = [dict(t) for t in targets]
     while True:
@@ -422,8 +423,6 @@ def grow_pair(
                  "deficits": {str(k): v for k, v in deficits[side].items()}},
             )
         _take(state, *chosen)
-        if counters is not None:
-            counters["growSteps"] = counters.get("growSteps", 0) + 1
         deficits[side][anchor] -= 1
         if deficits[side][anchor] == 0:
             del deficits[side][anchor]
@@ -433,7 +432,6 @@ def grow_directed_pair(
     dig: RootedDigraph,
     states: tuple[DirectedState, DirectedState],
     targets: tuple[Mapping[int, int], Mapping[int, int]],
-    counters: Optional[dict] = None,
 ) -> None:
     """`grow_pair` along out-arcs, keeping D minus each structure's arcs
     root-connected, so the pair stays extendable."""
@@ -445,20 +443,20 @@ def grow_directed_pair(
             reach.remove(taken)
         return reach.keeps_root_connected(copy)
 
-    grow_pair(states, targets, dig.out_classes, keeps_root_connected, counters)
+    grow_pair(states, targets, dig.out_classes, keeps_root_connected)
 
 
 def complete_directed_pair(
     dig: RootedDigraph,
     states: tuple[DirectedState, DirectedState],
-    counters: Optional[dict] = None,
 ) -> bool:
     """Greedily extend both structures to span every vertex.
 
     Each step adds the canonically first admissible covering arc (tail
     covered, head uncovered, copy unused by the other structure, removal set
     still extendable).  Returns False on a stall, which the preconditions
-    below rule out; callers raise `completion_stall` on it.
+    below rule out; callers raise `completion_stall` on it.  Each step
+    covers one new vertex, so True comes after 2n - |V(S1)| - |V(S2)| steps.
 
     Preconditions, kept by every step: D is 2-root-connected; A(S1), A(S2)
     are disjoint; Si reaches from r all of V(Si), which holds every head of
@@ -514,8 +512,6 @@ def complete_directed_pair(
         _take(states[side], *chosen)
         reaches[side].remove(chosen[1])
         heapq.heappush(heaps[side], chosen[0])
-        if counters is not None:
-            counters["completionSteps"] = counters.get("completionSteps", 0) + 1
 
 
 def completion_stall(dig: RootedDigraph, states: tuple[DirectedState, ...]) -> InternalError:
@@ -580,16 +576,18 @@ class Stages:
     returns None when it passes, else the failing stage and its cut witness
     (or None).  `finish` grows and completes the crystallised pair, given as
     the two `CompactStructure` records `run_pipeline` builds from each
-    side's copy ids and shape, and returns the witness.  `shapes` returns
-    the kind's shape search's finished rows (`Row`), each carrying whether
-    it is extendable: for the directed kinds whether removing its arcs
-    keeps D root-connected, and always for tree.  Without `completable`
-    (the directed kinds) the first pair of extendable rows whose copy masks
-    do not conflict is the hit; with it (tree), the masks only pre-filter
-    and each mask-free pair is crystallised and handed to `completable`
-    until one passes.  `validate` is passed in rather than imported here so
-    that the call goes through the solver module's own name, which
-    `perfbench/tracer.py` wraps.
+    side's copy ids and shape, and returns the witness.  Arb's also sets the
+    counter `completionSteps` to 2(n - 2k + 1): the classic post-check fixes
+    each side at 2k - 2 non-root vertices, and each completion step covers
+    one new vertex, or the solve raises.  `shapes` returns the kind's shape
+    search's finished rows (`Row`), each carrying whether it is extendable:
+    for the directed kinds whether removing its arcs keeps D root-connected,
+    and always for tree.  Without `completable` (the directed kinds) the
+    first pair of extendable rows whose copy masks do not conflict is the
+    hit; with it (tree), the masks only pre-filter and each mask-free pair
+    is crystallised and handed to `completable` until one passes.
+    `validate` is passed in rather than imported here so that the call goes
+    through the solver module's own name, which `perfbench/tracer.py` wraps.
     """
 
     started: float  # perf_counter() at the start of the solve
@@ -615,6 +613,8 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
     drops the rows marked not extendable and passes the kept rows' masks to
     `PairSearch`; it runs no probe of its own.  Count dicts are built only
     for the pairs that get crystallised: tree's `accept` and the hit.
+    `growSteps` is the sum of the hit pair's attachments, as `grow_pair`
+    stops exactly when every target is met, or raises.
     """
     g = inst.graph
     counters = {stages.shape_counter: 0, "pairsTested": 0, "growSteps": 0}
@@ -678,5 +678,6 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
         raise InternalError("copy assignment failed for a tested pair", {"pair": [i, j]})
     pair = (compact_structure(g, assigned[0], rows[i][0], rows[i][2]),
             compact_structure(g, assigned[1], rows[j][0], rows[j][2]))
+    counters["growSteps"] = sum(rows[i][2].values()) + sum(rows[j][2].values())
     witness = stages.finish(pair, counters)
     return report(True, "completed", witness)

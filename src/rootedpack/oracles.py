@@ -444,16 +444,17 @@ def _validate_flow_side(
     """The side's `ids` and `feasible` checks.  A valid stated flow
     (`certified`) is a feasible branching flow on the side's arcs, so the
     max-flow runs only without one."""
-    known = all(dig.has_arc(a) for a in ids)
-    verdict.add(f"{tag}:ids", known, "" if known else "unknown arc ids")
-    if not known:
+    detail = ("unknown arc ids" if not all(dig.has_arc(a) for a in ids) else
+              "repeated arc ids" if len(set(ids)) < len(ids) else "")
+    verdict.add(f"{tag}:ids", not detail, detail)
+    if detail:
         return
     caps = dig.n - k
     if caps < 0:
         verdict.add(f"{tag}:feasible", dig.n == 1, "negative capacities")
         return
     feasible = certified or _flow_feasible_counts(
-        dig, Counter(dig.arc(aid) for aid in set(ids)), caps)
+        dig, Counter(dig.arc(aid) for aid in ids), caps)
     verdict.add(f"{tag}:feasible", feasible,
                 "" if feasible else f"no branching flow under caps {caps}")
 
@@ -478,7 +479,7 @@ def validate_witness(instance: ProblemInstance, witness: dict) -> WitnessVerdict
         _validate_arb_side(verdict, g, ids2, k, "tree2")
     elif instance.kind == "flow":
         assert isinstance(g, RootedDigraph)
-        stated_ok = {tag: _stated_flow_ok(g, dict((int(a), int(v)) for a, v in stated),
+        stated_ok = {tag: _stated_flow_ok(g, [(int(a), int(v)) for a, v in stated],
                                           set(ids), k)
                      for tag, ids, stated in (("tree1", ids1, witness.get("flow1")),
                                               ("tree2", ids2, witness.get("flow2")))
@@ -494,12 +495,13 @@ def validate_witness(instance: ProblemInstance, witness: dict) -> WitnessVerdict
     return verdict
 
 
-def _stated_flow_ok(dig: RootedDigraph, values: dict[int, int], ids: set[int], k: int) -> bool:
+def _stated_flow_ok(dig: RootedDigraph, flow: list[tuple[int, int]], ids: set[int], k: int) -> bool:
     caps = dig.n - k
     net = {v: 0 for v in range(dig.n)}
-    for aid, val in values.items():
+    for aid, val in flow:
         if aid not in ids or not dig.has_arc(aid) or val < 0 or val > caps:
             return False
+        ids.discard(aid)  # so an arc stated twice fails, in either order
         u, v = dig.arc(aid)
         net[u] -= val
         net[v] += val

@@ -77,7 +77,6 @@ def enumerate_compact_kernels(dig: RootedDigraph, k: int) -> Iterator[CompactStr
 
 def grow_to_classic(
     dig: RootedDigraph, k: int, pair: tuple[CompactStructure, CompactStructure],
-    counters: Optional[dict] = None,
 ) -> tuple[ArcSelection, ArcSelection]:
     """Grow an extendable arc-disjoint compact pair into classic kernels."""
     k1, k2 = pair
@@ -86,7 +85,7 @@ def grow_to_classic(
     if not is_extendable_pair(dig, k1.selection, k2.selection):
         raise ContractError("compact kernel pair is not extendable")
     states = pair_states(dig.root, ((c.selection.ids, c.vertices) for c in pair))
-    grow_directed_pair(dig, states, (k1.attachment, k2.attachment), counters)
+    grow_directed_pair(dig, states, (k1.attachment, k2.attachment))
     out = []
     for state in states:
         sel = dig.selection(state.ids)
@@ -106,14 +105,13 @@ def grow_to_classic(
 
 def complete_to_spanning(
     dig: RootedDigraph, k: int, pair: tuple[ArcSelection, ArcSelection],
-    counters: Optional[dict] = None,
 ) -> tuple[ArcSelection, ArcSelection]:
     """Extend an extendable arc-disjoint classic kernel pair to spanning
     arborescences by the greedy `complete_directed_pair`, which is exact
     after the 2-root-connectivity gate (see its docstring): each new vertex
     gets one in-arc below the kernel."""
     states = pair_states(dig.root, ((s.ids, s.covered_vertices()) for s in pair))
-    if not complete_directed_pair(dig, states, counters):
+    if not complete_directed_pair(dig, states):
         raise completion_stall(dig, states)
     return dig.selection(states[0].ids), dig.selection(states[1].ids)
 
@@ -129,8 +127,10 @@ def solve_arb(dig: RootedDigraph, k: int, options: Optional[SolveOptions] = None
         return None if ok2 else ("connectivity-gate", cut.to_json_dict())
 
     def finish(pair, counters):
-        kernels = grow_to_classic(d, k, pair, counters)
-        tree1, tree2 = complete_to_spanning(d, k, kernels, counters)
+        kernels = grow_to_classic(d, k, pair)
+        tree1, tree2 = complete_to_spanning(d, k, kernels)
+        if d.n > 2 * k - 1:  # a spanning kernel pair takes no step and reports none
+            counters["completionSteps"] = 2 * (d.n - 2 * k + 1)
         return {"tree1": sorted(tree1.ids), "tree2": sorted(tree2.ids)}
 
     return run_pipeline(inst, options or SolveOptions(), Stages(

@@ -357,7 +357,6 @@ def enumerate_compact_cores(dig: RootedDigraph, k: int) -> Iterator[CompactStruc
 
 def grow_to_classic_core(
     dig: RootedDigraph, k: int, pair: tuple[CompactStructure, CompactStructure],
-    counters: Optional[dict] = None,
 ) -> tuple[ArcSelection, ArcSelection]:
     """Grow an extendable arc-disjoint (triple-free) compact core pair into
     classic cores: (r,k)-flow branchings on exactly 2k-1 non-root vertices."""
@@ -367,7 +366,7 @@ def grow_to_classic_core(
     if not is_extendable_pair(dig, c1.selection, c2.selection):
         raise ContractError("compact core pair is not extendable")
     states = pair_states(dig.root, ((c.selection.ids, c.vertices) for c in pair))
-    grow_directed_pair(dig, states, (c1.attachment, c2.attachment), counters)
+    grow_directed_pair(dig, states, (c1.attachment, c2.attachment))
     out = []
     for state in states:
         sel = dig.selection(state.ids)
@@ -478,9 +477,8 @@ def solve_flow(dig: RootedDigraph, k: int, options: Optional[SolveOptions] = Non
         ok2, cut = is_k_root_connected(d, 2)
         return None if ok2 else ("connectivity-gate", cut.to_json_dict())
 
-    def finish(pair, counters):
-        cores = grow_to_classic_core(d, k, pair, counters)
-        # no counters: flow reports have never carried completionSteps
+    def finish(pair, _):
+        cores = grow_to_classic_core(d, k, pair)
         (sel1, flow1), (sel2, flow2) = complete_to_spanning_flow(d, k, cores)
         return {"tree1": sorted(sel1.ids), "tree2": sorted(sel2.ids),
                 "flow1": flow1.to_json(), "flow2": flow2.to_json()}

@@ -120,7 +120,6 @@ class _CompletabilityOracle:
 def grow_to_classic_certificate(
     g: RootedGraph, k: int, pair: tuple[CompactStructure, CompactStructure],
     oracle: Optional[_CompletabilityOracle] = None,
-    counters: Optional[dict] = None,
 ) -> tuple[EdgeSelection, EdgeSelection]:
     """Grow a completable edge-disjoint compact pair into classic certificates.
 
@@ -133,8 +132,7 @@ def grow_to_classic_certificate(
     if not oracle.completable(c1.selection.ids, c2.selection.ids):
         raise ContractError("compact certificate pair is not completable")
     states = pair_states(g.root, ((c.selection.ids, c.vertices) for c in pair))
-    grow_pair(states, (c1.attachment, c2.attachment), g.incident_classes,
-              oracle.admits(states), counters)
+    grow_pair(states, (c1.attachment, c2.attachment), g.incident_classes, oracle.admits(states))
     out = []
     for state in states:
         sel = g.selection(state.ids)
@@ -177,8 +175,8 @@ def solve_tree(g: RootedGraph, k: int, options: Optional[SolveOptions] = None) -
         oracle = _CompletabilityOracle(gg)
         return None if oracle.global_full else ("global-union-gate", None)
 
-    def finish(pair, counters):
-        certs = grow_to_classic_certificate(gg, k, pair, oracle, counters)
+    def finish(pair, _):
+        certs = grow_to_classic_certificate(gg, k, pair, oracle)
         tree1, tree2 = complete_to_spanning_trees(gg, k, certs, oracle)
         return {"tree1": sorted(tree1.ids), "tree2": sorted(tree2.ids)}
 

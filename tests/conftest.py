@@ -157,6 +157,38 @@ def planted_tree_with_hub(rng: random.Random, n: int, k: int) -> RootedGraph:
     return RootedGraph(n, 0, edges)
 
 
+def planted_digraph_with_hub(rng: random.Random, n: int, fan: int) -> RootedDigraph:
+    """Two planted spanning arborescences, a hub out-fan of `fan` distinct
+    heads and n // 3 noise arcs: YES for arb and flow at every
+    k <= n - ceil((n - 1) / 3).
+
+    As in `planted_tree_with_hub`, each arborescence has three root children
+    and no root branch holds more than ceil((n - 1) / 3) vertices, so every
+    subtree has at most n - k vertices: each arborescence is k-safe, and
+    routing one unit per vertex along it is an (r,k)-flow branching.  They
+    are arc-disjoint because every planted arc is its own copy.  The hub is
+    a root child in both; a fan of 6k - 5 (arb) or 20k^2 + 1 (flow) heads
+    makes it large at k.
+    """
+    hub = rng.randrange(1, n)
+    others = [v for v in range(1, n) if v != hub]
+    arcs = []
+    for _ in range(2):
+        order = [hub, *rng.sample(others, n - 2)]
+        branches = [[v] for v in order[:3]]
+        arcs += [(0, v) for v in order[:3]]
+        for idx, v in enumerate(order[3:]):
+            arcs.append((rng.choice(branches[idx % 3]), v))
+            branches[idx % 3].append(v)
+    arcs += [(hub, v) for v in rng.sample(others, fan)]
+    while len(arcs) < 2 * (n - 1) + fan + n // 3:
+        u, v = rng.randrange(1, n), rng.randrange(1, n)
+        if u != v:
+            arcs.append((u, v))
+    rng.shuffle(arcs)
+    return RootedDigraph(n, 0, arcs)
+
+
 def relabel(g, rng: random.Random):
     """A copy of `g` with its non-root vertices renamed at random and its
     arcs (edges) listed, and so numbered, in a random order."""

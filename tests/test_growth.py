@@ -6,10 +6,11 @@ the matroid oracle instead.  Both old loops are kept below, verbatim but for
 a rejection tally.  On seeded compact pairs at k = 3 (at k = 2 every root
 branch holds one vertex, so no pair has an attachment) the batch compares
 them with `grow_directed_pair` and with `grow_pair` under tree's
-`_CompletabilityOracle.admits`: final copy ids, covered sets, `growSteps`
-and any stall.  The tree reference asks with the growing side first, while
-`admits` asks in (tree1, tree2) order, so the batch also shows that the
-order changes no growth decision.
+`_CompletabilityOracle.admits`: final copy ids, covered sets and any stall.
+Where they do not stall, the old loops' counted steps equal the sum of both
+targets, the `growSteps` a solve reports.  The tree reference asks with
+the growing side first, while `admits` asks in (tree1, tree2) order, so the
+batch also shows that the order changes no growth decision.
 
 Random planted instances almost never reject a candidate, so each instance
 carries two gadgets.  Vertices v < a are reached only by root-a, hub-v and
@@ -148,14 +149,13 @@ def _pairs(rng, g, structures, ids_of, limit):
 
 
 def _run(grow, states, targets):
-    """(stall diagnostics or None, ids, covered, counters) after `grow`."""
-    counters = {}
+    """(stall diagnostics or None, ids, covered) after `grow`."""
     try:
-        grow(states, targets, counters)
+        grow(states, targets)
         stall = None
     except InternalError as exc:
         stall = (exc.diagnostics["anchor"], exc.diagnostics["side"])
-    return stall, [s.ids for s in states], [s.covered for s in states], counters
+    return stall, [s.ids for s in states], [s.covered for s in states]
 
 
 def _arb(rng):
@@ -163,7 +163,7 @@ def _arb(rng):
     d = RootedDigraph(n, 0, _hub_copies(rng, n, 6 * K - 5))
     return (d, list(enumerate_compact_kernels(d, K)), lambda s: s.selection.ids,
             lambda s1, s2: is_extendable_pair(d, s1.selection, s2.selection),
-            lambda states, targets, counters: grow_directed_pair(d, states, targets, counters),
+            lambda states, targets: grow_directed_pair(d, states, targets),
             lambda states, targets, counters, rejected: grow_directed_reference(
                 d, states, targets, counters, rejected))
 
@@ -174,8 +174,8 @@ def _tree(rng):
     oracle = _CompletabilityOracle(g)
     return (g, list(enumerate_compact_certificates(g, K)), lambda s: s.selection.ids,
             lambda s1, s2: oracle.completable(s1.selection.ids, s2.selection.ids),
-            lambda states, targets, counters: grow_pair(
-                states, targets, g.incident_classes, oracle.admits(states), counters),
+            lambda states, targets: grow_pair(
+                states, targets, g.incident_classes, oracle.admits(states)),
             lambda states, targets, counters, rejected: grow_tree_reference(
                 g, oracle, states, targets, counters, rejected))
 
@@ -190,15 +190,18 @@ def test_growth_matches_the_reference_loop(make, instances, limit):
         for pair in _pairs(rng, g, structures, ids_of, limit):
             sides = [(ids_of(s), s.vertices) for s in pair]
             targets = tuple(s.attachment for s in pair)
-            rejected = []
+            rejected, counters = [], {}
             new = _run(grow_new, pair_states(g.root, sides), targets)
-            old = _run(lambda states, t, counters: grow_old(states, t, counters, rejected),
+            old = _run(lambda states, t: grow_old(states, t, counters, rejected),
                        pair_states(g.root, sides), targets)
             assert new == old, (pair, new, old)
             ok = precondition(*pair)
             stalls += new[0] is not None
             precondition_stalls += new[0] is not None and ok
-            steps += new[3].get("growSteps", 0)
+            if new[0] is None:
+                assert counters.get("growSteps", 0) == sum(
+                    sum(t.values()) for t in targets), (pair, counters)
+            steps += counters.get("growSteps", 0)
             rejections += len(rejected) if ok else 0
     # rejections are counted on pairs that meet the growth precondition
     # only; those never stall, as the anchors outlast every rejection

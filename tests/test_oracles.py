@@ -18,6 +18,7 @@ from rootedpack.oracles import (
     validate_witness,
 )
 
+from rootedpack.instancegen import random_instance
 from rootedpack.solver_flow import solve_flow
 
 from conftest import random_digraph, random_graph
@@ -222,6 +223,30 @@ def test_a_witness_without_stated_flows_runs_the_max_flow(monkeypatch):
     bad = validate_witness(inst, {"tree1": [0], "tree2": [1, 3], "flow2": [[1, 2], [3, 1]]})
     assert bad.failures() == [("tree1:feasible", "no branching flow under caps 2")]
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("at", [0, None], ids=["first", "last"])
+def test_an_arc_stated_twice_fails_in_either_entry_order(monkeypatch, at):
+    """A second entry for a witness arc breaks the stated flow wherever it
+    stands, so the max-flow decides that side's `feasible`."""
+    calls = _counted_max_flows(monkeypatch)
+    inst = random_instance("flow", 8, 30, 3, ensure="2-root-connected", k=1)
+    witness = solve_flow(inst.graph, 1).witness
+    aid, _ = witness["flow1"][0]
+    witness["flow1"].insert(len(witness["flow1"]) if at is None else at, [aid, 8])
+    del calls[:]
+    verdict = validate_witness(inst, witness)
+    assert [name for name, *_ in verdict.checks] == [
+        *FLOW_CHECKS, "tree1:stated-flow", "tree2:stated-flow"]
+    assert verdict.failures() == [("tree1:stated-flow", "stated flow invalid")]
+    assert len(calls) == 1
+
+
+def test_a_flow_side_listing_an_arc_twice_fails_its_ids():
+    d = RootedDigraph(3, 0, [(0, 1), (0, 1), (1, 2), (1, 2)])
+    verdict = validate_witness(ProblemInstance(kind="flow", graph=d, k=1),
+                               {"tree1": [0, 2, 2], "tree2": [1, 3]})
+    assert verdict.failures() == [("tree1:ids", "repeated arc ids")]
 
 
 def test_validate_witness_stated_flow_unknown_arc_is_itemised():

@@ -471,13 +471,14 @@ def test_searches_leave_the_kept_engine_unchanged():
             if not extendable(*pair):
                 continue
             states = pair_states(d.root, [(ids_of(s), s.vertices) for s in pair])
-            grow(states, tuple(s.attachment for s in pair), {})
+            grow(states, tuple(s.attachment for s in pair))
             grown += 1
             # the gadget digraphs are not 2-root-connected, so completion
-            # may stall, but only after it has taken steps
-            counters = {}
-            complete_directed_pair(d, states, counters)
-            completed += counters.get("completionSteps", 0)
+            # may stall, but only after it has taken steps: each covers one
+            # new vertex of one side
+            before = sum(len(state.covered) for state in states)
+            complete_directed_pair(d, states)
+            completed += sum(len(state.covered) for state in states) - before
         is_k_root_connected(d, 2)
         assert d._out_classes is tables[0] and d._in_classes is tables[1]
         assert [list(table) for table in tables] == copies
@@ -509,12 +510,14 @@ def test_completion_matches_rescanning_loop_at_scale():
     for rng, d in scale_digraphs(33, 14):
         start = _start_states(rng, d)
         want_states, got_states = _copy(start), _copy(start)
-        want_counters, got_counters = {}, {}
+        want_counters = {}
         want = complete_reference(d, want_states, want_counters)
-        got = complete_directed_pair(d, got_states, got_counters)
+        got = complete_directed_pair(d, got_states)
         assert got == want
         assert got_states == want_states
-        assert got_counters == want_counters
+        # each step of the reference covers one new vertex of one side
+        grown = sum(len(g.covered) - len(s.covered) for g, s in zip(got_states, start))
+        assert grown == want_counters.get("completionSteps", 0)
         # past the k=2 gate these start states keep the per-side invariant
         # here, and then the completion cannot stall (Edmonds' theorem)
         assert got or not is_k_root_connected(d, 2)[0]

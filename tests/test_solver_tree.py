@@ -283,8 +283,8 @@ def test_growth_leaves_its_last_union_as_the_witness(monkeypatch):
             return ok
         return logged
 
-    def grow(g, k, pair, oracle=None, counters=None):
-        certs = real_grow(g, k, pair, oracle, counters)
+    def grow(g, k, pair, oracle=None):
+        certs = real_grow(g, k, pair, oracle)
         log.append(("grown", oracle, certs))
         return certs
 
