@@ -15,8 +15,12 @@ vertex has 19 out-neighbours for arb and 25 neighbours for tree, so
 n = 21..30 and 27..30, and every solve enumerates tens of thousands of
 shapes.  Flow's at k = 2 has 81 out-neighbours, so n = 83..100; those
 solves take about 10 ms each.  The tally then also shows how many solves
-grew.  `--planted --count 60` takes about 30 s on a 2-core x86-64 host,
-most of it tree at k = 4.
+grew.  At k >= 2 every planted instance also gets a certified NO twin
+with the same fan and noise but a root of (out-)degree 3 (see `planted`):
+a YES on it, or a NO at any stage other than pair search, counts as a
+failure, and the tally lists its stages as "twin <stage>".  `--planted
+--count 60` takes about 25 s on a 2-core x86-64 host, most of it tree at
+k = 4.
 
 Examples:
     python3 scripts/fuzz_agreement.py --count 2000 --seed 1 --kinds arb flow tree
@@ -71,10 +75,13 @@ def rand_graph(rng, max_n, max_m, max_mult):
 
 
 def planted(rng, kind, k):
-    """Two random spanning 0-arborescences plus up to n/4 noise copies, as a
-    digraph, or as a graph for tree; also an out-fan of 6k-5 (arb), 8k-7
-    (tree) or, at k = 2, 20k^2+1 (flow) distinct heads at one vertex, which
-    makes that vertex large so that growth can run.
+    """A planted YES instance and, at k >= 2, its certified NO twin (else
+    None).
+
+    The YES instance is two random spanning 0-arborescences plus up to n/4
+    noise copies, as a digraph, or as a graph for tree; also an out-fan of
+    6k-5 (arb), 8k-7 (tree) or, at k = 2, 20k^2+1 (flow) distinct heads at
+    one vertex, the hub, which makes it large so that growth can run.
 
     YES by construction.  Each arborescence gives the root c children, c = k
     (c = k + 1 for tree), so every root branch, and with it every subtree,
@@ -86,24 +93,41 @@ def planted(rng, kind, k):
     - tree: the component hanging at v lies in v's root branch, with at
       most n - 1 - k vertices, so each tree is (r,k)-safe.
     Extra copies, noise and fan alike, never destroy a packing.
+
+    The twin has the same n, fan and noise, less the noise copies at the
+    root, but its arborescences give the root 1 and 2 children, and the hub
+    is the first one's root child.  It passes the gates, as it holds two
+    disjoint spanning arborescences (trees), and the root has (out-)degree
+    3, so the answer is NO at pair search: each structure needs two root
+    copies, and two disjoint ones would need four (see `root_degree_three`
+    in tests/conftest.py).  The hub's fan puts anchored shapes in that
+    search.
     """
     fan = {"arb": 6 * k - 5, "tree": 8 * k - 7, "flow": 20 * k * k + 1 if k > 1 else 0}[kind]
     children = k + 1 if kind == "tree" else k
     low = max(8, fan + 2)
     n = rng.randint(low, 30 if low <= 30 else low + 17)
-    copies = []
-    for _ in range(2):
-        order = rng.sample(range(1, n), n - 1)
-        for i, v in enumerate(order):
-            copies.append((0 if i < children else rng.choice(order[:i]), v))
     hub = rng.randrange(1, n)
-    copies += [(hub, v) for v in rng.sample([v for v in range(1, n) if v != hub], fan)]
+    others = [v for v in range(1, n) if v != hub]
+    heads = rng.sample(others, fan)
+    noise = []
     for _ in range(rng.randint(0, n // 4)):
         u, v = rng.randrange(n), rng.randrange(1, n)
         if u != v:
-            copies.append((u, v))
-    rng.shuffle(copies)
-    return (RootedGraph if kind == "tree" else RootedDigraph)(n, 0, copies)
+            noise.append((u, v))
+
+    def build(root_children, extra, hub_first):
+        copies = [(hub, v) for v in heads] + extra
+        for c, first in zip(root_children, (hub_first, False)):
+            order = [hub, *rng.sample(others, n - 2)] if first else rng.sample(range(1, n), n - 1)
+            for i, v in enumerate(order):
+                copies.append((0 if i < c else rng.choice(order[:i]), v))
+        rng.shuffle(copies)
+        return (RootedGraph if kind == "tree" else RootedDigraph)(n, 0, copies)
+
+    yes = build((children, children), noise, False)
+    twin = build((1, 2), [(u, v) for u, v in noise if u != 0], True) if k >= 2 else None
+    return yes, twin
 
 
 # kind -> (instance generator, k values, solver, oracle)
@@ -112,8 +136,9 @@ KINDS = {
     "flow": (lambda rng: rand_digraph(rng, 5, 12, 4), (1, 2), solve_flow, oracle_flow),
     "tree": (lambda rng: rand_graph(rng, 6, 18, 2), (1, 2, 3), solve_tree, oracle_tree),
 }
-# kind -> (k values, solver) for --planted, where every answer must be YES;
-# flow stops at k = 2, as flow at k = 3 takes seconds per instance
+# kind -> (k values, solver) for --planted, where every planted answer must
+# be YES and every twin's NO at pair search; flow stops at k = 2, as flow at
+# k = 3 takes seconds per instance
 PLANTED = {"arb": ((1, 2, 3, 4), solve_arb), "flow": ((1, 2), solve_flow),
            "tree": ((1, 2, 3, 4), solve_tree)}
 
@@ -124,7 +149,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--kinds", nargs="+", default=list(KINDS), choices=list(KINDS))
     parser.add_argument("--planted", action="store_true",
-                        help="solve planted YES instances at n = 8..30 instead")
+                        help="solve planted YES instances and their NO twins instead")
     args = parser.parse_args()
     rng = random.Random(args.seed)
     mismatches = failures = 0
@@ -136,13 +161,16 @@ def main() -> int:
         for kind in tally:
             if args.planted:
                 ks, solve = PLANTED[kind]
-                instances = [(k, planted(rng, kind, k)) for k in ks]
+                # (k, instance, its certain decision); the twin is the NO one
+                instances = [(k, g, want) for k in ks
+                             for g, want in zip(planted(rng, kind, k), (True, False))
+                             if g is not None]
                 oracle = None
             else:
                 generate, ks, solve, oracle = KINDS[kind]
                 g = generate(rng)
-                instances = [(k, g) for k in ks]
-            for k, g in instances:
+                instances = [(k, g, None) for k in ks]
+            for k, g, want in instances:
                 name, pairs = ("edges", g.edges()) if kind == "tree" else ("arcs", g.arcs())
                 where = f"seed={args.seed} i={i} n={g.n} {name}={[(u, v) for u, v, _ in pairs]}"
                 try:
@@ -152,11 +180,16 @@ def main() -> int:
                     print(f"{kind.upper()} FAILED k={k} {where}: "
                           f"{type(exc).__name__}: {exc}", flush=True)
                     continue
-                tally[kind][(report.stage, report.decision)] += 1
+                twin = want is False
+                tally[kind][(("twin " if twin else "") + report.stage, report.decision)] += 1
                 grew[kind] += report.counters.get("growSteps", 0) > 0
-                if oracle is None and not report.decision:
+                if want and not report.decision:
                     failures += 1
                     print(f"{kind.upper()} PLANTED NO k={k} {where}", flush=True)
+                elif twin and (report.decision or report.stage != "pair-search"):
+                    failures += 1
+                    print(f"{kind.upper()} TWIN {'YES' if report.decision else 'NO'} "
+                          f"at {report.stage} k={k} {where}", flush=True)
                 elif oracle is not None and report.decision != oracle(g, k).decision:
                     mismatches += 1
                     print(f"{kind.upper()} MISMATCH k={k} {where}", flush=True)

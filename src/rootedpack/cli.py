@@ -25,6 +25,7 @@ from .matroid import has_two_disjoint_spanning_trees
 from .connectivity import is_k_root_connected
 from .oracles import OracleBudget, run_oracle, validate_witness
 from .fptcommon import SolveOptions
+from .reports import SolveReport
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -77,7 +78,7 @@ def _render_text(obj: dict) -> str:
 
 def _build_parser() -> _CliParser:
     parser = _CliParser(prog="rootedpack", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers()
 
     def common(p):
         p.add_argument("--input", required=True)
@@ -85,6 +86,7 @@ def _build_parser() -> _CliParser:
         p.add_argument("--format", choices=("text", "json"), default="json")
 
     solve = sub.add_parser("solve")
+    solve.set_defaults(handler=_cmd_solve)
     solve.add_argument("problem", choices=("arb", "flow", "tree"))
     common(solve)
     solve.add_argument("--k", type=int)
@@ -93,25 +95,30 @@ def _build_parser() -> _CliParser:
     solve.add_argument("--budget", type=int)
 
     validate = sub.add_parser("validate")
+    validate.set_defaults(handler=_cmd_validate)
     common(validate)
     validate.add_argument("--witness", required=True)
     validate.add_argument("--k", type=int)
 
     oracle = sub.add_parser("oracle")
+    oracle.set_defaults(handler=_cmd_oracle)
     oracle.add_argument("problem", choices=("arb", "flow", "tree"))
     common(oracle)
     oracle.add_argument("--k", type=int)
     oracle.add_argument("--budget", type=int)
 
     gen = sub.add_parser("gen")
-    gen_sub = gen.add_subparsers(dest="generator")
+    gen.set_defaults(handler=_cmd_gen_missing)
+    gen_sub = gen.add_subparsers()
     gen_sat = gen_sub.add_parser("sat")
+    gen_sat.set_defaults(handler=_cmd_gen_sat)
     gen_sat.add_argument("--cnf", required=True)
     gen_sat.add_argument("--q", type=int)
     gen_sat.add_argument("--output")
     gen_sat.add_argument("--roles")
     gen_sat.add_argument("--format", choices=("text", "json"), default="json")
     gen_rand = gen_sub.add_parser("random")
+    gen_rand.set_defaults(handler=_cmd_gen_random)
     gen_rand.add_argument("--kind", choices=("arb", "flow", "tree"), required=True)
     gen_rand.add_argument("--n", type=int, required=True)
     gen_rand.add_argument("--arcs", type=int, required=True)
@@ -122,6 +129,7 @@ def _build_parser() -> _CliParser:
     gen_rand.add_argument("--format", choices=("text", "json"), default="json")
 
     stats = sub.add_parser("stats")
+    stats.set_defaults(handler=_cmd_stats)
     common(stats)
     return parser
 
@@ -194,42 +202,40 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = _load_instance(args.input, args.problem, args.k)
     answer = run_oracle(inst, _budget(args, inst) or OracleBudget())
-    obj = {
-        "problem": inst.kind,
-        "k": inst.k,
-        "decision": answer.decision,
-        "stage": "oracle",
-        "witness": None if answer.witness is None else {
+    report = SolveReport(
+        problem=inst.kind, k=inst.k, decision=answer.decision, stage="oracle",
+        witness=None if answer.witness is None else {
             "tree1": list(answer.witness[0]), "tree2": list(answer.witness[1])},
-        "counters": {"candidates": answer.candidates},
-    }
-    _emit(obj, args.format, args.output)
+        counters={"candidates": answer.candidates})
+    _emit(report.to_json_dict(), args.format, args.output)
     return EXIT_YES if answer.decision else EXIT_NO
 
 
-def _cmd_gen(args) -> int:
-    if args.generator == "sat":
-        formula = parse_dimacs(_read_text(args.cnf))
-        out = sat_reduction(formula, q=args.q)
-        inst = ProblemInstance(kind="tree", graph=out.graph, k=out.k)
-        text = inst.to_json() if args.format == "json" else inst.to_text()
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            sys.stdout.write(text)
-        if args.roles:
-            Path(args.roles).write_text(
-                json.dumps(out.to_roles_json(), sort_keys=True, indent=2) + "\n")
-        return EXIT_YES
-    if args.generator == "random":
-        inst = random_instance(args.kind, args.n, args.arcs, args.seed,
-                               ensure=args.ensure, k=args.k)
-        text = inst.to_json() if args.format == "json" else inst.to_text()
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_YES
+def _write_instance(inst: ProblemInstance, args) -> None:
+    """`inst` in `--format` to `--output`, or to stdout without it."""
+    text = inst.to_json() if args.format == "json" else inst.to_text()
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _cmd_gen_sat(args) -> int:
+    out = sat_reduction(parse_dimacs(_read_text(args.cnf)), q=args.q)
+    _write_instance(ProblemInstance(kind="tree", graph=out.graph, k=out.k), args)
+    if args.roles:
+        Path(args.roles).write_text(
+            json.dumps(out.to_roles_json(), sort_keys=True, indent=2) + "\n")
+    return EXIT_YES
+
+
+def _cmd_gen_random(args) -> int:
+    _write_instance(random_instance(args.kind, args.n, args.arcs, args.seed,
+                                    ensure=args.ensure, k=args.k), args)
+    return EXIT_YES
+
+
+def _cmd_gen_missing(args) -> int:
     raise _UsageError("gen requires a generator: sat or random")
 
 
@@ -265,19 +271,9 @@ def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
+        if "handler" not in args:
             raise _UsageError("missing command")
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except InternalError as exc:
         return _internal(exc)
     except (_UsageError, PackError, OSError, json.JSONDecodeError) as exc:

@@ -541,35 +541,33 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
 
     The text format is graph-only; kind defaults from the header tag
     (D -> arb, U -> tree) and k defaults to 1, unless a `# kind = ...` /
-    `# k = ...` comment or an explicit argument overrides them.
+    `# k = ...` comment or an explicit argument overrides them.  Only a
+    comment-only line sets meta.  Each line is checked as it is read, so a
+    ParseError names the first bad line.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json_instance(stripped, kind=kind, k=k)
-    header = None
-    entries: list[tuple[int, int, int, int]] = []
-    total = 0
+    tag = None  # until the header is read
+    copies: list[tuple[int, int]] = []  # numbered 0, 1, ... in order by the constructor
     meta: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
+        line, _, comment = raw.partition("#")
+        tokens = line.split()
+        if not tokens:
+            # blank or comment-only; only such a line sets meta
+            if "=" in comment:
+                key, _, val = comment.partition("=")
                 meta[key.strip().lower()] = val.strip()
             continue
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if header is None:
+        if tag is None:
             if len(tokens) != 3 or tokens[0] not in ("D", "U"):
                 raise ParseError("expected header 'D n root' or 'U n root'", lineno)
             try:
-                header = (tokens[0], int(tokens[1]), int(tokens[2]))
+                tag, n, root = tokens[0], int(tokens[1]), int(tokens[2])
             except ValueError:
                 raise ParseError("header fields must be integers", lineno) from None
-            _check_vertices(header[1], header[2], lineno)
+            _check_vertices(n, root, lineno)
             continue
         if len(tokens) not in (2, 3):
             raise ParseError("expected 'u v [count]'", lineno)
@@ -580,15 +578,8 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
             raise ParseError("arc fields must be integers", lineno) from None
         if count < 1:
             raise ParseError(f"count must be >= 1, got {count}", lineno)
-        total += count
-        if total > MAX_COPIES:
+        if len(copies) + count > MAX_COPIES:
             raise ParseError(f"more than {MAX_COPIES} arc copies in total", lineno)
-        entries.append((lineno, u, v, count))
-    if header is None:
-        raise ParseError("empty document: missing header")
-    tag, n, root = header
-    copies = []  # (u, v) pairs, which the constructor numbers 0, 1, ... in order
-    for lineno, u, v, count in entries:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"vertex out of range in arc ({u},{v})", lineno)
         if u == v:
@@ -596,6 +587,8 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
         if tag == "D" and v == root:
             raise ParseError(f"arc ({u},{v}) enters the root", lineno)
         copies.extend([(u, v)] * count)
+    if tag is None:
+        raise ParseError("empty document: missing header")
     graph = (RootedDigraph if tag == "D" else RootedGraph)(n, root, copies)
     if kind is None:
         kind = meta.get("kind") or ("arb" if tag == "D" else "tree")
@@ -632,15 +625,14 @@ def _parse_json_instance(text: str, *, kind: str | None, k: int | None) -> Probl
     arcs = obj["arcs"]
     if not isinstance(arcs, list) or not all(isinstance(e, list) and len(e) in (2, 3) for e in arcs):
         raise ParseError("JSON instance field 'arcs' must be a list of [u, v] or [u, v, count]")
-    entries = []
+    copies: list[tuple[int, int]] = []
     for entry in arcs:
         u, v, count = [json_int(x, "JSON instance field 'arcs'") for x in entry] + [1] * (3 - len(entry))
         if count < 1:
             raise ParseError(f"count must be >= 1, got {count}")
-        entries.append((u, v, count))
-    if sum(count for _, _, count in entries) > MAX_COPIES:
-        raise ParseError(f"more than {MAX_COPIES} arc copies in total")
-    copies = [(u, v) for u, v, count in entries for _ in range(count)]
+        if len(copies) + count > MAX_COPIES:
+            raise ParseError(f"more than {MAX_COPIES} arc copies in total")
+        copies.extend([(u, v)] * count)
     graph = (RootedGraph if kind == "tree" else RootedDigraph)(n, root, copies)
     return ProblemInstance(kind=kind, graph=graph, k=k)
 

@@ -145,18 +145,13 @@ def _aggregated_feasibility(
     structure Y), every vertex of V' demands one unit, and an aggregated
     demand of the residual 2k-1-|V'| units may leave only through the
     anchors, the large vertices of V'.  With a positive residual and no
-    anchor it is infeasible.  With residual 0 there is nothing to attach, so
-    the attachment is empty and its min cut decides, with no max-flow:
-    feasible iff k * in(X) >= |X| for every non-empty X within V'.  As
-    |X| <= 2k-1, that asks for one entering copy when |X| <= k and for two
-    when it is larger, so it holds iff the root reaches V' and no bridge cut
-    (`_bridge_cuts`) has more than k vertices.  Otherwise one max-flow
-    decides, and the per-anchor split is read off the integral flow.
+    anchor it is infeasible.  Otherwise one max-flow decides, and the
+    per-anchor split is read off the integral flow; with residual 0 there is
+    nothing to attach, and the attachment is empty.  `_core_shapes` decides
+    full-size states by the cut condition instead (see the module
+    docstring), so only `validate_compact_core` brings residual 0 here.
     """
     residual = 2 * k - 1 - len(verts)
-    if residual == 0:
-        cuts = _bridge_cuts(dig.root, class_counts, verts, k + 1)
-        return {} if cuts is not None and not cuts else None
     anchors = sorted(verts & large)
     if residual > 0 and not anchors:
         return None

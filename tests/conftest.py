@@ -126,6 +126,24 @@ def root_degree_three(rng: random.Random, n: int, noise: int, undirected: bool =
     return RootedGraph(n, 0, arcs) if undirected else RootedDigraph(n, 0, arcs)
 
 
+def root_degree_three_with_hub(rng: random.Random, n: int, noise: int, fan: int,
+                               undirected: bool = False):
+    """`root_degree_three` plus a fan of `fan` arcs (edges) from one of the
+    root's children, the hub, to distinct non-root heads.
+
+    The fan adds nothing at the root, which keeps (out-)degree 3, so the
+    answer stays NO for k >= 2 by `root_degree_three`'s argument.  A fan of
+    6k - 5 (arb), 8k - 7 (tree) or 20k^2 + 1 (flow) heads makes the hub
+    large at k, so the shape searches attach to it.
+    """
+    g = root_degree_three(rng, n, noise, undirected)
+    pairs = [(u, v) for u, v, _ in (g.edges() if undirected else g.arcs())]
+    hub = rng.choice([v for u, v in pairs if u == 0])  # an edge lists its smaller end first
+    pairs += [(hub, v) for v in rng.sample([v for v in range(1, n) if v != hub], fan)]
+    rng.shuffle(pairs)
+    return type(g)(n, 0, pairs)
+
+
 def planted_tree_with_hub(rng: random.Random, n: int, k: int) -> RootedGraph:
     """Two planted spanning trees, a hub fan and n // 3 noise edges: YES
     for tree at every k <= (n - 1) - ceil((n - 1) / 3).

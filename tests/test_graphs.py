@@ -80,6 +80,16 @@ def test_parse_errors_name_line():
         parse_instance("D 3 0\n0 9\n")
 
 
+def test_parse_error_names_the_first_bad_line():
+    # line 2 is out of range and line 3 is not integers: each line is
+    # checked where it is read, so line 2 is named
+    with pytest.raises(ParseError, match="line 2: vertex out of range"):
+        parse_instance("D 3 0\n0 9\nx y\n")
+    # the same for JSON entries: the first entry crosses the copy limit
+    with pytest.raises(ParseError, match="more than 1000000 arc copies"):
+        parse_instance('{"kind": "arb", "n": 2, "root": 0, "arcs": [[0, 1, 1000001], [0, 1, 0]], "k": 1}')
+
+
 def test_parse_rejects_more_copies_than_the_limit():
     # one copy over the limit; the check runs before any id is built
     assert MAX_COPIES == 1_000_000
@@ -117,6 +127,16 @@ def test_more_vertices_than_the_limit_rejected_before_any_table(build):
     assert peak_bytes(reject) < 100_000
 
 
+def test_json_parse_peaks_no_higher_than_text_parse():
+    # 100,000 copies as 100 entries of 1,000: each entry extends the copy
+    # list with one shared (u, v) pair, as a text line does
+    text = "D 101 0\n" + "".join(f"0 {v} 1000\n" for v in range(1, 101))
+    doc = json.dumps({"kind": "arb", "n": 101, "root": 0, "k": 1,
+                      "arcs": [[0, v, 1000] for v in range(1, 101)]})
+    assert parse_instance(doc).graph == parse_instance(text).graph
+    assert peak_bytes(lambda: parse_instance(doc)) <= 1.1 * peak_bytes(lambda: parse_instance(text))
+
+
 @pytest.mark.parametrize("field,value", [
     ("arcs", [[0, 1, 1.5]]), ("arcs", [[0, 1, True]]), ("arcs", [[0, "1"]]),
     ("arcs", [[0.0, 1]]), ("n", "3"), ("n", 3.0), ("root", False), ("k", "2"), ("k", 2.5),
@@ -141,6 +161,11 @@ def test_parse_comments_and_meta():
     assert inst.kind == "flow"
     assert inst.k == 2
     assert inst.graph.arc_count == 3
+
+
+def test_only_a_comment_only_line_sets_meta():
+    assert parse_instance("  # k = 2\nD 2 0\n0 1\n").k == 2
+    assert parse_instance("D 2 0\n0 1 # k = 5\n").k == 1
 
 
 def test_json_round_trip():

@@ -10,7 +10,6 @@ from rootedpack.fptcommon import CompactStructure
 from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel
 from rootedpack.oracles import oracle_flow
 from rootedpack.solver_flow import (
-    _aggregated_feasibility,
     _bridge_cuts,
     _new_head_cut,
     _routed_completion_flow,
@@ -122,13 +121,15 @@ def test_validate_compact_core_against_attachment_enumeration(rng):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_full_size_cores_decided_by_cut_condition_match_max_flow(k):
-    """At |V'| = 2k-1 the residual is 0, so `_aggregated_feasibility` decides
-    by the min-cut condition without a max-flow; it must agree with the
-    aggregated network solved by max-flow.  A drawn count vector is a random
-    tree over the root and V' with each tree class dropped at rate 0.1 (so
-    some supports are not root-connected), plus up to 2k-1 random classes;
-    every class has 1 or 2 copies.  The large vertices are drawn too: with
-    nothing left to attach they change nothing."""
+    """At |V'| = 2k-1 the residual is 0, and `_core_shapes` decides by the
+    min-cut condition without a max-flow: the vector passes iff the root
+    reaches V' and it has no bridge cut of more than k vertices
+    (`_bridge_cuts(..., k + 1) == []`).  That must agree with the aggregated
+    network solved by max-flow.  A drawn count vector is a random tree over
+    the root and V' with each tree class dropped at rate 0.1 (so some
+    supports are not root-connected), plus up to 2k-1 random classes; every
+    class has 1 or 2 copies.  The large vertices are drawn too: with nothing
+    left to attach they change nothing."""
     rng = random.Random(8000 + k)
     size = 2 * k - 1
     tally = {"feasible": 0, "tight": 0, "unreached": 0, "single-copy cut": 0}
@@ -148,7 +149,7 @@ def test_full_size_cores_decided_by_cut_condition_match_max_flow(k):
         dig = RootedDigraph(n, 0, arcs)
         large = frozenset(v for v in verts if rng.random() < 0.2)
         want = aggregated_feasibility_reference(dig, counts, verts, large, k)
-        assert _aggregated_feasibility(dig, counts, verts, large, k) == want, (k, counts)
+        assert (_bridge_cuts(0, counts, verts, k + 1) == []) == (want is not None), (k, counts)
         if want is not None:
             tally["feasible"] += 1
             # some single copy cuts off exactly k vertices: the bound is tight
