@@ -6,13 +6,18 @@ line is `total <solves> <sha256 of every line before it>`.  Diffing the
 output of two checkouts shows whether a change kept every report
 byte-identical, and which instance moved if not.
 
-The corpus, 580 solves:
+The corpus, 588 solves:
 - `random_instance` for every kind at n in {8, 12, 16, 20, 30}, k in
   {1, 2, 3}, m in {2n, 3n, 5n} and seeds 0..3, with the kind's `ensure`
   (2-root-connected for arb and flow, connected for tree); flow at k = 3
   takes only m in {2n, 3n}, as flow n = 8, m = 40, k = 3 runs past 20 s;
 - the benchmark's `planted_yes` and `root_degree_three_no` for every kind
-  at n in {20, 30}, k = 3, seeds 0..4, with round(0.7 n) noise arcs.
+  at n in {20, 30}, k = 3, seeds 0..4, with round(0.7 n) noise arcs;
+- tree solves that run real matroid unions, at seeds 0..1: the benchmark's
+  `pendant_tree_no` at (n, m) in {(80, 480), (200, 1200)}, k = 2, which fail
+  the union gate after many failed augmenting searches, and `random_instance`
+  at n in {200, 500}, m = 10n, k = 3, connected, which complete by unions
+  with forced forests and seeds.
 
 Each solve gets a 20 s alarm; one that hits it prints `timeout` instead of
 a digest, and one that raises prints `error:` and the exception's name
@@ -34,7 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "perfbench"))
 
-from generators import planted_yes, root_degree_three_no  # noqa: E402
+from generators import pendant_tree_no, planted_yes, root_degree_three_no  # noqa: E402
 
 from rootedpack.instancegen import random_instance  # noqa: E402
 from rootedpack.solver_arb import solve_arb  # noqa: E402
@@ -67,6 +72,14 @@ def corpus():
                 for seed in range(5):
                     yield (f"{name} {kind} n={n} k=3 seed={seed}",
                            partial(make, kind, n, 3, round(0.7 * n), seed))
+    for n, m in ((80, 480), (200, 1200)):
+        for seed in range(2):
+            yield (f"pendant tree n={n} m={m} k=2 seed={seed}",
+                   partial(pendant_tree_no, n, m, 2, seed))
+    for n in (200, 500):
+        for seed in range(2):
+            yield (f"random tree n={n} m={10 * n} k=3 seed={seed}",
+                   partial(random_instance, "tree", n, 10 * n, seed, "connected", 3))
 
 
 def digest(make) -> str:

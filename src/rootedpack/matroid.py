@@ -5,13 +5,30 @@ two edge-disjoint spanning trees, one containing each?) is the rank question
 for the union of two graphic matroids contracted by the forced forests.  The
 same augmenting-path engine answers the question and produces the witness
 trees, so completion is exact, never greedy.
+
+`_UnionRun` is Edmonds' matroid partition.  A direct pass first inserts
+every element that fits a side as it stands.  Only when it ends short of two
+spanning trees do the sides get, through `ForcedForestContext.insert`, the
+forest adjacency that augmenting searches walk; a union the pass completes
+builds none.  A context never holds a member its adjacency lacks, as
+`insert` and `remove` edit both.
+
+Each augmenting search is a breadth-first search of the exchange digraph,
+which changes only when a search succeeds.  A failed search has reached
+everything reachable from its start and found no free element there, so
+until the next success each element it reached is dead: whatever a dead
+element reaches is dead too, so no augmenting path runs through it.  Later
+searches never enqueue a dead element, and that is exact: an element first
+reached through a dead one is itself dead, so skipping them changes neither
+the search order nor the parents of the live elements, nor the trees.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import ContractError, InternalError
 from .graphs import EdgeSelection, RootedGraph
@@ -164,18 +181,9 @@ class _UnionRun:
     def full(self) -> bool:
         return all(s.size() == self.target for s in self.sides)
 
-    def _try_direct(self, eid: int, order: Sequence[int]) -> bool:
-        u, v = self.graph.edge(eid)
-        for i in order:
-            side = self.sides[i]
-            if side.size() < self.target and self._direct[i].union(u, v):
-                side.insert(eid)
-                self.in_side[eid] = i
-                return True
-        return False
-
-    def _augment(self, e0: int) -> Optional[set[int]]:
-        """BFS over the exchange digraph; None on success, visited set on failure."""
+    def _augment(self, e0: int, dead: Collection[int] = frozenset()) -> Optional[set[int]]:
+        """BFS over the exchange digraph that never enters `dead`; None on
+        success, visited set on failure."""
         sides = self.sides
         graph = self.graph
         visited = {e0}
@@ -194,7 +202,7 @@ class _UnionRun:
                     self._apply(x, i, parent)
                     return None
                 for y in circuit:
-                    if y in side.members and y not in visited:
+                    if y in side.members and y not in visited and y not in dead:
                         visited.add(y)
                         parent[y] = (x, i)
                         queue.append(y)
@@ -216,44 +224,62 @@ class _UnionRun:
         for side in self.sides:
             side.assert_forest()
 
-    def run(self, seeds: Sequence[tuple[int, int]] = ()) -> None:
-        """Offer each non-forced element at most once; seeds come first, with
-        a preferred side.
+    def run(self, seeds: Sequence[tuple[int, int]] = ()) -> tuple[frozenset[int], frozenset[int]]:
+        """The two forests, forced parts included.  Each non-forced element is
+        offered at most once; seeds come first, with a preferred side.
 
         A direct pass inserts every element that fits a side as it stands and
         stops as soon as both sides span.  It only inserts, and no
         augmentation runs before it ends, so each side's components stay in
-        one union-find seeded with its forced edges (`_try_direct`).  The
-        elements it could not insert then get an augmenting search each,
-        until both sides span.
+        one union-find seeded with its forced edges, and the pass keeps its
+        insertions in its own lists.  If both sides span, the result is read
+        from those lists and the contexts stay as built.  Otherwise they get
+        the lists through `insert`, which builds the adjacency the searches
+        walk, so no context holds a member its adjacency lacks.  The elements
+        the pass could not insert then get an augmenting search each, until
+        both sides span.  A search never enters an element that a failed
+        search reached since the last success: the exchange digraph has not
+        changed since, so nothing reachable from it is free, and each element
+        first reached through it is dead too (see the module docstring).
         """
+        graph = self.graph
         blocked = self.sides[0].forced | self.sides[1].forced
         seen = {eid for eid, _ in seeds} | blocked
-        offers = [(eid, (pref, 1 - pref)) for eid, pref in seeds if eid not in blocked]
-        offers += [(eid, (0, 1)) for eid in self.graph.edge_ids if eid not in seen]
+        offers = chain(((eid, pref) for eid, pref in seeds if eid not in blocked),
+                       ((eid, 0) for eid in graph.edge_ids if eid not in seen))
+        room = [self.target - len(side.forced) for side in self.sides]
+        placed: tuple[list[int], list[int]] = ([], [])
         pending: list[int] = []
-        for eid, order in offers:
-            if not self._try_direct(eid, order):
+        for eid, pref in offers:
+            u, v = graph.edge(eid)
+            for i in (pref, 1 - pref):
+                if room[i] and self._direct[i].union(u, v):
+                    room[i] -= 1
+                    placed[i].append(eid)
+                    break
+            else:
                 pending.append(eid)
-            elif self.full():
-                return
+                continue
+            if not (room[0] or room[1]):
+                return (self.sides[0].forced.union(placed[0]),
+                        self.sides[1].forced.union(placed[1]))
+        for i, side in enumerate(self.sides):
+            for eid in placed[i]:
+                side.insert(eid)
+                self.in_side[eid] = i
         failed: set[int] = set()
         for eid in pending:
             if self.full():
-                return
+                break
             if eid in failed:
                 continue
-            outcome = self._augment(eid)
+            outcome = self._augment(eid, failed)
             if outcome is None:
                 failed = set()
             else:
                 failed |= outcome
-
-    def result(self) -> tuple[frozenset[int], frozenset[int]]:
-        return (
-            frozenset(self.sides[0].forced | self.sides[0].members),
-            frozenset(self.sides[1].forced | self.sides[1].members),
-        )
+        return (frozenset(self.sides[0].forced | self.sides[0].members),
+                frozenset(self.sides[1].forced | self.sides[1].members))
 
 
 @dataclass(frozen=True)
@@ -281,9 +307,7 @@ def max_forest_pair(
     Returns the two forests including their forced parts.  Both are spanning
     trees exactly when the pair is completable.
     """
-    run = _UnionRun(g, forced1, forced2)
-    run.run(seeds)
-    return run.result()
+    return _UnionRun(g, forced1, forced2).run(seeds)
 
 
 def is_completable_pair(g: RootedGraph, x1: EdgeSelection, x2: EdgeSelection) -> bool:

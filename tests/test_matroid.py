@@ -344,11 +344,23 @@ class BfsForestContext(ForcedForestContext):
 
 
 class ReferenceUnionRun(_UnionRun):
-    """Breadth-first circuits, and a direct pass that offers every element."""
+    """Breadth-first circuits, a direct pass that offers every element and
+    inserts it into its side as it goes, and augmenting searches that skip
+    nothing."""
 
     def __init__(self, graph, forced1, forced2):
         super().__init__(graph, forced1, forced2)
         self.sides = tuple(BfsForestContext(graph, side.forced) for side in self.sides)
+
+    def _try_direct(self, eid, order):
+        u, v = self.graph.edge(eid)
+        for i in order:
+            side = self.sides[i]
+            if side.size() < self.target and self._direct[i].union(u, v):
+                side.insert(eid)
+                self.in_side[eid] = i
+                return True
+        return False
 
     def run(self, seeds=()):
         blocked = self.sides[0].forced | self.sides[1].forced
@@ -382,7 +394,7 @@ class ReferenceUnionRun(_UnionRun):
 def reference_max_forest_pair(g, forced1, forced2, seeds=()):
     run = ReferenceUnionRun(g, forced1, forced2)
     run.run(seeds)
-    return run.result()
+    return tuple(frozenset(side.forced | side.members) for side in run.sides)
 
 
 def random_tree_edges(rng, vertices):
@@ -497,6 +509,58 @@ def test_two_trees_plus_noise_pass_the_gate_and_a_pendant_fails_it(n):
     assert has_two_disjoint_spanning_trees(RootedGraph(n, 0, edges))
     pendant = RootedGraph(n + 1, 0, edges + [(rng.randrange(n), n)])
     assert not has_two_disjoint_spanning_trees(pendant)
+
+
+class CountingUnionRun(_UnionRun):
+    """Sums, per stretch between two successful augmentations, the elements
+    that failed searches visited."""
+
+    def __init__(self, graph, forced1, forced2):
+        super().__init__(graph, forced1, forced2)
+        self.failed_walks = [0]
+
+    def _augment(self, e0, *dead):
+        outcome = super()._augment(e0, *dead)
+        if outcome is None:
+            self.failed_walks.append(0)
+        else:
+            self.failed_walks[-1] += len(outcome)
+        return outcome
+
+
+@pytest.mark.parametrize("n", [100, 250, 400])
+def test_failed_searches_visit_each_edge_at_most_once_between_successes(n):
+    """A failed search never enters an element an earlier one reached, so
+    the failed searches between two successes visit disjoint sets."""
+    rng = random.Random(n)
+    edges = two_trees_plus_noise(rng, n, n // 4)  # the gate test's pendant graph
+    pendant = RootedGraph(n + 1, 0, edges + [(rng.randrange(n), n)])
+    run = CountingUnionRun(pendant, (), ())
+    run.run()
+    assert not run.full()
+    assert run.failed_walks[-1] > 0
+    assert max(run.failed_walks) <= pendant.edge_count, run.failed_walks
+
+
+def test_a_union_the_direct_pass_completes_builds_no_adjacency(monkeypatch):
+    """Seeded with two spanning trees, the direct pass fills both sides and
+    the union returns from its own lists without inserting into a side."""
+    rng = random.Random(55)
+    g = RootedGraph(60, 0, two_trees_plus_noise(rng, 60, 12))
+    t1, t2 = max_forest_pair(g, (), ())
+    assert len(t1) == len(t2) == g.n - 1
+    seeds = [(eid, 0) for eid in sorted(t1)] + [(eid, 1) for eid in sorted(t2)]
+    inserts = []
+    insert = ForcedForestContext.insert
+
+    def counted(self, eid):
+        inserts.append(eid)
+        insert(self, eid)
+
+    monkeypatch.setattr(ForcedForestContext, "insert", counted)
+    assert max_forest_pair(g, (), (), seeds) == (t1, t2)
+    assert max_forest_pair(g, sorted(t1)[:20], sorted(t2)[:20], seeds) == (t1, t2)
+    assert inserts == []
 
 
 def test_solve_tree_stops_a_pendant_graph_at_the_union_gate():

@@ -21,6 +21,11 @@ that built them before, on these fixtures and on random digraphs and
 graphs, for all three kinds; the verdicts against the probe of the classes
 each row empties, which the pipeline ran on every row before.
 
+Where `_core_shapes` decides a core smaller than 2k-1 vertices by the
+aggregated max-flow, the flow reference's `aggregated_feasibility_reference`
+rebuilds the same network, so those cores are also checked as explicit
+digraphs with their imaginary leaves, by `flows.branching_flow_feasible`.
+
 The copy expansion behind `enumerate_compact_kernels`, `_cores` and
 `_certificates` (`fptcommon.expand_shapes`) is checked the same way against
 the three per-kind loops it replaced, record by record and in order.
@@ -35,6 +40,7 @@ import pytest
 
 from rootedpack import solver_flow
 from rootedpack.connectivity import FlowNetwork, max_flow
+from rootedpack.flows import branching_flow_feasible
 from rootedpack.fptcommon import branch_structure, lex_smallest_attachment, tree_shapes
 from rootedpack.graphs import (ProblemInstance, ResidualReach, RootedDigraph, RootedGraph,
                                cap_parallel)
@@ -377,6 +383,60 @@ def test_core_shapes_match_the_replaced_enumerator():
         attached += sum(1 for _, _, attachment in got if attachment)
     # 2-copy classes, large anchors and imaginary vertices to place
     assert total > 10_000 and doubled > 5_000 and anchored > 100 and attached > 5
+
+
+def explicit_core_feasible(root, counts, verts, leaves, k):
+    """Whether the core with its imaginary leaves, built as a standalone
+    digraph Y (root 0, then V', then `leaves[a]` new leaves under each anchor
+    a, each copy an arc), spans 2k vertices and carries a branching flow of
+    capacity k: the check of `test_solver_flow`'s attachment enumeration,
+    with no aggregated network."""
+    label = {root: 0}
+    for v in sorted(verts):
+        label[v] = len(label)
+    arcs = [(label[u], label[v]) for (u, v), m in sorted(counts.items()) for _ in range(m)]
+    n = len(label)
+    for anchor, count in sorted(leaves.items()):
+        for _ in range(count):
+            arcs.append((label[anchor], n))
+            n += 1
+    return n == 2 * k and branching_flow_feasible(RootedDigraph(n, 0, arcs), k) is not None
+
+
+def leaf_distributions(anchors, residual):
+    """Every split of `residual` leaves over the anchors, as a dict."""
+    for combo in itertools.product(range(residual + 1), repeat=len(anchors)):
+        if sum(combo) == residual:
+            yield dict(zip(anchors, combo))
+
+
+def test_smaller_core_attachments_against_explicit_leaves():
+    """For |V'| < 2k-1, `_core_shapes` takes its verdict and attachment from
+    `_aggregated_feasibility`'s max-flow, which `aggregated_feasibility_reference`
+    rebuilds statement for statement.  Here each kept smaller core, with the
+    leaves its attachment states, must be feasible as an explicit digraph,
+    and no leaf split may make a refused smaller vector with an anchor
+    feasible.  Only the hub fixtures at k = 2 have such vectors: 16 with
+    their anchor, 10 of them kept."""
+    kept_rows = refused = 0
+    for inst in flow_instances():
+        g, k = cap_parallel(inst).graph, inst.k
+        pool, view = candidate_pool_flow(g, k), classify_vertices_flow(g, k)
+        kept = set()
+        for verts, counts, attachment in as_cores(_core_shapes(g, k, pool, view)):
+            kept.add(counts)
+            if len(verts) < 2 * k - 1:
+                assert explicit_core_feasible(g.root, dict(counts), verts, attachment, k)
+                kept_rows += 1
+        for verts, counts in core_vectors_reference(g, k, pool, view):
+            anchors = sorted(verts & view.large)
+            if len(verts) == 2 * k - 1 or not anchors or tuple(sorted(counts.items())) in kept:
+                continue
+            residual = 2 * k - 1 - len(verts)
+            assert not any(explicit_core_feasible(g.root, counts, verts, leaves, k)
+                           for leaves in leaf_distributions(anchors, residual))
+            refused += 1
+    assert kept_rows >= 10 and refused >= 6, (kept_rows, refused)
 
 
 def cut_condition_reference(root, class_counts, verts, k):
