@@ -6,7 +6,7 @@ line is `total <solves> <sha256 of every line before it>`.  Diffing the
 output of two checkouts shows whether a change kept every report
 byte-identical, and which instance moved if not.
 
-The corpus, 588 solves:
+The corpus, 744 solves:
 - `random_instance` for every kind at n in {8, 12, 16, 20, 30}, k in
   {1, 2, 3}, m in {2n, 3n, 5n} and seeds 0..3, with the kind's `ensure`
   (2-root-connected for arb and flow, connected for tree); flow at k = 3
@@ -17,18 +17,24 @@ The corpus, 588 solves:
   `pendant_tree_no` at (n, m) in {(80, 480), (200, 1200)}, k = 2, which fail
   the union gate after many failed augmenting searches, and `random_instance`
   at n in {200, 500}, m = 10n, k = 3, connected, which complete by unions
-  with forced forests and seeds.
+  with forced forests and seeds;
+- `fuzz_agreement.planted`'s YES instances and their certified NO twins,
+  each drawn from `random.Random(seed)`: arb and tree at k in {3, 4} with
+  seeds 0..11, and flow at k = 2 with seeds 0..29.  Their large hub makes
+  30 of the YES solves grow their compact pair (arb 10, tree 17, flow 3);
+  elsewhere in the corpus only the four dense random tree solves grow.
 
 Each solve gets a 20 s alarm; one that hits it prints `timeout` instead of
 a digest, and one that raises prints `error:` and the exception's name
 (its traceback goes to standard error).
-The corpus takes about 30 s on a 2-core x86-64 host.
+The corpus takes about 40 s on a 2-core x86-64 host.
 
 Example:
     python3 scripts/report_digest.py > digests.txt
 """
 
 import hashlib
+import random
 import signal
 import sys
 import traceback
@@ -39,8 +45,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "perfbench"))
 
+from fuzz_agreement import planted  # noqa: E402
 from generators import pendant_tree_no, planted_yes, root_degree_three_no  # noqa: E402
 
+from rootedpack.graphs import ProblemInstance  # noqa: E402
 from rootedpack.instancegen import random_instance  # noqa: E402
 from rootedpack.solver_arb import solve_arb  # noqa: E402
 from rootedpack.solver_flow import solve_flow  # noqa: E402
@@ -53,6 +61,12 @@ TIMEOUT_S = 20
 
 class Timeout(Exception):
     pass
+
+
+def fuzz_planted(kind, k, seed, twin):
+    """`fuzz_agreement.planted`'s YES instance, or its NO twin, drawn from
+    `random.Random(seed)`."""
+    return ProblemInstance(kind=kind, graph=planted(random.Random(seed), kind, k)[twin], k=k)
 
 
 def corpus():
@@ -80,6 +94,12 @@ def corpus():
         for seed in range(2):
             yield (f"random tree n={n} m={10 * n} k=3 seed={seed}",
                    partial(random_instance, "tree", n, 10 * n, seed, "connected", 3))
+    for kind, ks, seeds in (("arb", (3, 4), 12), ("tree", (3, 4), 12), ("flow", (2,), 30)):
+        for k in ks:
+            for seed in range(seeds):
+                for twin, name in enumerate(("yes", "twin")):
+                    yield (f"fuzz-planted {kind} k={k} seed={seed} {name}",
+                           partial(fuzz_planted, kind, k, seed, twin))
 
 
 def digest(make) -> str:

@@ -54,11 +54,7 @@ def _emit(obj: dict, fmt: str, output: Optional[str]) -> None:
 
 def _render_text(obj: dict) -> str:
     lines = []
-    if "error" in obj:
-        lines.append(f"error: {obj['error']}")
-        if "diagnostics" in obj:
-            lines.append(f"diagnostics: {obj['diagnostics']}")
-    elif "decision" in obj:
+    if "decision" in obj:
         verdict = "YES" if obj["decision"] else "NO"
         lines.append(f"{obj.get('problem', '?')} k={obj.get('k', '?')}: {verdict}"
                      f" (stage: {obj.get('stage', '?')})")

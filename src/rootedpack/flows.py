@@ -46,7 +46,7 @@ class FlowDecomposition:
 
 
 def _resolve(x: Union[RootedDigraph, ArcSelection]) -> tuple[RootedDigraph, tuple[int, ...], frozenset[int]]:
-    """(parent graph, arc ids, vertex set) for a graph or a selection.
+    """(parent graph, arc ids ascending, vertex set) for a graph or a selection.
 
     For a bare graph the vertex set is everything; for a selection it is the
     covered vertices plus the root.
@@ -144,11 +144,9 @@ def decompose_flow(x: Union[RootedDigraph, ArcSelection], z: BranchingFlow) -> F
     rem = {aid: z.values.get(aid, 0) for aid in ids}
     root = graph.root
     out_arcs: dict[int, list[int]] = {v: [] for v in vset}
-    for aid in ids:
+    for aid in ids:  # ascending, so each list is sorted
         u, _ = graph.arc(aid)
         out_arcs[u].append(aid)
-    for v in out_arcs:
-        out_arcs[v].sort()
 
     def bfs_path(target: int) -> tuple[int, ...]:
         prev: dict[int, int] = {root: -1}

@@ -99,34 +99,33 @@ def lex_smallest_attachment(
     """Feasibility plus the lexicographically smallest leaf distribution.
 
     Imaginary leaves enlarge exactly the root branch holding their anchor,
-    so feasibility is per-branch slack arithmetic: every branch must stay
-    within `limit` vertices and the anchored branches' total slack must cover
-    the residual leaf count.  Returns the positive entries of the witness.
-    Anchors are large non-root vertices only: the root is never an
-    attachment source.
+    and every branch must stay within `limit` vertices.  Returns the
+    positive entries of the witness.  Anchors are large non-root vertices
+    only: the root is never an attachment source.
+
+    Walking from the last anchor, each anchor takes as many of the leaves
+    left as its branch still holds.  Giving the later anchors all they can
+    hold leaves the earlier ones the least, so this is the lexicographically
+    smallest distribution in anchor order.  A leaf is left over only when
+    every anchored branch is full, so the walk places every leaf exactly
+    when the anchored branches' slack covers the residual: the leftover
+    count is the feasibility test.
     """
     if residual < 0:
         return None
     cap = {b: limit - s for b, s in branch_sizes.items()}
     if any(c < 0 for c in cap.values()):
         return None
-    anchored = {branch_of[a] for a in anchors}
-    if sum(cap[b] for b in anchored) < residual:
-        return None
     x: dict[int, int] = {}
     remaining = residual
-    for idx, a in enumerate(anchors):
-        later = {branch_of[b] for b in anchors[idx + 1:]}
-        later_cap = sum(cap[b] for b in later)
-        give = max(0, remaining - later_cap)
-        if give > cap[branch_of[a]]:
-            return None
-        x[a] = give
-        cap[branch_of[a]] -= give
+    for a in reversed(anchors):
+        b = branch_of[a]
+        give = min(remaining, cap[b])
+        cap[b] -= give
         remaining -= give
-    if remaining != 0:
-        return None
-    return {a: v for a, v in sorted(x.items()) if v > 0}
+        if give:
+            x[a] = give
+    return None if remaining else dict(sorted(x.items()))
 
 
 def branch_structure(parent: Mapping[int, int], root: int) -> tuple[dict[int, int], dict[int, int]]:
@@ -339,22 +338,18 @@ def crystallize_pair(
 ) -> Optional[tuple[set[int], set[int]]]:
     """Assign concrete copies to two class-count shapes, lowest ids first.
 
-    Side 1 takes the lowest copies of each of its classes; side 2 takes the
-    next ones for shared classes.  None when some class lacks enough copies.
+    Side 1 takes the lowest copies of each of its classes and side 2 the
+    next ones.  None when some class lacks enough copies for both sides.
     """
     ids1: set[int] = set()
     ids2: set[int] = set()
-    for (u, v), cnt in classes1.items():
-        ids = class_ids(u, v)
-        if len(ids) < cnt + classes2.get((u, v), 0):
+    for c in classes1.keys() | classes2.keys():
+        m1, m2 = classes1.get(c, 0), classes2.get(c, 0)
+        ids = class_ids(*c)
+        if len(ids) < m1 + m2:
             return None
-        ids1.update(ids[:cnt])
-    for (u, v), cnt in classes2.items():
-        ids = class_ids(u, v)
-        offset = classes1.get((u, v), 0)
-        if len(ids) < offset + cnt:
-            return None
-        ids2.update(ids[offset:offset + cnt])
+        ids1.update(ids[:m1])
+        ids2.update(ids[m1:m1 + m2])
     return ids1, ids2
 
 

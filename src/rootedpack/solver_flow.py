@@ -392,16 +392,12 @@ def _routed_completion_flow(
     core_sel = dig.selection(core_ids)
     core_verts = core_sel.covered_vertices(with_root=True)
     z: dict[int, int] = {aid: 0 for aid in all_ids}
-    if core_ids:
-        core_flow = branching_flow_feasible(core_sel, min(k, caps), vertex_set=core_verts)
-        if core_flow is None:
-            raise InternalError("classic core lost feasibility", {})
-        dec = decompose_flow(core_sel, core_flow)
-        for aid, val in core_flow.values.items():
-            z[aid] += val
-        core_paths = {v: arcs for v, arcs in dec.paths.items()}
-    else:
-        core_paths = {}
+    core_flow = branching_flow_feasible(core_sel, min(k, caps), vertex_set=core_verts)
+    if core_flow is None:
+        raise InternalError("classic core lost feasibility", {})
+    for aid, val in core_flow.values.items():
+        z[aid] += val
+    core_paths = decompose_flow(core_sel, core_flow).paths
     new_ids = all_ids - core_ids
     into: dict[int, tuple[int, int]] = {}  # new vertex -> (tail, arc into it)
     below: dict[int, list[int]] = {}

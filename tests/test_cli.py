@@ -206,6 +206,53 @@ def test_text_format(yes_instance):
     assert out.startswith("arb k=2: YES")
 
 
+def test_text_format_prints_the_gate_cut(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("D 3 0\n0 1\n1 2\n")
+    code, out = cli("solve", "arb", "--k", "1", "--input", str(path), "--format", "text")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "arb k=1: NO (stage: connectivity-gate)"
+    assert lines[1] == "cut witness: {'cut': [1, 2], 'in_degree': 1}"
+
+
+def test_errors_stay_json_under_text_format(tmp_path):
+    code, out = cli("solve", "arb", "--k", "2", "--input", str(tmp_path), "--format", "text")
+    assert code == 2
+    assert json.loads(out)["error"].startswith(f"cannot read {tmp_path}")
+
+
+def test_stats_on_an_undirected_instance(tree_instance):
+    code, out = cli("stats", "--input", tree_instance)
+    assert code == 0
+    stats = json.loads(out)
+    assert stats["directed"] is False
+    assert stats["connected"] is True
+    assert stats["two_disjoint_spanning_trees"] is True
+    assert "root_connected" not in stats
+    code, out = cli("stats", "--input", tree_instance, "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert "connected: True" in lines
+    assert "two_disjoint_spanning_trees: True" in lines
+    assert lines == sorted(lines) and all(": " in line for line in lines)
+
+
+def test_gen_without_a_generator_exits_two():
+    code, out = cli("gen")
+    assert code == 2
+    assert json.loads(out) == {"error": "gen requires a generator: sat or random"}
+
+
+def test_gen_random_without_output_writes_stdout():
+    code, out = cli("gen", "random", "--kind", "arb", "--n", "5", "--arcs", "12",
+                    "--seed", "4", "--k", "2")
+    assert code == 0
+    from rootedpack.graphs import parse_instance
+    inst = parse_instance(out)
+    assert (inst.kind, inst.k, inst.graph.n, inst.graph.arc_count) == ("arb", 2, 5, 12)
+
+
 def test_output_file(yes_instance, tmp_path):
     target = tmp_path / "report.json"
     code, out = cli("solve", "arb", "--k", "2", "--input", yes_instance,

@@ -296,6 +296,41 @@ def test_tree_cycle_of_n_minus_1_edges_is_refused(tree1, tree2):
     ]
 
 
+def test_arb_side_with_two_arcs_into_one_vertex_stops_at_in_degree():
+    d = RootedDigraph(3, 0, [(0, 1), (0, 2), (1, 2), (0, 1), (0, 2)])
+    inst = ProblemInstance(kind="arb", graph=d, k=1)
+    verdict = validate_witness(inst, {"tree1": [0, 1, 2], "tree2": [3, 4]})
+    assert verdict.checks == [
+        ("disjoint", True, ""),
+        ("tree1:ids", True, ""),
+        ("tree1:in-degree", False, "vertex 2 has two in-arcs"),
+        ("tree2:ids", True, ""),
+        ("tree2:spanning", True, ""),
+        ("tree2:acyclic", True, ""),
+        ("tree2:k-safe", True, ""),
+    ]
+
+
+TREE_SIDE2 = [("tree2:ids", True, ""), ("tree2:edge-count", True, ""),
+              ("tree2:acyclic", True, ""), ("tree2:spanning", True, ""),
+              ("tree2:rk-safe", True, "")]
+
+
+@pytest.mark.parametrize("tree1, failed", [
+    ([0, 9], ("tree1:ids", False, "unknown edge ids")),
+    ([0], ("tree1:edge-count", False, "1 edges for n=3")),
+    ([0, 0], ("tree1:edge-count", False, "2 edges for n=3")),
+])
+def test_tree_side_refusals_stop_that_side(tree1, failed):
+    """An unknown id, n - 2 edges or an edge listed twice fail the side at
+    that check, and no later check of the side is added."""
+    g = RootedGraph(3, 0, [(0, 1), (1, 2), (0, 1), (0, 2)])
+    inst = ProblemInstance(kind="tree", graph=g, k=1)
+    verdict = validate_witness(inst, {"tree1": tree1, "tree2": [2, 3]})
+    ids_ok = [("tree1:ids", True, "")] if failed[0] != "tree1:ids" else []
+    assert verdict.checks == [("disjoint", True, ""), *ids_ok, failed, *TREE_SIDE2]
+
+
 def test_subtree_sizes_are_none_iff_some_walk_misses_the_root():
     """Random functional parent maps on the non-root vertices, cycles
     included: the root-first walk misses a vertex exactly when that vertex's

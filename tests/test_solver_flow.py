@@ -5,7 +5,7 @@ import pytest
 
 from rootedpack.connectivity import is_extendable_pair, is_k_root_connected
 from rootedpack.errors import ContractError
-from rootedpack.flows import branching_flow_feasible
+from rootedpack.flows import branching_flow_feasible, validate_branching_flow
 from rootedpack.fptcommon import CompactStructure
 from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel
 from rootedpack.oracles import oracle_flow
@@ -22,7 +22,7 @@ from rootedpack.solver_flow import (
     validate_compact_core,
 )
 
-from conftest import random_digraph
+from conftest import random_digraph, spanning_digraph
 from test_shapes import aggregated_feasibility_reference
 from test_solver_arb import fan_digraph
 
@@ -318,6 +318,27 @@ def test_complete_flow_caps_respected(rng):
         caps = d.n - 2
         for tag in ("flow1", "flow2"):
             assert all(val <= caps for _, val in report.witness[tag])
+
+
+def test_completion_from_empty_cores_gives_spanning_flow_branchings(rng):
+    """Completing the empty pair at k = 1 on 2-root-connected digraphs: the
+    empty core's flow is the empty flow on {root}, whose decomposition has
+    no paths, and every vertex then routes its unit along its attachment
+    chain alone."""
+    done = 0
+    while done < 120:
+        d = spanning_digraph(rng, rng.randint(2, 9), rng.randint(2, 16))
+        if not is_k_root_connected(d, 2)[0]:
+            continue
+        done += 1
+        empty = d.selection([])
+        (s1, f1), (s2, f2) = complete_to_spanning_flow(d, 1, (empty, empty))
+        assert not (s1.ids & s2.ids)
+        everything = frozenset(range(d.n))
+        for sel, flow in ((s1, f1), (s2, f2)):
+            assert len(sel.ids) == d.n - 1
+            assert sel.covered_vertices(with_root=True) == everything
+            assert validate_branching_flow(sel, flow, vertex_set=everything)
 
 
 def test_routed_completion_flow_reads_each_new_arc_once():
