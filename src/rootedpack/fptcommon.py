@@ -54,17 +54,17 @@ class LargenessView:
 
 
 def classify(
-    n: int, neighbors: Callable[[int], Sequence[int]], k: int, threshold: int
+    n: int, classes: Callable[[int], Sequence[tuple[int, tuple]]], k: int, threshold: int
 ) -> LargenessView:
     """Large iff at least `threshold` distinct neighbours (out-neighbours in
-    a digraph)."""
-    large = frozenset(v for v in range(n) if len(neighbors(v)) >= threshold)
+    a digraph), one per entry of the class table `classes(v)`."""
+    large = frozenset(v for v in range(n) if len(classes(v)) >= threshold)
     return LargenessView(k=k, threshold=threshold, large=large,
                          small=frozenset(range(n)) - large)
 
 
 def depth_bounded_pool(
-    neighbors: Callable[[int], Iterable[int]],
+    classes: Callable[[int], Iterable[tuple[int, tuple]]],
     root: int,
     depth: int,
     large: frozenset[int],
@@ -81,7 +81,7 @@ def depth_bounded_pool(
         for u in frontier:
             if u != root and u in large:
                 continue
-            for w in neighbors(u):
+            for w, _ in classes(u):
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     nxt.append(w)

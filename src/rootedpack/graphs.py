@@ -29,9 +29,10 @@ KINDS = ("arb", "flow", "tree")
 # Parallel-copy caps preserving the decision for each problem.
 PARALLEL_CAP = {"arb": 2, "flow": 4, "tree": 2}
 
-# Most arc or edge copies a parsed instance may declare in total.  The parser
-# builds one id per copy, about 230 bytes each, so the copy tables take at
-# most about 230 MB.
+# Most arc or edge copies a parsed instance may declare in total.  At worst
+# each copy is its own class: 999,001 such copies on 1,001 vertices keep
+# about 390 MB once parsed and peak at about 510 MB while parsing, measured
+# with tracemalloc, so a parse takes at most about 510 bytes per copy.
 MAX_COPIES = 1_000_000
 
 # Most vertices an instance may have.  A root-connected instance has at least
@@ -304,7 +305,9 @@ class _RootedMultigraph:
         # only a digraph forbids copies into the root
         entering = root if ordered else -1
         ends: dict[int, tuple[int, int]] = {}
+        by_class: dict[tuple[int, int], list[int]] = {}
         next_id = 0
+        ascending = True  # whether every id exceeds those before it
         for triple in copies:
             if len(triple) == 2:
                 u, v = triple
@@ -313,6 +316,7 @@ class _RootedMultigraph:
                 u, v, cid = triple
                 if type(cid) is not int or cid < 0:  # bool is a subclass of int
                     raise ParseError(f"{noun} id {cid!r} is not a non-negative integer")
+                ascending = ascending and cid >= next_id
             next_id = max(next_id, cid + 1)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"{noun} ({u},{v}) out of range for n={n}")
@@ -322,14 +326,16 @@ class _RootedMultigraph:
                 raise ParseError(f"{noun} ({u},{v}) enters the root")
             if cid in ends:
                 raise ParseError(f"duplicate {noun} id {cid}")
-            ends[cid] = (u, v) if ordered or u < v else (v, u)
+            c = ends[cid] = (u, v) if ordered or u < v else (v, u)
+            by_class.setdefault(c, []).append(cid)
         self._ends = ends
-        by_class: dict[tuple[int, int], list[int]] = {}
-        for cid in sorted(ends):
-            by_class.setdefault(ends[cid], []).append(cid)
-        self._by_class = {c: tuple(ids) for c, ids in by_class.items()}
+        if not ascending:
+            for ids in by_class.values():
+                ids.sort()
+        # classes ascending, their ids ascending; each list is freed once its tuple is stored
+        self._by_class = {c: tuple(by_class.pop(c)) for c in sorted(by_class)}
         self._engine: ResidualReach | None = None  # see `_reach`
-        self._index(sorted(self._by_class.items()))
+        self._index(self._by_class.items())
 
     # -- copy accessors, bound to arc_* or edge_* names by each kind -------
 
@@ -352,11 +358,13 @@ class _RootedMultigraph:
 
     def _copies(self) -> Iterator[tuple[int, int, int]]:
         """Copies in canonical (u, v, id) order."""
-        for (u, v), ids in sorted(self._by_class.items()):
+        for (u, v), ids in self._by_class.items():
             for cid in ids:
                 yield (u, v, cid)
 
     def parallel_classes(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
+        """The ids of each class (u, v), u < v for a graph; classes iterate
+        ascending and each class's ids ascend."""
         return self._by_class
 
     # -- reachability ----------------------------------------------------
@@ -425,9 +433,6 @@ class RootedDigraph(_RootedMultigraph):
     def in_classes(self, v: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         return self._in_classes[v]
 
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(w for w, _ in self._out_classes[v])
-
     def in_degree_of_set(self, vertices: Iterable[int]) -> int:
         """Number of arcs entering the set from outside."""
         inside = set(vertices)
@@ -485,9 +490,6 @@ class RootedGraph(_RootedMultigraph):
         """(neighbor, ids) pairs, neighbors ascending."""
         return self._incident_classes[v]
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(w for w, _ in self._incident_classes[v])
-
     def degree(self, v: int) -> int:
         return sum(len(ids) for _, ids in self._incident_classes[v])
 
@@ -518,7 +520,7 @@ class ProblemInstance:
         g = self.graph
         tag = "D" if g._directed else "U"
         lines = [f"# kind = {self.kind}", f"# k = {self.k}", f"{tag} {g.n} {g.root}"]
-        for (u, v), ids in sorted(g.parallel_classes().items()):
+        for (u, v), ids in g.parallel_classes().items():
             lines.append(f"{u} {v} {len(ids)}")
         return "\n".join(lines) + "\n"
 
@@ -528,7 +530,7 @@ class ProblemInstance:
             "kind": self.kind,
             "n": g.n,
             "root": g.root,
-            "arcs": [[u, v, len(ids)] for (u, v), ids in sorted(g.parallel_classes().items())],
+            "arcs": [[u, v, len(ids)] for (u, v), ids in g.parallel_classes().items()],
             "k": self.k,
         }
 
@@ -650,12 +652,10 @@ def cap_parallel(instance: ProblemInstance) -> ProblemInstance:
     """
     cap = PARALLEL_CAP[instance.kind]
     g = instance.graph
-    keep: list[tuple[int, int, int]] = []
-    for (u, v), ids in sorted(g.parallel_classes().items()):
-        for cid in ids[:cap]:
-            keep.append((u, v, cid))
-    if len(keep) == g._count:
+    classes = g.parallel_classes()
+    if all(len(ids) <= cap for ids in classes.values()):
         return instance
+    keep = [(u, v, cid) for (u, v), ids in classes.items() for cid in ids[:cap]]
     return ProblemInstance(kind=instance.kind, graph=type(g)(g.n, g.root, keep), k=instance.k)
 
 
@@ -734,11 +734,4 @@ def duplicate_edges(g: RootedGraph, p: int) -> RootedGraph:
     """
     if p < 1:
         raise ContractError(f"p must be >= 1, got {p}")
-    triples = []
-    next_id = 0
-    for eid in sorted(g.edge_ids):
-        u, v = g.edge(eid)
-        for _ in range(p):
-            triples.append((u, v, next_id))
-            next_id += 1
-    return RootedGraph(g.n, g.root, triples)
+    return RootedGraph(g.n, g.root, [g.edge(eid) for eid in g.edge_ids for _ in range(p)])

@@ -16,6 +16,7 @@ from typing import Mapping, Optional, Sequence
 from .connectivity import is_k_root_connected
 from .errors import ContractError, GenerationError, InternalError, ParseError
 from .graphs import MAX_COPIES, ProblemInstance, RootedDigraph, RootedGraph
+from .matroid import _UnionFind
 
 
 @dataclass(frozen=True)
@@ -245,14 +246,13 @@ def random_instance(
     ensure: Optional[str] = None,
     k: int = 1,
 ) -> ProblemInstance:
-    """Seeded random instance; the optional repair loop adds canonical arcs
+    """Seeded random instance; the optional repair adds canonical arcs
     until the requested property holds.
 
     ensure is one of None, "2-root-connected" (directed kinds), "connected"
     (trees).  Generation fails when the budget exceeds `MAX_COPIES`, the
     most copies an instance may have, or is below the property's least arc
-    count (2(n-1) or n-1); the repair loop may then add arcs beyond the
-    budget.
+    count (2(n-1) or n-1); the repair may then add arcs beyond the budget.
     """
     if n < 1:
         raise GenerationError(f"n must be >= 1, got {n}")
@@ -298,11 +298,12 @@ def random_instance(
                 arcs.append((0, min(witness.vertices)))
                 graph = RootedDigraph(n, 0, arcs)
     else:
-        graph = RootedGraph(n, 0, arcs)
         if ensure == "connected":
-            while not graph.is_connected():
-                mask = graph.reach_mask()
-                missing = min(v for v in range(n) if not (mask >> v) & 1)
-                arcs.append((0, missing))
-                graph = RootedGraph(n, 0, arcs)
+            # (0, v) for the least v of each part the root misses, in order: the
+            # arcs that joining the least unreachable vertex until connected adds
+            parts = _UnionFind(n)
+            for u, v in arcs:
+                parts.union(u, v)
+            arcs += [(0, v) for v in range(1, n) if parts.union(0, v)]
+        graph = RootedGraph(n, 0, arcs)
     return ProblemInstance(kind=kind, graph=graph, k=k)

@@ -127,7 +127,7 @@ def _find(uf: list[int], x: int) -> int:
 
 def _tree_structures(g: RootedGraph, budget: OracleBudget) -> list[frozenset[tuple[int, int]]]:
     """All spanning trees as frozensets of edge classes (u < v)."""
-    classes = sorted(g.parallel_classes())
+    classes = list(g.parallel_classes())
     n = g.n
     result: list[frozenset[tuple[int, int]]] = []
     counter = [0]
@@ -308,7 +308,7 @@ def oracle_flow(
     if dig.n == 1:
         return OracleAnswer(True, ((), ()), candidates=1)
     caps = dig.n - k
-    classes = sorted(dig.parallel_classes())
+    classes = list(dig.parallel_classes())
     mult = dict(dig.parallel_classes())
     if caps <= 0:
         return OracleAnswer(False, None, candidates=0)

@@ -42,13 +42,13 @@ def classify_vertices(dig: RootedDigraph, k: int) -> LargenessView:
     """Large iff at least 6k-5 distinct out-neighbors."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    return classify(dig.n, dig.out_neighbors, k, 6 * k - 5)
+    return classify(dig.n, dig.out_classes, k, 6 * k - 5)
 
 
 def candidate_pool(dig: RootedDigraph, k: int) -> frozenset[int]:
     """Vertices reachable by length-(k-1) directed paths with small interiors."""
     view = classify_vertices(dig, k)
-    return depth_bounded_pool(dig.out_neighbors, dig.root, k - 1, view.large)
+    return depth_bounded_pool(dig.out_classes, dig.root, k - 1, view.large)
 
 
 def validate_compact_kernel(

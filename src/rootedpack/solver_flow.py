@@ -61,13 +61,13 @@ def classify_vertices_flow(dig: RootedDigraph, k: int) -> LargenessView:
     """Large iff at least 20k^2+1 distinct out-neighbors."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    return classify(dig.n, dig.out_neighbors, k, 20 * k * k + 1)
+    return classify(dig.n, dig.out_classes, k, 20 * k * k + 1)
 
 
 def candidate_pool_flow(dig: RootedDigraph, k: int) -> frozenset[int]:
     """Vertices reachable by length-(2k-1) paths with small interiors."""
     view = classify_vertices_flow(dig, k)
-    return depth_bounded_pool(dig.out_neighbors, dig.root, 2 * k - 1, view.large)
+    return depth_bounded_pool(dig.out_classes, dig.root, 2 * k - 1, view.large)
 
 
 def _bridge_cuts(

@@ -44,13 +44,13 @@ def classify_vertices_tree(g: RootedGraph, k: int) -> LargenessView:
     """Large iff at least 8k-7 distinct neighbors."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    return classify(g.n, g.neighbors, k, 8 * k - 7)
+    return classify(g.n, g.incident_classes, k, 8 * k - 7)
 
 
 def candidate_pool_tree(g: RootedGraph, k: int) -> frozenset[int]:
     """Vertices reachable by length-(k-1) paths with small interiors."""
     view = classify_vertices_tree(g, k)
-    return depth_bounded_pool(g.neighbors, g.root, k - 1, view.large)
+    return depth_bounded_pool(g.incident_classes, g.root, k - 1, view.large)
 
 
 def validate_compact_certificate(

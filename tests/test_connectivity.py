@@ -12,6 +12,8 @@ from rootedpack.connectivity import (
 )
 from rootedpack.errors import ContractError
 from rootedpack.graphs import RootedDigraph
+from rootedpack.solver_arb import solve_arb
+from rootedpack.solver_flow import solve_flow
 
 from conftest import random_digraph
 
@@ -194,3 +196,41 @@ def test_in_degree_of_set_matches_brute(rng):
         d = random_digraph(rng, max_mult=3)
         subset = {v for v in range(d.n) if rng.random() < 0.4}
         assert d.in_degree_of_set(subset) == in_degree_brute(d, subset)
+
+
+def gate_digraph(rng: random.Random, n: int) -> RootedDigraph:
+    """A random r-arborescence, each arc kept with probability 0.99, plus
+    n to 3n random classes of 1, 2 or 5 copies: single arcs entering a set
+    make 2-root-connectivity fail often, and copies beyond the cap make
+    the solver's capped graph differ from this one."""
+    order = list(range(1, n))
+    rng.shuffle(order)
+    arcs = [(rng.choice([0] + order[:i]), v) for i, v in enumerate(order) if rng.random() < 0.99]
+    for _ in range(rng.randint(n, 3 * n)):
+        u, v = rng.randrange(n), rng.randrange(1, n)
+        if u != v:
+            arcs += [(u, v)] * rng.choice((1, 1, 2, 5))
+    return RootedDigraph(n, 0, arcs)
+
+
+@pytest.mark.parametrize("solve", [solve_arb, solve_flow])
+def test_gate_cut_witness_certifies_the_no(solve):
+    # A cut X with root not in X and d^-(X) < 2 leaves no two arc-disjoint
+    # spanning r-arborescences (Edmonds' branching theorem), so the NO holds
+    # for every k.  Below 2 the capped graph's count is the original's.
+    rng = random.Random(0x6A7E)
+    degrees = []
+    for _ in range(40):
+        n = rng.choice((8, 30, 100, 200))
+        d = gate_digraph(rng, n)
+        report = solve(d, rng.choice((2, 3))).to_json_dict()
+        if report["stage"] != "connectivity-gate":
+            continue
+        assert report["decision"] is False
+        cut = set(report["cut_witness"]["cut"])
+        assert cut and d.root not in cut
+        entering = sum(1 for u, v, _ in d.arcs() if v in cut and u not in cut)
+        assert entering == report["cut_witness"]["in_degree"] < 2
+        degrees.append(entering)
+    # 37 of the 40 fail the gate: 7 cuts that nothing enters, 30 entered once
+    assert len(degrees) >= 30 and set(degrees) == {0, 1}

@@ -196,6 +196,78 @@ def test_cap_parallel_caps_and_keeps_ids():
     assert flow_capped.graph.class_ids(0, 1) == (0, 1, 2, 3)
 
 
+def drawn_classes(rng, n, directed, max_mult=4):
+    """Up to 2n distinct random classes (u, v), u < v for a graph, each
+    with 1..max_mult copies, classes in the order drawn."""
+    classes = {}
+    for _ in range(2 * n):
+        u, v = rng.randrange(n), rng.randrange(1 if directed else 0, n)
+        if u != v:
+            classes.setdefault((u, v) if directed else (min(u, v), max(u, v)), rng.randint(1, max_mult))
+    return [c for c, mult in classes.items() for _ in range(mult)]
+
+
+def shuffled_triples(cls):
+    def build(rng):
+        triples = [(u, v, 3 * i + 1)
+                   for i, (u, v) in enumerate(drawn_classes(rng, 12, cls is RootedDigraph))]
+        rng.shuffle(triples)
+        return cls, triples
+    return build
+
+
+def reversed_edge_pairs(rng):
+    # each edge listed (max, min), the classes descending
+    return RootedGraph, [(v, u) for u, v in sorted(drawn_classes(rng, 12, False), reverse=True)]
+
+
+def mixed_pairs_and_triples(rng):
+    # every third copy names its own id, a multiple of 1,000 that no pair
+    # reaches: a pair takes one more than the largest id so far
+    copies = [(u, v, 1000 * (100 - i)) if i % 3 == 0 else (u, v)
+              for i, (u, v) in enumerate(drawn_classes(rng, 12, True))]
+    rng.shuffle(copies)
+    return RootedDigraph, copies
+
+
+def assert_canonical_order(g):
+    classes = g.parallel_classes()
+    assert list(classes) == sorted(classes)
+    assert all(list(ids) == sorted(ids) for ids in classes.values())
+    copies = list(g.arcs() if isinstance(g, RootedDigraph) else g.edges())
+    assert copies == sorted(copies)
+    assert [cid for _, _, cid in copies] == [cid for ids in classes.values() for cid in ids]
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(shuffled_triples(RootedDigraph), id="shuffled-arc-triples"),
+    pytest.param(shuffled_triples(RootedGraph), id="shuffled-edge-triples"),
+    pytest.param(reversed_edge_pairs, id="reversed-edge-pairs"),
+    pytest.param(mixed_pairs_and_triples, id="mixed-pairs-and-triples"),
+])
+def test_classes_and_copies_come_in_canonical_order(build, rng):
+    for _ in range(20):
+        cls, copies = build(rng)
+        g = cls(12, 0, copies)
+        assert_canonical_order(g)
+        kind = "arb" if cls is RootedDigraph else "tree"
+        inst = ProblemInstance(kind, g, 1)
+        in_order = ProblemInstance(kind, cls(12, 0, sorted(copies)), 1)
+        assert inst.to_text() == in_order.to_text()
+        assert inst.to_json() == in_order.to_json()
+        capped = cap_parallel(inst)
+        assert capped is not inst  # some class has more copies than the cap
+        assert_canonical_order(capped.graph)
+
+
+@pytest.mark.parametrize("kind,cap", [("arb", 2), ("flow", 4), ("tree", 2)])
+def test_cap_parallel_returns_the_instance_when_no_class_exceeds_the_cap(kind, cap, rng):
+    cls = RootedGraph if kind == "tree" else RootedDigraph
+    for _ in range(10):
+        inst = ProblemInstance(kind, cls(12, 0, drawn_classes(rng, 12, cls is RootedDigraph, cap)), 1)
+        assert cap_parallel(inst) is inst
+
+
 @given(digraphs())
 def test_round_trip_any_digraph(d):
     inst = ProblemInstance(kind="arb", graph=d, k=1)

