@@ -31,8 +31,8 @@ PARALLEL_CAP = {"arb": 2, "flow": 4, "tree": 2}
 
 # Most arc or edge copies a parsed instance may declare in total.  At worst
 # each copy is its own class: 999,001 such copies on 1,001 vertices keep
-# about 390 MB once parsed and peak at about 510 MB while parsing, measured
-# with tracemalloc, so a parse takes at most about 510 bytes per copy.
+# about 390 MB once parsed and peak at about 440 MB while parsing, measured
+# with tracemalloc, so a parse takes at most about 440 bytes per copy.
 MAX_COPIES = 1_000_000
 
 # Most vertices an instance may have.  A root-connected instance has at least
@@ -288,9 +288,9 @@ class _RootedMultigraph:
     Copies are (u, v, id) triples, or (u, v) pairs that take the next free
     id; ids are arbitrary distinct non-negative integers (dense when built by
     the parser).  A subclass sets `_directed`, `_noun` and `_selection`,
-    and builds its class tables in `_index(classes)`: per vertex, the
-    (neighbour, ids) classes, neighbours ascending.  They are the only
-    adjacency; root reach walks them through `ResidualReach`.
+    and builds its class tables in `_index(classes)`, called by `_store`: per
+    vertex, the (neighbour, ids) classes, neighbours ascending.  They are the
+    only adjacency; root reach walks them through `ResidualReach`.
     """
 
     _directed: bool
@@ -299,8 +299,6 @@ class _RootedMultigraph:
 
     def __init__(self, n: int, root: int, copies: Iterable[tuple[int, ...]]):
         _check_vertices(n, root)
-        self.n = n
-        self.root = root
         noun, ordered = self._noun, self._directed
         # only a digraph forbids copies into the root
         entering = root if ordered else -1
@@ -328,12 +326,24 @@ class _RootedMultigraph:
                 raise ParseError(f"duplicate {noun} id {cid}")
             c = ends[cid] = (u, v) if ordered or u < v else (v, u)
             by_class.setdefault(c, []).append(cid)
-        self._ends = ends
         if not ascending:
             for ids in by_class.values():
                 ids.sort()
-        # classes ascending, their ids ascending; each list is freed once its tuple is stored
+        self._store(n, root, by_class, ends)
+
+    @classmethod
+    def _of_classes(cls, n: int, root: int, by_class: dict):
+        g = cls.__new__(cls)  # built from a checked class table by `_store` alone
+        g._store(n, root, by_class)
+        return g
+
+    def _store(self, n: int, root: int, by_class: dict, ends: dict | None = None) -> None:
+        """The one step that stores and indexes a checked class table (each
+        class's ids ascending) and its ends, read off it unless given."""
+        self.n, self.root = n, root
+        # classes ascending; each list is freed once its tuple is stored
         self._by_class = {c: tuple(by_class.pop(c)) for c in sorted(by_class)}
+        self._ends = ends or {cid: c for c, ids in self._by_class.items() for cid in ids}
         self._engine: ResidualReach | None = None  # see `_reach`
         self._index(self._by_class.items())
 
@@ -538,6 +548,25 @@ class ProblemInstance:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _file_line(by_class: dict, total: int, n: int, root: int, directed: bool,
+               u: int, v: int, count: int, line: int | None = None) -> int:
+    """Check a read line of `count` copies of (u, v), then file their ids,
+    numbered on from the `total` filed so far, into its class; the new total."""
+    if count < 1:
+        raise ParseError(f"count must be >= 1, got {count}", line)
+    if total + count > MAX_COPIES:
+        raise ParseError(f"more than {MAX_COPIES} arc copies in total", line)
+    if not (0 <= u < n and 0 <= v < n):
+        raise ParseError(f"vertex out of range in arc ({u},{v})", line)
+    if u == v:
+        raise ParseError(f"loop arc at vertex {u}", line)
+    if directed and v == root:
+        raise ParseError(f"arc ({u},{v}) enters the root", line)
+    c = (u, v) if directed or u < v else (v, u)
+    by_class.setdefault(c, []).extend(range(total, total + count))
+    return total + count
+
+
 def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) -> ProblemInstance:
     """Parse the text or JSON instance format.
 
@@ -551,7 +580,7 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
     if stripped.startswith("{"):
         return _parse_json_instance(stripped, kind=kind, k=k)
     tag = None  # until the header is read
-    copies: list[tuple[int, int]] = []  # numbered 0, 1, ... in order by the constructor
+    by_class, total = {}, 0  # the class table and the copies filed into it
     meta: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line, _, comment = raw.partition("#")
@@ -578,20 +607,10 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
             count = int(tokens[2]) if len(tokens) == 3 else 1
         except ValueError:
             raise ParseError("arc fields must be integers", lineno) from None
-        if count < 1:
-            raise ParseError(f"count must be >= 1, got {count}", lineno)
-        if len(copies) + count > MAX_COPIES:
-            raise ParseError(f"more than {MAX_COPIES} arc copies in total", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex out of range in arc ({u},{v})", lineno)
-        if u == v:
-            raise ParseError(f"loop arc at vertex {u}", lineno)
-        if tag == "D" and v == root:
-            raise ParseError(f"arc ({u},{v}) enters the root", lineno)
-        copies.extend([(u, v)] * count)
+        total = _file_line(by_class, total, n, root, tag == "D", u, v, count, lineno)
     if tag is None:
         raise ParseError("empty document: missing header")
-    graph = (RootedDigraph if tag == "D" else RootedGraph)(n, root, copies)
+    graph = (RootedDigraph if tag == "D" else RootedGraph)._of_classes(n, root, by_class)
     if kind is None:
         kind = meta.get("kind") or ("arb" if tag == "D" else "tree")
     if k is None:
@@ -627,15 +646,11 @@ def _parse_json_instance(text: str, *, kind: str | None, k: int | None) -> Probl
     arcs = obj["arcs"]
     if not isinstance(arcs, list) or not all(isinstance(e, list) and len(e) in (2, 3) for e in arcs):
         raise ParseError("JSON instance field 'arcs' must be a list of [u, v] or [u, v, count]")
-    copies: list[tuple[int, int]] = []
+    by_class, total = {}, 0
     for entry in arcs:
         u, v, count = [json_int(x, "JSON instance field 'arcs'") for x in entry] + [1] * (3 - len(entry))
-        if count < 1:
-            raise ParseError(f"count must be >= 1, got {count}")
-        if len(copies) + count > MAX_COPIES:
-            raise ParseError(f"more than {MAX_COPIES} arc copies in total")
-        copies.extend([(u, v)] * count)
-    graph = (RootedGraph if kind == "tree" else RootedDigraph)(n, root, copies)
+        total = _file_line(by_class, total, n, root, kind != "tree", u, v, count)
+    graph = (RootedGraph if kind == "tree" else RootedDigraph)._of_classes(n, root, by_class)
     return ProblemInstance(kind=kind, graph=graph, k=k)
 
 
@@ -655,8 +670,8 @@ def cap_parallel(instance: ProblemInstance) -> ProblemInstance:
     classes = g.parallel_classes()
     if all(len(ids) <= cap for ids in classes.values()):
         return instance
-    keep = [(u, v, cid) for (u, v), ids in classes.items() for cid in ids[:cap]]
-    return ProblemInstance(kind=instance.kind, graph=type(g)(g.n, g.root, keep), k=instance.k)
+    capped = type(g)._of_classes(g.n, g.root, {c: ids[:cap] for c, ids in classes.items()})
+    return ProblemInstance(kind=instance.kind, graph=capped, k=instance.k)
 
 
 def parse_rooted_tree(g: RootedDigraph | RootedGraph, ids: Iterable[int]) -> dict[int, int]:

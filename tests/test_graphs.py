@@ -7,6 +7,7 @@ from rootedpack.errors import ContractError, ParseError, StructureError
 from rootedpack.graphs import (
     MAX_COPIES,
     MAX_VERTICES,
+    PARALLEL_CAP,
     ProblemInstance,
     RootedDigraph,
     RootedGraph,
@@ -85,9 +86,13 @@ def test_parse_error_names_the_first_bad_line():
     # checked where it is read, so line 2 is named
     with pytest.raises(ParseError, match="line 2: vertex out of range"):
         parse_instance("D 3 0\n0 9\nx y\n")
-    # the same for JSON entries: the first entry crosses the copy limit
-    with pytest.raises(ParseError, match="more than 1000000 arc copies"):
-        parse_instance('{"kind": "arb", "n": 2, "root": 0, "arcs": [[0, 1, 1000001], [0, 1, 0]], "k": 1}')
+    # the same for JSON entries: the first entry crosses the copy limit, is
+    # out of range or enters the root, and each is named before entry 1's fault
+    for arcs, fault in [("[[0, 1, 1000001], [0, 1, 0]]", "more than 1000000 arc copies"),
+                        ("[[0, 9], [0, 1, 1000001]]", r"vertex out of range in arc \(0,9\)"),
+                        ("[[1, 0], [0, 1, 0]]", r"arc \(1,0\) enters the root")]:
+        with pytest.raises(ParseError, match=fault):
+            parse_instance(f'{{"kind": "arb", "n": 2, "root": 0, "arcs": {arcs}, "k": 1}}')
 
 
 def test_parse_rejects_more_copies_than_the_limit():
@@ -128,13 +133,22 @@ def test_more_vertices_than_the_limit_rejected_before_any_table(build):
 
 
 def test_json_parse_peaks_no_higher_than_text_parse():
-    # 100,000 copies as 100 entries of 1,000: each entry extends the copy
-    # list with one shared (u, v) pair, as a text line does
+    # 100,000 copies as 100 entries of 1,000: each entry files one range of
+    # ids into its class, as a text line does
     text = "D 101 0\n" + "".join(f"0 {v} 1000\n" for v in range(1, 101))
     doc = json.dumps({"kind": "arb", "n": 101, "root": 0, "k": 1,
                       "arcs": [[0, v, 1000] for v in range(1, 101)]})
     assert parse_instance(doc).graph == parse_instance(text).graph
     assert peak_bytes(lambda: parse_instance(doc)) <= 1.1 * peak_bytes(lambda: parse_instance(text))
+
+
+def test_text_parse_of_100_lines_of_1000_copies_peaks_below_14_5_mb():
+    # each line's ids go into its class as one range, with no per-copy list
+    # or check: the peak was 17.1 MB when each line was expanded into one
+    # (u, v) pair per copy for the constructor, and is 11.9 MB filed as ranges
+    text = "D 101 0\n" + "".join(f"0 {v} 1000\n" for v in range(1, 101))
+    assert parse_instance(text).graph.arc_count == 100_000
+    assert peak_bytes(lambda: parse_instance(text)) < 14_500_000
 
 
 @pytest.mark.parametrize("field,value", [
@@ -258,6 +272,53 @@ def test_classes_and_copies_come_in_canonical_order(build, rng):
         capped = cap_parallel(inst)
         assert capped is not inst  # some class has more copies than the cap
         assert_canonical_order(capped.graph)
+
+
+def drawn_lines(rng, n, directed):
+    """Random `u v count` lines: counts 1..5, one class repeated over
+    several lines with more copies than any cap, and for a graph some lines
+    with u > v."""
+    lines = []
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.randrange(n), rng.randrange(1 if directed else 0, n)
+        if u != v:
+            lines.append((u, v, rng.randint(1, 5)))
+    lines += [(0, 1, 2), (0, 1, 1), (0, 1, 2)] if directed else [(1, 0, 2), (0, 1, 1), (1, 0, 2)]
+    rng.shuffle(lines)
+    return lines
+
+
+def class_tables(g):
+    """Everything a build stores: ends, classes in order, per-vertex tables."""
+    per_vertex = ([(g.out_classes(v), g.in_classes(v)) for v in range(g.n)]
+                  if isinstance(g, RootedDigraph) else [g.incident_classes(v) for v in range(g.n)])
+    return g.n, g.root, g._ends, list(g.parallel_classes().items()), per_vertex
+
+
+@pytest.mark.parametrize("kinds", [("arb", "flow"), ("tree",)])
+def test_every_build_path_gives_the_same_graph(kinds, rng):
+    cls = RootedGraph if kinds == ("tree",) else RootedDigraph
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        lines = drawn_lines(rng, n, cls is RootedDigraph)
+        text = f"{'D' if cls is RootedDigraph else 'U'} {n} 0\n" + "".join(
+            f"{u} {v} {count}\n" for u, v, count in lines)
+        built = cls(n, 0, [(u, v) for u, v, count in lines for _ in range(count)])
+        assert_canonical_order(built)
+        for kind in kinds:
+            doc = json.dumps({"kind": kind, "n": n, "root": 0, "k": 1,
+                              "arcs": [list(line) for line in lines]})
+            read = [parse_instance(text, kind=kind), parse_instance(doc)]
+            assert all(class_tables(inst.graph) == class_tables(built) for inst in read)
+            # the capped table against a rebuild through the public constructor
+            cap = PARALLEL_CAP[kind]
+            kept = [(u, v, cid) for (u, v), ids in built.parallel_classes().items()
+                    for cid in ids[:cap]]
+            reference = class_tables(cls(n, 0, kept))
+            for inst in [*read, ProblemInstance(kind, built, 1)]:
+                capped = cap_parallel(inst)
+                assert capped is not inst and capped.kind == kind
+                assert class_tables(capped.graph) == reference
 
 
 @pytest.mark.parametrize("kind,cap", [("arb", 2), ("flow", 4), ("tree", 2)])
