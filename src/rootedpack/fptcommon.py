@@ -20,9 +20,12 @@ shape searches, `tree_shapes` for kernels and certificates and
 `candidate_table`, and carry each state's masks, expanded count and, for
 the directed kinds, extendability down their stacks: a child that empties
 a class takes one replacement step of `graphs.ResidualReach` on its
-parent's arborescence overlay.  They emit finished rows (`pairs.Row`)
-with the verdict in them, so the pipeline runs no probe pass.  Growth and
-completion ask root reach of `ResidualReach` too.
+parent's arborescence overlay.  Each fills one `pairs.ShapeRows` store,
+column by column, with the verdict in each row, so the pipeline runs no
+probe pass; a row's classes and counts travel packed in its integer sort
+key, which also orders the rows, and are decoded only for the rows the
+pipeline crystallises.  Growth and completion ask root reach of
+`ResidualReach` too.
 """
 
 from __future__ import annotations
@@ -30,16 +33,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from bisect import insort
+from bisect import bisect, insort
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InternalError, StructureError
 from .graphs import (ArcSelection, EdgeSelection, ProblemInstance, ResidualReach, RootedDigraph,
                      RootedGraph, parse_rooted_tree)
 from .oracles import OracleBudget, run_oracle
-from .pairs import EMPTY_ATTACHMENT, CopyTable, PairSearch, Row
+from .pairs import EMPTY_ATTACHMENT, CopyTable, PairSearch, Row, ShapeRows
 from .reports import SolveReport
 
 
@@ -184,17 +186,22 @@ def compact_attachment(
 
 def candidate_table(
     g: RootedDigraph | RootedGraph, pool: frozenset[int], large: frozenset[int]
-) -> dict[int, list[tuple[int, int, tuple[int, int], int]]]:
+) -> tuple[dict[int, list[tuple[int, int, tuple[int, int], int, int]]], list[tuple[int, int]]]:
     """The shape searches' candidates leaving the root and each small pool
-    vertex u, as shared (u, v, class, copies) tuples: every class from u to
-    a non-root pool vertex v, heads ascending.  The class is (u, v) for an
-    arc and (min, max) for an edge; large non-root vertices take no children
-    and get no entry."""
+    vertex u, as shared (u, v, class, copies, rank) tuples, and the sorted
+    list of their classes: every class from u to a non-root pool vertex v,
+    heads ascending.  The class is (u, v) for an arc and (min, max) for an
+    edge, and its rank is its index in the class list; large non-root
+    vertices take no children and get no entry."""
     root, directed = g.root, isinstance(g, RootedDigraph)
     incident = g.out_classes if directed else g.incident_classes
-    return {u: [(u, v, (u, v) if directed or u < v else (v, u), len(ids))
-                for v, ids in incident(u) if v != root and v in pool]
-            for u in pool | {root} if u == root or u not in large}
+    table = {u: [(u, v, (u, v) if directed or u < v else (v, u), len(ids))
+                 for v, ids in incident(u) if v != root and v in pool]
+             for u in pool | {root} if u == root or u not in large}
+    classes = sorted({c for candidates in table.values() for _, _, c, _ in candidates})
+    rank = {c: r for r, c in enumerate(classes)}
+    return {u: [(*candidate, rank[candidate[2]]) for candidate in candidates]
+            for u, candidates in table.items()}, classes
 
 
 def tree_shapes(
@@ -203,9 +210,9 @@ def tree_shapes(
     pool: frozenset[int],
     large: frozenset[int],
     reach: Optional[ResidualReach] = None,
-) -> list[Row]:
-    """Every compact tree shape as a finished row (`Row`), sorted by (size,
-    classes).
+) -> ShapeRows:
+    """Every compact tree shape as a row of one `ShapeRows` store, ordered
+    by (size, classes).
 
     Shapes are trees on at most 2k-2 non-root vertices of `pool`, described
     at parallel-class level and grown from the root one class of
@@ -222,50 +229,86 @@ def tree_shapes(
     its classes in each list, as every skipped candidate stays out of the
     whole subtree of the search.  The search is depth-first with an explicit
     stack, since trees can be k-1 classes deep.  The branch map, branch
-    sizes, class list and anchors are changed in place and undone on the
-    way back; each frame carries its state's expanded count and pair masks,
-    its parent's with the new class's `CopyTable` entry folded in, asked
-    once per non-empty tree.  A full-size tree has nothing to attach, so its
+    sizes and anchors are changed in place and undone on the way back; each
+    frame carries its state's expanded count and pair masks, its parent's
+    with the new class's `CopyTable` entry folded in, asked once per
+    non-empty tree.  A full-size tree has nothing to attach, so its
     attachment is the shared `EMPTY_ATTACHMENT`, and it has no children, so
-    it is emitted without a frame; a smaller one needs an anchor to have an
-    attachment, so only those call `lex_smallest_attachment`.
+    it is emitted without a frame: a frame one class short of full size
+    takes all its candidates in one scan.  A smaller tree needs an anchor to
+    have an attachment, so only those call `lex_smallest_attachment`.
+
+    Each frame also carries its classes' ranks, sorted, and its row key:
+    the size in the top field, then the sorted ranks in fixed b-bit fields,
+    2k-2 of them, b the bit length of the class count.  A take inserts its
+    rank at the place `bisect` finds in the ranks, so the keys order the
+    rows by (size, classes) and `ShapeRows.order` sorts them once.
 
     Given `reach` (the arb kernels), each frame also carries its emptied
     classes and its overlay on `reach`'s arborescence, or None once the
     state loses root-connectivity: a child that empties its new class takes
     one `ResidualReach.step`, and any other child, like every child of a
     failed state, inherits the verdict, as removing more classes never
-    restores root-connectivity.  Each row's last field is that verdict,
+    restores root-connectivity.  Each row's extendability is that verdict,
     True for every row without `reach` (the tree certificates, which have
     no extendability probe).
     """
     limit = 2 * k - 2
-    if not limit:  # k = 1: only the empty tree, full-size
-        return [((), (), EMPTY_ATTACHMENT, 1, 0, 0, reach is None or reach.spanning)]
-    root, candidates_of = g.root, candidate_table(g, pool, large)
-    table = CopyTable()
+    candidates_of, class_list = candidate_table(g, pool, large)
+    width = len(class_list).bit_length()
+    size_shift = limit * width
+    shifts = [(limit - 1 - q) * width for q in range(limit)]
+    field = (1 << width) - 1
     ones = [(1,) * size for size in range(limit + 1)]
+
+    def decode(key: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        size = key >> size_shift
+        return tuple(class_list[key >> shift & field] for shift in shifts[:size]), ones[size]
+
+    rows = ShapeRows(decode)
+    if not limit:  # k = 1: only the empty tree, full-size
+        rows.add(0, EMPTY_ATTACHMENT, 1, 0, 0, reach is None or reach.spanning)
+        return rows
+    add, root, table, branch_cap = rows.add, g.root, CopyTable(), k - 1
+    # taking a rank at place p of the sorted ranks keeps the key's bits
+    # below (limit - p) fields, shifted down one field, and adds one to the size
+    below = [(1 << (limit - p) * width) - 1 for p in range(limit)]
+    grown = 1 << size_shift
     branch_of: dict[int, int] = {}
     sizes: dict[int, int] = {}
-    classes: list[tuple[int, int]] = []
     anchors: list[int] = []  # the large vertices of branch_of, ascending
-    by_size: list[list[Row]] = [[] for _ in range(limit + 1)]  # the rows of each size
 
     # frames of (candidates, index of the next one to try, head taken to
     # enter the frame, expanded count, uses, limits, emptied classes,
-    # overlay); the root frame took none, and a full-size tree gets no frame
+    # overlay, sorted ranks, key); the root frame took none, and a full-size
+    # tree gets no frame
     step, start = (None, {}) if reach is None else (reach.step, reach.overlay())
-    stack: list[list] = [[candidates_of[root], 0, None, 1, 0, 0, (), start]]
+    stack: list[list] = [[candidates_of[root], 0, None, 1, 0, 0, (), start, (), 0]]
     while stack:
         frame = stack[-1]
-        candidates = frame[0]
+        (candidates, _, _, base_expanded, base_uses, base_limits, emptied, overlay, ranks,
+         key) = frame
+        # a take from a tree one class short of full size fills it: nothing
+        # to attach, every branch within k-1, and no frame
+        filling = len(ranks) == limit - 1
         for i in range(frame[1], len(candidates)):
-            tail, head, c, copies = candidates[i]
+            tail, head, c, copies, rank = candidates[i]
             if head in branch_of:
                 continue
             top = head if tail == root else branch_of[tail]
-            if sizes.get(top, 0) < k - 1:
+            if sizes.get(top, 0) >= branch_cap:
+                continue
+            ways, use, lim, empties = table.entry(c, copies, 1)
+            expanded, uses, limits = base_expanded * ways, base_uses | use, base_limits | lim
+            reached, removed = overlay, emptied
+            if empties and step is not None and overlay is not None:
+                reached, removed = step(overlay, emptied, c), emptied + (c,)
+            place = bisect(ranks, rank)
+            kept = key & below[place]
+            grown_key = (key ^ kept) + grown | rank << shifts[place] | kept >> width
+            if not filling:
                 break
+            add(grown_key, EMPTY_ATTACHMENT, expanded, uses, limits, reached is not None)
         else:
             stack.pop()
             head = frame[2]
@@ -274,23 +317,10 @@ def tree_shapes(
                 sizes[top] -= 1
                 if not sizes[top]:
                     del sizes[top]
-                classes.pop()
                 if head in large:
                     anchors.remove(head)
             continue
         frame[1] = i + 1
-        ways, use, lim, empties = table.entry(c, copies, 1)
-        expanded, uses, limits = frame[3] * ways, frame[4] | use, frame[5] | lim
-        emptied, overlay = frame[6], frame[7]
-        if empties and step is not None and overlay is not None:
-            overlay = step(overlay, emptied, c)
-            emptied += (c,)
-        classes.append(c)
-        if len(classes) == limit:  # nothing to attach, every branch within k-1
-            by_size[limit].append((tuple(sorted(classes)), ones[limit], EMPTY_ATTACHMENT,
-                                   expanded, uses, limits, overlay is not None))
-            classes.pop()
-            continue
         branch_of[head] = top
         sizes[top] = sizes.get(top, 0) + 1
         if head in large:
@@ -298,20 +328,16 @@ def tree_shapes(
         if anchors:
             attachment = lex_smallest_attachment(
                 anchors=anchors, branch_of=branch_of, branch_sizes=sizes,
-                limit=k - 1, residual=limit - len(classes))
+                limit=branch_cap, residual=limit - len(ranks) - 1)
             if attachment is not None:
-                by_size[len(classes)].append((tuple(sorted(classes)), ones[len(classes)],
-                                              attachment, expanded, uses, limits,
-                                              overlay is not None))
+                add(grown_key, attachment, expanded, uses, limits, reached is not None)
         following = candidates[i + 1:]
         if head not in large:
             following += candidates_of[head]
-        stack.append([following, 0, head, expanded, uses, limits, emptied, overlay])
-    result = []
-    for rows in by_size:
-        rows.sort(key=itemgetter(0))
-        result += rows
-    return result
+        stack.append([following, 0, head, expanded, uses, limits, removed, reached,
+                      (*ranks[:place], rank, *ranks[place:]), grown_key])
+    rows.order()
+    return rows
 
 
 @dataclass
@@ -575,12 +601,13 @@ class Stages:
     counter `completionSteps` to 2(n - 2k + 1): the classic post-check fixes
     each side at 2k - 2 non-root vertices, and each completion step covers
     one new vertex, or the solve raises.  `shapes` returns the kind's shape
-    search's finished rows (`Row`), each carrying whether it is extendable:
-    for the directed kinds whether removing its arcs keeps D root-connected,
-    and always for tree.  Without `completable` (the directed kinds) the
-    first pair of extendable rows whose copy masks do not conflict is the
-    hit; with it (tree), the masks only pre-filter and each mask-free pair
-    is crystallised and handed to `completable` until one passes.
+    search's ordered `ShapeRows` store, each row carrying whether it is
+    extendable: for the directed kinds whether removing its arcs keeps D
+    root-connected, and always for tree.  Without `completable` (the
+    directed kinds) the first pair of extendable rows whose copy masks do
+    not conflict is the hit; with it (tree), the masks only pre-filter and
+    each mask-free pair is crystallised and handed to `completable` until
+    one passes.
     `validate` is passed in rather than imported here so that the call goes
     through the solver module's own name, which `perfbench/tracer.py` wraps.
     """
@@ -589,7 +616,7 @@ class Stages:
     size: int
     gate: Callable[[], Optional[tuple[str, Optional[dict]]]]
     shape_counter: str  # "kernels", "cores" or "certificates"
-    shapes: Callable[[], list[Row]]
+    shapes: Callable[[], ShapeRows]
     finish: Callable[[tuple[CompactStructure, CompactStructure], dict], dict]
     validate: Callable[[ProblemInstance, dict], object]
     completable: Optional[Callable[[frozenset[int], frozenset[int]], bool]] = None
@@ -602,12 +629,13 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
     probe carried down, pair search, copy crystallisation, then the
     problem's grow-and-complete.
 
-    The shape searches hand over finished rows that carry their
+    The shape searches hand over a `ShapeRows` store whose rows carry their
     extendability verdicts, decided down the search stacks by
-    `graphs.ResidualReach.step`, so this only sums their expanded counts,
-    drops the rows marked not extendable and passes the kept rows' masks to
-    `PairSearch`; it runs no probe of its own.  Count dicts are built only
-    for the pairs that get crystallised: tree's `accept` and the hit.
+    `graphs.ResidualReach.step`, so this works on its columns: it sums the
+    expanded counts, drops the rows marked not extendable and passes the
+    kept rows' mask columns to `PairSearch`; it runs no probe of its own.
+    Only the rows that get crystallised, in tree's `accept` and the hit, are
+    decoded into classes and counts, and only they get count dicts.
     `growSteps` is the sum of the hit pair's attachments, as `grow_pair`
     stops exactly when every target is met, or raises.
     """
@@ -647,32 +675,31 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
     class_ids = g.class_ids
     completable = stages.completable
     rows = stages.shapes()
-    counters[stages.shape_counter] = sum(row[3] for row in rows)
-    rows = [row for row in rows if row[6]]
+    counters[stages.shape_counter] = sum(rows.expanded)
+    rows.keep_extendable()
 
-    def crystallize(i: int, j: int) -> Optional[tuple[set[int], set[int]]]:
-        return crystallize_pair(dict(zip(rows[i][0], rows[i][1])),
-                                dict(zip(rows[j][0], rows[j][1])), class_ids)
+    def crystallize(first: Row, second: Row) -> Optional[tuple[set[int], set[int]]]:
+        return crystallize_pair(dict(zip(first[0], first[1])), dict(zip(second[0], second[1])),
+                                class_ids)
 
     accept = None
     if completable is not None:
         def accept(i: int, j: int) -> bool:
-            assigned = crystallize(i, j)
+            assigned = crystallize(rows[i], rows[j])
             return assigned is not None and completable(
                 frozenset(assigned[0]), frozenset(assigned[1]))
 
-    hit, tested = PairSearch([row[4] for row in rows], [row[5] for row in rows],
-                             accept).find_first()
+    hit, tested = PairSearch(rows.uses, rows.limits, accept).find_first()
     counters["pairsTested"] = tested
     if hit is None:
         return report(False, "pair-search")
 
-    i, j = hit
-    assigned = crystallize(i, j)
+    first, second = rows[hit[0]], rows[hit[1]]
+    assigned = crystallize(first, second)
     if assigned is None:
-        raise InternalError("copy assignment failed for a tested pair", {"pair": [i, j]})
-    pair = (compact_structure(g, assigned[0], rows[i][0], rows[i][2]),
-            compact_structure(g, assigned[1], rows[j][0], rows[j][2]))
-    counters["growSteps"] = sum(rows[i][2].values()) + sum(rows[j][2].values())
+        raise InternalError("copy assignment failed for a tested pair", {"pair": list(hit)})
+    pair = (compact_structure(g, assigned[0], first[0], first[2]),
+            compact_structure(g, assigned[1], second[0], second[2]))
+    counters["growSteps"] = sum(first[2].values()) + sum(second[2].values())
     witness = stages.finish(pair, counters)
     return report(True, "completed", witness)

@@ -324,8 +324,14 @@ class _RootedMultigraph:
                 raise ParseError(f"{noun} ({u},{v}) enters the root")
             if cid in ends:
                 raise ParseError(f"duplicate {noun} id {cid}")
-            c = ends[cid] = (u, v) if ordered or u < v else (v, u)
-            by_class.setdefault(c, []).append(cid)
+            c = (u, v) if ordered or u < v else (v, u)
+            ids = by_class.get(c)
+            if ids is None:
+                ends[cid] = c
+                by_class[c] = [cid]
+            else:  # every copy of a class shares its key, stored with its first copy
+                ends[cid] = ends[ids[0]]
+                ids.append(cid)
         if not ascending:
             for ids in by_class.values():
                 ids.sort()

@@ -4,16 +4,18 @@ Whether two shapes can take disjoint copies depends only on their per-class
 copy counts, so each shape gets two bit masks, `uses` and `limits`, from
 its classes' `CopyTable` entries, and `PairSearch` finds the first pair in
 row-major order whose masks do not conflict.  The shape searches fold the
-entries into each state as they take classes and emit finished rows
-(`Row`), each with its extendability verdict.
+entries into each state as they take classes and fill one `ShapeRows`
+store, each row with its extendability verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InternalError
 
@@ -60,7 +62,7 @@ class CopyTable:
         return entries[m]
 
 
-# One compact shape as the shape searches emit it, a finished pipeline row:
+# One compact shape as `ShapeRows` decodes it, a finished pipeline row:
 # (classes, counts, attachment, expanded, uses, limits, extendable).
 # `classes` are its parallel classes, sorted, and `counts` the copies it
 # takes of each; `expanded` is its number of copy choices, the product of
@@ -74,6 +76,66 @@ Row = tuple[tuple[tuple[int, int], ...], tuple[int, ...], Mapping[int, int], int
 # read-only mapping shared by all of them rather than a new dict per row
 # (`fptcommon.compact_structure` copies it into each record).
 EMPTY_ATTACHMENT: Mapping[int, int] = MappingProxyType({})
+
+
+class ShapeRows(Sequence[Row]):
+    """The rows of one shape search, column by column.
+
+    Row i is `keys[i]`, its sort key, with `attachments[i]`, `expanded[i]`,
+    `uses[i]`, `limits[i]` and `extendable[i]`.  The key is one integer that
+    packs the row's classes and counts in fixed-width fields, so that keys
+    order the rows as the search wants them listed; the search's `decode`
+    gives back (classes, counts) from a key.  A search `add`s its rows in
+    any order and calls `order` once.  Reading row i decodes it as its `Row`
+    tuple, so the pipeline, which reads the columns, decodes only the rows
+    it crystallises.
+    """
+
+    def __init__(self, decode: Callable[[int], tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]
+                 ) -> None:
+        self._decode = decode
+        self.keys: list[int] = []
+        self.attachments: list[Mapping[int, int]] = []
+        self.expanded: list[int] = []
+        self.uses: list[int] = []
+        self.limits: list[int] = []
+        self.extendable: list[bool] = []
+
+    def add(self, key: int, attachment: Mapping[int, int], expanded: int, uses: int, limits: int,
+            extendable: bool) -> None:
+        self.keys.append(key)
+        self.attachments.append(attachment)
+        self.expanded.append(expanded)
+        self.uses.append(uses)
+        self.limits.append(limits)
+        self.extendable.append(extendable)
+
+    def _rebuild(self, column: Callable[[list], list]) -> None:
+        """Each column replaced by `column` of it, one column at a time."""
+        for name in ("keys", "attachments", "expanded", "uses", "limits", "extendable"):
+            setattr(self, name, column(getattr(self, name)))
+
+    def order(self) -> None:
+        """Sorts the rows by key: one argsort, applied to every column."""
+        if len(self.keys) > 1:  # `itemgetter` of one index returns the item, not a tuple
+            permute = itemgetter(*sorted(range(len(self.keys)), key=self.keys.__getitem__))
+            self._rebuild(lambda values: list(permute(values)))
+
+    def keep_extendable(self) -> None:
+        """Drops the rows that are not extendable."""
+        keep = self.extendable
+        self._rebuild(lambda values: list(compress(values, keep)))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> Row:
+        classes, counts = self._decode(self.keys[i])
+        return (classes, counts, self.attachments[i], self.expanded[i], self.uses[i],
+                self.limits[i], self.extendable[i])
+
+    def __iter__(self) -> Iterator[Row]:
+        return map(self.__getitem__, range(len(self.keys)))
 
 
 @dataclass

@@ -34,7 +34,7 @@ from .fptcommon import (
 )
 from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel, parse_rooted_tree
 from .oracles import validate_witness
-from .pairs import Row
+from .pairs import ShapeRows
 from .reports import SolveReport
 
 
@@ -63,7 +63,7 @@ def validate_compact_kernel(
     return compact_attachment(dig, x.ids, classify_vertices(dig, k).large, k)
 
 
-def _kernel_shapes(dig: RootedDigraph, k: int) -> list[Row]:
+def _kernel_shapes(dig: RootedDigraph, k: int) -> ShapeRows:
     """Every compact kernel shape: one copy of each class of the tree, each
     row carrying whether removing it keeps D root-connected."""
     return tree_shapes(dig, k, candidate_pool(dig, k), classify_vertices(dig, k).large,

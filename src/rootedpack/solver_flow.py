@@ -30,7 +30,8 @@ This is the carry-down of the decremental tree of Even and Shiloach (J. ACM
 from __future__ import annotations
 
 import time
-from itertools import chain
+from bisect import bisect, bisect_left
+from itertools import takewhile
 from typing import Callable, Iterator, Mapping, Optional
 
 from .connectivity import FlowNetwork, is_extendable_pair, is_k_root_connected, max_flow
@@ -53,7 +54,7 @@ from .fptcommon import (
 )
 from .graphs import ArcSelection, ProblemInstance, RootedDigraph, cap_parallel
 from .oracles import validate_witness
-from .pairs import EMPTY_ATTACHMENT, CopyTable, Row
+from .pairs import EMPTY_ATTACHMENT, CopyTable, ShapeRows
 from .reports import SolveReport
 
 
@@ -195,9 +196,9 @@ def _core_shapes(
     dig: RootedDigraph, k: int, pool: frozenset[int], view: LargenessView,
     decided: Optional[Callable[[str, Mapping[tuple[int, int], int], frozenset[int],
                                 Optional[set[int]]], None]] = None,
-) -> list[Row]:
-    """All valid core shapes as finished rows (`Row`), sorted by (|V'|,
-    sorted V', (class, count) pairs).
+) -> ShapeRows:
+    """All valid core shapes as the rows of one `ShapeRows` store, ordered
+    by (|V'|, sorted V', (class, count) pairs).
 
     One depth-first search grows per-class count vectors from the empty one.
     A step adds one copy, up to min(2, L) of L (the triple-free reduction), of
@@ -223,6 +224,19 @@ def _core_shapes(
     its (m+1)-copy one; one that empties the class takes one
     `ResidualReach.step`, and any other child, like every child of a failed
     state, inherits the verdict, which each row carries.
+
+    Each frame also carries the sorted ranks of its classes in
+    `candidate_table`'s class list and its row key, whose fields, most
+    significant first, are |V'|; the sorted V' in fixed vertex fields,
+    padded to 2k-1; then one (rank + 1) << 2 | count field per class in
+    rank order, padded with zero fields to (2k-1)^2, the most classes a
+    core can take.  A new class inserts its class field where `bisect`
+    places its rank in the ranks, a second copy adds one to its class's
+    field, and a new head inserts its vertex field where `bisect` places it
+    in the sorted V'.  A zero field sorts below every class field, so a
+    row whose (class, count) pairs are a prefix of another's sorts first,
+    and the keys order the rows by (|V'|, sorted V', (class, count) pairs):
+    `ShapeRows.order` sorts them once.
 
     A state with |V'| < 2k-1 is checked once by `_aggregated_feasibility`:
     by one max-flow, which gives its attachment, when it has a large anchor,
@@ -256,18 +270,41 @@ def _core_shapes(
     root, max_size, large = dig.root, 2 * k - 1, view.large
     reach = dig._reach()
     step = reach.step
-    candidates_of = candidate_table(dig, pool, large)
+    candidates_of, class_list = candidate_table(dig, pool, large)
     table = CopyTable()
     counts: dict[tuple[int, int], int] = {}
-    found: list[Row] = []
+
+    # the key's fields, most significant first: |V'|, then max_size vertex
+    # fields of `vertex_width` bits, then max_size**2 class fields of
+    # `class_width` bits, the top ones (rank + 1) << 2 | count in rank order
+    slots = max_size * max_size
+    class_width = len(class_list).bit_length() + 2
+    vertex_width = dig.n.bit_length()
+    class_bits = slots * class_width
+    class_part = (1 << class_bits) - 1
+    size_unit = 1 << class_bits + max_size * vertex_width
+    class_shifts = [(slots - 1 - q) * class_width for q in range(slots)]
+    class_below = [(1 << shift + class_width) - 1 for shift in class_shifts]
+    vertex_shifts = [class_bits + (max_size - 1 - q) * vertex_width for q in range(max_size)]
+    vertex_below = [(1 << shift + vertex_width) - 1 for shift in vertex_shifts]
+    field = (1 << class_width) - 1
+
+    def decode(key: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        fields = takewhile(bool, (key >> shift & field for shift in class_shifts))
+        classes, taken = zip(*((class_list[(f >> 2) - 1], f & 3) for f in fields))
+        return classes, taken
+
+    rows = ShapeRows(decode)
+    add = rows.add
 
     # frames of (candidates, index of the next one to try, class taken to
     # enter the frame, V', expanded count, uses, limits, emptied, overlay,
-    # cut); the root frame took none, and cut is a full-size state's
-    # violated set (None when it passes) or a (2k-2)-vertex state's bridge
-    # cuts of at least k vertices, once a child into a new head asks
+    # cut, sorted ranks of the classes taken, key); the root frame took
+    # none, and cut is a full-size state's violated set (None when it
+    # passes) or a (2k-2)-vertex state's bridge cuts of at least k vertices,
+    # once a child into a new head asks
     stack: list[list] = [[candidates_of[root], 0, None, frozenset(), 1, 0, 0, (), reach.overlay(),
-                          None]]
+                          None, (), 0]]
     while stack:
         frame = stack[-1]
         candidates, i = frame[0], frame[1]
@@ -281,8 +318,8 @@ def _core_shapes(
                     counts[c] -= 1
             continue
         frame[1] = i + 1
-        tail, head, c, copies = candidates[i]
-        verts = frame[3]
+        tail, head, c, copies, rank = candidates[i]
+        verts, ranks, key = frame[3], frame[10], frame[11]
         new_head = head not in verts
         if new_head and len(verts) == max_size - 1 and frame[9] is None:
             frame[9] = _bridge_cuts(root, counts, verts, k)  # before c's copy joins
@@ -297,7 +334,21 @@ def _core_shapes(
         if empties and overlay is not None:
             overlay = step(overlay, emptied, c)
             emptied += (c,)
-        if new_head:
+        if m:  # a second copy: one more in the class's field
+            key += 1 << class_shifts[bisect_left(ranks, rank)]
+        else:  # a new class: its field goes in at its rank's place
+            place = bisect(ranks, rank)
+            kept = key & class_below[place]
+            key = key ^ kept | ((rank + 1) << 2 | 1) << class_shifts[place] | kept >> class_width
+            ranks = (*ranks[:place], rank, *ranks[place:])
+        if new_head:  # one more vertex: its field goes in at its place in V'
+            place = bisect(sorted(verts), head)
+            kept = key & vertex_below[place]
+            # the class fields stay; the vertex fields below the place move
+            # down one field, and the last one, still padding, drops out
+            fields = kept & class_part
+            key = ((key ^ kept) + size_unit | head << vertex_shifts[place]
+                   | (kept ^ fields) >> vertex_width | fields)
             verts = verts | {head}
         cut = None
         if len(verts) < max_size:
@@ -317,9 +368,7 @@ def _core_shapes(
                 decided(rule, counts, verts, cut)
             attachment = EMPTY_ATTACHMENT if cut is None else None
         if attachment is not None:
-            classes, taken = zip(*sorted(counts.items()))
-            found.append((classes, taken, attachment, expanded, uses, limits,
-                          overlay is not None))
+            add(key, attachment, expanded, uses, limits, overlay is not None)
         following = candidates[i + 1:]
         if m + 1 < min(2, copies):
             following.append(candidates[i])
@@ -328,19 +377,13 @@ def _core_shapes(
                 following += candidates_of[head]
             if len(verts) == max_size:
                 following = [cand for cand in following if cand[1] in verts]
-        stack.append([following, 0, c, verts, expanded, uses, limits, emptied, overlay, cut])
-    found.sort(key=_core_order)
-    return found
+        stack.append([following, 0, c, verts, expanded, uses, limits, emptied, overlay, cut,
+                      ranks, key])
+    rows.order()
+    return rows
 
 
-def _core_order(row: Row) -> tuple:
-    """A core row's (|V'|, sorted V', (class, count) pairs), flattened into
-    one tuple, which orders the rows the same way."""
-    verts = sorted({v for _, v in row[0]})
-    return len(verts), *verts, *chain.from_iterable(zip(row[0], row[1]))
-
-
-def _flow_shapes(dig: RootedDigraph, k: int) -> list[Row]:
+def _flow_shapes(dig: RootedDigraph, k: int) -> ShapeRows:
     """Every compact core shape."""
     return _core_shapes(dig, k, candidate_pool_flow(dig, k), classify_vertices_flow(dig, k))
 

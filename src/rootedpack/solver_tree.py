@@ -36,7 +36,7 @@ from .fptcommon import (
 from .graphs import EdgeSelection, ProblemInstance, RootedGraph, cap_parallel, parse_rooted_tree
 from .matroid import max_forest_pair
 from .oracles import validate_witness
-from .pairs import Row
+from .pairs import ShapeRows
 from .reports import SolveReport
 
 
@@ -64,7 +64,7 @@ def validate_compact_certificate(
     return compact_attachment(g, x.ids, classify_vertices_tree(g, k).large, k)
 
 
-def _certificate_shapes(g: RootedGraph, k: int) -> list[Row]:
+def _certificate_shapes(g: RootedGraph, k: int) -> ShapeRows:
     """Every compact certificate shape: one copy of each class of the tree."""
     return tree_shapes(g, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large)
 

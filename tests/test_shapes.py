@@ -13,9 +13,14 @@ survivor's aggregated network by max-flow.  Each must give
 the same shape list (classes or count vectors, order and attachments) on
 seeded random instances.
 
-The searches emit finished rows (`pairs.Row`): besides the classes,
-counts and attachment, each carries its expanded count, pair masks and
-extendability verdict down the search stack.  The counts and masks are
+The searches fill one `pairs.ShapeRows` store each, whose rows read as
+`pairs.Row` tuples: besides the classes, counts and attachment, each
+carries its expanded count, pair masks and extendability verdict down the
+search stack.  The store orders its rows by packed integer keys; that
+order is checked against the tuple keys the searches sorted by before
+(`tree_order_reference`, `core_order_reference`), also with ranks wider
+than a byte, and the traced peak memory of one kernel search against a
+bound that the tuple rows exceeded.  The counts and masks are
 checked against `shape_masks_reference`, the one pass over finished shapes
 that built them before, on these fixtures and on random digraphs and
 graphs, for all three kinds; the verdicts against the probe of the classes
@@ -34,6 +39,7 @@ the three per-kind loops it replaced, record by record and in order.
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter, deque
 
 import pytest
@@ -41,12 +47,14 @@ import pytest
 from rootedpack import solver_flow
 from rootedpack.connectivity import FlowNetwork, max_flow
 from rootedpack.flows import branching_flow_feasible
-from rootedpack.fptcommon import branch_structure, lex_smallest_attachment, tree_shapes
+from rootedpack.fptcommon import (branch_structure, candidate_table, lex_smallest_attachment,
+                                  tree_shapes)
 from rootedpack.graphs import (ProblemInstance, ResidualReach, RootedDigraph, RootedGraph,
                                cap_parallel)
 from rootedpack.instancegen import random_instance
 from rootedpack.pairs import CopyTable
 from rootedpack.solver_arb import (
+    _kernel_shapes,
     candidate_pool,
     classify_vertices,
     enumerate_compact_kernels,
@@ -542,6 +550,89 @@ def test_core_search_decides_each_count_vector_once(monkeypatch):
     assert total > 20_000
     assert min(rules[rule] for rule in ("inherited", "carried", "new-head")) > 1_000, rules
     assert rules["searched"] > refused["searched"] > 0, (rules, refused)
+
+
+# -- the row store's order against the tuple keys it replaced --
+
+
+def tree_order_reference(row):
+    """The key `tree_shapes` sorted its rows by before the row store:
+    (size, classes)."""
+    return len(row[0]), row[0]
+
+
+def core_order_reference(row):
+    """The key `_core_shapes` sorted its rows by before the row store, its
+    `_core_order`: (|V'|, sorted V', (class, count) pairs), flattened into
+    one tuple, which orders the rows the same way.  A row whose pairs are a
+    prefix of another's sorts first."""
+    verts = sorted({v for _, v in row[0]})
+    return len(verts), *verts, *itertools.chain.from_iterable(zip(row[0], row[1]))
+
+
+def assert_in_key_order(rows, key):
+    """The rows ascend strictly by `key`, as sorting by it lists them."""
+    keys = [key(row) for row in rows]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_rows_keep_the_order_of_the_tuple_keys():
+    """On the fixtures.  Among the flow rows, many share V' with the next
+    row and take a prefix of its (class, count) pairs, so only the rule
+    that a prefix sorts first orders them, and many of those take two
+    copies of a class."""
+    for kind in ("arb", "tree"):
+        for inst, k in instances(kind):
+            assert_in_key_order(tree_rows(kind, inst.graph, k), tree_order_reference)
+    prefixes = doubled = 0
+    for inst in flow_instances():
+        g, k = cap_parallel(inst).graph, inst.k
+        rows = list(core_rows(g, k))
+        assert_in_key_order(rows, core_order_reference)
+        for first, second in zip(rows, rows[1:]):
+            taken = list(zip(first[0], first[1]))
+            same_verts = {v for _, v in first[0]} == {v for _, v in second[0]}
+            if same_verts and list(zip(second[0], second[1]))[:len(taken)] == taken:
+                prefixes += 1
+                doubled += any(m == 2 for _, m in taken)
+    assert prefixes > 1_000 and doubled > 1_000, (prefixes, doubled)
+
+
+@pytest.mark.parametrize("kind", ["arb", "tree"])
+def test_rows_keep_their_order_with_ranks_wider_than_a_byte(kind):
+    """A root joined to 299 vertices at k = 2: 299 candidate classes, so
+    ranks take 9 bits, and the 44,551 rows, each two root classes, are in
+    key order, most of them with a class of rank 256 or more."""
+    cls = RootedDigraph if kind == "arb" else RootedGraph
+    g = cls(300, 0, [(0, v) for v in range(1, 300)])
+    k = 2
+    if kind == "arb":
+        pool, view = candidate_pool(g, k), classify_vertices(g, k)
+    else:
+        pool, view = candidate_pool_tree(g, k), classify_vertices_tree(g, k)
+    classes = candidate_table(g, pool, view.large)[1]
+    assert len(classes) == 299
+    rows = tree_rows(kind, g, k)
+    assert len(rows) == 299 * 298 // 2
+    assert_in_key_order(rows, tree_order_reference)
+    wide = set(classes[256:])
+    assert sum(1 for row in rows if wide.intersection(row[0])) > 10_000
+
+
+def test_kernel_rows_peak_below_12_mb():
+    """The traced peak of `_kernel_shapes` on one instance with 48,366
+    rows: 13.25 MB when each row was a tuple holding its own class tuple
+    and the rows were sorted by tuple keys, 10.54 MB in the row store
+    (Python 3.11)."""
+    g = cap_parallel(random_instance("arb", 20, 100, seed=1)).graph
+    tracemalloc.start()
+    try:
+        rows = _kernel_shapes(g, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 48_366
+    assert peak < 12_000_000, peak
 
 
 # -- the carried rows against the one pass over finished shapes --
