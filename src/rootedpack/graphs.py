@@ -12,13 +12,14 @@ arborescence, and replacement steps keep it across removals and decide
 whether removals keep a digraph root-connected.  Its docstring states why
 they are exact.  Each graph keeps one engine with nothing removed behind
 its own queries; `connectivity` and `fptcommon` build theirs for growing
-removal sets.
+removal sets.  A capped graph (`cap_parallel`) patches its original's
+tables and shares what the cap leaves, but builds its own engine.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -226,18 +227,11 @@ class ResidualReach:
             self.parent.update(hung)
 
 
-def _table(n: int, entries: Iterable[tuple[int, object]]) -> list[tuple]:
-    """Per-vertex tuples of the `(vertex, entry)` pairs, entries in input order.
-
-    Vertices without entries share the empty tuple, so an isolated vertex
-    costs one list slot.
-    """
-    lists: dict[int, list] = {}
-    for v, entry in entries:
-        lists.setdefault(v, []).append(entry)
+def _tupled(n: int, lists: Mapping[int, list]) -> list[tuple]:
+    """Per-vertex tuples of `lists`; an isolated vertex shares `()`."""
     table: list[tuple] = [()] * n
-    for v, group in lists.items():
-        table[v] = tuple(group)
+    for v, entries in lists.items():
+        table[v] = tuple(entries)
     return table
 
 
@@ -287,10 +281,12 @@ class _RootedMultigraph:
 
     Copies are (u, v, id) triples, or (u, v) pairs that take the next free
     id; ids are arbitrary distinct non-negative integers (dense when built by
-    the parser).  A subclass sets `_directed`, `_noun` and `_selection`,
-    and builds its class tables in `_index(classes)`, called by `_store`: per
-    vertex, the (neighbour, ids) classes, neighbours ascending.  They are the
-    only adjacency; root reach walks them through `ResidualReach`.
+    the parser).  A subclass sets `_directed`, `_noun` and `_selection`; it
+    builds its class tables (per vertex, the (neighbour, ids) classes,
+    neighbours ascending) in `_index(classes)`, called by `_store`, and
+    in `_patch(source, cut)`, called by `cap_parallel`, copies another
+    graph's tables and re-tuples the entries at the ends of the cut classes.
+    They are the only adjacency; root reach walks them through `ResidualReach`.
     """
 
     _directed: bool
@@ -344,8 +340,8 @@ class _RootedMultigraph:
         return g
 
     def _store(self, n: int, root: int, by_class: dict, ends: dict | None = None) -> None:
-        """The one step that stores and indexes a checked class table (each
-        class's ids ascending) and its ends, read off it unless given."""
+        """Store and index a checked class table (each class's ids
+        ascending) and its ends, read off it unless given."""
         self.n, self.root = n, root
         # classes ascending; each list is freed once its tuple is stored
         self._by_class = {c: tuple(by_class.pop(c)) for c in sorted(by_class)}
@@ -436,8 +432,25 @@ class RootedDigraph(_RootedMultigraph):
     reach_mask = _RootedMultigraph.reach_mask
 
     def _index(self, classes):
-        self._out_classes = _table(self.n, ((u, (v, ids)) for (u, v), ids in classes))
-        self._in_classes = _table(self.n, ((v, (u, ids)) for (u, v), ids in classes))
+        # classes ascend: a tail's out-classes are one run, a head's tails ascend
+        runs: dict[int, list] = {}
+        heads: defaultdict[int, list] = defaultdict(list)
+        tail = None
+        for (u, v), ids in classes:
+            if u != tail:
+                tail = u
+                run = runs[u] = []
+            run.append((v, ids))
+            heads[v].append((u, ids))
+        self._out_classes, self._in_classes = _tupled(self.n, runs), _tupled(self.n, heads)
+
+    def _patch(self, source: RootedDigraph, cut: list[tuple[int, int]]) -> None:
+        out, into, by_class = list(source._out_classes), list(source._in_classes), self._by_class
+        for u in {u for u, _ in cut}:
+            out[u] = tuple((v, by_class[u, v]) for v, _ in out[u])
+        for v in {v for _, v in cut}:
+            into[v] = tuple((u, by_class[u, v]) for u, _ in into[v])
+        self._out_classes, self._in_classes = out, into
 
     def class_ids(self, u: int, v: int) -> tuple[int, ...]:
         return self._by_class.get((u, v), ())
@@ -496,8 +509,17 @@ class RootedGraph(_RootedMultigraph):
     def _index(self, classes):
         # in sorted class order each vertex meets its smaller neighbours
         # first, so every incidence tuple comes out ascending
-        self._incident_classes = _table(self.n, (
-            entry for (u, v), ids in classes for entry in ((u, (v, ids)), (v, (u, ids)))))
+        lists: defaultdict[int, list] = defaultdict(list)
+        for (u, v), ids in classes:
+            lists[u].append((v, ids))
+            lists[v].append((u, ids))
+        self._incident_classes = _tupled(self.n, lists)
+
+    def _patch(self, source: RootedGraph, cut: list[tuple[int, int]]) -> None:
+        incident, by_class = list(source._incident_classes), self._by_class
+        for x in {x for c in cut for x in c}:
+            incident[x] = tuple((w, by_class[(x, w) if x < w else (w, x)]) for w, _ in incident[x])
+        self._incident_classes = incident
 
     def class_ids(self, u: int, v: int) -> tuple[int, ...]:
         return self._by_class.get((min(u, v), max(u, v)), ())
@@ -669,14 +691,24 @@ def cap_parallel(instance: ProblemInstance) -> ProblemInstance:
     """Drop surplus parallel copies beyond the per-kind decision-preserving cap.
 
     Keeps the lowest-id copies; surviving ids are unchanged so witnesses
-    remain valid against the original instance.
+    remain valid against the original instance.  The capped graph copies
+    the original's tables, re-tupling only the entries at the ends of the
+    classes it cuts, so it shares every other per-vertex tuple and every
+    uncut class's ids.  It builds its own root-reach engine on first use:
+    the original's counts the dropped copies.
     """
-    cap = PARALLEL_CAP[instance.kind]
-    g = instance.graph
-    classes = g.parallel_classes()
-    if all(len(ids) <= cap for ids in classes.values()):
+    cap, g = PARALLEL_CAP[instance.kind], instance.graph
+    cut = [c for c, ids in g._by_class.items() if len(ids) > cap]
+    if not cut:
         return instance
-    capped = type(g)._of_classes(g.n, g.root, {c: ids[:cap] for c, ids in classes.items()})
+    capped = type(g).__new__(type(g))
+    capped.n, capped.root, capped._engine = g.n, g.root, None
+    capped._by_class, capped._ends = by_class, ends = dict(g._by_class), dict(g._ends)
+    for c in cut:
+        for cid in by_class[c][cap:]:
+            del ends[cid]
+        by_class[c] = by_class[c][:cap]
+    capped._patch(g, cut)
     return ProblemInstance(kind=instance.kind, graph=capped, k=instance.k)
 
 

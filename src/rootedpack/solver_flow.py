@@ -217,7 +217,8 @@ def _core_shapes(
     only through the first of its copies in each list: a skipped candidate
     stays out of the whole subtree, and each one a step adds was not
     available before it.  The count vector is one dict changed in place and
-    undone on the way back; each frame carries V', the expanded count, the
+    undone on the way back, at once for a state with no candidate left,
+    which gets no frame; each frame carries V', the expanded count, the
     pair masks, the emptied classes and the state's overlay on the digraph's
     kept arborescence, or None once the state loses root-connectivity.  A
     step from m to m+1 copies swaps the class's m-copy `CopyTable` entry for
@@ -377,8 +378,13 @@ def _core_shapes(
                 following += candidates_of[head]
             if len(verts) == max_size:
                 following = [cand for cand in following if cand[1] in verts]
-        stack.append([following, 0, c, verts, expanded, uses, limits, emptied, overlay, cut,
-                      ranks, key])
+        if following:
+            stack.append([following, 0, c, verts, expanded, uses, limits, emptied, overlay, cut,
+                          ranks, key])
+        elif m:  # a state with no candidate left: undo its copy in place
+            counts[c] = m
+        else:
+            del counts[c]
     rows.order()
     return rows
 

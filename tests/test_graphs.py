@@ -353,6 +353,74 @@ def test_cap_parallel_returns_the_instance_when_no_class_exceeds_the_cap(kind, c
         assert cap_parallel(inst) is inst
 
 
+def rebuilt_capped(g, cap):
+    """The capped graph built afresh from the original's class table."""
+    return type(g)._of_classes(g.n, g.root, {c: ids[:cap] for c, ids in g.parallel_classes().items()})
+
+
+def vertex_tables(g):
+    return [g._out_classes, g._in_classes] if isinstance(g, RootedDigraph) else [g._incident_classes]
+
+
+@pytest.mark.parametrize("kind", ["arb", "tree"])
+def test_capped_graph_is_a_faithful_independent_copy(kind, rng):
+    cls = RootedGraph if kind == "tree" else RootedDigraph
+    cap = PARALLEL_CAP[kind]
+    for engine_first in (False, True):
+        for _ in range(20):
+            n = rng.randint(3, 12)
+            g = cls(n, 0, drawn_classes(rng, n, cls is RootedDigraph, max_mult=5) + [(0, 1)] * 3)
+            before = class_tables(g)
+            engine = g._reach() if engine_first else None
+            capped = cap_parallel(ProblemInstance(kind, g, 1)).graph
+            assert class_tables(g) == before
+            assert g._engine is engine and (engine is None or engine._by_class is g._by_class)
+            rebuilt = rebuilt_capped(g, cap)
+            # every attribute a build stores, so none is left out or shared by mistake
+            assert vars(capped).keys() == vars(rebuilt).keys()
+            assert class_tables(capped) == class_tables(rebuilt)
+            assert capped._engine is None
+            cut = [c for c, ids in g.parallel_classes().items() if len(ids) > cap]
+            touched = {x for c in cut for x in c}
+            for table, original in zip(vertex_tables(capped), vertex_tables(g)):
+                assert all(table[v] is original[v] for v in range(n) if v not in touched)
+            assert all(capped.parallel_classes()[c] is ids
+                       for c, ids in g.parallel_classes().items() if c not in cut)
+
+
+def test_capped_digraph_has_its_own_engine():
+    # the class (0, 1), 5 copies capped to 2, is the only way into vertex 1
+    g = RootedDigraph(3, 0, [(0, 1)] * 5 + [(0, 2), (1, 2)])
+    original = g._reach()  # counts all five copies of (0, 1)
+    capped = cap_parallel(ProblemInstance("arb", g, 1)).graph
+    kept = capped.class_ids(0, 1)
+    assert kept == (0, 1)
+    reach = capped._reach()
+    assert reach is not original and reach._by_class is capped.parallel_classes()
+    assert g.is_root_connected_without(kept)
+    assert not capped.is_root_connected_without(kept)
+    reach.remove(kept[0])
+    assert not reach.keeps_root_connected(kept[1])
+
+
+@pytest.mark.parametrize("cls,kind", [(RootedDigraph, "arb"), (RootedGraph, "tree")])
+def test_cap_parallel_peaks_below_half_a_rebuild(cls, kind):
+    # 1,000 vertices and 5,000 classes, one of them over the cap: the
+    # capped graph patches the original's tables instead of rebuilding them
+    rng = random.Random(5)
+    classes = set()
+    while len(classes) < 5000:
+        u, v = rng.randrange(1000), rng.randrange(1, 1000)
+        if u != v:
+            classes.add((u, v) if cls is RootedDigraph else (min(u, v), max(u, v)))
+    classes = sorted(classes)
+    inst = ProblemInstance(kind, cls(1000, 0, classes + [classes[0]] * 4), 1)
+    cap = PARALLEL_CAP[kind]
+    assert cap_parallel(inst).graph == rebuilt_capped(inst.graph, cap)
+    assert peak_bytes(lambda: cap_parallel(inst)) < 0.5 * peak_bytes(
+        lambda: rebuilt_capped(inst.graph, cap))
+
+
 @given(digraphs())
 def test_round_trip_any_digraph(d):
     inst = ProblemInstance(kind="arb", graph=d, k=1)
