@@ -20,12 +20,20 @@ shape searches, `tree_shapes` for kernels and certificates and
 `candidate_table`, and carry each state's masks, expanded count and, for
 the directed kinds, extendability down their stacks: a child that empties
 a class takes one replacement step of `graphs.ResidualReach` on its
-parent's arborescence overlay.  Each fills one `pairs.ShapeRows` store,
-column by column, with the verdict in each row, so the pipeline runs no
+parent's arborescence overlay.  Each is a generator that fills one
+`pairs.ShapeRows` store, column by column, with the verdict in each row,
+and yields each extendable row as it finds it, so the pipeline runs no
 probe pass; a row's classes and counts travel packed in its integer sort
 key, which also orders the rows, and are decoded only for the rows the
-pipeline crystallises.  Growth and completion ask root reach of
-`ResidualReach` too.
+pipeline crystallises.
+
+A YES needs only two compact structures, so the pipeline first pairs the
+rows as they stream in: for each extendable row S, a partner search that
+hides S's exhausted classes and prunes the states whose masks meet S's
+looks for a row that fits beside S.  Only when
+the partner searches have spent `PARTNER_STATES` states does the search
+run to its end and the exhaustive `PairSearch` decide, which every NO
+does.  Growth and completion ask root reach of `ResidualReach` too.
 """
 
 from __future__ import annotations
@@ -204,6 +212,28 @@ def candidate_table(
             for u, candidates in table.items()}, classes
 
 
+class _Hiding(dict):
+    """`candidate_table`'s lists without the candidates of the `hidden`
+    classes, each list filtered when a search first asks for it."""
+
+    def __init__(self, lists: Mapping[int, list], hidden: frozenset) -> None:
+        super().__init__()
+        self.lists, self.hidden = lists, hidden
+
+    def __missing__(self, u: int) -> list:
+        kept = self[u] = [candidate for candidate in self.lists[u]
+                          if candidate[2] not in self.hidden]
+        return kept
+
+
+def hidden_candidates(
+    candidates_of: Mapping[int, list], hidden: frozenset
+) -> Mapping[int, list]:
+    """`candidate_table`'s lists, or, given hidden classes, the lists
+    without their candidates."""
+    return _Hiding(candidates_of, hidden) if hidden else candidates_of
+
+
 def tree_shapes(
     g: RootedDigraph | RootedGraph,
     k: int,
@@ -211,8 +241,8 @@ def tree_shapes(
     large: frozenset[int],
     reach: Optional[ResidualReach] = None,
 ) -> ShapeRows:
-    """Every compact tree shape as a row of one `ShapeRows` store, ordered
-    by (size, classes).
+    """The search for every compact tree shape, as the empty `ShapeRows`
+    store it fills; its rows sort by (size, classes).
 
     Shapes are trees on at most 2k-2 non-root vertices of `pool`, described
     at parallel-class level and grown from the root one class of
@@ -221,20 +251,30 @@ def tree_shapes(
     branch keeps at most k-1 vertices, which every valid kernel or
     certificate satisfies anyway.
 
+    The search is a generator (`ShapeRows.stream`): it adds each row as it
+    finds it and yields the index of each extendable one, so a caller may
+    stop after the first rows.  Each stream has its own stack and shares
+    the candidate table, class ranks and `CopyTable` of this call, so a
+    partner store's rows (`ShapeRows.partner`), which may hide classes and
+    prune the takes whose `uses` meet a mask, carry the same keys, masks and
+    attachments as the main store's rows of the same shapes.  Its states are
+    the empty tree and each class taken.
+
     Each tree is built exactly once, so no seen set is needed: a state keeps
     an ordered list of candidates.  Taking candidate i passes on the
     candidates after i plus the table's list of the new head; a candidate
     whose head is in the tree or whose root branch is full is passed over
     when its turn comes.  A tree is then reached only through the first of
     its classes in each list, as every skipped candidate stays out of the
-    whole subtree of the search.  The search is depth-first with an explicit
+    whole subtree of the search; hiding classes drops them from every list
+    and keeps that argument.  The search is depth-first with an explicit
     stack, since trees can be k-1 classes deep.  The branch map, branch
     sizes and anchors are changed in place and undone on the way back; each
     frame carries its state's expanded count and pair masks, its parent's
-    with the new class's `CopyTable` entry folded in, asked once per
-    non-empty tree.  A full-size tree has nothing to attach, so its
-    attachment is the shared `EMPTY_ATTACHMENT`, and it has no children, so
-    it is emitted without a frame: a frame one class short of full size
+    with the new class's one-copy `CopyTable` entry folded in, asked once
+    per class and kept by rank.  A full-size tree has nothing to attach, so
+    its attachment is the shared `EMPTY_ATTACHMENT`, and it has no children,
+    so it is emitted without a frame: a frame one class short of full size
     takes all its candidates in one scan.  A smaller tree needs an anchor to
     have an attachment, so only those call `lex_smallest_attachment`.
 
@@ -246,12 +286,13 @@ def tree_shapes(
 
     Given `reach` (the arb kernels), each frame also carries its emptied
     classes and its overlay on `reach`'s arborescence, or None once the
-    state loses root-connectivity: a child that empties its new class takes
-    one `ResidualReach.step`, and any other child, like every child of a
-    failed state, inherits the verdict, as removing more classes never
-    restores root-connectivity.  Each row's extendability is that verdict,
-    True for every row without `reach` (the tree certificates, which have
-    no extendability probe).
+    state loses root-connectivity: a child that empties its new class (u, v)
+    takes one `ResidualReach.step`, whose no-search case, the overlay's
+    parent of v not being u, is tested here first, and any other child,
+    like every child of a failed state, inherits the verdict, as removing
+    more classes never restores root-connectivity.  Each row's extendability
+    is that verdict, True for every row without `reach` (the tree
+    certificates, which have no extendability probe).
     """
     limit = 2 * k - 2
     candidates_of, class_list = candidate_table(g, pool, large)
@@ -260,84 +301,130 @@ def tree_shapes(
     shifts = [(limit - 1 - q) * width for q in range(limit)]
     field = (1 << width) - 1
     ones = [(1,) * size for size in range(limit + 1)]
+    table = CopyTable()
+    entries: list = [None] * len(class_list)  # one-copy entries by rank, once taken
+    # taking a rank at place p of the sorted ranks keeps the key's bits
+    # below (limit - p) fields, shifted down one field, and adds one to the size
+    below = [(1 << (limit - p) * width) - 1 for p in range(limit)]
+    grown = 1 << size_shift
+    root, branch_cap = g.root, k - 1
+    step, parent, start = ((None, {}, {}) if reach is None
+                           else (reach.step, reach.parent, reach.overlay()))
 
     def decode(key: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
         size = key >> size_shift
         return tuple(class_list[key >> shift & field] for shift in shifts[:size]), ones[size]
 
-    rows = ShapeRows(decode)
-    if not limit:  # k = 1: only the empty tree, full-size
-        rows.add(0, EMPTY_ATTACHMENT, 1, 0, 0, reach is None or reach.spanning)
-        return rows
-    add, root, table, branch_cap = rows.add, g.root, CopyTable(), k - 1
-    # taking a rank at place p of the sorted ranks keeps the key's bits
-    # below (limit - p) fields, shifted down one field, and adds one to the size
-    below = [(1 << (limit - p) * width) - 1 for p in range(limit)]
-    grown = 1 << size_shift
-    branch_of: dict[int, int] = {}
-    sizes: dict[int, int] = {}
-    anchors: list[int] = []  # the large vertices of branch_of, ascending
+    def search(rows: ShapeRows, hidden: frozenset, budget: Optional[int], against: int
+               ) -> Iterator[int]:
+        add_key, add_attachment, add_expanded, add_uses, add_limits, add_extendable = (
+            column.append for column in rows.columns())
+        keys = rows.keys
+        if not limit:  # k = 1: only the empty tree, full-size
+            rows.states = 1
+            add_key(0)
+            add_attachment(EMPTY_ATTACHMENT)
+            add_expanded(1)
+            add_uses(0)
+            add_limits(0)
+            add_extendable(start is not None)
+            if start is not None:
+                yield 0
+            return
+        candidates_from = hidden_candidates(candidates_of, hidden)
+        states = 1  # the empty start
+        branch_of: dict[int, int] = {}
+        sizes: dict[int, int] = {}
+        anchors: list[int] = []  # the large vertices of branch_of, ascending
+        parent_of = parent.get
 
-    # frames of (candidates, index of the next one to try, head taken to
-    # enter the frame, expanded count, uses, limits, emptied classes,
-    # overlay, sorted ranks, key); the root frame took none, and a full-size
-    # tree gets no frame
-    step, start = (None, {}) if reach is None else (reach.step, reach.overlay())
-    stack: list[list] = [[candidates_of[root], 0, None, 1, 0, 0, (), start, (), 0]]
-    while stack:
-        frame = stack[-1]
-        (candidates, _, _, base_expanded, base_uses, base_limits, emptied, overlay, ranks,
-         key) = frame
-        # a take from a tree one class short of full size fills it: nothing
-        # to attach, every branch within k-1, and no frame
-        filling = len(ranks) == limit - 1
-        for i in range(frame[1], len(candidates)):
-            tail, head, c, copies, rank = candidates[i]
-            if head in branch_of:
-                continue
-            top = head if tail == root else branch_of[tail]
-            if sizes.get(top, 0) >= branch_cap:
-                continue
-            ways, use, lim, empties = table.entry(c, copies, 1)
-            expanded, uses, limits = base_expanded * ways, base_uses | use, base_limits | lim
-            reached, removed = overlay, emptied
-            if empties and step is not None and overlay is not None:
-                reached, removed = step(overlay, emptied, c), emptied + (c,)
-            place = bisect(ranks, rank)
-            kept = key & below[place]
-            grown_key = (key ^ kept) + grown | rank << shifts[place] | kept >> width
-            if not filling:
-                break
-            add(grown_key, EMPTY_ATTACHMENT, expanded, uses, limits, reached is not None)
-        else:
-            stack.pop()
-            head = frame[2]
-            if head is not None:
-                top = branch_of.pop(head)
-                sizes[top] -= 1
-                if not sizes[top]:
-                    del sizes[top]
+        # frames of (candidates, index of the next one to try, head taken to
+        # enter the frame, expanded count, uses, limits, emptied classes,
+        # overlay, sorted ranks, key); the root frame took none, and a
+        # full-size tree gets no frame
+        stack: list[list] = [[candidates_from[root], 0, None, 1, 0, 0, (), start, (), 0]]
+        try:
+            while stack:
+                frame = stack[-1]
+                (candidates, _, _, base_expanded, base_uses, base_limits, emptied, overlay,
+                 ranks, key) = frame
+                # a take from a tree one class short of full size fills it:
+                # nothing to attach, every branch within k-1, and no frame
+                filling = len(ranks) == limit - 1
+                for i in range(frame[1], len(candidates)):
+                    tail, head, c, copies, rank = candidates[i]
+                    if head in branch_of:
+                        continue
+                    top = head if tail == root else branch_of[tail]
+                    if sizes.get(top, 0) >= branch_cap:
+                        continue
+                    states += 1
+                    entry = entries[rank]
+                    if entry is None:
+                        entry = entries[rank] = table.entry(c, copies, 1)
+                    ways, use, lim, empties = entry
+                    uses = base_uses | use
+                    if uses & against:
+                        continue
+                    expanded, limits = base_expanded * ways, base_limits | lim
+                    reached, removed = overlay, emptied
+                    if empties and step is not None and overlay is not None:
+                        removed = emptied + (c,)
+                        if overlay.get(head, parent_of(head)) == tail:
+                            reached = step(overlay, emptied, c)
+                    place = bisect(ranks, rank)
+                    kept = key & below[place]
+                    grown_key = (key ^ kept) + grown | rank << shifts[place] | kept >> width
+                    if not filling:
+                        break
+                    add_key(grown_key)
+                    add_attachment(EMPTY_ATTACHMENT)
+                    add_expanded(expanded)
+                    add_uses(uses)
+                    add_limits(limits)
+                    add_extendable(reached is not None)
+                    if reached is not None:
+                        yield len(keys) - 1
+                else:
+                    stack.pop()
+                    head = frame[2]
+                    if head is not None:
+                        top = branch_of.pop(head)
+                        sizes[top] -= 1
+                        if not sizes[top]:
+                            del sizes[top]
+                        if head in large:
+                            anchors.remove(head)
+                    continue
+                frame[1] = i + 1
+                branch_of[head] = top
+                sizes[top] = sizes.get(top, 0) + 1
                 if head in large:
-                    anchors.remove(head)
-            continue
-        frame[1] = i + 1
-        branch_of[head] = top
-        sizes[top] = sizes.get(top, 0) + 1
-        if head in large:
-            insort(anchors, head)
-        if anchors:
-            attachment = lex_smallest_attachment(
-                anchors=anchors, branch_of=branch_of, branch_sizes=sizes,
-                limit=branch_cap, residual=limit - len(ranks) - 1)
-            if attachment is not None:
-                add(grown_key, attachment, expanded, uses, limits, reached is not None)
-        following = candidates[i + 1:]
-        if head not in large:
-            following += candidates_of[head]
-        stack.append([following, 0, head, expanded, uses, limits, removed, reached,
-                      (*ranks[:place], rank, *ranks[place:]), grown_key])
-    rows.order()
-    return rows
+                    insort(anchors, head)
+                if anchors:
+                    attachment = lex_smallest_attachment(
+                        anchors=anchors, branch_of=branch_of, branch_sizes=sizes,
+                        limit=branch_cap, residual=limit - len(ranks) - 1)
+                    if attachment is not None:
+                        add_key(grown_key)
+                        add_attachment(attachment)
+                        add_expanded(expanded)
+                        add_uses(uses)
+                        add_limits(limits)
+                        add_extendable(reached is not None)
+                        if reached is not None:
+                            yield len(keys) - 1
+                if budget is not None and states >= budget:
+                    return
+                following = candidates[i + 1:]
+                if head not in large:
+                    following += candidates_from[head]
+                stack.append([following, 0, head, expanded, uses, limits, removed, reached,
+                              (*ranks[:place], rank, *ranks[place:]), grown_key])
+        finally:
+            rows.states = states
+
+    return ShapeRows(decode, search)
 
 
 @dataclass
@@ -601,13 +688,13 @@ class Stages:
     counter `completionSteps` to 2(n - 2k + 1): the classic post-check fixes
     each side at 2k - 2 non-root vertices, and each completion step covers
     one new vertex, or the solve raises.  `shapes` returns the kind's shape
-    search's ordered `ShapeRows` store, each row carrying whether it is
-    extendable: for the directed kinds whether removing its arcs keeps D
-    root-connected, and always for tree.  Without `completable` (the
-    directed kinds) the first pair of extendable rows whose copy masks do
-    not conflict is the hit; with it (tree), the masks only pre-filter and
-    each mask-free pair is crystallised and handed to `completable` until
-    one passes.
+    search as its empty `ShapeRows` store, whose stream yields the
+    extendable rows: for the directed kinds those whose removal keeps D
+    root-connected, and every row for tree.  Without `completable` (the
+    directed kinds) any pair of extendable rows whose copy masks do not
+    conflict is a hit; with it (tree), the masks only pre-filter and each
+    mask-free pair is crystallised and handed to `completable` until one
+    passes.
     `validate` is passed in rather than imported here so that the call goes
     through the solver module's own name, which `perfbench/tracer.py` wraps.
     """
@@ -624,20 +711,41 @@ class Stages:
         lambda w: {"tree1": list(w[0]), "tree2": list(w[1])})
 
 
-def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> SolveReport:
-    """Small-case oracle, gate, shape enumeration with the extendability
-    probe carried down, pair search, copy crystallisation, then the
-    problem's grow-and-complete.
+# The states, summed over all partner searches of one solve, after which
+# `run_pipeline` stops looking for a partner and runs the exhaustive search.
+PARTNER_STATES = 64
 
-    The shape searches hand over a `ShapeRows` store whose rows carry their
-    extendability verdicts, decided down the search stacks by
-    `graphs.ResidualReach.step`, so this works on its columns: it sums the
-    expanded counts, drops the rows marked not extendable and passes the
-    kept rows' mask columns to `PairSearch`; it runs no probe of its own.
-    Only the rows that get crystallised, in tree's `accept` and the hit, are
-    decoded into classes and counts, and only they get count dicts.
-    `growSteps` is the sum of the hit pair's attachments, as `grow_pair`
-    stops exactly when every target is met, or raises.
+
+def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> SolveReport:
+    """Small-case oracle, gate, shape search with the extendability probe
+    carried down, partner search, else pair search, copy crystallisation,
+    then the problem's grow-and-complete.
+
+    The shape search streams its rows in search order, each carrying its
+    extendability verdict, decided down the search stack by
+    `graphs.ResidualReach.step`; this runs no probe of its own.
+    - *Partner phase.*  For each extendable row S in turn, a partner search
+      lists the rows R with `S.limits & R.uses` zero, the rows that fit
+      beside S: it hides S's exhausted classes, the classes of which S
+      takes every copy, and prunes every state whose uses meet S's limits.
+      Each extendable partner row R is tested as a one-pair `PairSearch`,
+      and the first (for tree, the first that `completable` accepts) is the
+      hit: (S, R) is a pair that the exhaustive `PairSearch` would accept
+      too, so the answer is YES either way.  Then the shape counter is the
+      expanded count of every row generated, the main stream's and the
+      partner streams', and `pairsTested` the number of partner rows tested.
+    - *Fallback.*  Once the partner searches have taken `PARTNER_STATES`
+      states, or the main stream ends, the main search carries on to its
+      end, and the answer is exact: the shape counter sums the expanded
+      counts of every main row, the rows not extendable are dropped, the
+      rest are sorted by key and their mask columns go to `PairSearch`,
+      whose first hit and `pairsTested` are those of the full search.  So
+      every NO, and every YES the partner phase misses, reports what the
+      exhaustive search alone reports.
+    Only the rows that get crystallised, and the exhausted classes of each
+    S, are decoded into classes and counts.  `growSteps` is the sum of the
+    hit pair's attachments, as `grow_pair` stops exactly when every target
+    is met, or raises.
     """
     g = inst.graph
     counters = {stages.shape_counter: 0, "pairsTested": 0, "growSteps": 0}
@@ -674,30 +782,71 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
 
     class_ids = g.class_ids
     completable = stages.completable
-    rows = stages.shapes()
-    counters[stages.shape_counter] = sum(rows.expanded)
-    rows.keep_extendable()
 
     def crystallize(first: Row, second: Row) -> Optional[tuple[set[int], set[int]]]:
         return crystallize_pair(dict(zip(first[0], first[1])), dict(zip(second[0], second[1])),
                                 class_ids)
 
-    accept = None
-    if completable is not None:
-        def accept(i: int, j: int) -> bool:
-            assigned = crystallize(rows[i], rows[j])
-            return assigned is not None and completable(
-                frozenset(assigned[0]), frozenset(assigned[1]))
+    def fits(first: Row, second: Row) -> bool:
+        """Whether tree's matroid union completes the crystallised pair."""
+        assigned = crystallize(first, second)
+        return assigned is not None and completable(
+            frozenset(assigned[0]), frozenset(assigned[1]))
 
-    hit, tested = PairSearch(rows.uses, rows.limits, accept).find_first()
-    counters["pairsTested"] = tested
+    copies_of: dict[tuple[int, int], int] = {}
+
+    def copies(c: tuple[int, int]) -> int:
+        if c not in copies_of:
+            copies_of[c] = len(class_ids(*c))
+        return copies_of[c]
+
+    def partner_hit(rows: ShapeRows, stream: Iterator[int]) -> Optional[tuple[Row, Row]]:
+        left = PARTNER_STATES
+        if left <= 0:
+            return None
+        for s in stream:
+            first = rows[s]
+            limits = rows.limits[s]
+            partners = rows.partner()
+            hidden = frozenset(c for c, m in zip(first[0], first[1]) if copies(c) == m)
+            for r in partners.stream(hidden, left, limits):
+                second = partners[r]
+                accept = None if completable is None else lambda *_: fits(first, second)
+                found, tested = PairSearch((partners.uses[r],), (limits,), accept).find_first()
+                counters["pairsTested"] += tested
+                if found is not None:
+                    counters[stages.shape_counter] += (sum(rows.expanded)
+                                                       + sum(partners.expanded))
+                    return first, second
+            counters[stages.shape_counter] += sum(partners.expanded)
+            left -= partners.states
+            if left <= 0:
+                break
+        return None
+
+    rows = stages.shapes()
+    stream = rows.stream()
+    hit = partner_hit(rows, stream)
     if hit is None:
-        return report(False, "pair-search")
+        for _ in stream:  # the main search carries on from where it stopped
+            pass
+        counters[stages.shape_counter] = sum(rows.expanded)
+        rows.keep_extendable()
+        rows.order()
+        accept = None
+        if completable is not None:
+            def accept(i: int, j: int) -> bool:
+                return fits(rows[i], rows[j])
 
-    first, second = rows[hit[0]], rows[hit[1]]
+        pair, counters["pairsTested"] = PairSearch(rows.uses, rows.limits, accept).find_first()
+        if pair is None:
+            return report(False, "pair-search")
+        hit = rows[pair[0]], rows[pair[1]]
+
+    first, second = hit
     assigned = crystallize(first, second)
     if assigned is None:
-        raise InternalError("copy assignment failed for a tested pair", {"pair": list(hit)})
+        raise InternalError("copy assignment failed for a tested pair", {})
     pair = (compact_structure(g, assigned[0], first[0], first[2]),
             compact_structure(g, assigned[1], second[0], second[2]))
     counters["growSteps"] = sum(first[2].values()) + sum(second[2].values())

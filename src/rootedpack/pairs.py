@@ -5,7 +5,7 @@ copy counts, so each shape gets two bit masks, `uses` and `limits`, from
 its classes' `CopyTable` entries, and `PairSearch` finds the first pair in
 row-major order whose masks do not conflict.  The shape searches fold the
 entries into each state as they take classes and fill one `ShapeRows`
-store, each row with its extendability verdict.
+store, each row with its extendability verdict, as they stream the rows.
 """
 
 from __future__ import annotations
@@ -79,36 +79,64 @@ EMPTY_ATTACHMENT: Mapping[int, int] = MappingProxyType({})
 
 
 class ShapeRows(Sequence[Row]):
-    """The rows of one shape search, column by column.
+    """The rows of one shape search, column by column, and that search.
 
     Row i is `keys[i]`, its sort key, with `attachments[i]`, `expanded[i]`,
     `uses[i]`, `limits[i]` and `extendable[i]`.  The key is one integer that
     packs the row's classes and counts in fixed-width fields, so that keys
     order the rows as the search wants them listed; the search's `decode`
-    gives back (classes, counts) from a key.  A search `add`s its rows in
-    any order and calls `order` once.  Reading row i decodes it as its `Row`
-    tuple, so the pipeline, which reads the columns, decodes only the rows
-    it crystallises.
+    gives back (classes, counts) from a key.  Reading row i decodes it as
+    its `Row` tuple, so the pipeline, which reads the columns, decodes only
+    the rows it crystallises.
+
+    A shape search (`fptcommon.tree_shapes`, `solver_flow._core_shapes`)
+    returns an empty store that keeps the search's generator, and
+    `stream(hidden, budget, against)` runs it: it adds every row it finds,
+    in search order, and yields the index of each extendable one once it is
+    added.  Candidates of the `hidden` classes are left out, and so is every
+    state whose `uses` meets the mask `against`, with all the states below
+    it, as taking more copies never clears a bit of `uses`: the stream lists
+    exactly the rows that take none of the hidden classes and whose `uses`
+    miss `against`.  A partner search passes S's `limits` as `against`, so
+    it lists only rows that fit beside S.  Given a `budget`, a search
+    stops before it pushes a stack frame once it has visited that many
+    states or more: the empty shape and each class (or copy) taken.
+    `states` is the number it visited when its stream ended or was closed.
+    `partner()` is a new empty store of the same search, whose candidate
+    table, class ranks and `CopyTable` it shares, so that its rows' keys and
+    masks read as this store's.  `filled()` runs the whole search and sorts
+    the rows by key (`order`), as `enumerate_compact_*` list them.
     """
 
-    def __init__(self, decode: Callable[[int], tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]
+    def __init__(self, decode: Callable[[int], tuple[tuple[tuple[int, int], ...], tuple[int, ...]]],
+                 search: Callable[[ShapeRows, frozenset, Optional[int], int], Iterator[int]]
                  ) -> None:
         self._decode = decode
+        self._search = search
         self.keys: list[int] = []
         self.attachments: list[Mapping[int, int]] = []
         self.expanded: list[int] = []
         self.uses: list[int] = []
         self.limits: list[int] = []
         self.extendable: list[bool] = []
+        self.states = 0
 
-    def add(self, key: int, attachment: Mapping[int, int], expanded: int, uses: int, limits: int,
-            extendable: bool) -> None:
-        self.keys.append(key)
-        self.attachments.append(attachment)
-        self.expanded.append(expanded)
-        self.uses.append(uses)
-        self.limits.append(limits)
-        self.extendable.append(extendable)
+    def columns(self) -> tuple[list, ...]:
+        """The six columns in row order, for a search to append to."""
+        return self.keys, self.attachments, self.expanded, self.uses, self.limits, self.extendable
+
+    def stream(self, hidden: frozenset = frozenset(), budget: Optional[int] = None,
+               against: int = 0) -> Iterator[int]:
+        return self._search(self, hidden, budget, against)
+
+    def partner(self) -> ShapeRows:
+        return ShapeRows(self._decode, self._search)
+
+    def filled(self) -> ShapeRows:
+        for _ in self.stream():
+            pass
+        self.order()
+        return self
 
     def _rebuild(self, column: Callable[[list], list]) -> None:
         """Each column replaced by `column` of it, one column at a time."""
@@ -122,7 +150,7 @@ class ShapeRows(Sequence[Row]):
             self._rebuild(lambda values: list(permute(values)))
 
     def keep_extendable(self) -> None:
-        """Drops the rows that are not extendable."""
+        """Drops the rows that are not extendable, keeping the others' order."""
         keep = self.extendable
         self._rebuild(lambda values: list(compress(values, keep)))
 
@@ -154,6 +182,12 @@ class PairSearch:
     first.  Either way `accept` sees exactly the pairs a row-major scan of
     the pairs would pass to it, in the same order.  The pairsTested counter
     is the hit's 1-based row-major rank (or the total pair count on NO).
+
+    `fptcommon.run_pipeline` tests each partner row R of a row S as a
+    search of one pair, `PairSearch((R.uses,), (S.limits,), accept)`, so
+    that every pair test of a solve, the partner phase's too, goes through
+    `find_first`, and a partner YES's pairsTested is the number of partner
+    rows tested.
     """
 
     uses: Sequence[int]

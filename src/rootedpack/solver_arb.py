@@ -64,15 +64,15 @@ def validate_compact_kernel(
 
 
 def _kernel_shapes(dig: RootedDigraph, k: int) -> ShapeRows:
-    """Every compact kernel shape: one copy of each class of the tree, each
-    row carrying whether removing it keeps D root-connected."""
+    """The search for every compact kernel shape: one copy of each class of
+    the tree, each row carrying whether removing it keeps D root-connected."""
     return tree_shapes(dig, k, candidate_pool(dig, k), classify_vertices(dig, k).large,
                        dig._reach())
 
 
 def enumerate_compact_kernels(dig: RootedDigraph, k: int) -> Iterator[CompactStructure]:
     """Every valid compact kernel, canonical order, one per arc-copy choice."""
-    yield from expand_shapes(dig, _kernel_shapes(dig, k))
+    yield from expand_shapes(dig, _kernel_shapes(dig, k).filled())
 
 
 def grow_to_classic(

@@ -49,6 +49,7 @@ from .fptcommon import (
     depth_bounded_pool,
     expand_shapes,
     grow_directed_pair,
+    hidden_candidates,
     pair_states,
     run_pipeline,
 )
@@ -197,8 +198,16 @@ def _core_shapes(
     decided: Optional[Callable[[str, Mapping[tuple[int, int], int], frozenset[int],
                                 Optional[set[int]]], None]] = None,
 ) -> ShapeRows:
-    """All valid core shapes as the rows of one `ShapeRows` store, ordered
-    by (|V'|, sorted V', (class, count) pairs).
+    """The search for every valid core shape, as the empty `ShapeRows`
+    store it fills; its rows sort by (|V'|, sorted V', (class, count) pairs).
+
+    The search is a generator (`ShapeRows.stream`), like
+    `fptcommon.tree_shapes`: it adds each row as it finds it and yields the
+    index of each extendable one, and every stream, a partner's with hidden
+    classes and a mask to prune by too, shares this call's candidate table,
+    class ranks and `CopyTable`.  A partner needs the mask here more than
+    in the tree search: a core may take a second copy of a class of which S
+    has left only one.  Its states are the empty vector and each copy taken.
 
     One depth-first search grows per-class count vectors from the empty one.
     A step adds one copy, up to min(2, L) of L (the triple-free reduction), of
@@ -222,9 +231,11 @@ def _core_shapes(
     pair masks, the emptied classes and the state's overlay on the digraph's
     kept arborescence, or None once the state loses root-connectivity.  A
     step from m to m+1 copies swaps the class's m-copy `CopyTable` entry for
-    its (m+1)-copy one; one that empties the class takes one
-    `ResidualReach.step`, and any other child, like every child of a failed
-    state, inherits the verdict, which each row carries.
+    its (m+1)-copy one, both asked once per class and kept by rank; one
+    that empties the class (u, v) takes one `ResidualReach.step`, whose
+    no-search case, the overlay's parent of v not being u, is tested here
+    first, and any other child, like every child of a failed state,
+    inherits the verdict, which each row carries.
 
     Each frame also carries the sorted ranks of its classes in
     `candidate_table`'s class list and its row key, whose fields, most
@@ -270,10 +281,10 @@ def _core_shapes(
     """
     root, max_size, large = dig.root, 2 * k - 1, view.large
     reach = dig._reach()
-    step = reach.step
+    step, parent_of, start = reach.step, reach.parent.get, reach.overlay()
     candidates_of, class_list = candidate_table(dig, pool, large)
     table = CopyTable()
-    counts: dict[tuple[int, int], int] = {}
+    entries: list = [None] * len(class_list)  # per rank, once taken: the entries for 0..min(L, 2)
 
     # the key's fields, most significant first: |V'|, then max_size vertex
     # fields of `vertex_width` bits, then max_size**2 class fields of
@@ -295,108 +306,135 @@ def _core_shapes(
         classes, taken = zip(*((class_list[(f >> 2) - 1], f & 3) for f in fields))
         return classes, taken
 
-    rows = ShapeRows(decode)
-    add = rows.add
-
-    # frames of (candidates, index of the next one to try, class taken to
-    # enter the frame, V', expanded count, uses, limits, emptied, overlay,
-    # cut, sorted ranks of the classes taken, key); the root frame took
-    # none, and cut is a full-size state's violated set (None when it
-    # passes) or a (2k-2)-vertex state's bridge cuts of at least k vertices,
-    # once a child into a new head asks
-    stack: list[list] = [[candidates_of[root], 0, None, frozenset(), 1, 0, 0, (), reach.overlay(),
-                          None, (), 0]]
-    while stack:
-        frame = stack[-1]
-        candidates, i = frame[0], frame[1]
-        if i == len(candidates):
-            stack.pop()
-            c = frame[2]
-            if c is not None:
-                if counts[c] == 1:
-                    del counts[c]
+    def search(rows: ShapeRows, hidden: frozenset, budget: Optional[int], against: int
+               ) -> Iterator[int]:
+        add_key, add_attachment, add_expanded, add_uses, add_limits, add_extendable = (
+            column.append for column in rows.columns())
+        keys = rows.keys
+        candidates_from = hidden_candidates(candidates_of, hidden)
+        counts: dict[tuple[int, int], int] = {}
+        states = 1  # the empty start
+        # frames of (candidates, index of the next one to try, class taken to
+        # enter the frame, V', expanded count, uses, limits, emptied, overlay,
+        # cut, sorted ranks of the classes taken, key); the root frame took
+        # none, and cut is a full-size state's violated set (None when it
+        # passes) or a (2k-2)-vertex state's bridge cuts of at least k
+        # vertices, once a child into a new head asks
+        stack: list[list] = [[candidates_from[root], 0, None, frozenset(), 1, 0, 0, (), start,
+                              None, (), 0]]
+        try:
+            while stack:
+                frame = stack[-1]
+                candidates, i = frame[0], frame[1]
+                if i == len(candidates):
+                    stack.pop()
+                    c = frame[2]
+                    if c is not None:
+                        if counts[c] == 1:
+                            del counts[c]
+                        else:
+                            counts[c] -= 1
+                    continue
+                frame[1] = i + 1
+                states += 1
+                tail, head, c, copies, rank = candidates[i]
+                m = counts.get(c, 0)
+                entry = entries[rank]
+                if entry is None:
+                    entry = entries[rank] = tuple(table.entry(c, copies, taken)
+                                                  for taken in range(min(copies, 2) + 1))
+                old_ways, old_use, old_limit, _ = entry[m]
+                ways, use, limit, empties = entry[m + 1]
+                uses = frame[5] ^ old_use | use
+                if uses & against:
+                    continue
+                verts, ranks, key = frame[3], frame[10], frame[11]
+                new_head = head not in verts
+                if new_head and len(verts) == max_size - 1 and frame[9] is None:
+                    frame[9] = _bridge_cuts(root, counts, verts, k)  # before c's copy joins
+                counts[c] = m + 1
+                expanded = frame[4] // old_ways * ways
+                limits = frame[6] ^ old_limit | limit
+                emptied, overlay = frame[7], frame[8]
+                if empties and overlay is not None:
+                    if overlay.get(head, parent_of(head)) == tail:
+                        overlay = step(overlay, emptied, c)
+                    emptied += (c,)
+                if m:  # a second copy: one more in the class's field
+                    key += 1 << class_shifts[bisect_left(ranks, rank)]
+                else:  # a new class: its field goes in at its rank's place
+                    place = bisect(ranks, rank)
+                    kept = key & class_below[place]
+                    key = (key ^ kept | ((rank + 1) << 2 | 1) << class_shifts[place]
+                           | kept >> class_width)
+                    ranks = (*ranks[:place], rank, *ranks[place:])
+                if new_head:  # one more vertex: its field goes in at its place in V'
+                    place = bisect(sorted(verts), head)
+                    kept = key & vertex_below[place]
+                    # the class fields stay; the vertex fields below the place
+                    # move down one field, and the last one, still padding,
+                    # drops out
+                    fields = kept & class_part
+                    key = ((key ^ kept) + size_unit | head << vertex_shifts[place]
+                           | (kept ^ fields) >> vertex_width | fields)
+                    verts = verts | {head}
+                cut = None
+                if len(verts) < max_size:
+                    attachment = _aggregated_feasibility(dig, counts, verts, large, k)
                 else:
-                    counts[c] -= 1
-            continue
-        frame[1] = i + 1
-        tail, head, c, copies, rank = candidates[i]
-        verts, ranks, key = frame[3], frame[10], frame[11]
-        new_head = head not in verts
-        if new_head and len(verts) == max_size - 1 and frame[9] is None:
-            frame[9] = _bridge_cuts(root, counts, verts, k)  # before c's copy joins
-        m = counts.get(c, 0)
-        counts[c] = m + 1
-        old_ways, old_use, old_limit, _ = table.entry(c, copies, m)
-        ways, use, limit, empties = table.entry(c, copies, m + 1)
-        expanded = frame[4] // old_ways * ways
-        uses = frame[5] ^ old_use | use
-        limits = frame[6] ^ old_limit | limit
-        emptied, overlay = frame[7], frame[8]
-        if empties and overlay is not None:
-            overlay = step(overlay, emptied, c)
-            emptied += (c,)
-        if m:  # a second copy: one more in the class's field
-            key += 1 << class_shifts[bisect_left(ranks, rank)]
-        else:  # a new class: its field goes in at its rank's place
-            place = bisect(ranks, rank)
-            kept = key & class_below[place]
-            key = key ^ kept | ((rank + 1) << 2 | 1) << class_shifts[place] | kept >> class_width
-            ranks = (*ranks[:place], rank, *ranks[place:])
-        if new_head:  # one more vertex: its field goes in at its place in V'
-            place = bisect(sorted(verts), head)
-            kept = key & vertex_below[place]
-            # the class fields stay; the vertex fields below the place move
-            # down one field, and the last one, still padding, drops out
-            fields = kept & class_part
-            key = ((key ^ kept) + size_unit | head << vertex_shifts[place]
-                   | (kept ^ fields) >> vertex_width | fields)
-            verts = verts | {head}
-        cut = None
-        if len(verts) < max_size:
-            attachment = _aggregated_feasibility(dig, counts, verts, large, k)
-        else:
-            parent_cut = frame[9]
-            if new_head:
-                cut, rule = _new_head_cut(parent_cut, tail, head, k), "new-head"
-            elif parent_cut is None:
-                rule = "inherited"
-            elif tail in parent_cut or head not in parent_cut:
-                cut, rule = parent_cut, "carried"
-            else:
-                cuts = _bridge_cuts(root, counts, verts, k + 1)
-                cut, rule = (cuts[0] if cuts else None), "searched"
-            if decided is not None:
-                decided(rule, counts, verts, cut)
-            attachment = EMPTY_ATTACHMENT if cut is None else None
-        if attachment is not None:
-            add(key, attachment, expanded, uses, limits, overlay is not None)
-        following = candidates[i + 1:]
-        if m + 1 < min(2, copies):
-            following.append(candidates[i])
-        if new_head:
-            if head not in large:
-                following += candidates_of[head]
-            if len(verts) == max_size:
-                following = [cand for cand in following if cand[1] in verts]
-        if following:
-            stack.append([following, 0, c, verts, expanded, uses, limits, emptied, overlay, cut,
-                          ranks, key])
-        elif m:  # a state with no candidate left: undo its copy in place
-            counts[c] = m
-        else:
-            del counts[c]
-    rows.order()
-    return rows
+                    parent_cut = frame[9]
+                    if new_head:
+                        cut, rule = _new_head_cut(parent_cut, tail, head, k), "new-head"
+                    elif parent_cut is None:
+                        rule = "inherited"
+                    elif tail in parent_cut or head not in parent_cut:
+                        cut, rule = parent_cut, "carried"
+                    else:
+                        cuts = _bridge_cuts(root, counts, verts, k + 1)
+                        cut, rule = (cuts[0] if cuts else None), "searched"
+                    if decided is not None:
+                        decided(rule, counts, verts, cut)
+                    attachment = EMPTY_ATTACHMENT if cut is None else None
+                if attachment is not None:
+                    add_key(key)
+                    add_attachment(attachment)
+                    add_expanded(expanded)
+                    add_uses(uses)
+                    add_limits(limits)
+                    add_extendable(overlay is not None)
+                    if overlay is not None:
+                        yield len(keys) - 1
+                following = candidates[i + 1:]
+                if m + 1 < min(2, copies):
+                    following.append(candidates[i])
+                if new_head:
+                    if head not in large:
+                        following += candidates_from[head]
+                    if len(verts) == max_size:
+                        following = [cand for cand in following if cand[1] in verts]
+                if following:
+                    if budget is not None and states >= budget:
+                        return
+                    stack.append([following, 0, c, verts, expanded, uses, limits, emptied,
+                                  overlay, cut, ranks, key])
+                elif m:  # a state with no candidate left: undo its copy in place
+                    counts[c] = m
+                else:
+                    del counts[c]
+        finally:
+            rows.states = states
+
+    return ShapeRows(decode, search)
 
 
 def _flow_shapes(dig: RootedDigraph, k: int) -> ShapeRows:
-    """Every compact core shape."""
+    """The search for every compact core shape."""
     return _core_shapes(dig, k, candidate_pool_flow(dig, k), classify_vertices_flow(dig, k))
 
 
 def enumerate_compact_cores(dig: RootedDigraph, k: int) -> Iterator[CompactStructure]:
     """Every valid compact core (copy-distinct), canonical order."""
-    yield from expand_shapes(dig, _flow_shapes(dig, k))
+    yield from expand_shapes(dig, _flow_shapes(dig, k).filled())
 
 
 def grow_to_classic_core(

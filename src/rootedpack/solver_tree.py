@@ -65,13 +65,14 @@ def validate_compact_certificate(
 
 
 def _certificate_shapes(g: RootedGraph, k: int) -> ShapeRows:
-    """Every compact certificate shape: one copy of each class of the tree."""
+    """The search for every compact certificate shape: one copy of each
+    class of the tree."""
     return tree_shapes(g, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large)
 
 
 def enumerate_compact_certificates(g: RootedGraph, k: int) -> Iterator[CompactStructure]:
     """Every valid compact certificate (copy-distinct), canonical order."""
-    yield from expand_shapes(g, _certificate_shapes(g, k))
+    yield from expand_shapes(g, _certificate_shapes(g, k).filled())
 
 
 class _CompletabilityOracle:

@@ -4,6 +4,11 @@ Each case in `golden_reports.json` is a small instance (most drawn with
 `random_instance` at the seed its `source` names) with the decision, stage,
 counters and sha256 of the deterministic `to_json()` report recorded for it.
 A change to the solvers that keeps behaviour must keep all of them.
+
+A YES case that the partner phase of `fptcommon.run_pipeline` answers also
+keeps, under `exhaustive`, the counters and sha256 of the report without
+that phase, the exhaustive search's: with `PARTNER_STATES` patched to 0
+every case must give those, or its own where it has none.
 """
 
 import hashlib
@@ -12,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from rootedpack import solve_instance
+from rootedpack import fptcommon, solve_instance
 from rootedpack.graphs import parse_instance
 
 CASES = json.loads(Path(__file__).with_name("golden_reports.json").read_text())
@@ -25,6 +30,18 @@ def test_report_matches_golden(case):
     assert report.stage == case["stage"]
     assert report.counters == case["counters"]
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_report_without_partner_phase_matches_the_exhaustive_golden(case, monkeypatch):
+    monkeypatch.setattr(fptcommon, "PARTNER_STATES", 0)
+    want = case.get("exhaustive", case)
+    assert "exhaustive" not in case or case["decision"]
+    report = solve_instance(parse_instance(case["instance"]))
+    assert report.decision == case["decision"]
+    assert report.stage == case["stage"]
+    assert report.counters == want["counters"]
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == want["sha256"]
 
 
 def test_cases_reach_every_stage():

@@ -491,10 +491,11 @@ def probe_shapes():
     for inst, k in instances("arb"):
         g = cap_parallel(inst).graph
         yield g, tree_shapes(g, k, candidate_pool(g, k), classify_vertices(g, k).large,
-                             g._reach())
+                             g._reach()).filled()
     for inst in flow_instances():
         g, k = cap_parallel(inst).graph, inst.k
-        yield g, _core_shapes(g, k, candidate_pool_flow(g, k), classify_vertices_flow(g, k))
+        yield g, _core_shapes(g, k, candidate_pool_flow(g, k),
+                              classify_vertices_flow(g, k)).filled()
 
 
 def row_counts(row) -> dict:

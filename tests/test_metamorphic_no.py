@@ -73,7 +73,7 @@ def test_root_degree_three_with_hub_is_no_with_anchored_rows(kind, n, k):
     g = root_degree_three_with_hub(rng, n, n // 4, fan(k), undirected=kind == "tree")
     _assert_no_under_relabelling(kind, g, k, rng)
     capped = cap_parallel(ProblemInstance(kind=kind, graph=g, k=k)).graph
-    assert any(row[6] and row[2] for row in search(capped, k))
+    assert any(row[6] and row[2] for row in search(capped, k).filled())
     yes = SOLVE[kind](g, 1)
     assert yes.decision
     assert validate_witness(ProblemInstance(kind=kind, graph=g, k=1), yes.witness).ok

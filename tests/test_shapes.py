@@ -180,12 +180,12 @@ def tree_rows(kind, g, k):
     step as the arb pipeline passes it, or certificates (tree), without."""
     if kind == "arb":
         return tree_shapes(g, k, candidate_pool(g, k), classify_vertices(g, k).large,
-                           g._reach())
-    return tree_shapes(g, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large)
+                           g._reach()).filled()
+    return tree_shapes(g, k, candidate_pool_tree(g, k), classify_vertices_tree(g, k).large).filled()
 
 
 def core_rows(g, k):
-    return _core_shapes(g, k, candidate_pool_flow(g, k), classify_vertices_flow(g, k))
+    return _core_shapes(g, k, candidate_pool_flow(g, k), classify_vertices_flow(g, k)).filled()
 
 
 def as_cores(rows):
@@ -224,9 +224,10 @@ def test_tree_shapes_match_the_replaced_enumerators(kind):
 
 @pytest.mark.parametrize("kind", ["arb", "tree"])
 def test_tree_shapes_build_each_class_set_once(kind, monkeypatch):
-    """`tree_shapes` asks `CopyTable.entry` once per class it takes, that
-    is once per non-empty tree it builds, so one call per non-empty class
-    set the reference visits means that no tree is built twice."""
+    """`tree_shapes` counts one state for the empty tree and one per class
+    it takes, that is one per tree it builds, so one state per class set
+    the reference visits means that no tree is built twice.  It asks
+    `CopyTable.entry` once per class, on the first take, and keeps it."""
     calls = []
     entry = CopyTable.entry
 
@@ -244,9 +245,10 @@ def test_tree_shapes_build_each_class_set_once(kind, monkeypatch):
             pool, view = candidate_pool_tree(g, k), classify_vertices_tree(g, k)
             classes_of, key = g.incident_classes, edge_key
         calls.clear()
-        tree_shapes(g, k, pool, view.large)
+        rows = tree_shapes(g, k, pool, view.large).filled()
         visited = class_sets_reference(g, k, pool, view, classes_of, key)
-        assert len(calls) == len(visited) - 1, (g.n, k)
+        assert rows.states == len(visited), (g.n, k)
+        assert len(calls) == len(set(calls)), (g.n, k)
 
 
 def test_deep_shapes_keep_an_explicit_stack():
@@ -383,7 +385,7 @@ def test_core_shapes_match_the_replaced_enumerator():
     for inst in flow_instances():
         g, k = cap_parallel(inst).graph, inst.k
         pool, view = candidate_pool_flow(g, k), classify_vertices_flow(g, k)
-        got = as_cores(_core_shapes(g, k, pool, view))
+        got = as_cores(_core_shapes(g, k, pool, view).filled())
         assert got == core_shapes_reference(g, k, pool, view)
         total += len(got)
         doubled += sum(1 for _, counts, _ in got if any(m == 2 for _, m in counts))
@@ -431,7 +433,7 @@ def test_smaller_core_attachments_against_explicit_leaves():
         g, k = cap_parallel(inst).graph, inst.k
         pool, view = candidate_pool_flow(g, k), classify_vertices_flow(g, k)
         kept = set()
-        for verts, counts, attachment in as_cores(_core_shapes(g, k, pool, view)):
+        for verts, counts, attachment in as_cores(_core_shapes(g, k, pool, view).filled()):
             kept.add(counts)
             if len(verts) < 2 * k - 1:
                 assert explicit_core_feasible(g.root, dict(counts), verts, attachment, k)
@@ -534,7 +536,7 @@ def test_core_search_decides_each_count_vector_once(monkeypatch):
             if cut is not None:
                 assert k * entering(class_counts, cut) < len(cut & verts)
 
-        rows = _core_shapes(g, k, pool, view, decided)
+        rows = _core_shapes(g, k, pool, view, decided).filled()
         assert set(calls.values()) <= {1}
         vectors = list(core_vectors_reference(g, k, pool, view))
         assert set(calls) == {tuple(sorted(counts.items())) for _, counts in vectors}
@@ -627,7 +629,7 @@ def test_kernel_rows_peak_below_12_mb():
     g = cap_parallel(random_instance("arb", 20, 100, seed=1)).graph
     tracemalloc.start()
     try:
-        rows = _kernel_shapes(g, 4)
+        rows = _kernel_shapes(g, 4).filled()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -719,10 +721,11 @@ class CountedReads(list):
 
 @pytest.mark.parametrize("kind", ["arb", "flow"])
 def test_carried_probe_searches_only_where_a_state_cuts_its_overlay(kind, monkeypatch):
-    """On one fixture: a step searches (reads the in-class table) only when
-    its class is the overlay's arc into its head, a failed state's children
-    take no step, and the searches number fewer than the rows that empty a
-    class, each of which took one search in the per-row probe."""
+    """On one fixture: the search calls a step only when its class is the
+    overlay's arc into its head, having tested that itself, a step searches
+    (reads the in-class table) only then, a failed state's children take no
+    step, and the searches number fewer than the rows that empty a class,
+    each of which took one search in the per-row probe."""
     counts = Counter()
     step = ResidualReach.step
 
@@ -749,7 +752,7 @@ def test_carried_probe_searches_only_where_a_state_cuts_its_overlay(kind, monkey
     monkeypatch.setattr(ResidualReach, "step", counted)
     rows = tree_rows("arb", g, k) if kind == "arb" else core_rows(g, k)
     emptying = sum(1 for row in rows if row_emptied(row, g.class_ids))
-    assert 0 < counts["searches"] <= counts["cuts"] < counts["steps"]
+    assert 0 < counts["searches"] <= counts["cuts"] == counts["steps"]
     assert counts["searches"] < emptying
     assert any(not row[6] for row in rows) and any(row[6] for row in rows)
 
