@@ -424,7 +424,8 @@ def tree_shapes(
         finally:
             rows.states = states
 
-    return ShapeRows(decode, search)
+    firsts = frozenset(c for _, _, c, _, _ in candidates_of[root]) if limit else None
+    return ShapeRows(decode, search, firsts)
 
 
 @dataclass
@@ -734,6 +735,8 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
       too, so the answer is YES either way.  Then the shape counter is the
       expanded count of every row generated, the main stream's and the
       partner streams', and `pairsTested` the number of partner rows tested.
+      A partner search that hides every class its empty start could take
+      (`ShapeRows.stalls`) is not set up: its one state is charged alone.
     - *Fallback.*  Once the partner searches have taken `PARTNER_STATES`
       states, or the main stream ends, the main search carries on to its
       end, and the answer is exact: the shape counter sums the expanded
@@ -807,19 +810,23 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
         for s in stream:
             first = rows[s]
             limits = rows.limits[s]
-            partners = rows.partner()
             hidden = frozenset(c for c, m in zip(first[0], first[1]) if copies(c) == m)
-            for r in partners.stream(hidden, left, limits):
-                second = partners[r]
-                accept = None if completable is None else lambda *_: fits(first, second)
-                found, tested = PairSearch((partners.uses[r],), (limits,), accept).find_first()
-                counters["pairsTested"] += tested
-                if found is not None:
-                    counters[stages.shape_counter] += (sum(rows.expanded)
-                                                       + sum(partners.expanded))
-                    return first, second
-            counters[stages.shape_counter] += sum(partners.expanded)
-            left -= partners.states
+            if rows.stalls(hidden):  # its one state, the empty start, charged unrun
+                left -= 1
+            else:
+                partners = rows.partner()
+                for r in partners.stream(hidden, left, limits):
+                    second = partners[r]
+                    accept = None if completable is None else lambda *_: fits(first, second)
+                    found, tested = PairSearch((partners.uses[r],), (limits,),
+                                               accept).find_first()
+                    counters["pairsTested"] += tested
+                    if found is not None:
+                        counters[stages.shape_counter] += (sum(rows.expanded)
+                                                           + sum(partners.expanded))
+                        return first, second
+                counters[stages.shape_counter] += sum(partners.expanded)
+                left -= partners.states
             if left <= 0:
                 break
         return None

@@ -14,6 +14,11 @@ they are exact.  Each graph keeps one engine with nothing removed behind
 its own queries; `connectivity` and `fptcommon` build theirs for growing
 removal sets.  A capped graph (`cap_parallel`) patches its original's
 tables and shares what the cap leaves, but builds its own engine.
+
+`parse_instance` reads a text with one of two readers and one set of
+errors: a bulk reader takes the form `serialize_instance` writes a chunk of
+lines at a time, and hands any other text, or one with a fault, to the
+per-line reader, which names the first bad line.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 import json
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import accumulate, islice
+from operator import eq, lt
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ContractError, ParseError, StructureError
@@ -601,43 +608,21 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
     The text format is graph-only; kind defaults from the header tag
     (D -> arb, U -> tree) and k defaults to 1, unless a `# kind = ...` /
     `# k = ...` comment or an explicit argument overrides them.  Only a
-    comment-only line sets meta.  Each line is checked as it is read, so a
-    ParseError names the first bad line.
+    comment-only line sets meta.
+
+    A text has two readers and one set of errors.  The bulk reader
+    (`_read_canonical`) takes the form `serialize_instance` writes and
+    reads its body a chunk of lines at a time, checking whole columns at
+    once; on any doubt it hands the text to the per-line reader
+    (`_read_lines`), which checks each line as it reads it, so a ParseError
+    names the first bad line whichever reader saw the text first.  Both
+    file each line's copies as one id range into its class and give the
+    same graph.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json_instance(stripped, kind=kind, k=k)
-    tag = None  # until the header is read
-    by_class, total = {}, 0  # the class table and the copies filed into it
-    meta: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line, _, comment = raw.partition("#")
-        tokens = line.split()
-        if not tokens:
-            # blank or comment-only; only such a line sets meta
-            if "=" in comment:
-                key, _, val = comment.partition("=")
-                meta[key.strip().lower()] = val.strip()
-            continue
-        if tag is None:
-            if len(tokens) != 3 or tokens[0] not in ("D", "U"):
-                raise ParseError("expected header 'D n root' or 'U n root'", lineno)
-            try:
-                tag, n, root = tokens[0], int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError("header fields must be integers", lineno) from None
-            _check_vertices(n, root, lineno)
-            continue
-        if len(tokens) not in (2, 3):
-            raise ParseError("expected 'u v [count]'", lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-            count = int(tokens[2]) if len(tokens) == 3 else 1
-        except ValueError:
-            raise ParseError("arc fields must be integers", lineno) from None
-        total = _file_line(by_class, total, n, root, tag == "D", u, v, count, lineno)
-    if tag is None:
-        raise ParseError("empty document: missing header")
+    tag, n, root, by_class, meta = _read_canonical(text) or _read_lines(text)
     graph = (RootedDigraph if tag == "D" else RootedGraph)._of_classes(n, root, by_class)
     if kind is None:
         kind = meta.get("kind") or ("arb" if tag == "D" else "tree")
@@ -650,6 +635,133 @@ def parse_instance(text: str, *, kind: str | None = None, k: int | None = None) 
         else:
             k = 1
     return ProblemInstance(kind=kind, graph=graph, k=k)
+
+
+# What a text reader gives `parse_instance`: the header's tag, n and root,
+# the class table {class: ids} and the meta comments
+_Read = tuple[str, int, int, dict, dict[str, str]]
+
+
+def _set_meta(meta: dict[str, str], comment: str) -> None:
+    """Record a comment-only line's `key = value`, if it has one."""
+    if "=" in comment:
+        key, _, val = comment.partition("=")
+        meta[key.strip().lower()] = val.strip()
+
+
+def _read_header(tokens: list[str], line: int | None) -> tuple[str, int, int]:
+    """The tag, n and root of a header line's tokens."""
+    if len(tokens) != 3 or tokens[0] not in ("D", "U"):
+        raise ParseError("expected header 'D n root' or 'U n root'", line)
+    try:
+        tag, n, root = tokens[0], int(tokens[1]), int(tokens[2])
+    except ValueError:
+        raise ParseError("header fields must be integers", line) from None
+    _check_vertices(n, root, line)
+    return tag, n, root
+
+
+def _read_lines(text: str) -> _Read:
+    """The per-line reader: each line is checked as it is read, so a
+    ParseError names the first bad line."""
+    tag = None  # until the header is read
+    by_class, total = {}, 0  # the class table and the copies filed into it
+    meta: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line, _, comment = raw.partition("#")
+        tokens = line.split()
+        if not tokens:  # blank or comment-only; only such a line sets meta
+            _set_meta(meta, comment)
+            continue
+        if tag is None:
+            tag, n, root = _read_header(tokens, lineno)
+            continue
+        if len(tokens) not in (2, 3):
+            raise ParseError("expected 'u v [count]'", lineno)
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+            count = int(tokens[2]) if len(tokens) == 3 else 1
+        except ValueError:
+            raise ParseError("arc fields must be integers", lineno) from None
+        total = _file_line(by_class, total, n, root, tag == "D", u, v, count, lineno)
+    if tag is None:
+        raise ParseError("empty document: missing header")
+    return tag, n, root, by_class, meta
+
+
+# The bulk reader takes the body about 1,500 canonical lines at a time, so
+# its token lists stay small beside the graph it builds
+_CHUNK_CHARS = 1 << 14
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _read_canonical(text: str) -> Optional[_Read]:
+    """The bulk reader: what `_read_lines` reads from a text in the form
+    `serialize_instance` writes, or None when the text is in any other form
+    or has a fault, for `_read_lines` to read or refuse line by line.
+
+    The form is comment-only lines, a header, then `u v count` lines, each
+    ended by a newline, whose classes ascend strictly: (u, v) for a
+    digraph, and u < v for a graph.  A body chunk of L lines is in that
+    form exactly when it ends with a newline, deleting its digits leaves
+    L times "  \\n", and it splits into 3L tokens: each separator then
+    follows a digit, so the tokens are the lines' fields in order.  The
+    chunk's columns are then checked as `_file_line` checks each line,
+    and each line's copies are filed as one id range, numbered on from
+    the copies before it.
+    """
+    meta: dict[str, str] = {}
+    pos = 0
+    while True:  # comment-only lines up to the header, each one line to `splitlines`
+        end = text.find("\n", pos)
+        raw = text[pos:end]
+        if end < 0 or raw.splitlines() != [raw]:
+            return None
+        pos = end + 1
+        line, _, comment = raw.partition("#")
+        tokens = line.split()
+        if tokens:
+            break
+        _set_meta(meta, comment)
+    try:
+        tag, n, root = _read_header(tokens, None)
+    except ParseError:
+        return None
+    directed = tag == "D"
+    by_class: dict[tuple[int, int], range] = {}
+    total, last = 0, (-1, -1)  # the copies filed so far and the last class
+    number: dict[str, int] = {}  # each distinct field's int
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK_CHARS) + 1 or len(text)
+        chunk = text[pos:end]
+        pos = end
+        lines = chunk.count("\n")
+        fields = chunk.split()
+        if len(fields) != 3 * lines or chunk.translate(_NO_DIGITS) != "  \n" * lines:
+            return None
+        try:  # each distinct field converted once, so that equal numbers share one int
+            new = set(fields).difference(number)
+            number.update(zip(new, map(int, new)))
+        except ValueError:  # more digits than `int` converts
+            return None
+        fields = list(map(number.__getitem__, fields))
+        us, vs, counts = fields[0::3], fields[1::3], fields[2::3]
+        if min(counts) < 1 or max(us) >= n or max(vs) >= n:
+            return None
+        # a digraph's arcs are no loops and do not enter the root; a
+        # graph's edges are written (min, max), so no loop either
+        if root in vs or any(map(eq, us, vs)) if directed else not all(map(lt, us, vs)):
+            return None
+        classes = list(zip(us, vs))
+        if not (last < classes[0] and all(map(lt, classes, islice(classes, 1, None)))):
+            return None
+        starts = list(accumulate(counts, initial=total))
+        total = starts[-1]
+        if total > MAX_COPIES:
+            return None
+        by_class.update(zip(classes, map(range, starts, islice(starts, 1, None))))
+        last = classes[-1]
+    return tag, n, root, by_class, meta
 
 
 def json_int(value: object, what: str) -> int:

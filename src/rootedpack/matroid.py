@@ -232,8 +232,11 @@ class _UnionRun:
         stops as soon as both sides span.  It only inserts, and no
         augmentation runs before it ends, so each side's components stay in
         one union-find seeded with its forced edges, and the pass keeps its
-        insertions in its own lists.  If both sides span, the result is read
-        from those lists and the contexts stay as built.  Otherwise they get
+        insertions in its own lists.  It runs `_UnionFind.union`'s steps
+        inline on the two parent lists, the same path-halving finds in the
+        same order, so each element lands where `union` would put it.  If
+        both sides span, the result is read from those lists and the
+        contexts stay as built.  Otherwise they get
         the lists through `insert`, which builds the adjacency the searches
         walk, so no context holds a member its adjacency lacks.  The elements
         the pass could not insert then get an augmenting search each, until
@@ -250,10 +253,21 @@ class _UnionRun:
         room = [self.target - len(side.forced) for side in self.sides]
         placed: tuple[list[int], list[int]] = ([], [])
         pending: list[int] = []
+        edge, parents = graph.edge, (self._direct[0].parent, self._direct[1].parent)
         for eid, pref in offers:
-            u, v = graph.edge(eid)
+            u, v = edge(eid)
             for i in (pref, 1 - pref):
-                if room[i] and self._direct[i].union(u, v):
+                if not room[i]:
+                    continue
+                # `_UnionFind.union(u, v)` on side i: find both roots with
+                # path halving, then hang u's root below v's
+                parent, ru, rv = parents[i], u, v
+                while (up := parent[ru]) != ru:
+                    parent[ru] = ru = parent[up]
+                while (up := parent[rv]) != rv:
+                    parent[rv] = rv = parent[up]
+                parent[ru] = rv
+                if ru != rv:
                     room[i] -= 1
                     placed[i].append(eid)
                     break

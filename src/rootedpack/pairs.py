@@ -106,13 +106,20 @@ class ShapeRows(Sequence[Row]):
     table, class ranks and `CopyTable` it shares, so that its rows' keys and
     masks read as this store's.  `filled()` runs the whole search and sorts
     the rows by key (`order`), as `enumerate_compact_*` list them.
+
+    `firsts` are the classes a search may take from its empty start, the
+    root's candidates, or None when the empty shape is itself a row (the
+    tree search at k = 1).  `stalls(hidden)` says, without running it, that
+    a stream hiding those classes visits its empty start alone and lists
+    no row.
     """
 
     def __init__(self, decode: Callable[[int], tuple[tuple[tuple[int, int], ...], tuple[int, ...]]],
-                 search: Callable[[ShapeRows, frozenset, Optional[int], int], Iterator[int]]
-                 ) -> None:
+                 search: Callable[[ShapeRows, frozenset, Optional[int], int], Iterator[int]],
+                 firsts: Optional[frozenset]) -> None:
         self._decode = decode
         self._search = search
+        self._firsts = firsts
         self.keys: list[int] = []
         self.attachments: list[Mapping[int, int]] = []
         self.expanded: list[int] = []
@@ -130,7 +137,10 @@ class ShapeRows(Sequence[Row]):
         return self._search(self, hidden, budget, against)
 
     def partner(self) -> ShapeRows:
-        return ShapeRows(self._decode, self._search)
+        return ShapeRows(self._decode, self._search, self._firsts)
+
+    def stalls(self, hidden: frozenset) -> bool:
+        return self._firsts is not None and self._firsts <= hidden
 
     def filled(self) -> ShapeRows:
         for _ in self.stream():

@@ -424,7 +424,7 @@ def _core_shapes(
         finally:
             rows.states = states
 
-    return ShapeRows(decode, search)
+    return ShapeRows(decode, search, frozenset(c for _, _, c, _, _ in candidates_of[root]))
 
 
 def _flow_shapes(dig: RootedDigraph, k: int) -> ShapeRows:

@@ -1,4 +1,7 @@
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +12,7 @@ from rootedpack.graphs import (
     MAX_VERTICES,
     PARALLEL_CAP,
     ProblemInstance,
+    _read_canonical,
     RootedDigraph,
     RootedGraph,
     cap_parallel,
@@ -102,6 +106,190 @@ def test_parse_rejects_more_copies_than_the_limit():
         parse_instance("D 2 0\n0 1 1000001\n")
     with pytest.raises(ParseError, match="more than 1000000 arc copies"):
         parse_instance('{"kind": "arb", "n": 2, "root": 0, "arcs": [[0, 1, 1000001]], "k": 1}')
+
+
+def canonical_text(tag: str, lines: int) -> list[str]:
+    """A header and `lines` canonical single-copy lines (1, v), v ascending
+    from 2, on lines + 102 vertices."""
+    return [f"{tag} {lines + 102} 0"] + [f"1 {v} 1" for v in range(2, lines + 2)]
+
+
+def per_line(text: str, monkeypatch) -> ProblemInstance:
+    """`parse_instance` with the bulk reader turned off."""
+    with monkeypatch.context() as patch:
+        patch.setattr("rootedpack.graphs._read_canonical", lambda text: None)
+        return parse_instance(text)
+
+
+# (tag, fault, message) for a fault put after the canonical lines; {n} is
+# the vertex count.  A header fault comes after as many comment-only lines.
+READER_FAULTS = [
+    ("D", "X {n} 0", "expected header 'D n root' or 'U n root'"),
+    ("U", "U {n}", "expected header 'D n root' or 'U n root'"),
+    ("D", "D x 0", "header fields must be integers"),
+    ("U", "U 0 0", "vertex count must be >= 1, got 0"),
+    ("D", f"D {MAX_VERTICES + 1} 0", f"more than {MAX_VERTICES} vertices"),
+    ("U", "U {n} {n}", "root {n} out of range for n={n}"),
+    ("D", "150 151 1 1", "expected 'u v [count]'"),
+    ("U", "7", "expected 'u v [count]'"),
+    ("D", "150 x 1", "arc fields must be integers"),
+    ("U", "150 151 1" + "0" * 5000, "arc fields must be integers"),  # past int's digit limit
+    ("D", "150 151 0", "count must be >= 1, got 0"),
+    ("U", "150 151 -2", "count must be >= 1, got -2"),
+    ("D", "150 151 {limit}", "more than 1000000 arc copies in total"),
+    ("D", "150 {n} 1", "vertex out of range in arc (150,{n})"),
+    ("U", "150 {n} 1", "vertex out of range in arc (150,{n})"),
+    ("D", "150 150 1", "loop arc at vertex 150"),
+    ("U", "150 150 2", "loop arc at vertex 150"),
+    ("D", "150 0 1", "arc (150,0) enters the root"),
+]
+
+
+@pytest.mark.parametrize("lines", [100, 20_000])
+@pytest.mark.parametrize("tag,fault,message", READER_FAULTS,
+                         ids=[message.split(",")[0] for _, _, message in READER_FAULTS])
+def test_reader_faults_after_canonical_lines_name_their_line(tag, fault, message, lines):
+    # the bulk reader takes the text with a good line in the fault's place,
+    # and hands the text with the fault to the per-line reader, which names
+    # the fault and its line
+    n, limit = lines + 102, MAX_COPIES + 1 - lines
+    fault, message = fault.format(n=n, limit=limit), message.format(n=n)
+    header, *body = canonical_text(tag, lines)
+    if fault.startswith(("D", "U", "X")):
+        before, good = ["# a comment-only line"] * lines, header
+    else:
+        before, good = [header] + body, "150 151 1"
+    after = [f"{n - 2} {n - 1} 1"]  # a canonical line after the fault
+    line = len(before) + 1
+    assert _read_canonical("\n".join(before + [good] + after) + "\n") is not None
+    text = "\n".join(before + [fault] + after) + "\n"
+    assert _read_canonical(text) is None
+    with pytest.raises(ParseError) as caught:
+        parse_instance(text)
+    assert (str(caught.value), caught.value.line) == (f"line {line}: {message}", line)
+
+
+def parse_outcome(parse, text: str) -> tuple:
+    """The graph, its class order, kind and k that `parse` reads from the
+    text, or the type, message and line of the error it raises (a
+    mutated meta comment may name an unknown kind)."""
+    try:
+        inst = parse(text)
+    except (ParseError, ContractError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return inst.graph, list(inst.graph.parallel_classes().items()), inst.kind, inst.k
+
+
+def workload_texts():
+    """The texts of every seed-11 relabelled copy of the benchmark's
+    workloads, six copies per case, as its runs draw them."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import WORKLOADS, relabelled
+    finally:
+        sys.path.pop(0)
+    for cases in WORKLOADS.values():
+        for index, case in enumerate(cases):
+            for inst in relabelled(case.make(), 11, index, 6):
+                yield serialize_instance(inst)
+
+
+def test_both_readers_read_every_workload_text_alike(monkeypatch):
+    texts = list(workload_texts())
+    assert len(texts) == 108
+    for text in texts:
+        assert _read_canonical(text) is not None
+        assert (parse_outcome(parse_instance, text)
+                == parse_outcome(lambda t: per_line(t, monkeypatch), text))
+
+
+def random_canonical_text(rng: random.Random, lines: int) -> str:
+    """A canonical text of the given number of lines, of either kind, with
+    some multi-copy lines."""
+    tag = rng.choice("DU")
+    n = rng.randint(2, 3 * lines + 2)
+    classes = set()
+    while len(classes) < min(lines, n * (n - 1) // 2 - n):
+        u, v = rng.randrange(n), rng.randrange(1, n)
+        if u != v:
+            classes.add((u, v) if tag == "D" or u < v else (v, u))
+    body = [f"{u} {v} {rng.choice((1, 1, 1, 2, 3, 1000))}" for u, v in sorted(classes)]
+    kind = "arb" if tag == "D" else "tree"
+    return "".join(f"{line}\n" for line in
+                   [f"# kind = {kind}", f"# k = {rng.randint(1, 4)}", f"{tag} {n} 0", *body])
+
+
+def test_both_readers_agree_on_canonical_texts_with_one_token_mutated(monkeypatch):
+    rng = random.Random(32)
+    replacements = ["0", "1", "00", "-1", "x", "", "1 2", "#", "D", "U", "3.0", "1000000",
+                    "1" * 5000]
+    bulk = 0
+    for trial in range(400):
+        lines = rng.choice((3, 8, 30)) if trial % 20 else 12_000  # every 20th: several chunks
+        tokens = re.split(r"(\s+)", random_canonical_text(rng, lines))
+        at = rng.randrange(0, len(tokens), 2)  # a token, not a separator
+        near = str(int(tokens[at]) + rng.choice((-1, 1))) if tokens[at].isdigit() else "7"
+        tokens[at] = rng.choice(replacements + [near] * 4)
+        text = "".join(tokens)
+        bulk += _read_canonical(text) is not None
+        assert (parse_outcome(parse_instance, text)
+                == parse_outcome(lambda t: per_line(t, monkeypatch), text)), text[:200]
+    assert 50 < bulk < 350  # both readers and the hand-over are exercised
+
+
+def noncanonical_variants(text: str) -> dict[str, tuple[str, bool]]:
+    """Valid renderings of a canonical text that only the per-line reader
+    takes, each with whether it reads as the same graph."""
+    head, body = text.split("\n")[:3], text.split("\n")[3:-1]
+    tag = head[2][0]
+
+    def render(lines):
+        return "\n".join(head + lines) + "\n"
+
+    split = [part for line in body for part in (
+        [line] if line.endswith(" 1") else [line.rsplit(" ", 1)[0] + " 1",
+                                           line.rsplit(" ", 1)[0] + f" {int(line.split()[2]) - 1}"])]
+    variants = {
+        "crlf": (text.replace("\n", "\r\n"), True),
+        "tabs": (render([line.replace(" ", "\t") for line in body]), True),
+        "trailing comments": (render([f"{line}  # class {i}" for i, line in enumerate(body)]),
+                              True),
+        "blank lines": (render([f"{line}\n" for line in body]), True),
+        "two-token lines": (render([line[:-2] if line.endswith(" 1") else line
+                                    for line in body]), True),
+        "repeated class lines": (render(split), True),
+        "descending classes": (render(body[::-1]), False),
+        "no final newline": (text[:-1], True),
+        # `splitlines` ends a line at a form feed too
+        "form feed between comments": (text.replace("\n# k =", "\f# k =", 1), True),
+    }
+    if tag == "U":
+        variants["larger end first"] = (render([" ".join(line.split()[1::-1] + line.split()[2:])
+                                                for line in body]), True)
+    return {name: variant for name, variant in variants.items() if variant[0] != text}
+
+
+def test_noncanonical_texts_read_as_the_per_line_reader_reads_them(monkeypatch):
+    rng = random.Random(33)
+    for _ in range(60):
+        text = random_canonical_text(rng, rng.choice((2, 10, 40)))
+        canonical = parse_outcome(parse_instance, text)
+        assert _read_canonical(text) is not None and len(canonical) == 4
+        for name, (variant, same) in noncanonical_variants(text).items():
+            assert _read_canonical(variant) is None, name
+            read = parse_outcome(parse_instance, variant)
+            assert read == parse_outcome(lambda t: per_line(t, monkeypatch), variant), name
+            assert (read == canonical) == same, name
+
+
+def test_bulk_parse_of_200000_lines_peaks_no_higher_than_per_line(monkeypatch):
+    # the bulk reader takes the body a chunk at a time, so its token lists
+    # stay small, and its equal numbers share one int
+    lines = [f"{u} {v} 1\n" for u in range(201) for v in range(1, 1001) if v != u][:200_000]
+    text = "D 1001 0\n" + "".join(lines)
+    assert _read_canonical(text) is not None
+    bulk = peak_bytes(lambda: parse_instance(text))
+    assert bulk <= peak_bytes(lambda: per_line(text, monkeypatch))
 
 
 def peak_bytes(fn) -> int:

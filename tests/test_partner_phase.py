@@ -179,3 +179,32 @@ def test_hidden_and_budgeted_streams_list_the_main_rows(kind):
     assert checked > 100
     # flow cores take second copies, so the mask prunes rows the hiding keeps
     assert pruned > 0 if kind == "flow" else pruned == 0
+
+
+@pytest.mark.parametrize("kind", ["arb", "flow", "tree"])
+def test_stalled_partner_searches_are_charged_unrun(kind, monkeypatch):
+    # a partner search that hides every class its empty start could take
+    # visits that one state and lists no row, so the pipeline charges the
+    # state without setting the search up, and every report stays the same
+    stalls = ShapeRows.stalls
+    stalled = Counter()
+
+    def checked(self, hidden):
+        if stalls(self, hidden):
+            probe = self.partner()
+            assert list(probe.stream(hidden)) == [] and len(probe) == 0
+            assert probe.states == 1
+            stalled[kind] += 1
+            return True
+        return False
+
+    monkeypatch.setattr(ShapeRows, "stalls", checked)
+    for g, k in instances(kind):
+        report = SOLVE[kind](g, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(ShapeRows, "stalls", lambda self, hidden: False)
+            unskipped = SOLVE[kind](g, k)
+        assert report.to_json() == unskipped.to_json()
+    # every certified NO with a root of degree three stalls at tree's k >= 2
+    print(kind, stalled)
+    assert stalled[kind] > 0 if kind == "tree" else True, stalled
