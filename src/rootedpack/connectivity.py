@@ -6,10 +6,10 @@ computed as integral max-flows with one unit of capacity per parallel copy.
 
 Root reach is asked of `graphs.ResidualReach`, whose docstring states the
 replacement step and the arborescence rule behind every answer here: the
-digraph's own engine decides the gate's k=1 check and extendability, a
-fresh engine for one removed copy reads off the vertices a failing k=2 gate
-cuts off, and `critical_arcs`, behind the k=2 gate, builds its own engine
-for its removal set, so its arborescence is breadth-first.
+digraph's own engine decides the gate's k=1 check and extendability and,
+through `critical_arcs`, the k=2 gate, and a fresh engine for one removed
+copy reads off the vertices a failing k=2 gate cuts off.  `critical_arcs`
+builds an engine only for a non-empty removal set.
 """
 
 from __future__ import annotations
@@ -208,11 +208,16 @@ def critical_arcs(
 ) -> frozenset[int]:
     """Arcs whose additional removal disconnects some vertex from the root.
 
-    Only the last surviving copy of a class on a BFS r-arborescence of
+    Only the last surviving copy of a class on an r-arborescence T of
     D - removed can be critical (the T-arc rule of `ResidualReach`), so only
-    those (at most n-1) are rechecked.  This decides the k=2 gate.
+    those (at most n-1) are rechecked.  A critical arc lies on every
+    spanning r-arborescence, so the answer does not depend on T: with
+    nothing removed it reads the digraph's kept engine (`_reach`), which
+    the gate's k=1 check has built already, and otherwise a new engine for
+    `removed`.  This decides the k=2 gate.
     """
-    residual = ResidualReach(dig, removed)
+    removed = set(removed)
+    residual = ResidualReach(dig, removed) if removed else dig._reach()
     if not residual.spanning:
         raise ContractError("digraph minus removed arcs is not root-connected")
     tail_filter = None if tails is None else set(tails)

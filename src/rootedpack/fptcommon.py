@@ -28,9 +28,13 @@ key, which also orders the rows, and are decoded only for the rows the
 pipeline crystallises.
 
 A YES needs only two compact structures, so the pipeline first pairs the
-rows as they stream in: for each extendable row S, a partner search that
-hides S's exhausted classes and prunes the states whose masks meet S's
-looks for a row that fits beside S.  Only when
+rows as they stream in: for each extendable row S, a partner search looks
+for a partner of S, a row whose `uses` misses `S.limits`, pruning every
+state whose `uses` meets that mask.  The mask alone excludes the classes S
+takes every copy of: a shape takes one copy of a class (kernels and
+certificates) or at most two (cores), so only a class of at most two
+copies can be emptied, and `CopyTable` gives such a class's limit bit
+(c, 1) to S and its use bit (c, 1) to every row that takes it.  Only when
 the partner searches have spent `PARTNER_STATES` states does the search
 run to its end and the exhaustive `PairSearch` decide, which every NO
 does.  Growth and completion ask root reach of `ResidualReach` too.
@@ -212,28 +216,6 @@ def candidate_table(
             for u, candidates in table.items()}, classes
 
 
-class _Hiding(dict):
-    """`candidate_table`'s lists without the candidates of the `hidden`
-    classes, each list filtered when a search first asks for it."""
-
-    def __init__(self, lists: Mapping[int, list], hidden: frozenset) -> None:
-        super().__init__()
-        self.lists, self.hidden = lists, hidden
-
-    def __missing__(self, u: int) -> list:
-        kept = self[u] = [candidate for candidate in self.lists[u]
-                          if candidate[2] not in self.hidden]
-        return kept
-
-
-def hidden_candidates(
-    candidates_of: Mapping[int, list], hidden: frozenset
-) -> Mapping[int, list]:
-    """`candidate_table`'s lists, or, given hidden classes, the lists
-    without their candidates."""
-    return _Hiding(candidates_of, hidden) if hidden else candidates_of
-
-
 def tree_shapes(
     g: RootedDigraph | RootedGraph,
     k: int,
@@ -255,10 +237,14 @@ def tree_shapes(
     finds it and yields the index of each extendable one, so a caller may
     stop after the first rows.  Each stream has its own stack and shares
     the candidate table, class ranks and `CopyTable` of this call, so a
-    partner store's rows (`ShapeRows.partner`), which may hide classes and
-    prune the takes whose `uses` meet a mask, carry the same keys, masks and
-    attachments as the main store's rows of the same shapes.  Its states are
-    the empty tree and each class taken.
+    partner store's rows (`ShapeRows.partner`) carry the same keys, masks
+    and attachments as the main store's rows of the same shapes.  A partner
+    of a row S is a row whose `uses` misses `S.limits`, and its stream
+    prunes every take whose `uses` meet that mask.  Each take is a class's
+    first copy, so the mask prunes exactly the takes of the classes S
+    empties (`CopyTable` gives each the bit (c, 1) in `S.limits`), and a
+    pruned take is no state.  Its states are the empty tree and each class
+    taken.
 
     Each tree is built exactly once, so no seen set is needed: a state keeps
     an ordered list of candidates.  Taking candidate i passes on the
@@ -266,8 +252,7 @@ def tree_shapes(
     whose head is in the tree or whose root branch is full is passed over
     when its turn comes.  A tree is then reached only through the first of
     its classes in each list, as every skipped candidate stays out of the
-    whole subtree of the search; hiding classes drops them from every list
-    and keeps that argument.  The search is depth-first with an explicit
+    whole subtree of the search.  The search is depth-first with an explicit
     stack, since trees can be k-1 classes deep.  The branch map, branch
     sizes and anchors are changed in place and undone on the way back; each
     frame carries its state's expanded count and pair masks, its parent's
@@ -315,8 +300,7 @@ def tree_shapes(
         size = key >> size_shift
         return tuple(class_list[key >> shift & field] for shift in shifts[:size]), ones[size]
 
-    def search(rows: ShapeRows, hidden: frozenset, budget: Optional[int], against: int
-               ) -> Iterator[int]:
+    def search(rows: ShapeRows, budget: Optional[int], against: int) -> Iterator[int]:
         add_key, add_attachment, add_expanded, add_uses, add_limits, add_extendable = (
             column.append for column in rows.columns())
         keys = rows.keys
@@ -331,7 +315,6 @@ def tree_shapes(
             if start is not None:
                 yield 0
             return
-        candidates_from = hidden_candidates(candidates_of, hidden)
         states = 1  # the empty start
         branch_of: dict[int, int] = {}
         sizes: dict[int, int] = {}
@@ -342,7 +325,7 @@ def tree_shapes(
         # enter the frame, expanded count, uses, limits, emptied classes,
         # overlay, sorted ranks, key); the root frame took none, and a
         # full-size tree gets no frame
-        stack: list[list] = [[candidates_from[root], 0, None, 1, 0, 0, (), start, (), 0]]
+        stack: list[list] = [[candidates_of[root], 0, None, 1, 0, 0, (), start, (), 0]]
         try:
             while stack:
                 frame = stack[-1]
@@ -358,7 +341,6 @@ def tree_shapes(
                     top = head if tail == root else branch_of[tail]
                     if sizes.get(top, 0) >= branch_cap:
                         continue
-                    states += 1
                     entry = entries[rank]
                     if entry is None:
                         entry = entries[rank] = table.entry(c, copies, 1)
@@ -366,6 +348,7 @@ def tree_shapes(
                     uses = base_uses | use
                     if uses & against:
                         continue
+                    states += 1
                     expanded, limits = base_expanded * ways, base_limits | lim
                     reached, removed = overlay, emptied
                     if empties and step is not None and overlay is not None:
@@ -418,14 +401,13 @@ def tree_shapes(
                     return
                 following = candidates[i + 1:]
                 if head not in large:
-                    following += candidates_from[head]
+                    following += candidates_of[head]
                 stack.append([following, 0, head, expanded, uses, limits, removed, reached,
                               (*ranks[:place], rank, *ranks[place:]), grown_key])
         finally:
             rows.states = states
 
-    firsts = frozenset(c for _, _, c, _, _ in candidates_of[root]) if limit else None
-    return ShapeRows(decode, search, firsts)
+    return ShapeRows(decode, search)
 
 
 @dataclass
@@ -726,17 +708,19 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
     extendability verdict, decided down the search stack by
     `graphs.ResidualReach.step`; this runs no probe of its own.
     - *Partner phase.*  For each extendable row S in turn, a partner search
-      lists the rows R with `S.limits & R.uses` zero, the rows that fit
-      beside S: it hides S's exhausted classes, the classes of which S
-      takes every copy, and prunes every state whose uses meet S's limits.
+      lists the partners of S, the rows R with `S.limits & R.uses` zero,
+      which fit beside S: it prunes every state whose `uses` meet
+      `S.limits`.  That mask alone drops every take of a class S takes all
+      copies of, since such a class has at most two copies and `CopyTable`
+      gives it the bit (c, 1) in `S.limits` (see the module docstring).
+      A search whose every root take meets the mask visits its empty start
+      alone, one state.
       Each extendable partner row R is tested as a one-pair `PairSearch`,
       and the first (for tree, the first that `completable` accepts) is the
       hit: (S, R) is a pair that the exhaustive `PairSearch` would accept
       too, so the answer is YES either way.  Then the shape counter is the
       expanded count of every row generated, the main stream's and the
       partner streams', and `pairsTested` the number of partner rows tested.
-      A partner search that hides every class its empty start could take
-      (`ShapeRows.stalls`) is not set up: its one state is charged alone.
     - *Fallback.*  Once the partner searches have taken `PARTNER_STATES`
       states, or the main stream ends, the main search carries on to its
       end, and the answer is exact: the shape counter sums the expanded
@@ -745,10 +729,10 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
       whose first hit and `pairsTested` are those of the full search.  So
       every NO, and every YES the partner phase misses, reports what the
       exhaustive search alone reports.
-    Only the rows that get crystallised, and the exhausted classes of each
-    S, are decoded into classes and counts.  `growSteps` is the sum of the
-    hit pair's attachments, as `grow_pair` stops exactly when every target
-    is met, or raises.
+    Only the rows that get crystallised, and each S a partner row is tested
+    beside, are decoded into classes and counts.  `growSteps` is the sum of
+    the hit pair's attachments, as `grow_pair` stops exactly when every
+    target is met, or raises.
     """
     g = inst.graph
     counters = {stages.shape_counter: 0, "pairsTested": 0, "growSteps": 0}
@@ -796,37 +780,23 @@ def run_pipeline(inst: ProblemInstance, opts: SolveOptions, stages: Stages) -> S
         return assigned is not None and completable(
             frozenset(assigned[0]), frozenset(assigned[1]))
 
-    copies_of: dict[tuple[int, int], int] = {}
-
-    def copies(c: tuple[int, int]) -> int:
-        if c not in copies_of:
-            copies_of[c] = len(class_ids(*c))
-        return copies_of[c]
-
     def partner_hit(rows: ShapeRows, stream: Iterator[int]) -> Optional[tuple[Row, Row]]:
         left = PARTNER_STATES
         if left <= 0:
             return None
         for s in stream:
-            first = rows[s]
-            limits = rows.limits[s]
-            hidden = frozenset(c for c, m in zip(first[0], first[1]) if copies(c) == m)
-            if rows.stalls(hidden):  # its one state, the empty start, charged unrun
-                left -= 1
-            else:
-                partners = rows.partner()
-                for r in partners.stream(hidden, left, limits):
-                    second = partners[r]
-                    accept = None if completable is None else lambda *_: fits(first, second)
-                    found, tested = PairSearch((partners.uses[r],), (limits,),
-                                               accept).find_first()
-                    counters["pairsTested"] += tested
-                    if found is not None:
-                        counters[stages.shape_counter] += (sum(rows.expanded)
-                                                           + sum(partners.expanded))
-                        return first, second
-                counters[stages.shape_counter] += sum(partners.expanded)
-                left -= partners.states
+            limits, first = rows.limits[s], None
+            partners = rows.partner()
+            for r in partners.stream(left, limits):
+                first, second = first or rows[s], partners[r]
+                accept = None if completable is None else lambda *_: fits(first, second)
+                found, tested = PairSearch((partners.uses[r],), (limits,), accept).find_first()
+                counters["pairsTested"] += tested
+                if found is not None:
+                    counters[stages.shape_counter] += sum(rows.expanded) + sum(partners.expanded)
+                    return first, second
+            counters[stages.shape_counter] += sum(partners.expanded)
+            left -= partners.states
             if left <= 0:
                 break
         return None

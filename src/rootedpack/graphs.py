@@ -106,8 +106,9 @@ class ResidualReach:
     when that empties a T-arc, it repairs T in place with that same step's
     overlay, and walks the class tables again only when the step finds
     D - S no longer root-connected.  So T stops being breadth-first after
-    a repair, which no answer depends on; `critical_arcs` builds its own
-    engine for each removal set anyway.
+    a repair, which no answer depends on.  Only growth and completion
+    remove copies, each from an engine of its own, so a graph's kept
+    engine (`_reach`) keeps its breadth-first T.
 
     `step`, `keeps_root_connected` and the repair serve digraphs only; a
     graph's engine may start from a set S, and walks its tables again on a
@@ -350,8 +351,10 @@ class _RootedMultigraph:
         """Store and index a checked class table (each class's ids
         ascending) and its ends, read off it unless given."""
         self.n, self.root = n, root
-        # classes ascending; each list is freed once its tuple is stored
+        # classes ascending; each list is freed once its tuple is stored, and
+        # the emptied table's storage, which `pop` keeps, once all are
         self._by_class = {c: tuple(by_class.pop(c)) for c in sorted(by_class)}
+        by_class.clear()
         self._ends = ends or {cid: c for c, ids in self._by_class.items() for cid in ids}
         self._engine: ResidualReach | None = None  # see `_reach`
         self._index(self._by_class.items())

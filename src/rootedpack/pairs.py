@@ -91,35 +91,30 @@ class ShapeRows(Sequence[Row]):
 
     A shape search (`fptcommon.tree_shapes`, `solver_flow._core_shapes`)
     returns an empty store that keeps the search's generator, and
-    `stream(hidden, budget, against)` runs it: it adds every row it finds,
-    in search order, and yields the index of each extendable one once it is
-    added.  Candidates of the `hidden` classes are left out, and so is every
-    state whose `uses` meets the mask `against`, with all the states below
-    it, as taking more copies never clears a bit of `uses`: the stream lists
-    exactly the rows that take none of the hidden classes and whose `uses`
-    miss `against`.  A partner search passes S's `limits` as `against`, so
-    it lists only rows that fit beside S.  Given a `budget`, a search
-    stops before it pushes a stack frame once it has visited that many
-    states or more: the empty shape and each class (or copy) taken.
+    `stream(budget, against)` runs it: it adds every row it finds, in search
+    order, and yields the index of each extendable one once it is added.
+    Every state whose `uses` meets the mask `against` is left out, with all
+    the states below it, as taking more copies never clears a bit of `uses`:
+    the stream lists exactly the rows whose `uses` miss `against`.  A
+    partner search passes S's `limits` as `against`, and that mask alone
+    defines a partner of S: a row whose `uses` misses `S.limits`, one that
+    fits beside S (`CopyTable`).  It also keeps out every class c that S
+    takes every copy of: only a class of at most two copies can be emptied,
+    so `S.limits` holds its bit (c, 1), which every take of c sets in
+    `uses`.  Given a `budget`, a search stops before it pushes a stack
+    frame once it has visited that many states or more: the empty shape
+    and each class (or copy) taken, but not a first copy the mask prunes.
     `states` is the number it visited when its stream ended or was closed.
     `partner()` is a new empty store of the same search, whose candidate
     table, class ranks and `CopyTable` it shares, so that its rows' keys and
     masks read as this store's.  `filled()` runs the whole search and sorts
     the rows by key (`order`), as `enumerate_compact_*` list them.
-
-    `firsts` are the classes a search may take from its empty start, the
-    root's candidates, or None when the empty shape is itself a row (the
-    tree search at k = 1).  `stalls(hidden)` says, without running it, that
-    a stream hiding those classes visits its empty start alone and lists
-    no row.
     """
 
     def __init__(self, decode: Callable[[int], tuple[tuple[tuple[int, int], ...], tuple[int, ...]]],
-                 search: Callable[[ShapeRows, frozenset, Optional[int], int], Iterator[int]],
-                 firsts: Optional[frozenset]) -> None:
+                 search: Callable[[ShapeRows, Optional[int], int], Iterator[int]]) -> None:
         self._decode = decode
         self._search = search
-        self._firsts = firsts
         self.keys: list[int] = []
         self.attachments: list[Mapping[int, int]] = []
         self.expanded: list[int] = []
@@ -132,15 +127,11 @@ class ShapeRows(Sequence[Row]):
         """The six columns in row order, for a search to append to."""
         return self.keys, self.attachments, self.expanded, self.uses, self.limits, self.extendable
 
-    def stream(self, hidden: frozenset = frozenset(), budget: Optional[int] = None,
-               against: int = 0) -> Iterator[int]:
-        return self._search(self, hidden, budget, against)
+    def stream(self, budget: Optional[int] = None, against: int = 0) -> Iterator[int]:
+        return self._search(self, budget, against)
 
     def partner(self) -> ShapeRows:
-        return ShapeRows(self._decode, self._search, self._firsts)
-
-    def stalls(self, hidden: frozenset) -> bool:
-        return self._firsts is not None and self._firsts <= hidden
+        return ShapeRows(self._decode, self._search)
 
     def filled(self) -> ShapeRows:
         for _ in self.stream():

@@ -49,7 +49,6 @@ from .fptcommon import (
     depth_bounded_pool,
     expand_shapes,
     grow_directed_pair,
-    hidden_candidates,
     pair_states,
     run_pipeline,
 )
@@ -203,11 +202,14 @@ def _core_shapes(
 
     The search is a generator (`ShapeRows.stream`), like
     `fptcommon.tree_shapes`: it adds each row as it finds it and yields the
-    index of each extendable one, and every stream, a partner's with hidden
-    classes and a mask to prune by too, shares this call's candidate table,
-    class ranks and `CopyTable`.  A partner needs the mask here more than
-    in the tree search: a core may take a second copy of a class of which S
-    has left only one.  Its states are the empty vector and each copy taken.
+    index of each extendable one, and every stream, a partner's with a mask
+    to prune by too, shares this call's candidate table, class ranks and
+    `CopyTable`.  A partner of a row S is a row whose `uses` misses
+    `S.limits`.  The mask prunes a first copy exactly when S empties its
+    class, which has at most two copies (`CopyTable` gives it the bit (c, 1)
+    in `S.limits`), and a second copy also when S has left only one of the
+    class.  Its states are the empty vector and each copy taken, but not a
+    first copy the mask prunes.
 
     One depth-first search grows per-class count vectors from the empty one.
     A step adds one copy, up to min(2, L) of L (the triple-free reduction), of
@@ -306,12 +308,10 @@ def _core_shapes(
         classes, taken = zip(*((class_list[(f >> 2) - 1], f & 3) for f in fields))
         return classes, taken
 
-    def search(rows: ShapeRows, hidden: frozenset, budget: Optional[int], against: int
-               ) -> Iterator[int]:
+    def search(rows: ShapeRows, budget: Optional[int], against: int) -> Iterator[int]:
         add_key, add_attachment, add_expanded, add_uses, add_limits, add_extendable = (
             column.append for column in rows.columns())
         keys = rows.keys
-        candidates_from = hidden_candidates(candidates_of, hidden)
         counts: dict[tuple[int, int], int] = {}
         states = 1  # the empty start
         # frames of (candidates, index of the next one to try, class taken to
@@ -320,7 +320,7 @@ def _core_shapes(
         # none, and cut is a full-size state's violated set (None when it
         # passes) or a (2k-2)-vertex state's bridge cuts of at least k
         # vertices, once a child into a new head asks
-        stack: list[list] = [[candidates_from[root], 0, None, frozenset(), 1, 0, 0, (), start,
+        stack: list[list] = [[candidates_of[root], 0, None, frozenset(), 1, 0, 0, (), start,
                               None, (), 0]]
         try:
             while stack:
@@ -336,7 +336,6 @@ def _core_shapes(
                             counts[c] -= 1
                     continue
                 frame[1] = i + 1
-                states += 1
                 tail, head, c, copies, rank = candidates[i]
                 m = counts.get(c, 0)
                 entry = entries[rank]
@@ -347,7 +346,9 @@ def _core_shapes(
                 ways, use, limit, empties = entry[m + 1]
                 uses = frame[5] ^ old_use | use
                 if uses & against:
+                    states += m > 0  # a pruned first copy is no state
                     continue
+                states += 1
                 verts, ranks, key = frame[3], frame[10], frame[11]
                 new_head = head not in verts
                 if new_head and len(verts) == max_size - 1 and frame[9] is None:
@@ -409,7 +410,7 @@ def _core_shapes(
                     following.append(candidates[i])
                 if new_head:
                     if head not in large:
-                        following += candidates_from[head]
+                        following += candidates_of[head]
                     if len(verts) == max_size:
                         following = [cand for cand in following if cand[1] in verts]
                 if following:
@@ -424,7 +425,7 @@ def _core_shapes(
         finally:
             rows.states = states
 
-    return ShapeRows(decode, search, frozenset(c for _, _, c, _, _ in candidates_of[root]))
+    return ShapeRows(decode, search)
 
 
 def _flow_shapes(dig: RootedDigraph, k: int) -> ShapeRows:

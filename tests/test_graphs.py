@@ -292,6 +292,16 @@ def test_bulk_parse_of_200000_lines_peaks_no_higher_than_per_line(monkeypatch):
     assert bulk <= peak_bytes(lambda: per_line(text, monkeypatch))
 
 
+@pytest.mark.parametrize("cls", [RootedDigraph, RootedGraph])
+def test_a_build_frees_the_class_table_it_is_handed(cls):
+    # `_store` pops every class out of the reader's table, and a dict keeps
+    # its storage through `pop` until it is cleared
+    by_class = {(v, v + 1): [2 * v, 2 * v + 1] for v in range(1, 1000)}
+    g = cls._of_classes(1001, 0, by_class)
+    assert by_class == {} and sys.getsizeof(by_class) == sys.getsizeof({})
+    assert len(g.parallel_classes()) == 999 and g.class_ids(5, 6) == (10, 11)
+
+
 def peak_bytes(fn) -> int:
     """Peak bytes that Python allocates while fn runs."""
     tracemalloc.start()

@@ -11,11 +11,17 @@ partner hit must be a pair the exhaustive search would accept too: two
 valid compact structures with disjoint copies (the masks do not conflict),
 each extendable, and for tree completable.
 
-The streams behind it are checked on the shape-search fixtures: a stream
-with hidden classes, and with a mask to prune by, lists exactly the rows of
-the full search that take none of those classes and whose `uses` miss the
-mask, in search order, with the same keys, masks, attachments and verdicts,
-and a budgeted stream lists a prefix of the full one.
+The streams behind it are checked on the shape-search fixtures.  A partner
+of a row S is a row whose `uses` misses `S.limits`, and that mask is all a
+partner search is given: a stream with a mask to prune by lists exactly the
+rows of the full search whose `uses` miss it, in search order, with the
+same keys, masks, attachments and verdicts, and a budgeted stream lists a
+prefix of the full one.  The mask alone keeps out the classes S takes every
+copy of: such a class has at most two copies, and `CopyTable` gives it the
+bit (c, 1) in `S.limits` and in the `uses` of every row that takes it, so
+the classes S exhausts are exactly those whose one-copy bit is in
+`S.limits`.  A partner search whose every root take meets the mask visits
+its empty start alone and lists no row.
 """
 
 import random
@@ -24,13 +30,17 @@ from collections import Counter
 import pytest
 
 from rootedpack import fptcommon
-from rootedpack.graphs import RootedDigraph, cap_parallel
+from rootedpack.fptcommon import candidate_table
+from rootedpack.graphs import ProblemInstance, RootedDigraph, cap_parallel
 from rootedpack.instancegen import random_instance
 from rootedpack.matroid import max_forest_pair
-from rootedpack.pairs import ShapeRows
-from rootedpack.solver_arb import _kernel_shapes, solve_arb, validate_compact_kernel
-from rootedpack.solver_flow import _flow_shapes, solve_flow, validate_compact_core
-from rootedpack.solver_tree import (_certificate_shapes, solve_tree,
+from rootedpack.pairs import CopyTable, ShapeRows
+from rootedpack.solver_arb import (_kernel_shapes, candidate_pool, classify_vertices, solve_arb,
+                                   validate_compact_kernel)
+from rootedpack.solver_flow import (_flow_shapes, candidate_pool_flow, classify_vertices_flow,
+                                    solve_flow, validate_compact_core)
+from rootedpack.solver_tree import (_certificate_shapes, candidate_pool_tree,
+                                    classify_vertices_tree, solve_tree,
                                     validate_compact_certificate)
 
 from conftest import (planted_digraph_with_hub, planted_tree_with_hub, random_digraph,
@@ -149,27 +159,69 @@ def columns(rows, indices):
              rows.limits[i], rows.extendable[i]) for i in indices]
 
 
+@pytest.fixture
+def one_copy_bits(monkeypatch):
+    """Each class's one-copy `uses` bit, (c, 1), as its search's `CopyTable`
+    hands it out (0 for a class of four or more copies, which gets none);
+    clear it before each search."""
+    bits = {}
+    entry = CopyTable.entry
+
+    def recorded(self, c, copies, m):
+        found = entry(self, c, copies, m)
+        if m == 1:
+            bits[c] = found[1]
+        return found
+
+    monkeypatch.setattr(CopyTable, "entry", recorded)
+    return bits
+
+
+def exhausted(g, row):
+    """The classes the row takes every copy of."""
+    return {c for c, m in zip(row[0], row[1]) if len(g.class_ids(*c)) == m}
+
+
 @pytest.mark.parametrize("kind", ["arb", "flow", "tree"])
-def test_hidden_and_budgeted_streams_list_the_main_rows(kind):
+def test_exhausted_classes_are_the_one_copy_bits_in_the_limits(kind, one_copy_bits):
+    # the partner mask stands in for the exhausted classes: S takes every
+    # copy of a class exactly when that class's bit (c, 1) is in S.limits
+    found = 0
+    for g, main in fixture_stores(kind):
+        one_copy_bits.clear()
+        for s in main.stream():
+            gone = exhausted(g, main[s])
+            assert gone == {c for c, bit in one_copy_bits.items() if bit & main.limits[s]}
+            found += len(gone)
+    assert found > 100
+
+
+@pytest.mark.parametrize("kind", ["arb", "flow", "tree"])
+def test_masked_and_budgeted_streams_list_the_main_rows(kind):
     checked = pruned = 0
     for g, main in fixture_stores(kind):
         yielded = list(main.stream())
         assert yielded == [i for i in range(len(main)) if main.extendable[i]]
         for s in yielded[::max(1, len(yielded) // 5)]:
-            classes, counts = main[s][:2]
-            hidden = frozenset(c for c, m in zip(classes, counts) if len(g.class_ids(*c)) == m)
+            gone = exhausted(g, main[s])
             for against in (0, main.limits[s]):
                 partner = main.partner()
-                partner_yielded = list(partner.stream(hidden, against=against))
-                kept = [i for i in range(len(main))
-                        if hidden.isdisjoint(main[i][0]) and not main.uses[i] & against]
+                partner_yielded = list(partner.stream(against=against))
+                kept = [i for i in range(len(main)) if not main.uses[i] & against]
                 assert columns(partner, range(len(partner))) == columns(main, kept)
                 assert partner_yielded == [i for i in range(len(partner))
                                            if partner.extendable[i]]
                 assert partner.states < main.states or len(kept) == len(main)
                 checked += len(kept)
+                # every row that takes a class S exhausts meets S's mask
+                assert against == 0 or not any(gone.intersection(main[i][0]) for i in kept)
                 pruned += against != 0 and any(main.uses[i] & against for i in range(len(main))
-                                               if hidden.isdisjoint(main[i][0]))
+                                               if gone.isdisjoint(main[i][0]))
+            # a budgeted stream with S's mask lists a prefix of the last one
+            cut = main.partner()
+            listed = list(cut.stream(main.states // 3, main.limits[s]))
+            assert columns(cut, range(len(cut))) == columns(partner, range(len(cut)))
+            assert listed == partner_yielded[:len(listed)]
         for budget in (1, 5, main.states // 3):
             cut = main.partner()
             listed = list(cut.stream(budget=budget))
@@ -177,34 +229,38 @@ def test_hidden_and_budgeted_streams_list_the_main_rows(kind):
             assert listed == [i for i in range(len(cut)) if cut.extendable[i]]
             assert budget <= cut.states < main.states
     assert checked > 100
-    # flow cores take second copies, so the mask prunes rows the hiding keeps
+    # flow cores take second copies, so the mask prunes rows that take no
+    # class S exhausts; a kernel or certificate takes one copy of a class
     assert pruned > 0 if kind == "flow" else pruned == 0
 
 
+POOLS = {"arb": (candidate_pool, classify_vertices),
+         "flow": (candidate_pool_flow, classify_vertices_flow),
+         "tree": (candidate_pool_tree, classify_vertices_tree)}
+
+
 @pytest.mark.parametrize("kind", ["arb", "flow", "tree"])
-def test_stalled_partner_searches_are_charged_unrun(kind, monkeypatch):
-    # a partner search that hides every class its empty start could take
-    # visits that one state and lists no row, so the pipeline charges the
-    # state without setting the search up, and every report stays the same
-    stalls = ShapeRows.stalls
-    stalled = Counter()
-
-    def checked(self, hidden):
-        if stalls(self, hidden):
-            probe = self.partner()
-            assert list(probe.stream(hidden)) == [] and len(probe) == 0
-            assert probe.states == 1
-            stalled[kind] += 1
-            return True
-        return False
-
-    monkeypatch.setattr(ShapeRows, "stalls", checked)
+def test_partners_whose_root_takes_all_meet_the_mask_visit_one_state(kind, one_copy_bits):
+    # a partner search visits its empty start and, given S.limits, prunes
+    # every root take that meets it: one state and no row exactly when all
+    # of them do, which the certified NOs with a root of degree three show
+    alone = Counter()
     for g, k in instances(kind):
-        report = SOLVE[kind](g, k)
-        with monkeypatch.context() as patch:
-            patch.setattr(ShapeRows, "stalls", lambda self, hidden: False)
-            unskipped = SOLVE[kind](g, k)
-        assert report.to_json() == unskipped.to_json()
-    # every certified NO with a root of degree three stalls at tree's k >= 2
-    print(kind, stalled)
-    assert stalled[kind] > 0 if kind == "tree" else True, stalled
+        if k == 1 and kind != "flow":  # the empty tree, a row, is the only state
+            continue
+        g = cap_parallel(ProblemInstance(kind=kind, graph=g, k=k)).graph
+        pool, classify = POOLS[kind]
+        candidates_of, _ = candidate_table(g, pool(g, k), classify(g, k).large)
+        roots = {c for _, _, c, _, _ in candidates_of[g.root]}
+        one_copy_bits.clear()
+        main = SHAPES[kind](g, k)
+        for s in list(main.stream()):  # the full search takes every root class
+            against = main.limits[s]
+            partner = main.partner()
+            listed = list(partner.stream(fptcommon.PARTNER_STATES, against))
+            pruned_at_root = all(one_copy_bits[c] & against for c in roots)
+            assert (partner.states == 1) == pruned_at_root
+            if pruned_at_root:
+                assert listed == [] and len(partner) == 0
+                alone[kind] += 1
+    assert alone[kind] > 0 if kind == "tree" else True, alone

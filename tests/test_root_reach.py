@@ -286,6 +286,26 @@ def test_gate_matches_per_class_recheck_at_scale():
     assert outcomes == {True, False}
 
 
+def test_a_passing_k2_gate_builds_one_engine(monkeypatch):
+    # `critical_arcs` with nothing removed reads the kept engine that the
+    # gate's k=1 check built, so the class tables are walked once
+    built = []
+    init = ResidualReach.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(ResidualReach, "__init__", counted)
+    passed = 0
+    for _, d in scale_digraphs(31, 40):
+        built.clear()
+        if is_k_root_connected(d, 2)[0]:
+            assert built == [d._reach()]
+            passed += 1
+    assert passed
+
+
 def test_critical_arcs_match_per_arc_recheck_at_scale():
     rejected = found = 0
     for rng, d in scale_digraphs(32, 25):
